@@ -9,7 +9,7 @@ Four subcommands:
 
 All numeric output is printed with 17 significant digits so that reruns
 are byte-identical.  Exit codes: 0 on success, 1 when verification
-fails, 2 on usage errors.
+fails, 2 on usage, parameter and I/O errors.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .hawking import BlackHoleParams, bogoliubov
 from .modes_state import ScenarioSpec, scenario_density
 from .verify import (
     default_oracle_grid,
+    dilaton_grid,
     monotonicity_scan,
     oracle_compare,
     relationship_suite,
@@ -43,11 +44,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
-
-
-def _dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:
-    step = (d_max - d_min) / (steps - 1)
-    return [d_min + i * step for i in range(steps - 1)] + [d_max]
 
 
 def _add_split_arguments(parser: argparse.ArgumentParser) -> None:
@@ -99,15 +95,13 @@ def _sweep_rows(args, parser) -> str:
         parser.error(
             f"need 0 <= --d-min < --d-max <= --mass, got [{args.d_min}, {d_max}]"
         )
-    if args.steps < 2:
-        parser.error("--steps must be at least 2")
     if args.oracle and args.n_parties is None:
         parser.error("--oracle needs --n-parties")
     spec = None
     if args.oracle:
         spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta)
     lines = ["D,alpha,beta,E_analytic" + (",E_oracle" if args.oracle else "")]
-    for d in _dilaton_grid(args.d_min, d_max, args.steps):
+    for d in dilaton_grid(args.d_min, d_max, args.steps):
         params = BlackHoleParams(args.mass, d, args.omega)
         pair = bogoliubov(params)
         fields = [
@@ -134,7 +128,7 @@ def _figure_table(
     omega: float,
     steps: int,
 ) -> tuple[list[float], list[tuple[str, list[float]]]]:
-    ds = _dilaton_grid(0.0, mass, steps)
+    ds = dilaton_grid(0.0, mass, steps)
     pairs = [bogoliubov(BlackHoleParams(mass, d, omega)) for d in ds]
     series = []
     for name, p, q, theta in columns:
@@ -306,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except DilatonGmeError as exc:
+    except (DilatonGmeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,8 @@ Two evaluation paths:
   count, meant for small oracle checks.
 * :func:`gme_xstate` is the closed form for X-shaped mixed states:
   ``2 * max(0, max_i(|c_i| - nu_i))`` where ``nu_i`` sums ``sqrt(a_j b_j)``
-  over the other blocks.
+  over the other blocks.  Only the stored blocks enter, so the cost grows
+  with their count, not with the dimension.
 
 :func:`pair_entanglement` applies the X-state formula to a two-mode
 reduction; for the scenario states those reductions are diagonal, so it
@@ -31,13 +32,13 @@ MAX_PURE_PARTIES = 16
 
 def gme_xstate(x: XState) -> float:
     """Closed-form genuine multipartite entanglement of an X state."""
-    roots = [
-        math.sqrt(max(ai, 0.0) * max(bi, 0.0)) for ai, bi in zip(x.a, x.b)
-    ]
-    total = math.fsum(roots)
+    roots = {
+        i: math.sqrt(max(a, 0.0) * max(b, 0.0)) for i, (a, b, _) in x.blocks.items()
+    }
+    total = math.fsum(roots.values())
     best = 0.0
-    for ci, root_i in zip(x.c, roots):
-        candidate = abs(ci) - (total - root_i)
+    for i, (_, _, c) in x.blocks.items():
+        candidate = abs(c) - (total - roots[i])
         if candidate > best:
             best = candidate
     return 2.0 * best

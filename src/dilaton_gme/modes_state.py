@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     InvalidDensity,
     InvalidParams,
@@ -55,8 +53,6 @@ AMPLITUDE_TOL = 1e-15
 NORM_TOL = 1e-12
 #: Hard cap on flat + expanded dilaton modes for the exact pipeline.
 MAX_TOTAL_MODES = 24
-#: Densities are materialised as index triplets; cap the register size.
-MAX_DENSE_MODES = 20
 
 _KIND_PREFIX = {"flat": "F", "kruskal": "K", "out": "O", "in": "I"}
 
@@ -240,17 +236,6 @@ class SparseState:
     def amplitude(self, label: int) -> float:
         return self.amplitudes.get(label, 0.0)
 
-    def to_array(self) -> np.ndarray:
-        if len(self.layout) > MAX_DENSE_MODES:
-            raise ScaleCap(
-                f"dense vector for {len(self.layout)} modes exceeds the "
-                f"{MAX_DENSE_MODES}-mode cap"
-            )
-        vec = np.zeros(1 << len(self.layout))
-        for label, amp in self.amplitudes.items():
-            vec[label] = amp
-        return vec
-
 
 @dataclass(frozen=True)
 class SparseDensity:
@@ -306,9 +291,6 @@ class SparseDensity:
             (v * v if r == c else 2.0 * v * v) for (r, c), v in self.entries.items()
         )
 
-    def diagonal(self) -> dict[int, float]:
-        return {r: v for (r, c), v in self.entries.items() if r == c}
-
     def reduce(self, keep: Sequence[Mode]) -> "SparseDensity":
         """Partial trace onto ``keep`` (result ordered as given)."""
         kept_pos, traced_pos = _split_positions(self.layout, keep)
@@ -323,19 +305,6 @@ class SparseDensity:
             acc.setdefault(key, []).append(value)
         entries = {key: math.fsum(values) for key, values in acc.items()}
         return SparseDensity(ModeLayout(tuple(keep)), entries)
-
-    def to_array(self) -> np.ndarray:
-        if len(self.layout) > MAX_DENSE_MODES:
-            raise ScaleCap(
-                f"dense matrix for {len(self.layout)} modes exceeds the "
-                f"{MAX_DENSE_MODES}-mode cap"
-            )
-        dim = 1 << len(self.layout)
-        mat = np.zeros((dim, dim))
-        for (row, col), value in self.entries.items():
-            mat[row, col] = value
-            mat[col, row] = value
-        return mat
 
 
 def _split_positions(

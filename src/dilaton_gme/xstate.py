@@ -1,16 +1,20 @@
 """X-shaped density matrices and their block construction.
 
 The reduced states produced by the horizon pipeline only populate the
-main diagonal and the anti-diagonal.  Such a matrix is fully described by
-three length-``m`` tuples (``m`` = half the dimension):
+main diagonal and the anti-diagonal, so the matrix splits into 2x2 blocks,
+one per row ``i`` of the lower half and its mirror ``2m - 1 - i`` (``m`` =
+half the dimension).  Block ``i`` is the triplet ``(a, b, c)``:
 
-* ``a[i]`` — diagonal entry at row ``i`` (lower half),
-* ``b[i]`` — diagonal entry at the mirrored row ``2m - 1 - i``,
-* ``c[i]`` — coherence between row ``i`` and its mirror.
+* ``a`` — diagonal entry at row ``i``,
+* ``b`` — diagonal entry at the mirrored row ``2m - 1 - i``,
+* ``c`` — coherence between row ``i`` and its mirror.
 
-Positivity of each 2x2 block requires ``|c[i]| <= sqrt(a[i] * b[i])``.
+An :class:`XState` stores only the blocks that are not all zero, keyed by
+``i``; a missing block reads as zero.  A scenario state has ``2**n + 1``
+of them however many parties share it, so nothing here costs ``2**N``.
+Positivity of each block requires ``|c| <= sqrt(a * b)``.
 
-:func:`extract_xstate` reads the triplets off a sparse density matrix and
+:func:`extract_xstate` reads the blocks off a sparse density matrix and
 :func:`build_block_matrix` writes them directly from the closed-form block
 structure of the scenario, without ever building a state.  The two paths
 must agree entry by entry; the verification suite checks that they do.
@@ -20,102 +24,77 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
-import numpy as np
-
-from .errors import InvalidDensity, NotXState, ScaleCap
+from .errors import InvalidDensity, NotXState
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import MAX_DENSE_MODES, MAX_TOTAL_MODES, ScenarioSpec, SparseDensity
+from .modes_state import ScenarioSpec, SparseDensity, _check_scale
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
+
+Block = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class XState:
-    """Diagonal/anti-diagonal triplet form of an X-shaped density matrix."""
+    """X-shaped density matrix as ``{block index: (a, b, c)}``."""
 
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    c: tuple[float, ...]
+    half_dimension: int
+    blocks: Mapping[int, Block]
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
-        b = tuple(float(v) for v in self.b)
-        c = tuple(float(v) for v in self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if not a or len(a) != len(b) or len(a) != len(c):
-            raise InvalidDensity(
-                f"triplets must share a positive length, got "
-                f"({len(a)}, {len(b)}, {len(c)})"
-            )
-        for name, values in (("a", a), ("b", b)):
-            for v in values:
+        m = self.half_dimension
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise InvalidDensity(f"half dimension must be a positive integer, got {m!r}")
+        blocks: dict[int, Block] = {}
+        for i, (a, b, c) in self.blocks.items():
+            if not isinstance(i, int) or not 0 <= i < m:
+                raise InvalidDensity(f"block index {i!r} outside [0, {m})")
+            block = (float(a), float(b), float(c))
+            for name, v in zip("ab", block):
                 if not math.isfinite(v) or v < -1e-14:
                     raise InvalidDensity(f"{name}-entry {v!r} is not a valid population")
-        trace = math.fsum(a) + math.fsum(b)
+            bound = math.sqrt(max(block[0], 0.0) * max(block[1], 0.0))
+            if abs(block[2]) > bound + 1e-12:
+                raise InvalidDensity(
+                    f"coherence |c[{i}]| = {abs(block[2])!r} exceeds sqrt(a*b) = {bound!r}"
+                )
+            if any(block):
+                blocks[i] = block
+        object.__setattr__(self, "blocks", blocks)
+        trace = math.fsum(v for a, b, _ in blocks.values() for v in (a, b))
         if abs(trace - 1.0) > 1e-12:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
-        for i, (ai, bi, ci) in enumerate(zip(a, b, c)):
-            bound = math.sqrt(max(ai, 0.0) * max(bi, 0.0))
-            if abs(ci) > bound + 1e-12:
-                raise InvalidDensity(
-                    f"coherence |c[{i}]| = {abs(ci)!r} exceeds sqrt(a*b) = {bound!r}"
-                )
-
-    @property
-    def half_dimension(self) -> int:
-        return len(self.a)
 
     @property
     def dimension(self) -> int:
-        return 2 * len(self.a)
-
-    def to_array(self) -> np.ndarray:
-        if self.dimension > (1 << MAX_DENSE_MODES):
-            raise ScaleCap(f"dense matrix of dimension {self.dimension} exceeds the cap")
-        dim = self.dimension
-        mat = np.zeros((dim, dim))
-        for i, (ai, bi, ci) in enumerate(zip(self.a, self.b, self.c)):
-            j = dim - 1 - i
-            mat[i, i] = ai
-            mat[j, j] = bi
-            mat[i, j] = ci
-            mat[j, i] = ci
-        return mat
+        return 2 * self.half_dimension
 
 
 def extract_xstate(rho: SparseDensity, tol: float = 1e-12) -> XState:
-    """Read the (a, b, c) triplets off a sparse density matrix.
+    """Read the (a, b, c) blocks off a sparse density matrix.
 
     Any entry with ``|value| > tol`` that sits neither on the diagonal nor
     on the anti-diagonal raises :class:`NotXState` carrying its position.
     """
-    n_modes = len(rho.layout)
-    if n_modes > MAX_DENSE_MODES:
-        raise ScaleCap(
-            f"triplet form for {n_modes} modes exceeds the {MAX_DENSE_MODES}-mode cap"
-        )
-    dim = 1 << n_modes
+    dim = 1 << len(rho.layout)
     half = dim >> 1
-    diag: dict[int, float] = {}
-    anti: dict[int, float] = {}
+    blocks: dict[int, list[float]] = {}
     for (row, col), value in rho.entries.items():
         if row == col:
-            diag[row] = value
+            index, slot = (row, 0) if row < half else (dim - 1 - row, 1)
         elif row + col == dim - 1:
-            anti[row] = value
+            index, slot = row, 2
         elif abs(value) > tol:
             raise NotXState(row, col)
-    a = tuple(diag.get(i, 0.0) for i in range(half))
-    b = tuple(diag.get(dim - 1 - i, 0.0) for i in range(half))
-    c = tuple(anti.get(i, 0.0) for i in range(half))
-    return XState(a, b, c)
+        else:
+            continue
+        blocks.setdefault(index, [0.0, 0.0, 0.0])[slot] = value
+    return XState(half, {i: tuple(block) for i, block in blocks.items()})
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
-    """Closed-form triplets of the reduced scenario state.
+    """Closed-form blocks of the reduced scenario state.
 
     The diagonal of the lower half enumerates the kept horizon patterns:
     a pattern of weight ``w`` carries ``cos(theta)**2 * alpha**(2(n-w)) *
@@ -124,28 +103,16 @@ def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
     one coherence ``alpha**p * beta**q * cos(theta) * sin(theta)`` sits at
     that same index.
     """
-    if spec.n_parties + spec.n_horizon > MAX_TOTAL_MODES:
-        raise ScaleCap(
-            f"scenario needs {spec.n_parties + spec.n_horizon} modes after "
-            f"expansion; the exact pipeline is capped at {MAX_TOTAL_MODES}"
-        )
-    if spec.n_parties > MAX_DENSE_MODES:
-        raise ScaleCap(
-            f"triplet form for {spec.n_parties} modes exceeds the "
-            f"{MAX_DENSE_MODES}-mode cap"
-        )
+    _check_scale(spec)
     n = spec.n_horizon
-    half = 1 << (spec.n_parties - 1)
     cos_t = math.cos(spec.theta)
     sin_t = math.sin(spec.theta)
-    a = [0.0] * half
-    b = [0.0] * half
-    c = [0.0] * half
     cos_sq = cos_t * cos_t
+    blocks: dict[int, Block] = {}
     for pattern in range(1 << n):
         w = pattern.bit_count()
-        a[pattern] = cos_sq * coeff_power(pair, 2 * (n - w), 2 * w)
+        blocks[pattern] = (cos_sq * coeff_power(pair, 2 * (n - w), 2 * w), 0.0, 0.0)
     mirror = (1 << spec.n_in_kept) - 1
-    b[mirror] = sin_t * sin_t
-    c[mirror] = coeff_power(pair, spec.n_out_kept, spec.n_in_kept) * cos_t * sin_t
-    return XState(tuple(a), tuple(b), tuple(c))
+    coherence = coeff_power(pair, spec.n_out_kept, spec.n_in_kept) * cos_t * sin_t
+    blocks[mirror] = (blocks[mirror][0], sin_t * sin_t, coherence)
+    return XState(1 << (spec.n_parties - 1), blocks)

@@ -3,7 +3,15 @@
 The acceptance tests record one verdict per criterion; a terminal-summary
 hook prints them as a block at the end of the run so the result of each
 criterion is visible even when output capturing is on.
+
+The library keeps states, densities and X-states sparse; the dense
+builders below give tests full numpy arrays to check them against, plus
+the ``(a, b, c)`` triplet view of an X-state.
 """
+
+import numpy as np
+
+from dilaton_gme import SparseDensity, SparseState, XState
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
@@ -21,3 +29,45 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         verdict = "PASS" if passed else "FAIL"
         suffix = f" ({detail})" if detail else ""
         terminalreporter.write_line(f"{verdict} {key}{suffix}")
+
+
+_ZERO_BLOCK = (0.0, 0.0, 0.0)
+
+
+def xstate_from_triplets(a, b, c) -> XState:
+    """X-state whose block ``i`` is ``(a[i], b[i], c[i])``."""
+    return XState(len(a), dict(enumerate(zip(a, b, c))))
+
+
+def triplets(x: XState) -> tuple[tuple[float, ...], ...]:
+    """The ``(a, b, c)`` tuples over every slot, a missing block as zero."""
+    slots = [x.blocks.get(i, _ZERO_BLOCK) for i in range(x.half_dimension)]
+    return tuple(tuple(column) for column in zip(*slots))
+
+
+def dense_state(state: SparseState) -> np.ndarray:
+    vec = np.zeros(1 << len(state.layout))
+    for label, amp in state.amplitudes.items():
+        vec[label] = amp
+    return vec
+
+
+def dense_density(rho: SparseDensity) -> np.ndarray:
+    dim = 1 << len(rho.layout)
+    mat = np.zeros((dim, dim))
+    for (row, col), value in rho.entries.items():
+        mat[row, col] = value
+        mat[col, row] = value
+    return mat
+
+
+def dense_xstate(x: XState) -> np.ndarray:
+    dim = x.dimension
+    mat = np.zeros((dim, dim))
+    for i, (a, b, c) in x.blocks.items():
+        j = dim - 1 - i
+        mat[i, i] = a
+        mat[j, j] = b
+        mat[i, j] = c
+        mat[j, i] = c
+    return mat

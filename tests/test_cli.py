@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dilaton_gme
 from dilaton_gme import VerificationCheck, VerificationReport, cli
 from dilaton_gme.cli import main
 
@@ -69,6 +73,8 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
         ["sweep", "--n-horizon", "2", "--p", "1", "--d-min", "0.9", "--d-max", "0.1"],
         ["sweep", "--n-horizon", "2", "--p", "1", "--oracle"],          # missing n-parties
         ["state", "--n-parties", "3", "--n-horizon", "4", "--accessible"],
+        ["figures", "--steps", "1"],
+        ["figures", "--steps", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -83,6 +89,31 @@ def test_domain_errors_exit_2(capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figures", "--output-dir", "{blocker}/x"],
+        ["sweep", "--n-horizon", "2", "--p", "1", "--output", "{blocker}/x"],
+    ],
+)
+def test_io_errors_exit_2(argv, tmp_path, capsys):
+    # a path below a regular file can be neither a directory nor a file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([arg.format(blocker=blocker) for arg in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(dilaton_gme.__file__))
+    code = "import sys, dilaton_gme, dilaton_gme.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_state_dump(capsys):

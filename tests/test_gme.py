@@ -12,7 +12,6 @@ from dilaton_gme import (
     ScaleCap,
     ScenarioSpec,
     SparseState,
-    XState,
     bogoliubov,
     build_initial_state,
     flat_mode,
@@ -22,29 +21,30 @@ from dilaton_gme import (
     partial_trace,
     scenario_density,
 )
+from conftest import dense_xstate, xstate_from_triplets
 
 
 def test_gme_xstate_single_block():
     # one coherent block, nothing to subtract
-    x = XState(a=(0.25, 0.25), b=(0.5, 0.0), c=(0.3, 0.0))
+    x = xstate_from_triplets(a=(0.25, 0.25), b=(0.5, 0.0), c=(0.3, 0.0))
     assert gme_xstate(x) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_gme_xstate_subtracts_other_blocks():
     # nu for block 0 is sqrt(a1 * b1) = 0.2
-    x = XState(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.25, 0.0))
+    x = xstate_from_triplets(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.25, 0.0))
     assert gme_xstate(x) == pytest.approx(2 * (0.25 - 0.2), abs=1e-15)
     # coherence fully covered -> no entanglement
-    y = XState(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.15, 0.0))
+    y = xstate_from_triplets(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.15, 0.0))
     assert gme_xstate(y) == 0.0
 
 
 def test_gme_xstate_uses_best_block():
-    x = XState(a=(0.1, 0.35), b=(0.35, 0.2), c=(0.0, 0.25))
+    x = xstate_from_triplets(a=(0.1, 0.35), b=(0.35, 0.2), c=(0.0, 0.25))
     # block 1 wins: 2 * (|c1| - sqrt(a0 * b0))
     assert gme_xstate(x) == pytest.approx(2 * (0.25 - math.sqrt(0.035)), abs=1e-15)
     # both coherences fully covered by the opposite block -> zero
-    y = XState(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.05, 0.19))
+    y = xstate_from_triplets(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.05, 0.19))
     assert gme_xstate(y) == 0.0
 
 
@@ -68,9 +68,9 @@ def test_two_qubit_xstate_matches_spin_flip_concurrence(weights, fractions):
     a = (weights[0] / total, weights[1] / total)
     b = (weights[2] / total, weights[3] / total)
     c = tuple(f * math.sqrt(ai * bi) for f, ai, bi in zip(fractions, a, b))
-    x = XState(a, b, c)
+    x = xstate_from_triplets(a, b, c)
     # the non-symmetric eigensolve plus sqrt limits the oracle to ~sqrt(eps)
-    assert gme_xstate(x) == pytest.approx(_two_qubit_concurrence(x.to_array()), abs=1e-7)
+    assert gme_xstate(x) == pytest.approx(_two_qubit_concurrence(dense_xstate(x)), abs=1e-7)
 
 
 def _ghz_state(n_parties: int, theta: float) -> SparseState:

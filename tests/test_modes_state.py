@@ -26,6 +26,7 @@ from dilaton_gme import (
     partial_trace,
     scenario_density,
 )
+from conftest import dense_density, dense_state
 
 
 def test_mode_labels():
@@ -99,7 +100,7 @@ def test_sparse_state_basics():
     assert state.amplitudes == {0: 0.6, 3: 0.8}  # tiny term pruned
     assert state.amplitude(1) == 0.0
     assert state.norm() == pytest.approx(1.0)
-    np.testing.assert_allclose(state.to_array(), [0.6, 0.0, 0.0, 0.8])
+    np.testing.assert_allclose(dense_state(state), [0.6, 0.0, 0.0, 0.8])
 
 
 def test_sparse_state_validation():
@@ -177,7 +178,7 @@ def test_partial_trace_matches_dense_oracle(seed, kept_labels):
     keep = [by_label[l] for l in kept_labels]
     rho = partial_trace(state, keep)
     expected = _dense_reduction(vec, 4, [state.layout.position(m) for m in keep])
-    np.testing.assert_allclose(rho.to_array(), expected, atol=1e-13)
+    np.testing.assert_allclose(dense_density(rho), expected, atol=1e-13)
     assert rho.trace() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -197,8 +198,8 @@ def test_density_reduce_composes_with_partial_trace():
     full = partial_trace(state, modes)
     sub = [modes[1], modes[3]]
     np.testing.assert_allclose(
-        full.reduce(sub).to_array(),
-        partial_trace(state, sub).to_array(),
+        dense_density(full.reduce(sub)),
+        dense_density(partial_trace(state, sub)),
         atol=1e-13,
     )
 
@@ -245,7 +246,7 @@ def test_scenario_density_is_positive_semidefinite():
     spec = ScenarioSpec(4, 2, 1, 1, 0.9)
     pair = bogoliubov(BlackHoleParams(1.0, 0.7, 1.0))
     rho = scenario_density(spec, pair)
-    eigenvalues = np.linalg.eigvalsh(rho.to_array())
+    eigenvalues = np.linalg.eigvalsh(dense_density(rho))
     assert eigenvalues.min() > -1e-14
     assert rho.trace() == pytest.approx(1.0, abs=1e-13)
 

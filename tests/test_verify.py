@@ -99,6 +99,25 @@ def test_monotonicity_scan_window_changes_expectation():
     assert right.passed
 
 
+@pytest.mark.parametrize(
+    "p,q,d_min,steps,observed",
+    [
+        (26, 25, 0.0, 201, "increasing"),    # D* ~ 0.9984, under one step below d_max
+        (8, 4, 0.972, 11, "decreasing"),     # D* ~ 0.9724, under one step above d_min
+    ],
+)
+def test_monotonicity_scan_peak_within_a_step_of_an_end(p, q, d_min, steps, observed):
+    report = monotonicity_scan(p, q, d_min=d_min, steps=steps)
+    assert report.passed
+    inputs = report.checks[0].worst_case_inputs
+    assert inputs["expected-shape"] == "single-peaked"
+    assert inputs["observed-shape"] == observed
+    assert [c.name for c in report.checks] == [
+        f"monotonicity-p{p}-q{q}",
+        f"peak-location-p{p}-q{q}",
+    ]
+
+
 def test_monotonicity_scan_validation():
     with pytest.raises(InvalidParams):
         monotonicity_scan(8, 4, steps=2)
@@ -143,3 +162,11 @@ def test_custom_grid_content_is_respected():
     assert report.checks[0].grid_size == 1
     worst = report.checks[0].worst_case_inputs
     assert worst["n-parties"] == 3 and worst["dilaton"] == 0.5
+
+
+def test_oracle_compare_at_the_largest_register():
+    # N + n = 24 modes is the exact pipeline's cap; the X-state layer has none
+    grid = [(ScenarioSpec(23, 1, 0, 1, math.pi / 5), BlackHoleParams(1.0, 0.6, 1.0))]
+    report = oracle_compare(grid)
+    assert report.passed
+    assert [c.name for c in report.checks] == ["oracle-vs-analytic", "dual-construction"]

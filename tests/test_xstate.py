@@ -20,11 +20,12 @@ from dilaton_gme import (
     flat_mode,
     scenario_density,
 )
+from conftest import dense_xstate, triplets, xstate_from_triplets
 
 
 def test_xstate_to_array_layout():
-    x = XState(a=(0.3, 0.2), b=(0.25, 0.25), c=(0.1, -0.05))
-    mat = x.to_array()
+    x = xstate_from_triplets(a=(0.3, 0.2), b=(0.25, 0.25), c=(0.1, -0.05))
+    mat = dense_xstate(x)
     assert x.half_dimension == 2
     assert x.dimension == 4
     expected = np.array(
@@ -40,15 +41,17 @@ def test_xstate_to_array_layout():
 
 def test_xstate_validation():
     with pytest.raises(InvalidDensity):
-        XState(a=(0.5,), b=(0.5, 0.0), c=(0.0,))  # length mismatch
+        XState(1, {1: (0.5, 0.5, 0.0)})  # block index past the half dimension
     with pytest.raises(InvalidDensity):
-        XState(a=(0.7,), b=(0.7,), c=(0.0,))  # trace 1.4
+        XState(2, {-1: (0.5, 0.5, 0.0)})  # negative block index
     with pytest.raises(InvalidDensity):
-        XState(a=(1.2,), b=(-0.2,), c=(0.0,))  # negative population
+        xstate_from_triplets(a=(0.7,), b=(0.7,), c=(0.0,))  # trace 1.4
     with pytest.raises(InvalidDensity):
-        XState(a=(0.5,), b=(0.5,), c=(0.6,))  # coherence too large
+        xstate_from_triplets(a=(1.2,), b=(-0.2,), c=(0.0,))  # negative population
     with pytest.raises(InvalidDensity):
-        XState(a=(), b=(), c=())
+        xstate_from_triplets(a=(0.5,), b=(0.5,), c=(0.6,))  # coherence too large
+    with pytest.raises(InvalidDensity):
+        xstate_from_triplets(a=(), b=(), c=())
 
 
 @given(
@@ -60,10 +63,10 @@ def test_random_xstates_are_positive(weights, fractions):
     a = tuple(w / total for w in weights[:4])
     b = tuple(w / total for w in weights[4:])
     c = tuple(f * math.sqrt(ai * bi) for f, ai, bi in zip(fractions, a, b))
-    x = XState(a, b, c)
-    eigenvalues = np.linalg.eigvalsh(x.to_array())
+    x = xstate_from_triplets(a, b, c)
+    eigenvalues = np.linalg.eigvalsh(dense_xstate(x))
     assert eigenvalues.min() >= -1e-12
-    assert np.trace(x.to_array()) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(dense_xstate(x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extract_from_sparse_density():
@@ -72,10 +75,10 @@ def test_extract_from_sparse_density():
         layout,
         {(0, 0): 0.4, (1, 1): 0.1, (2, 2): 0.15, (3, 3): 0.35, (0, 3): 0.2, (1, 2): -0.05},
     )
-    x = extract_xstate(rho)
-    assert x.a == (0.4, 0.1)
-    assert x.b == (0.35, 0.15)
-    assert x.c == (0.2, -0.05)
+    a, b, c = triplets(extract_xstate(rho))
+    assert a == (0.4, 0.1)
+    assert b == (0.35, 0.15)
+    assert c == (0.2, -0.05)
 
 
 def test_extract_rejects_entries_off_the_x():
@@ -93,8 +96,8 @@ def test_extract_tolerates_junk_below_tol():
     rho = SparseDensity(
         layout, {(0, 0): 0.5, (3, 3): 0.5, (0, 1): 1e-13}
     )
-    x = extract_xstate(rho, tol=1e-12)
-    assert x.a == (0.5, 0.0)
+    a, _, _ = triplets(extract_xstate(rho, tol=1e-12))
+    assert a == (0.5, 0.0)
     with pytest.raises(NotXState):
         extract_xstate(rho, tol=1e-14)
 
@@ -116,38 +119,36 @@ def test_build_block_matrix_frozen_triplets():
     pair = bogoliubov(BlackHoleParams(1.0, 0.6, 1.0))
     x = build_block_matrix(spec, pair)
     assert x.half_dimension == 4
-    for value, frozen in zip(x.a, FROZEN_A):
+    a, b, c = triplets(x)
+    for value, frozen in zip(a, FROZEN_A):
         assert value == pytest.approx(frozen, rel=1e-13)
-    assert x.b == (0.0, pytest.approx(FROZEN_B1, rel=1e-15), 0.0, 0.0)
-    assert x.c == (0.0, pytest.approx(FROZEN_C1, rel=1e-13), 0.0, 0.0)
+    assert b == (0.0, pytest.approx(FROZEN_B1, rel=1e-15), 0.0, 0.0)
+    assert c == (0.0, pytest.approx(FROZEN_C1, rel=1e-13), 0.0, 0.0)
 
 
 def test_block_matrix_agrees_with_simulated_reduction():
     spec = ScenarioSpec(4, 3, 2, 1, 1.1)
     pair = bogoliubov(BlackHoleParams(1.0, 0.8, 1.0))
-    from_blocks = build_block_matrix(spec, pair)
-    from_oracle = extract_xstate(scenario_density(spec, pair))
-    np.testing.assert_allclose(from_oracle.a, from_blocks.a, atol=1e-15)
-    np.testing.assert_allclose(from_oracle.b, from_blocks.b, atol=1e-15)
-    np.testing.assert_allclose(from_oracle.c, from_blocks.c, atol=1e-15)
+    from_blocks = triplets(build_block_matrix(spec, pair))
+    from_oracle = triplets(extract_xstate(scenario_density(spec, pair)))
+    for oracle, blocks in zip(from_oracle, from_blocks):
+        np.testing.assert_allclose(oracle, blocks, atol=1e-15)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
 def test_block_matrix_theta_endpoints(theta):
     spec = ScenarioSpec(3, 1, 0, 1, theta)
     pair = bogoliubov(BlackHoleParams(1.0, 0.4, 1.0))
-    x = build_block_matrix(spec, pair)
-    trace = math.fsum(x.a) + math.fsum(x.b)
+    a, b, c = triplets(build_block_matrix(spec, pair))
+    trace = math.fsum(a) + math.fsum(b)
     assert trace == pytest.approx(1.0, abs=1e-13)
     if theta == 0.0:
-        assert max(x.b) == 0.0 and max(abs(v) for v in x.c) == 0.0
+        assert max(b) == 0.0 and max(abs(v) for v in c) == 0.0
     else:
-        assert x.b[1] == pytest.approx(1.0, abs=1e-15)
+        assert b[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_block_matrix_scale_cap():
     pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
-    with pytest.raises(ScaleCap):
-        build_block_matrix(ScenarioSpec(21, 3, 2, 1, 0.3), pair)
     with pytest.raises(ScaleCap):
         build_block_matrix(ScenarioSpec(20, 5, 3, 2, 0.3), pair)
