@@ -8,6 +8,7 @@ entanglement, plus a verification suite that cross-checks the two.
 from .analytic import (
     e_accessible,
     e_general,
+    e_grid,
     e_inaccessible,
     extreme_limit,
     monogamy_residual,
@@ -29,7 +30,14 @@ from .errors import (
     UnknownMode,
 )
 from .gme import gme_pure, gme_xstate, pair_entanglement
-from .hawking import BlackHoleParams, BogoliubovPair, bogoliubov, coeff_power, log_power
+from .hawking import (
+    BlackHoleParams,
+    BogoliubovGrid,
+    BogoliubovPair,
+    bogoliubov,
+    coeff_power,
+    log_power,
+)
 from .modes_state import (
     Mode,
     ModeLayout,
@@ -62,6 +70,7 @@ __all__ = [
     # hawking
     "BlackHoleParams",
     "BogoliubovPair",
+    "BogoliubovGrid",
     "bogoliubov",
     "log_power",
     "coeff_power",
@@ -89,6 +98,7 @@ __all__ = [
     "pair_entanglement",
     # closed forms
     "e_general",
+    "e_grid",
     "e_accessible",
     "e_inaccessible",
     "theta_derivative",

@@ -16,12 +16,22 @@ the monogamy deficit.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from .errors import InvalidParams, InvalidSpec, OddN
-from .hawking import BogoliubovPair, coeff_power
+from .errors import InvalidSpec, OddN
+from .hawking import (
+    BogoliubovGrid,
+    BogoliubovPair,
+    _check_positive,
+    _log_beta,
+    _power,
+    coeff_power,
+)
+from .modes_state import _check_theta
 
 __all__ = [
     "e_general",
+    "e_grid",
     "e_accessible",
     "e_inaccessible",
     "theta_derivative",
@@ -31,13 +41,6 @@ __all__ = [
     "sum_rule_linear",
     "monogamy_residual",
 ]
-
-
-def _check_theta(theta: float) -> None:
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta)):
-        raise InvalidSpec(f"theta must be a finite number, got {theta!r}")
-    if not 0.0 <= theta <= math.pi / 2:
-        raise InvalidSpec(f"theta must lie in [0, pi/2], got {theta}")
 
 
 def _check_split(n_out: int, n_in: int) -> None:
@@ -53,6 +56,32 @@ def e_general(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) -> floa
     _check_theta(theta)
     _check_split(n_out, n_in)
     return math.sin(2.0 * theta) * coeff_power(pair, n_out, n_in)
+
+
+def e_grid(
+    thetas: Sequence[float], grid: BogoliubovGrid, n_out: int, n_in: int
+) -> list[list[float]]:
+    """:func:`e_general` at every point of ``grid``, one list per theta.
+
+    Each theta and the split are checked once; ``alpha**n_out *
+    beta**n_in`` is computed once per point and shared by every theta, so
+    each value is the very float ``e_general`` returns for that point.
+    """
+    for theta in thetas:
+        _check_theta(theta)
+    _check_split(n_out, n_in)
+    powers = grid.powers(n_out, n_in)
+    return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
+
+
+def _e_splits(
+    theta: float, pair: BogoliubovPair, splits: Sequence[tuple[int, int]]
+) -> list[float]:
+    """:func:`e_general` at each of ``splits``, with theta and splits already checked."""
+    s = math.sin(2.0 * theta)
+    alpha, beta = pair.alpha, pair.beta
+    log_alpha, log_beta = math.log(alpha), _log_beta(beta)
+    return [s * _power(alpha, beta, log_alpha, log_beta, p, q) for p, q in splits]
 
 
 def e_accessible(theta: float, pair: BogoliubovPair, n_horizon: int) -> float:
@@ -88,10 +117,8 @@ def peak_dilaton(mass: float, omega: float, n_out: int, n_in: int):
     above ``M``, so E is monotone over the physical range and the answer
     is None).
     """
-    if not (mass > 0.0) or not math.isfinite(mass):
-        raise InvalidParams(f"mass must be a positive finite number, got {mass}")
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidParams(f"omega must be a positive finite number, got {omega}")
+    _check_positive("mass", mass)
+    _check_positive("omega", omega)
     _check_split(n_out, n_in)
     if n_out == 0 or n_in == 0:
         return None
@@ -112,10 +139,8 @@ def sum_rule_quadratic(
     """
     _check_theta(theta)
     _check_split(n_horizon, 0)
-    terms = []
-    for p in range(n_horizon + 1):
-        e = e_general(theta, pair, p, n_horizon - p)
-        terms.append(math.comb(n_horizon, p) * e * e)
+    es = _e_splits(theta, pair, [(p, n_horizon - p) for p in range(n_horizon + 1)])
+    terms = [math.comb(n_horizon, p) * e * e for p, e in enumerate(es)]
     rhs = math.sin(2.0 * theta) ** 2
     return math.fsum(terms), rhs
 
@@ -135,10 +160,8 @@ def sum_rule_linear(
     if n_horizon % 2:
         raise OddN(f"the linear sum rule needs an even mode count, got {n_horizon}")
     half = n_horizon // 2
-    terms = [
-        math.comb(half, k) * e_general(theta, pair, n_horizon - 2 * k, 2 * k)
-        for k in range(half + 1)
-    ]
+    es = _e_splits(theta, pair, [(n_horizon - 2 * k, 2 * k) for k in range(half + 1)])
+    terms = [math.comb(half, k) * e for k, e in enumerate(es)]
     return math.fsum(terms), math.sin(2.0 * theta)
 
 

@@ -21,10 +21,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .analytic import e_general
+from .analytic import e_grid
 from .errors import DilatonGmeError
 from .gme import gme_xstate
-from .hawking import BlackHoleParams, bogoliubov
+from .hawking import BlackHoleParams, BogoliubovGrid, BogoliubovPair, bogoliubov
 from .modes_state import ScenarioSpec, scenario_density
 from .verify import (
     default_oracle_grid,
@@ -38,6 +38,25 @@ from .xstate import extract_xstate
 _FIG3_SPLITS = ((8, 4), (32, 2), (4, 8), (2, 32))
 _SCAN_SPLITS = ((8, 4), (32, 2), (4, 8), (2, 32), (5, 0), (0, 5))
 _THETA_SUFFIX = {"pi12": math.pi / 12, "pi6": math.pi / 6, "pi4": math.pi / 4}
+
+#: (column name, p, q, theta) of every column of each figure dataset.
+_FIGURES = {
+    "fig1": [
+        (f"E_n{n}_{suffix}", n, 0, theta)
+        for suffix, theta in (("pi6", math.pi / 6), ("pi4", math.pi / 4))
+        for n in (5, 20, 80)
+    ],
+    "fig2": [
+        (f"E_n{n}_{suffix}", 0, n, theta)
+        for suffix, theta in (("pi6", math.pi / 6), ("pi4", math.pi / 4))
+        for n in (8, 10, 12)
+    ],
+    "fig3": [
+        (f"E_p{p}_q{q}_{suffix}", p, q, theta)
+        for p, q in _FIG3_SPLITS
+        for suffix, theta in sorted(_THETA_SUFFIX.items(), key=lambda kv: kv[1])
+    ],
+}
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -100,20 +119,16 @@ def _sweep_rows(args, parser) -> str:
     spec = None
     if args.oracle:
         spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta)
+    grid = BogoliubovGrid(args.mass, args.omega, dilaton_grid(args.d_min, d_max, args.steps))
+    (es,) = e_grid((args.theta,), grid, p, q)
+    rows = zip(grid.dilatons, grid.alphas, grid.betas, es)
     lines = ["D,alpha,beta,E_analytic" + (",E_oracle" if args.oracle else "")]
-    for d in dilaton_grid(args.d_min, d_max, args.steps):
-        params = BlackHoleParams(args.mass, d, args.omega)
-        pair = bogoliubov(params)
-        fields = [
-            _fmt(d),
-            _fmt(pair.alpha),
-            _fmt(pair.beta),
-            _fmt(e_general(args.theta, pair, p, q)),
-        ]
-        if args.oracle:
-            rho = scenario_density(spec, pair)
-            fields.append(_fmt(gme_xstate(extract_xstate(rho))))
-        lines.append(",".join(fields))
+    if args.oracle:
+        for row in rows:
+            rho = scenario_density(spec, BogoliubovPair(row[1], row[2]))
+            lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (*row, gme_xstate(extract_xstate(rho))))
+    else:
+        lines.extend(["%.17g,%.17g,%.17g,%.17g" % row for row in rows])
     return "\n".join(lines) + "\n"
 
 
@@ -129,17 +144,20 @@ def _figure_table(
     steps: int,
 ) -> tuple[list[float], list[tuple[str, list[float]]]]:
     ds = dilaton_grid(0.0, mass, steps)
-    pairs = [bogoliubov(BlackHoleParams(mass, d, omega)) for d in ds]
-    series = []
-    for name, p, q, theta in columns:
-        series.append((name, [e_general(theta, pair, p, q) for pair in pairs]))
+    grid = BogoliubovGrid(mass, omega, ds)
+    thetas: dict[tuple[int, int], list[float]] = {}
+    for _, p, q, theta in columns:
+        thetas.setdefault((p, q), []).append(theta)
+    # One monomial per split, shared by that split's theta columns.
+    values = {split: iter(e_grid(ts, grid, *split)) for split, ts in thetas.items()}
+    series = [(name, next(values[p, q])) for name, p, q, _ in columns]
     return ds, series
 
 
 def _figure_csv(ds: list[float], series: list[tuple[str, list[float]]]) -> str:
+    row_format = ",".join(["%.17g"] * (len(series) + 1))
     lines = ["D," + ",".join(name for name, _ in series)]
-    for i, d in enumerate(ds):
-        lines.append(",".join([_fmt(d)] + [_fmt(values[i]) for _, values in series]))
+    lines.extend(row_format % row for row in zip(ds, *(values for _, values in series)))
     return "\n".join(lines) + "\n"
 
 
@@ -186,25 +204,8 @@ def _render_svg(title: str, ds: list[float], series: list[tuple[str, list[float]
 
 
 def cmd_figures(args, parser) -> int:
-    figures = {
-        "fig1": [
-            (f"E_n{n}_{suffix}", n, 0, theta)
-            for suffix, theta in (("pi6", math.pi / 6), ("pi4", math.pi / 4))
-            for n in (5, 20, 80)
-        ],
-        "fig2": [
-            (f"E_n{n}_{suffix}", 0, n, theta)
-            for suffix, theta in (("pi6", math.pi / 6), ("pi4", math.pi / 4))
-            for n in (8, 10, 12)
-        ],
-        "fig3": [
-            (f"E_p{p}_q{q}_{suffix}", p, q, theta)
-            for p, q in _FIG3_SPLITS
-            for suffix, theta in sorted(_THETA_SUFFIX.items(), key=lambda kv: kv[1])
-        ],
-    }
     os.makedirs(args.output_dir, exist_ok=True)
-    for stem, columns in figures.items():
+    for stem, columns in _FIGURES.items():
         ds, series = _figure_table(columns, args.mass, args.omega, args.steps)
         csv_path = os.path.join(args.output_dir, f"{stem}.csv")
         _write_text(csv_path, _figure_csv(ds, series))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -101,13 +101,16 @@ class ModeLayout:
     """Ordered register of distinct modes; the first mode is the MSB."""
 
     modes: tuple[Mode, ...]
+    _positions: dict[Mode, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise InvalidSpec("a layout needs at least one mode")
-        if len(set(self.modes)) != len(self.modes):
+        positions = {mode: i for i, mode in enumerate(self.modes)}
+        if len(positions) != len(self.modes):
             raise InvalidSpec("layout contains a duplicate mode")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -116,13 +119,13 @@ class ModeLayout:
         return iter(self.modes)
 
     def __contains__(self, mode: Mode) -> bool:
-        return mode in self.modes
+        return mode in self._positions
 
     def position(self, mode: Mode) -> int:
         """Index of ``mode`` in the register, 0 for the MSB."""
         try:
-            return self.modes.index(mode)
-        except ValueError:
+            return self._positions[mode]
+        except KeyError:
             raise UnknownMode(f"mode {mode} is not part of layout {self.labels()}") from None
 
     def bit(self, label: int, mode: Mode) -> int:
@@ -131,6 +134,13 @@ class ModeLayout:
 
     def labels(self) -> str:
         return ",".join(m.label for m in self.modes)
+
+
+def _check_theta(theta: float) -> None:
+    if not (isinstance(theta, (int, float)) and math.isfinite(theta)):
+        raise InvalidSpec(f"theta must be a finite number, got {theta!r}")
+    if not 0.0 <= theta <= math.pi / 2:
+        raise InvalidSpec(f"theta must lie in [0, pi/2], got {theta}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +181,7 @@ class ScenarioSpec:
                 f"kept out + in modes must equal n_horizon: "
                 f"{self.n_out_kept} + {self.n_in_kept} != {self.n_horizon}"
             )
-        if not (isinstance(self.theta, (int, float)) and math.isfinite(self.theta)):
-            raise InvalidSpec(f"theta must be a finite number, got {self.theta!r}")
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise InvalidSpec(f"theta must lie in [0, pi/2], got {self.theta}")
+        _check_theta(self.theta)
 
     @property
     def n_flat(self) -> int:

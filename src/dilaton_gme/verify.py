@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .analytic import (
     e_general,
+    e_grid,
     monogamy_residual,
     peak_dilaton,
     sum_rule_linear,
@@ -21,7 +22,7 @@ from .analytic import (
 )
 from .errors import InvalidParams
 from .gme import gme_xstate, pair_entanglement
-from .hawking import BlackHoleParams, bogoliubov
+from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
 from .modes_state import ScenarioSpec, scenario_density
 from .xstate import build_block_matrix, extract_xstate
 
@@ -326,10 +327,7 @@ def monotonicity_scan(
     theta = math.pi / 4
     step = (d_max - d_min) / (steps - 1)
     ds = dilaton_grid(d_min, d_max, steps)
-    es = []
-    for d in ds:
-        pair = bogoliubov(BlackHoleParams(mass, d, omega))
-        es.append(e_general(theta, pair, n_out, n_in))
+    (es,) = e_grid((theta,), BogoliubovGrid(mass, omega, ds), n_out, n_in)
     observed = _classify(es)
     expected = _expected_shape(n_out, n_in, mass, omega, d_min, d_max)
     accepted = {expected}

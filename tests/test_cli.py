@@ -7,8 +7,20 @@ import sys
 import pytest
 
 import dilaton_gme
-from dilaton_gme import VerificationCheck, VerificationReport, cli
+from dilaton_gme import (
+    BlackHoleParams,
+    ScenarioSpec,
+    VerificationCheck,
+    VerificationReport,
+    bogoliubov,
+    cli,
+    e_general,
+    extract_xstate,
+    gme_xstate,
+    scenario_density,
+)
 from dilaton_gme.cli import main
+from dilaton_gme.verify import dilaton_grid
 
 
 def test_no_command_is_a_usage_error(capsys):
@@ -61,6 +73,77 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert main(args + ["--output", str(first)]) == 0
     assert main(args + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def _reference_csv(header, ds, columns):
+    """Point-by-point CSV through the scalar API, for byte comparison."""
+    lines = [header]
+    for i, d in enumerate(ds):
+        lines.append(",".join(format(v, ".17g") for v in [d] + [c[i] for c in columns]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "mass,omega,theta,p,q,d_min,d_max,n_parties",
+    [
+        (1.0, 1.0, 0.7, 5, 0, 0.0, 1.0, None),
+        (1.3, 0.7, 1.2, 0, 80, 0.1, 1.2, None),
+        (0.9, 1.6, 1.1, 8, 4, 0.2, 0.9, None),
+        (1.7, 0.6, 0.3, 700, 500, 0.0, 1.7, None),
+        (1.2, 1.4, 0.5, 2000, 0, 0.3, 1.1, None),
+        (1.0, 1.0, math.pi / 4, 0, 64, 0.0, 1.0, None),
+        (1.0, 80.0, 0.4, 2, 2, 0.0, 1.0, None),
+        (1.0, 1.0, 0.9, 2, 1, 0.0, 1.0, 5),
+    ],
+)
+def test_sweep_bytes_equal_a_scalar_reference(
+    mass, omega, theta, p, q, d_min, d_max, n_parties, tmp_path
+):
+    steps = 61 if n_parties else 401
+    ds = dilaton_grid(d_min, d_max, steps)
+    pairs = [bogoliubov(BlackHoleParams(mass, d, omega)) for d in ds]
+    columns = [
+        [pair.alpha for pair in pairs],
+        [pair.beta for pair in pairs],
+        [e_general(theta, pair, p, q) for pair in pairs],
+    ]
+    header = "D,alpha,beta,E_analytic"
+    argv = [
+        "sweep", "--mass", repr(mass), "--omega", repr(omega), "--theta", repr(theta),
+        "--n-horizon", str(p + q), "--p", str(p), "--q", str(q),
+        "--d-min", repr(d_min), "--d-max", repr(d_max), "--steps", str(steps),
+    ]
+    if n_parties:
+        spec = ScenarioSpec(n_parties, p + q, p, q, theta)
+        columns.append([gme_xstate(extract_xstate(scenario_density(spec, pr))) for pr in pairs])
+        header += ",E_oracle"
+        argv += ["--oracle", "--n-parties", str(n_parties)]
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == _reference_csv(header, ds, columns).encode()
+
+
+def test_figures_bytes_equal_a_scalar_reference(tmp_path, capsys):
+    assert main(["figures", "--output-dir", str(tmp_path), "--svg"]) == 0
+    capsys.readouterr()
+    ds = dilaton_grid(0.0, 1.0, 201)
+    pairs = [bogoliubov(BlackHoleParams(1.0, d, 1.0)) for d in ds]
+    for stem, spec in cli._FIGURES.items():
+        series = [
+            (name, [e_general(theta, pair, p, q) for pair in pairs])
+            for name, p, q, theta in spec
+        ]
+        header = "D," + ",".join(name for name, _ in series)
+        csv = _reference_csv(header, ds, [values for _, values in series])
+        assert (tmp_path / f"{stem}.csv").read_bytes() == csv.encode()
+        svg = cli._render_svg(stem, ds, series)
+        assert (tmp_path / f"{stem}.svg").read_bytes() == svg.encode()
+
+
+def test_sweep_bad_theta_exits_2(capsys):
+    assert main(["sweep", "--n-horizon", "2", "--p", "1", "--theta", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: theta must lie in [0, pi/2], got 2.0\n")
 
 
 @pytest.mark.parametrize(

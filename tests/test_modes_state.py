@@ -56,8 +56,13 @@ def test_layout_position_and_bit():
     assert layout.bit(6, flat_mode(1)) == 1
     assert layout.bit(6, out_mode(1)) == 1
     assert layout.bit(6, in_mode(1)) == 0
-    with pytest.raises(UnknownMode):
+    with pytest.raises(UnknownMode, match=r"^mode K1 is not part of layout F1,O1,I1$"):
         layout.position(kruskal_mode(1))
+    assert kruskal_mode(1) not in layout and in_mode(1) in layout
+    # The position lookup is not part of the layout's value.
+    same = ModeLayout([flat_mode(1), out_mode(1), in_mode(1)])
+    assert same == layout and hash(same) == hash(layout)
+    assert repr(layout) == f"ModeLayout(modes={layout.modes!r})"
 
 
 def test_layout_validation():
