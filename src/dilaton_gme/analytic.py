@@ -16,12 +16,14 @@ the monogamy deficit.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .errors import InvalidSpec, OddN
 from .hawking import (
     BogoliubovGrid,
     BogoliubovPair,
+    _check_exponents,
     _check_positive,
     _log_beta,
     _power,
@@ -49,6 +51,7 @@ def _check_split(n_out: int, n_in: int) -> None:
             raise InvalidSpec(f"{name} must be a non-negative integer, got {value!r}")
     if n_out + n_in < 1:
         raise InvalidSpec("at least one horizon mode is needed")
+    _check_exponents(n_out, n_in)
 
 
 def e_general(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) -> float:
@@ -74,14 +77,30 @@ def e_grid(
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
 
 
-def _e_splits(
-    theta: float, pair: BogoliubovPair, splits: Sequence[tuple[int, int]]
-) -> list[float]:
-    """:func:`e_general` at each of ``splits``, with theta and splits already checked."""
-    s = math.sin(2.0 * theta)
-    alpha, beta = pair.alpha, pair.beta
-    log_alpha, log_beta = math.log(alpha), _log_beta(beta)
-    return [s * _power(alpha, beta, log_alpha, log_beta, p, q) for p, q in splits]
+def _binomial_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int) -> float:
+    """``sum_k C(m, k) * E(n - step*k, step*k)**power``, ``m = n // step``, inputs checked.
+
+    Each term is ``C * E * E`` (or ``C * E``) from the float E while every
+    ``C`` fits a float.  Past that (``m >= 1030``) ``C`` and the deepest E
+    leave the float range, so the sum runs in 40-digit decimals instead.
+    """
+    m, s = n // step, math.sin(2.0 * theta)
+    if math.comb(m, m // 2) <= sys.float_info.max:
+        alpha, beta = pair.alpha, pair.beta
+        log_alpha, log_beta = math.log(alpha), _log_beta(beta)
+        es = [s * _power(alpha, beta, log_alpha, log_beta, n - step * k, step * k) for k in range(m + 1)]
+        weighted = [math.comb(m, k) * e for k, e in enumerate(es)]
+        return math.fsum([w * e for w, e in zip(weighted, es)] if power == 2 else weighted)
+    from decimal import Decimal, localcontext  # only these large sums need it
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        alpha, c, total = Decimal(pair.alpha), Decimal(1), Decimal(0)
+        e, ratio = Decimal(s) * alpha**n, (Decimal(pair.beta) / alpha) ** step
+        for k in range(m + 1):
+            total += c * e**power
+            c, e = c * (m - k) / (k + 1), e * ratio
+        return float(total)
 
 
 def e_accessible(theta: float, pair: BogoliubovPair, n_horizon: int) -> float:
@@ -123,9 +142,7 @@ def peak_dilaton(mass: float, omega: float, n_out: int, n_in: int):
     if n_out == 0 or n_in == 0:
         return None
     d_star = mass - math.log(n_out / n_in) / (8.0 * math.pi * omega)
-    if 0.0 <= d_star <= mass:
-        return d_star
-    return None
+    return d_star if 0.0 <= d_star <= mass else None
 
 
 def sum_rule_quadratic(
@@ -139,10 +156,7 @@ def sum_rule_quadratic(
     """
     _check_theta(theta)
     _check_split(n_horizon, 0)
-    es = _e_splits(theta, pair, [(p, n_horizon - p) for p in range(n_horizon + 1)])
-    terms = [math.comb(n_horizon, p) * e * e for p, e in enumerate(es)]
-    rhs = math.sin(2.0 * theta) ** 2
-    return math.fsum(terms), rhs
+    return _binomial_sum(theta, pair, n_horizon, 1, 2), math.sin(2.0 * theta) ** 2
 
 
 def sum_rule_linear(
@@ -159,10 +173,7 @@ def sum_rule_linear(
     _check_split(n_horizon, 0)
     if n_horizon % 2:
         raise OddN(f"the linear sum rule needs an even mode count, got {n_horizon}")
-    half = n_horizon // 2
-    es = _e_splits(theta, pair, [(n_horizon - 2 * k, 2 * k) for k in range(half + 1)])
-    terms = [math.comb(half, k) * e for k, e in enumerate(es)]
-    return math.fsum(terms), math.sin(2.0 * theta)
+    return _binomial_sum(theta, pair, n_horizon, 2, 1), math.sin(2.0 * theta)
 
 
 def monogamy_residual(

@@ -61,10 +61,6 @@ _FIGURES = {
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _add_split_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-horizon", type=int, required=True, metavar="N",
                         help="number of parties at the horizon")
@@ -116,9 +112,7 @@ def _sweep_rows(args, parser) -> str:
         )
     if args.oracle and args.n_parties is None:
         parser.error("--oracle needs --n-parties")
-    spec = None
-    if args.oracle:
-        spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta)
+    spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta) if args.oracle else None
     grid = BogoliubovGrid(args.mass, args.omega, dilaton_grid(args.d_min, d_max, args.steps))
     (es,) = e_grid((args.theta,), grid, p, q)
     rows = zip(grid.dilatons, grid.alphas, grid.betas, es)
@@ -218,12 +212,9 @@ def cmd_figures(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.grid == "small":
-        grid = default_oracle_grid(max_parties=4, max_horizon=2)
-    else:
-        grid = default_oracle_grid()
-    report = oracle_compare(grid)
-    report = report.merged_with(relationship_suite(grid=grid))
+    small = args.grid == "small"
+    grid = default_oracle_grid(max_parties=4, max_horizon=2) if small else default_oracle_grid()
+    report = oracle_compare(grid).merged_with(relationship_suite(grid=grid))
     for p, q in _SCAN_SPLITS:
         report = report.merged_with(monotonicity_scan(p, q, steps=args.steps))
     _write_text(args.output, json.dumps(report.as_json(), indent=2) + "\n")
@@ -237,7 +228,7 @@ def cmd_state(args, parser) -> int:
     rho = scenario_density(spec, pair)
     lines = [f"# modes: {rho.layout.labels()}", "row,col,value"]
     for (row, col) in sorted(rho.entries):
-        lines.append(f"{row},{col},{_fmt(rho.entries[(row, col)])}")
+        lines.append("%d,%d,%.17g" % (row, col, rho.entries[(row, col)]))
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -23,6 +23,7 @@ scalar functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -41,6 +42,8 @@ __all__ = [
 # log-domain value is above roughly log(DBL_MIN); past that we fall back to
 # exp() so the result degrades gracefully through the subnormals.
 _LOG_DIRECT_FLOOR = -700.0
+# An exponent past the largest float cannot enter float arithmetic at all.
+_MAX_EXPONENT = sys.float_info.max
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -176,6 +179,10 @@ def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
         raise InvalidParams(
             f"exponents must be non-negative, got ({alpha_exp}, {beta_exp})"
         )
+    if alpha_exp > _MAX_EXPONENT or beta_exp > _MAX_EXPONENT:
+        raise InvalidParams(
+            f"exponents must not exceed {_MAX_EXPONENT!r}, got ({alpha_exp}, {beta_exp})"
+        )
 
 
 def log_power(pair: BogoliubovPair, alpha_exp: int, beta_exp: int) -> float:
@@ -186,7 +193,7 @@ def log_power(pair: BogoliubovPair, alpha_exp: int, beta_exp: int) -> float:
     DegenerateCoefficient
         If ``beta == 0`` while ``beta_exp > 0`` (the log would be ``-inf``).
     InvalidParams
-        If either exponent is negative.
+        If either exponent is negative or above the largest float.
     """
     _check_exponents(alpha_exp, beta_exp)
     if pair.beta == 0.0 and beta_exp > 0:

@@ -11,7 +11,8 @@ The pipeline is: build the GHZ state on ``[F..., K...]``, rewrite every
 Kruskal mode in the dilaton basis (which entangles ``O_i`` with ``I_i``),
 then trace out whichever dilaton modes are not kept.  States stay as
 dictionaries keyed by basis labels — a GHZ input only ever populates
-``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays.
+``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays; with
+labels ``N + n`` bits wide the work grows as ``N * 2**n``, see :data:`SCALE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ __all__ = [
 AMPLITUDE_TOL = 1e-15
 #: Allowed deviation of the state norm (and density trace) from one.
 NORM_TOL = 1e-12
-#: Hard cap on flat + expanded dilaton modes for the exact pipeline.
-MAX_TOTAL_MODES = 24
+#: Largest ``n_parties * 2**n_horizon`` the exact pipeline accepts, reached at (13, 11).
+#: N <= 13312 keeps basis labels under Python's 4300-digit int-to-str limit.
+SCALE_BUDGET = 13 * 2**11
 
 _KIND_PREFIX = {"flat": "F", "kruskal": "K", "out": "O", "in": "I"}
 
@@ -153,7 +155,8 @@ class ScenarioSpec:
     ``n_out_kept`` keep their outside mode and the remaining ``n_in_kept``
     keep their inside mode, so every party always contributes exactly one
     mode to the reduced state.  ``theta`` parametrises the GHZ weights
-    ``cos(theta)`` / ``sin(theta)``.
+    ``cos(theta)`` / ``sin(theta)``.  A scenario whose ``n_parties *
+    2**n_horizon`` exceeds :data:`SCALE_BUDGET` raises :class:`ScaleCap`.
     """
 
     n_parties: int
@@ -173,6 +176,11 @@ class ScenarioSpec:
             raise InvalidSpec(
                 f"n_horizon must lie in [1, n_parties), got {self.n_horizon} "
                 f"for {self.n_parties} parties"
+            )
+        if self.n_parties > SCALE_BUDGET >> self.n_horizon:  # never builds 2**n_horizon
+            raise ScaleCap(
+                f"n_parties * 2**n_horizon = {self.n_parties} * 2**{self.n_horizon} "
+                f"exceeds the exact pipeline's budget of {SCALE_BUDGET}"
             )
         if self.n_out_kept < 0 or self.n_in_kept < 0:
             raise InvalidSpec("kept mode counts must be non-negative")
@@ -367,18 +375,8 @@ def partial_trace(state: SparseState, keep: Sequence[Mode]) -> SparseDensity:
     return SparseDensity(ModeLayout(tuple(keep)), entries)
 
 
-def _check_scale(spec: ScenarioSpec) -> None:
-    total = spec.n_parties + spec.n_horizon
-    if total > MAX_TOTAL_MODES:
-        raise ScaleCap(
-            f"scenario needs {total} modes after expansion; the exact pipeline "
-            f"is capped at {MAX_TOTAL_MODES}"
-        )
-
-
 def build_initial_state(spec: ScenarioSpec) -> SparseState:
     """GHZ state ``cos(theta)|0...0> + sin(theta)|1...1>`` on ``[F..., K...]``."""
-    _check_scale(spec)
     top = (1 << spec.n_parties) - 1
     amps = {0: math.cos(spec.theta), top: math.sin(spec.theta)}
     return SparseState(spec.kruskal_layout(), amps)
@@ -393,7 +391,6 @@ def expand_kruskal(
     occupied one becomes ``|1_O 0_I>``.  The result lives on
     ``[F..., O..., I...]`` with the flat amplitudes untouched.
     """
-    _check_scale(spec)
     if state.layout != spec.kruskal_layout():
         raise InvalidSpec(
             f"state layout {state.layout.labels()} does not match the scenario "

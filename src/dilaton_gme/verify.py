@@ -272,15 +272,8 @@ def _classify(values: Sequence[float]) -> str:
     for s in signs[1:]:
         if s != collapsed[-1]:
             collapsed.append(s)
-    if not collapsed:
-        return "constant"
-    if collapsed == [1]:
-        return "increasing"
-    if collapsed == [-1]:
-        return "decreasing"
-    if collapsed == [1, -1]:
-        return "single-peaked"
-    return "irregular"
+    shapes = {(): "constant", (1,): "increasing", (-1,): "decreasing", (1, -1): "single-peaked"}
+    return shapes.get(tuple(collapsed), "irregular")
 
 
 def _expected_shape(

@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .errors import InvalidDensity, NotXState
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import ScenarioSpec, SparseDensity, _check_scale
+from .modes_state import ScenarioSpec, SparseDensity
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
 
@@ -103,10 +103,8 @@ def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
     one coherence ``alpha**p * beta**q * cos(theta) * sin(theta)`` sits at
     that same index.
     """
-    _check_scale(spec)
     n = spec.n_horizon
-    cos_t = math.cos(spec.theta)
-    sin_t = math.sin(spec.theta)
+    cos_t, sin_t = math.cos(spec.theta), math.sin(spec.theta)
     cos_sq = cos_t * cos_t
     blocks: dict[int, Block] = {}
     for pattern in range(1 << n):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -6,20 +7,25 @@ from hypothesis import strategies as st
 
 from dilaton_gme import (
     BlackHoleParams,
+    BogoliubovGrid,
     InvalidParams,
     InvalidSpec,
     OddN,
     bogoliubov,
+    coeff_power,
     e_accessible,
     e_general,
+    e_grid,
     e_inaccessible,
     extreme_limit,
+    log_power,
     monogamy_residual,
     peak_dilaton,
     sum_rule_linear,
     sum_rule_quadratic,
     theta_derivative,
 )
+from dilaton_gme.verify import RELATION_TOL
 
 # (theta, dilaton, p, q, E) frozen from a 60-digit evaluation at mass = omega = 1
 FROZEN_E = [
@@ -111,6 +117,52 @@ def test_sum_rules(dilaton, theta):
             lhs, rhs = sum_rule_linear(theta, pair, n)
             assert rhs == math.sin(2 * theta)
             assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("n_horizon", [1029, 1030, 2059, 2060, 4000])
+def test_sum_rules_hold_past_the_float_range_of_the_binomials(n_horizon):
+    # From n = 1030 (quadratic) and n = 2060 (linear) C(n, p) is beyond the
+    # largest float; the sums must still match, not overflow.
+    for dilaton in (0.0, 0.5, 0.9, 1.0):
+        pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
+        for theta in (math.pi / 12, math.pi / 4):
+            lhs, rhs = sum_rule_quadratic(theta, pair, n_horizon)
+            assert abs(lhs - rhs) <= RELATION_TOL
+            if n_horizon % 2 == 0:
+                lhs, rhs = sum_rule_linear(theta, pair, n_horizon)
+                assert abs(lhs - rhs) <= RELATION_TOL
+    assert sum_rule_quadratic(0.0, pair, 4000) == (0.0, 0.0)
+
+
+def test_huge_mode_counts_are_parameter_errors():
+    # Counts past the largest float cannot enter float arithmetic; they are
+    # refused as InvalidParams instead of ending in an OverflowError.
+    pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
+    grid = BogoliubovGrid(1.0, 1.0, [0.2, 0.7])
+    huge = 2**1024
+    calls = [
+        lambda: coeff_power(pair, huge, 0),
+        lambda: log_power(pair, 1, huge),
+        lambda: grid.powers(huge, 1),
+        lambda: e_general(0.3, pair, huge, 0),
+        lambda: e_grid([0.3], grid, 0, 10**400),
+        lambda: theta_derivative(0.3, pair, 1, huge),
+        lambda: extreme_limit(0.3, huge),
+        lambda: peak_dilaton(1.0, 1.0, huge, 1),
+        lambda: peak_dilaton(1.0, 1.0, 1, huge),
+        lambda: monogamy_residual(0.3, pair, huge, 1),
+        lambda: sum_rule_quadratic(0.3, pair, huge),
+    ]
+    message = r"^exponents must not exceed 1\.7976931348623157e\+308, got \("
+    for call in calls:
+        with pytest.raises(InvalidParams, match=message):
+            call()
+    # Up to the largest float the counts still evaluate.
+    largest = int(sys.float_info.max)
+    assert coeff_power(pair, largest, 0) == 0.0
+    assert e_general(0.3, pair, 1, largest) == 0.0
+    assert extreme_limit(0.3, largest) == 0.0
+    assert peak_dilaton(1.0, 1.0, largest, 1) is None
 
 
 def test_sum_rule_linear_rejects_odd_counts():

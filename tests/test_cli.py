@@ -158,6 +158,7 @@ def test_sweep_bad_theta_exits_2(capsys):
         ["state", "--n-parties", "3", "--n-horizon", "4", "--accessible"],
         ["figures", "--steps", "1"],
         ["figures", "--steps", "0"],
+        ["sweep", "--n-horizon", str(10**400), "--accessible"],         # exponent past float range
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -172,6 +173,27 @@ def test_domain_errors_exit_2(capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_budget_edge_runs_and_past_it_exits_2(capsys):
+    # (13312, 1) is the largest party count the n_parties * 2**n_horizon budget admits.
+    assert main(["state", "--n-parties", "13312", "--n-horizon", "1", "--accessible"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(",O1") and out[0].count(",") == 13311
+    assert len(out) == 2 + 4  # headers, 2**1 + 1 populations and one coherence
+    argv = ["sweep", "--n-horizon", "1", "--p", "1", "--oracle", "--n-parties", "13312",
+            "--steps", "3"]
+    assert main(argv) == 0
+    for row in capsys.readouterr().out.splitlines()[1:]:
+        e_analytic, e_oracle = map(float, row.split(",")[3:])
+        assert abs(e_analytic - e_oracle) <= 1e-10
+    assert main(["state", "--n-parties", "13313", "--n-horizon", "1", "--accessible"]) == 2
+    assert capsys.readouterr().err == (
+        "error: n_parties * 2**n_horizon = 13313 * 2**1 exceeds the exact pipeline's "
+        "budget of 26624\n"
+    )
+    assert main(["sweep", "--n-horizon", "11", "--p", "5", "--oracle", "--n-parties", "14"]) == 2
+    assert "budget of 26624" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from dilaton_gme import (
     partial_trace,
     scenario_density,
 )
+from dilaton_gme.modes_state import SCALE_BUDGET
 from conftest import dense_density, dense_state
 
 
@@ -92,6 +93,8 @@ def test_scenario_spec_layouts():
         (4, 2, 1, 1, -0.1),      # theta below range
         (4, 2, 1, 1, 2.0),       # theta above pi/2
         (4, 2, 1, 1, math.nan),
+        (10**6, -1, 0, 0, 0.3),  # a negative n_horizon is reported, not shifted by
+        (10**6, 10**6, 10**6, 0, 0.3),  # out of range before it is over the budget
     ],
 )
 def test_scenario_spec_validation(args):
@@ -257,8 +260,30 @@ def test_scenario_density_is_positive_semidefinite():
 
 
 def test_scale_cap():
-    big = ScenarioSpec(21, 4, 2, 2, 0.3)  # 25 modes after expansion
-    with pytest.raises(ScaleCap):
-        build_initial_state(big)
-    with pytest.raises(ScaleCap):
-        scenario_density(big, bogoliubov(BlackHoleParams(1.0, 0.5, 1.0)))
+    # The budget is on n_parties * 2**n_horizon and is checked at construction.
+    for args in [(13313, 1, 1, 0), (14, 11, 11, 0), (10**400, 10**399, 10**399, 0)]:
+        with pytest.raises(ScaleCap, match=r"exceeds the exact pipeline's budget of 26624$"):
+            ScenarioSpec(*args, 0.3)
+    # 25 modes after expansion: refused by the old N + n <= 24 cap, inside the budget.
+    pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
+    assert len(scenario_density(ScenarioSpec(21, 4, 2, 2, 0.3), pair).layout) == 21
+
+
+def test_scale_budget_admits_every_scenario_the_mode_cap_did():
+    # The budget is the largest scenario N + n <= 24 admits: (13, 11).
+    assert SCALE_BUDGET == 13 * 2**11
+    admitted = [
+        (n_parties, n_horizon)
+        for n_parties in range(2, 24)
+        for n_horizon in range(1, min(n_parties, 25 - n_parties))
+    ]
+    assert len(admitted) == 132
+    for n_parties, n_horizon in admitted:
+        ScenarioSpec(n_parties, n_horizon, n_horizon, 0, 0.3)
+    # From n = 12 on, N > n leaves no party count inside the budget.
+    for n_horizon in range(1, 12):
+        edge = SCALE_BUDGET >> n_horizon
+        ScenarioSpec(edge, n_horizon, 0, n_horizon, 0.3)
+        with pytest.raises(ScaleCap):
+            ScenarioSpec(edge + 1, n_horizon, 0, n_horizon, 0.3)
+

@@ -165,8 +165,13 @@ def test_custom_grid_content_is_respected():
 
 
 def test_oracle_compare_at_the_largest_register():
-    # N + n = 24 modes is the exact pipeline's cap; the X-state layer has none
-    grid = [(ScenarioSpec(23, 1, 0, 1, math.pi / 5), BlackHoleParams(1.0, 0.6, 1.0))]
+    # Large N: the oracle's cost grows with 2**n, never with 2**N, so every
+    # corner of the n_parties * 2**n_horizon budget runs, (13312, 1) included.
+    params = BlackHoleParams(1.0, 0.6, 1.0)
+    grid = [
+        (ScenarioSpec(n_parties, n, n // 2, n - n // 2, math.pi / 5), params)
+        for n_parties, n in [(64, 8), (1000, 4), (13312, 1), (13, 11)]
+    ]
     report = oracle_compare(grid)
     assert report.passed
     assert [c.name for c in report.checks] == ["oracle-vs-analytic", "dual-construction"]

@@ -149,6 +149,10 @@ def test_block_matrix_theta_endpoints(theta):
 
 
 def test_block_matrix_scale_cap():
+    # The only cap is the scenario's own budget; (20, 5) was refused by the old
+    # N + n <= 24 cap and now builds its 2**5 blocks without any 2**20 cost.
     pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
+    x = build_block_matrix(ScenarioSpec(20, 5, 3, 2, 0.3), pair)
+    assert x.half_dimension == 2**19 and len(x.blocks) == 2**5
     with pytest.raises(ScaleCap):
-        build_block_matrix(ScenarioSpec(20, 5, 3, 2, 0.3), pair)
+        build_block_matrix(ScenarioSpec(14, 11, 6, 5, 0.3), pair)
