@@ -1,4 +1,12 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and how their messages show a count."""
+
+
+def _count_text(value: int) -> str:
+    """``str(value)``, or its bit length once the digits pass Python's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
 
 
 class DilatonGmeError(Exception):

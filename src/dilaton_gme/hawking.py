@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DegenerateCoefficient, InvalidParams
+from .errors import DegenerateCoefficient, InvalidParams, _count_text
 
 __all__ = [
     "BlackHoleParams",
@@ -177,11 +177,13 @@ def _power(
 def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
     if alpha_exp < 0 or beta_exp < 0:
         raise InvalidParams(
-            f"exponents must be non-negative, got ({alpha_exp}, {beta_exp})"
+            f"exponents must be non-negative, got "
+            f"({_count_text(alpha_exp)}, {_count_text(beta_exp)})"
         )
     if alpha_exp > _MAX_EXPONENT or beta_exp > _MAX_EXPONENT:
         raise InvalidParams(
-            f"exponents must not exceed {_MAX_EXPONENT!r}, got ({alpha_exp}, {beta_exp})"
+            f"exponents must not exceed {_MAX_EXPONENT!r}, got "
+            f"({_count_text(alpha_exp)}, {_count_text(beta_exp)})"
         )
 
 

@@ -13,10 +13,14 @@ then trace out whichever dilaton modes are not kept.  States stay as
 dictionaries keyed by basis labels — a GHZ input only ever populates
 ``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays; with
 labels ``N + n`` bits wide the work grows as ``N * 2**n``, see :data:`SCALE_BUDGET`.
+A :class:`ScenarioSpec` builds its registers once, and
+:meth:`SparseDensity.pair_reductions` takes every two-mode reduction in one
+pass over the entries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,6 +33,7 @@ from .errors import (
     InvalidSpec,
     ScaleCap,
     UnknownMode,
+    _count_text,
 )
 from .hawking import BogoliubovPair
 
@@ -171,49 +176,57 @@ class ScenarioSpec:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidSpec(f"{name} must be an integer, got {value!r}")
         if self.n_parties < 2:
-            raise InvalidSpec(f"need at least two parties, got {self.n_parties}")
+            raise InvalidSpec(f"need at least two parties, got {_count_text(self.n_parties)}")
         if not 1 <= self.n_horizon < self.n_parties:
             raise InvalidSpec(
-                f"n_horizon must lie in [1, n_parties), got {self.n_horizon} "
-                f"for {self.n_parties} parties"
+                f"n_horizon must lie in [1, n_parties), got {_count_text(self.n_horizon)} "
+                f"for {_count_text(self.n_parties)} parties"
             )
         if self.n_parties > SCALE_BUDGET >> self.n_horizon:  # never builds 2**n_horizon
             raise ScaleCap(
-                f"n_parties * 2**n_horizon = {self.n_parties} * 2**{self.n_horizon} "
-                f"exceeds the exact pipeline's budget of {SCALE_BUDGET}"
+                f"n_parties * 2**n_horizon = {_count_text(self.n_parties)} * "
+                f"2**{_count_text(self.n_horizon)} exceeds the exact pipeline's budget of "
+                f"{SCALE_BUDGET}"
             )
         if self.n_out_kept < 0 or self.n_in_kept < 0:
             raise InvalidSpec("kept mode counts must be non-negative")
         if self.n_out_kept + self.n_in_kept != self.n_horizon:
             raise InvalidSpec(
-                f"kept out + in modes must equal n_horizon: "
-                f"{self.n_out_kept} + {self.n_in_kept} != {self.n_horizon}"
+                f"kept out + in modes must equal n_horizon: {_count_text(self.n_out_kept)} "
+                f"+ {_count_text(self.n_in_kept)} != {_count_text(self.n_horizon)}"
             )
         _check_theta(self.theta)
+
+    def __getstate__(self) -> dict:
+        # The registers are rebuilt on demand, so a pickle holds the fields only.
+        return {k: v for k, v in self.__dict__.items() if k != "_registers"}
 
     @property
     def n_flat(self) -> int:
         return self.n_parties - self.n_horizon
 
+    @functools.cached_property
+    def _registers(self) -> tuple[ModeLayout, ModeLayout, tuple[Mode, ...]]:
+        """``(kruskal layout, expanded layout, kept modes)``, built once per spec."""
+        flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
+        indices = range(1, self.n_horizon + 1)
+        kruskals = tuple(kruskal_mode(i) for i in indices)
+        outs = tuple(out_mode(i) for i in indices)
+        ins = tuple(in_mode(i) for i in indices)
+        kept = flats + outs[: self.n_out_kept] + ins[self.n_out_kept :]
+        return ModeLayout(flats + kruskals), ModeLayout(flats + outs + ins), kept
+
     def kruskal_layout(self) -> ModeLayout:
         """Register before the horizon expansion: ``[F..., K...]``."""
-        flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
-        kruskals = tuple(kruskal_mode(i) for i in range(1, self.n_horizon + 1))
-        return ModeLayout(flats + kruskals)
+        return self._registers[0]
 
     def expanded_layout(self) -> ModeLayout:
         """Register after the expansion: ``[F..., O..., I...]``."""
-        flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
-        outs = tuple(out_mode(i) for i in range(1, self.n_horizon + 1))
-        ins = tuple(in_mode(i) for i in range(1, self.n_horizon + 1))
-        return ModeLayout(flats + outs + ins)
+        return self._registers[1]
 
     def kept_modes(self) -> tuple[Mode, ...]:
         """One mode per party: flat modes, then kept out, then kept in."""
-        flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
-        outs = tuple(out_mode(i) for i in range(1, self.n_out_kept + 1))
-        ins = tuple(in_mode(i) for i in range(self.n_out_kept + 1, self.n_horizon + 1))
-        return flats + outs + ins
+        return self._registers[2]
 
     def traced_modes(self) -> tuple[Mode, ...]:
         """The dilaton partners that fall behind (or outside) reach."""
@@ -308,23 +321,60 @@ class SparseDensity:
 
     def reduce(self, keep: Sequence[Mode]) -> "SparseDensity":
         """Partial trace onto ``keep`` (result ordered as given)."""
-        kept_pos, traced_pos = _split_positions(self.layout, keep)
-        n_all = len(self.layout)
+        shifts, traced_mask = _split_positions(self.layout, keep)
         acc: dict[tuple[int, int], list[float]] = {}
         for (row, col), value in self.entries.items():
-            rk, rt = _project(row, n_all, kept_pos, traced_pos)
-            ck, ct = _project(col, n_all, kept_pos, traced_pos)
-            if rt != ct:
+            if (row ^ col) & traced_mask:
                 continue
+            rk, ck = _gather(row, shifts), _gather(col, shifts)
             key = (rk, ck) if rk <= ck else (ck, rk)
             acc.setdefault(key, []).append(value)
         entries = {key: math.fsum(values) for key, values in acc.items()}
         return SparseDensity(ModeLayout(tuple(keep)), entries)
 
+    def pair_reductions(self) -> dict[tuple[Mode, Mode], "SparseDensity"]:
+        """``reduce((mode_i, mode_j))`` for every pair ``i < j``, from one scan.
 
-def _split_positions(
-    layout: ModeLayout, keep: Sequence[Mode]
-) -> tuple[list[int], list[int]]:
+        An entry survives the trace onto a pair only when its row and column
+        differ on no other mode: a diagonal entry feeds every pair, one that
+        differs on a single mode the pairs through it, one that differs on two
+        modes that pair alone, and any other entry no pair.
+        """
+        modes = self.layout.modes
+        top = len(modes) - 1
+        pairs = list(itertools.combinations(range(len(modes)), 2))
+        through = [[(i, j) for i, j in pairs if k in (i, j)] for k in range(len(modes))]
+        acc: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
+        for (row, col), value in self.entries.items():
+            diff = row ^ col
+            low = diff & -diff
+            high = diff ^ low
+            if high & (high - 1):
+                continue
+            if not diff:
+                targets = pairs
+            elif not high:
+                targets = through[top + 1 - low.bit_length()]
+            else:
+                targets = ((top + 1 - high.bit_length(), top + 1 - low.bit_length()),)
+            row_bits = [(row >> (top - k)) & 1 for k in range(top + 1)]
+            col_bits = [(col >> (top - k)) & 1 for k in range(top + 1)] if diff else row_bits
+            for i, j in targets:
+                rk = (row_bits[i] << 1) | row_bits[j]
+                ck = (col_bits[i] << 1) | col_bits[j]
+                key = (rk, ck) if rk <= ck else (ck, rk)
+                acc[i, j].setdefault(key, []).append(value)
+        return {
+            (modes[i], modes[j]): SparseDensity(
+                ModeLayout((modes[i], modes[j])),
+                {key: math.fsum(values) for key, values in sums.items()},
+            )
+            for (i, j), sums in acc.items()
+        }
+
+
+def _split_positions(layout: ModeLayout, keep: Sequence[Mode]) -> tuple[list[int], int]:
+    """Shifts of the kept bits, in ``keep`` order, and the mask of the traced bits."""
     kept = tuple(keep)
     if not kept:
         raise InvalidPartition("must keep at least one mode")
@@ -335,21 +385,16 @@ def _split_positions(
     except UnknownMode as exc:
         raise InvalidPartition(str(exc)) from None
     kept_set = set(kept_pos)
-    traced_pos = [i for i in range(len(layout)) if i not in kept_set]
-    return kept_pos, traced_pos
+    traced_mask = int("".join("0" if i in kept_set else "1" for i in range(len(layout))), 2)
+    return [len(layout) - 1 - pos for pos in kept_pos], traced_mask
 
 
-def _project(
-    label: int, n_all: int, kept_pos: list[int], traced_pos: list[int]
-) -> tuple[int, int]:
-    """Split a basis label into its kept-bit and traced-bit words."""
+def _gather(label: int, shifts: list[int]) -> int:
+    """The bits of ``label`` at ``shifts``, in that order, as one word."""
     kept = 0
-    for pos in kept_pos:
-        kept = (kept << 1) | ((label >> (n_all - 1 - pos)) & 1)
-    traced = 0
-    for pos in traced_pos:
-        traced = (traced << 1) | ((label >> (n_all - 1 - pos)) & 1)
-    return kept, traced
+    for shift in shifts:
+        kept = (kept << 1) | ((label >> shift) & 1)
+    return kept
 
 
 def partial_trace(state: SparseState, keep: Sequence[Mode]) -> SparseDensity:
@@ -358,12 +403,10 @@ def partial_trace(state: SparseState, keep: Sequence[Mode]) -> SparseDensity:
     Amplitude pairs contribute only when they agree on every traced mode,
     so the work is grouping the (few) amplitudes by their traced bits.
     """
-    kept_pos, traced_pos = _split_positions(state.layout, keep)
-    n_all = len(state.layout)
+    shifts, traced_mask = _split_positions(state.layout, keep)
     groups: dict[int, list[tuple[int, float]]] = {}
     for label, amp in state.amplitudes.items():
-        kept_bits, traced_bits = _project(label, n_all, kept_pos, traced_pos)
-        groups.setdefault(traced_bits, []).append((kept_bits, amp))
+        groups.setdefault(label & traced_mask, []).append((_gather(label, shifts), amp))
     acc: dict[tuple[int, int], list[float]] = {}
     for members in groups.values():
         for i, (k1, a1) in enumerate(members):

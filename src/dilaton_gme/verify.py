@@ -20,7 +20,7 @@ from .analytic import (
     sum_rule_linear,
     sum_rule_quadratic,
 )
-from .errors import InvalidParams
+from .errors import InvalidParams, _count_text
 from .gme import gme_xstate, pair_entanglement
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
 from .modes_state import ScenarioSpec, scenario_density
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 GridPoint = tuple[ScenarioSpec, BlackHoleParams]
+
+#: Most points a dilaton grid may take; each is built and evaluated one by one.
+MAX_GRID_STEPS = 10**6
 
 ORACLE_TOL = 1e-10
 ENTRYWISE_TOL = 1e-13
@@ -229,19 +232,18 @@ def relationship_suite(
     for spec, params in points:
         pair = bogoliubov(params)
         rho = scenario_density(spec, pair)
-        kept = spec.kept_modes()
         e_oracle = gme_xstate(extract_xstate(rho))
-        first = kept[0]
+        first = spec.kept_modes()[0]
+        inputs = _describe(spec, params)
         pair_sq = []
-        for i, mode_i in enumerate(kept):
-            for mode_j in kept[i + 1 :]:
-                e_pair = pair_entanglement(rho.reduce((mode_i, mode_j)))
-                worst_pair.update(e_pair, _describe(spec, params))
-                if mode_i == first:
-                    pair_sq.append(e_pair * e_pair)
+        for (mode_i, _), reduced in rho.pair_reductions().items():
+            e_pair = pair_entanglement(reduced)
+            worst_pair.update(e_pair, inputs)
+            if mode_i == first:
+                pair_sq.append(e_pair * e_pair)
         residual = monogamy_residual(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
         deficit = e_oracle * e_oracle - math.fsum(pair_sq)
-        worst_mono.update(deficit - residual, _describe(spec, params))
+        worst_mono.update(deficit - residual, inputs)
 
     return VerificationReport(
         (
@@ -256,7 +258,11 @@ def relationship_suite(
 def dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:
     """``steps`` evenly spaced dilatons from ``d_min`` to exactly ``d_max``."""
     if steps < 2:
-        raise InvalidParams(f"a dilaton grid needs at least 2 steps, got {steps}")
+        raise InvalidParams(f"a dilaton grid needs at least 2 steps, got {_count_text(steps)}")
+    if steps > MAX_GRID_STEPS:
+        raise InvalidParams(
+            f"a dilaton grid takes at most {MAX_GRID_STEPS} steps, got {_count_text(steps)}"
+        )
     step = (d_max - d_min) / (steps - 1)
     return [d_min + i * step for i in range(steps - 1)] + [d_max]
 
@@ -312,14 +318,14 @@ def monotonicity_scan(
     if d_max is None:
         d_max = mass
     if steps < 3:
-        raise InvalidParams(f"need at least 3 steps for a shape scan, got {steps}")
+        raise InvalidParams(f"need at least 3 steps for a shape scan, got {_count_text(steps)}")
     if not 0.0 <= d_min < d_max <= mass:
         raise InvalidParams(
             f"need 0 <= d_min < d_max <= mass, got [{d_min}, {d_max}] with mass {mass}"
         )
     theta = math.pi / 4
+    ds = dilaton_grid(d_min, d_max, steps)  # bounds steps before the division below
     step = (d_max - d_min) / (steps - 1)
-    ds = dilaton_grid(d_min, d_max, steps)
     (es,) = e_grid((theta,), BogoliubovGrid(mass, omega, ds), n_out, n_in)
     observed = _classify(es)
     expected = _expected_shape(n_out, n_in, mass, omega, d_min, d_max)

@@ -152,6 +152,7 @@ def test_huge_mode_counts_are_parameter_errors():
         lambda: peak_dilaton(1.0, 1.0, 1, huge),
         lambda: monogamy_residual(0.3, pair, huge, 1),
         lambda: sum_rule_quadratic(0.3, pair, huge),
+        lambda: coeff_power(pair, 0, 10**5000),  # past the int-to-str limit
     ]
     message = r"^exponents must not exceed 1\.7976931348623157e\+308, got \("
     for call in calls:

@@ -159,6 +159,11 @@ def test_sweep_bad_theta_exits_2(capsys):
         ["figures", "--steps", "1"],
         ["figures", "--steps", "0"],
         ["sweep", "--n-horizon", str(10**400), "--accessible"],         # exponent past float range
+        # step counts past MAX_GRID_STEPS, some past the float range too
+        ["sweep", "--n-horizon", "2", "--p", "1", "--steps", str(10**400)],
+        ["sweep", "--n-horizon", "2", "--p", "1", "--steps", "1000001"],
+        ["figures", "--steps", str(2**1024)],
+        ["verify", "--grid", "small", "--steps", str(10**400)],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

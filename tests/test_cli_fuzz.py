@@ -5,7 +5,8 @@ exception escape, and a rerun must print the very same bytes.  Values mix
 valid numbers with nan/inf, negatives, huge integers and non-numbers;
 ``state`` and ``sweep --oracle`` also run right at the edge of the
 ``n_parties * 2**n_horizon`` budget.  Runs are kept small (at most 50
-steps, ``verify`` only on the small grid) and derandomized.
+steps, larger counts only past the grid's bound, ``verify`` only on the
+small grid) and derandomized.
 """
 
 import contextlib
@@ -35,8 +36,10 @@ def _mostly(strategy, junk=_JUNK):
 
 _FLOAT = _mostly(st.floats(-0.5, 2.0).map(repr))
 _COUNT = _mostly(st.one_of(st.integers(-2, 14).map(str), _HUGE))
-# A grid is built point by point, so a valid huge step count is never drawn.
-_STEPS = _mostly(st.integers(-2, 50).map(str))
+# A grid is built point by point, so a valid huge step count is never drawn;
+# counts past MAX_GRID_STEPS are, and must be refused with exit 2.
+_PAST_MAX_STEPS = st.sampled_from([str(10**6 + 1), str(2**1024), str(10**400)])
+_STEPS = _mostly(st.one_of(st.integers(-2, 50).map(str), _PAST_MAX_STEPS))
 _SPLIT = st.one_of(
     st.sampled_from([[], ["--accessible"], ["--inaccessible"], ["--accessible", "--inaccessible"]]),
     st.tuples(st.sampled_from(["--p", "--q"]), _COUNT).map(list),

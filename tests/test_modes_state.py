@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from dilaton_gme import (
     scenario_density,
 )
 from dilaton_gme.modes_state import SCALE_BUDGET
+from dilaton_gme.verify import default_oracle_grid
 from conftest import dense_density, dense_state
 
 
@@ -95,11 +99,39 @@ def test_scenario_spec_layouts():
         (4, 2, 1, 1, math.nan),
         (10**6, -1, 0, 0, 0.3),  # a negative n_horizon is reported, not shifted by
         (10**6, 10**6, 10**6, 0, 0.3),  # out of range before it is over the budget
+        (3, 10**5000, 1, 0, 0.3),  # past the int-to-str limit, still reported
+        (4, 2, 10**5000, 0, 0.3),
     ],
 )
 def test_scenario_spec_validation(args):
     with pytest.raises(InvalidSpec):
         ScenarioSpec(*args)
+
+
+def test_scenario_spec_message_shows_a_huge_count_by_its_bit_length():
+    with pytest.raises(InvalidSpec, match=r"^n_horizon must lie in \[1, n_parties\), got "
+                       r"<16610-bit integer> for 3 parties$"):
+        ScenarioSpec(3, 10**5000, 1, 0, 0.3)
+    with pytest.raises(InvalidSpec, match=r": <16610-bit integer> \+ 0 != 2$"):
+        ScenarioSpec(4, 2, 10**5000, 0, 0.3)
+
+
+def test_scenario_spec_builds_its_registers_once():
+    spec = ScenarioSpec(5, 3, 2, 1, 0.3)
+    before = (pickle.dumps(spec), hash(spec), repr(spec))
+    assert spec.kruskal_layout() is spec.kruskal_layout()
+    assert spec.expanded_layout() is spec.expanded_layout()
+    assert spec.kept_modes() is spec.kept_modes()
+    # The cache is not part of the spec's value.
+    assert (pickle.dumps(spec), hash(spec), repr(spec)) == before
+    twin = ScenarioSpec(5, 3, 2, 1, 0.3)
+    assert spec == twin and twin == spec and hash(twin) == hash(spec)
+    restored = pickle.loads(pickle.dumps(spec))
+    assert restored == spec and restored.expanded_layout() == spec.expanded_layout()
+    moved = dataclasses.replace(spec, n_out_kept=1, n_in_kept=2)
+    assert moved.kruskal_layout() == spec.kruskal_layout()
+    assert tuple(m.label for m in moved.kept_modes()) == ("F1", "F2", "O1", "I2", "I3")
+    assert tuple(m.label for m in spec.kept_modes()) == ("F1", "F2", "O1", "O2", "I3")
 
 
 def test_sparse_state_basics():
@@ -148,6 +180,12 @@ def test_expand_kruskal_layout_mismatch():
     state = build_initial_state(other)
     with pytest.raises(InvalidSpec):
         expand_kruskal(state, pair, spec)
+    # Both registers are built by now; the mismatch is still seen, and an equal
+    # spec's state is accepted.
+    with pytest.raises(InvalidSpec):
+        expand_kruskal(state, pair, spec)
+    twin = ScenarioSpec(3, 2, 1, 1, 0.5)
+    assert expand_kruskal(state, pair, twin).layout == twin.expanded_layout()
 
 
 @pytest.mark.parametrize("dilaton", [0.0, 0.5, 1.0])
@@ -177,7 +215,15 @@ def _dense_reduction(vec, n_modes, kept_positions):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize(
     "kept_labels",
-    [("F1",), ("F2", "F4"), ("F1", "F3", "F4"), ("F4", "F1"), ("F1", "F2", "F3", "F4")],
+    [
+        ("F1",),
+        ("F2", "F4"),
+        ("F1", "F3", "F4"),
+        ("F4", "F1"),
+        ("F1", "F2", "F3", "F4"),
+        ("F4", "F2"),
+        ("F3", "F1", "F4"),
+    ],
 )
 def test_partial_trace_matches_dense_oracle(seed, kept_labels):
     rng = np.random.default_rng(seed)
@@ -201,15 +247,42 @@ def test_partial_trace_partition_errors():
 
 
 def test_density_reduce_composes_with_partial_trace():
-    state, _ = _random_state(np.random.default_rng(11), 4)
+    state, vec = _random_state(np.random.default_rng(11), 4)
     modes = list(state.layout)
     full = partial_trace(state, modes)
-    sub = [modes[1], modes[3]]
-    np.testing.assert_allclose(
-        dense_density(full.reduce(sub)),
-        dense_density(partial_trace(state, sub)),
-        atol=1e-13,
-    )
+    for order in [(1, 3), (3, 1), (2, 0, 3)]:  # kept in and against layout order
+        sub = [modes[k] for k in order]
+        reduced = dense_density(full.reduce(sub))
+        np.testing.assert_allclose(reduced, dense_density(partial_trace(state, sub)), atol=1e-13)
+        np.testing.assert_allclose(reduced, _dense_reduction(vec, 4, list(order)), atol=1e-13)
+
+
+def _assert_pairs_match_reduce(rho):
+    pairs = rho.pair_reductions()
+    assert list(pairs) == list(itertools.combinations(rho.layout.modes, 2))
+    for keep, got in pairs.items():
+        expected = rho.reduce(keep)
+        assert got.layout == expected.layout
+        # Same keys in the same order, and floats equal to the last bit.
+        assert list(got.entries.items()) == list(expected.entries.items())
+
+
+def test_pair_reductions_match_reduce_on_the_oracle_grid():
+    for spec, params in default_oracle_grid():
+        _assert_pairs_match_reduce(scenario_density(spec, bogoliubov(params)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
+def test_pair_reductions_match_reduce_on_dense_states(seed, n_modes):
+    # Every entry is off-diagonal somewhere, so entries that differ on one, two
+    # and three or more modes all occur.
+    state, _ = _random_state(np.random.default_rng(seed), n_modes)
+    rho = partial_trace(state, list(state.layout))
+    assert len(rho.entries) == (1 << n_modes) * ((1 << n_modes) + 1) // 2
+    _assert_pairs_match_reduce(rho)
+    # A register in another order than the state's.
+    _assert_pairs_match_reduce(partial_trace(state, list(reversed(state.layout.modes))))
 
 
 def test_sparse_density_validation():
@@ -261,9 +334,16 @@ def test_scenario_density_is_positive_semidefinite():
 
 def test_scale_cap():
     # The budget is on n_parties * 2**n_horizon and is checked at construction.
-    for args in [(13313, 1, 1, 0), (14, 11, 11, 0), (10**400, 10**399, 10**399, 0)]:
+    for args in [
+        (13313, 1, 1, 0),
+        (14, 11, 11, 0),
+        (10**400, 10**399, 10**399, 0),
+        (10**5000, 1, 1, 0),  # past the int-to-str limit
+    ]:
         with pytest.raises(ScaleCap, match=r"exceeds the exact pipeline's budget of 26624$"):
             ScenarioSpec(*args, 0.3)
+    with pytest.raises(ScaleCap, match=r"^n_parties \* 2\*\*n_horizon = <16610-bit integer> \* 2\*\*1 "):
+        ScenarioSpec(10**5000, 1, 1, 0, 0.3)
     # 25 modes after expansion: refused by the old N + n <= 24 cap, inside the budget.
     pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
     assert len(scenario_density(ScenarioSpec(21, 4, 2, 2, 0.3), pair).layout) == 21

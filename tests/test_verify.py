@@ -13,6 +13,7 @@ from dilaton_gme import (
     oracle_compare,
     relationship_suite,
 )
+from dilaton_gme.verify import MAX_GRID_STEPS, dilaton_grid
 
 
 def test_default_grid_shape():
@@ -125,6 +126,21 @@ def test_monotonicity_scan_validation():
         monotonicity_scan(8, 4, d_min=0.7, d_max=0.2)
     with pytest.raises(InvalidParams):
         monotonicity_scan(8, 4, d_max=2.0)
+
+
+def test_grid_step_count_is_bounded():
+    assert MAX_GRID_STEPS == 10**6
+    message = r"^a dilaton grid takes at most 1000000 steps, got "
+    for steps in (MAX_GRID_STEPS + 1, 2**1024, 10**400):
+        with pytest.raises(InvalidParams, match=message):
+            dilaton_grid(0.0, 1.0, steps)
+        with pytest.raises(InvalidParams, match=message):
+            monotonicity_scan(8, 4, steps=steps)
+    with pytest.raises(InvalidParams, match=r"got <16610-bit integer>$"):
+        dilaton_grid(0.0, 1.0, 10**5000)
+    with pytest.raises(InvalidParams, match=r"^a dilaton grid needs at least 2 steps, "
+                       r"got <negative 16610-bit integer>$"):
+        dilaton_grid(0.0, 1.0, -(10**5000))
 
 
 def test_report_json_shape():
