@@ -77,30 +77,62 @@ def e_grid(
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
 
 
-def _binomial_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int) -> float:
-    """``sum_k C(m, k) * E(n - step*k, step*k)**power``, ``m = n // step``, inputs checked.
+def _binomial_sums(
+    thetas: Sequence[float], pair: BogoliubovPair, n: int, step: int, power: int
+) -> list[float]:
+    """``sum_k C(m, k) * E(n - step*k, step*k)**power``, ``m = n // step``, at each theta.
 
+    Inputs are checked by the caller.  ``alpha**(n - step*k) *
+    beta**(step*k)`` is formed once per ``k`` and shared by every theta.
     Each term is ``C * E * E`` (or ``C * E``) from the float E while every
     ``C`` fits a float.  Past that (``m >= 1030``) ``C`` and the deepest E
-    leave the float range, so the sum runs in 40-digit decimals instead.
+    leave the float range, so the sums run in 40-digit decimals instead.
     """
-    m, s = n // step, math.sin(2.0 * theta)
+    m, sines = n // step, [math.sin(2.0 * theta) for theta in thetas]
     if math.comb(m, m // 2) <= sys.float_info.max:
         alpha, beta = pair.alpha, pair.beta
         log_alpha, log_beta = math.log(alpha), _log_beta(beta)
-        es = [s * _power(alpha, beta, log_alpha, log_beta, n - step * k, step * k) for k in range(m + 1)]
-        weighted = [math.comb(m, k) * e for k, e in enumerate(es)]
-        return math.fsum([w * e for w, e in zip(weighted, es)] if power == 2 else weighted)
+        powers = [_power(alpha, beta, log_alpha, log_beta, n - step * k, step * k) for k in range(m + 1)]
+        combs = [math.comb(m, k) for k in range(m + 1)]
+        sums = []
+        for s in sines:
+            es = [s * p for p in powers]
+            weighted = [c * e for c, e in zip(combs, es)]
+            sums.append(math.fsum([w * e for w, e in zip(weighted, es)] if power == 2 else weighted))
+        return sums
     from decimal import Decimal, localcontext  # only these large sums need it
 
     with localcontext() as ctx:
         ctx.prec = 40
-        alpha, c, total = Decimal(pair.alpha), Decimal(1), Decimal(0)
-        e, ratio = Decimal(s) * alpha**n, (Decimal(pair.beta) / alpha) ** step
-        for k in range(m + 1):
-            total += c * e**power
-            c, e = c * (m - k) / (k + 1), e * ratio
-        return float(total)
+        alpha, sums = Decimal(pair.alpha), []
+        top, ratio = alpha**n, (Decimal(pair.beta) / alpha) ** step
+        for s in sines:
+            c, e, total = Decimal(1), Decimal(s) * top, Decimal(0)
+            for k in range(m + 1):
+                total += c * e**power
+                c, e = c * (m - k) / (k + 1), e * ratio
+            sums.append(float(total))
+        return sums
+
+
+def _sum_rule_table(
+    thetas: Sequence[float], pair: BogoliubovPair, max_horizon: int
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Left sides of both sum rules at every theta, for ``n = 1 .. max_horizon``.
+
+    Returns ``(quadratic, linear)``: ``quadratic[n - 1][t]`` is
+    ``sum_rule_quadratic(thetas[t], pair, n)[0]`` and, for even ``n``,
+    ``linear[n // 2 - 1][t]`` is ``sum_rule_linear(thetas[t], pair, n)[0]``,
+    the very same floats.  Each theta is checked here; ``max_horizon``, a
+    positive int, is the caller's to check.
+    """
+    for theta in thetas:
+        _check_theta(theta)
+    horizons = range(1, max_horizon + 1)
+    return (
+        [_binomial_sums(thetas, pair, n, 1, 2) for n in horizons],
+        [_binomial_sums(thetas, pair, n, 2, 1) for n in horizons[1::2]],
+    )
 
 
 def e_accessible(theta: float, pair: BogoliubovPair, n_horizon: int) -> float:
@@ -156,7 +188,7 @@ def sum_rule_quadratic(
     """
     _check_theta(theta)
     _check_split(n_horizon, 0)
-    return _binomial_sum(theta, pair, n_horizon, 1, 2), math.sin(2.0 * theta) ** 2
+    return _binomial_sums((theta,), pair, n_horizon, 1, 2)[0], math.sin(2.0 * theta) ** 2
 
 
 def sum_rule_linear(
@@ -173,7 +205,7 @@ def sum_rule_linear(
     _check_split(n_horizon, 0)
     if n_horizon % 2:
         raise OddN(f"the linear sum rule needs an even mode count, got {n_horizon}")
-    return _binomial_sum(theta, pair, n_horizon, 2, 1), math.sin(2.0 * theta)
+    return _binomial_sums((theta,), pair, n_horizon, 2, 1)[0], math.sin(2.0 * theta)
 
 
 def monogamy_residual(

@@ -212,11 +212,13 @@ def cmd_figures(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    # The scans check --steps, so they run before the grid and merge after it.
+    scans = [monotonicity_scan(p, q, steps=args.steps) for p, q in _SCAN_SPLITS]
     small = args.grid == "small"
     grid = default_oracle_grid(max_parties=4, max_horizon=2) if small else default_oracle_grid()
     report = oracle_compare(grid).merged_with(relationship_suite(grid=grid))
-    for p, q in _SCAN_SPLITS:
-        report = report.merged_with(monotonicity_scan(p, q, steps=args.steps))
+    for scan in scans:
+        report = report.merged_with(scan)
     _write_text(args.output, json.dumps(report.as_json(), indent=2) + "\n")
     return 0 if report.passed else 1
 

@@ -1,5 +1,18 @@
 """Exception types raised across the package, and how their messages show a count."""
 
+__all__ = [
+    "DilatonGmeError",
+    "InvalidParams",
+    "DegenerateCoefficient",
+    "InvalidSpec",
+    "UnknownMode",
+    "NotXState",
+    "InvalidDensity",
+    "InvalidPartition",
+    "ScaleCap",
+    "OddN",
+]
+
 
 def _count_text(value: int) -> str:
     """``str(value)``, or its bit length once the digits pass Python's int-to-str limit."""

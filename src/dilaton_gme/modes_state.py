@@ -15,7 +15,9 @@ dictionaries keyed by basis labels — a GHZ input only ever populates
 labels ``N + n`` bits wide the work grows as ``N * 2**n``, see :data:`SCALE_BUDGET`.
 A :class:`ScenarioSpec` builds its registers once, and
 :meth:`SparseDensity.pair_reductions` takes every two-mode reduction in one
-pass over the entries.
+pass over the entries; that pass also yields each pair's bare sums, which
+the verification suite reads as X-state blocks without building a
+two-mode density.
 """
 
 from __future__ import annotations
@@ -333,12 +335,20 @@ class SparseDensity:
         return SparseDensity(ModeLayout(tuple(keep)), entries)
 
     def pair_reductions(self) -> dict[tuple[Mode, Mode], "SparseDensity"]:
-        """``reduce((mode_i, mode_j))`` for every pair ``i < j``, from one scan.
+        """``reduce((mode_i, mode_j))`` for every pair ``i < j``, from one scan."""
+        return {
+            keep: SparseDensity(ModeLayout(keep), sums) for keep, sums in self._pair_sums().items()
+        }
+
+    def _pair_sums(self) -> dict[tuple[Mode, Mode], dict[tuple[int, int], float]]:
+        """Upper-triangle entries of every two-mode reduction, unvalidated, from one scan.
 
         An entry survives the trace onto a pair only when its row and column
         differ on no other mode: a diagonal entry feeds every pair, one that
         differs on a single mode the pairs through it, one that differs on two
-        modes that pair alone, and any other entry no pair.
+        modes that pair alone, and any other entry no pair.  Each key's values
+        are summed with ``math.fsum`` in entry order, as :meth:`reduce` sums
+        them, so a pair's sums are the entries ``reduce`` would store.
         """
         modes = self.layout.modes
         top = len(modes) - 1
@@ -365,10 +375,7 @@ class SparseDensity:
                 key = (rk, ck) if rk <= ck else (ck, rk)
                 acc[i, j].setdefault(key, []).append(value)
         return {
-            (modes[i], modes[j]): SparseDensity(
-                ModeLayout((modes[i], modes[j])),
-                {key: math.fsum(values) for key, values in sums.items()},
-            )
+            (modes[i], modes[j]): {key: math.fsum(values) for key, values in sums.items()}
             for (i, j), sums in acc.items()
         }
 

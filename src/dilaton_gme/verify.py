@@ -12,24 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .analytic import (
-    e_general,
-    e_grid,
-    monogamy_residual,
-    peak_dilaton,
-    sum_rule_linear,
-    sum_rule_quadratic,
-)
+from .analytic import _sum_rule_table, e_general, e_grid, monogamy_residual, peak_dilaton
 from .errors import InvalidParams, _count_text
-from .gme import gme_xstate, pair_entanglement
+from .gme import gme_xstate
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
 from .modes_state import ScenarioSpec, scenario_density
-from .xstate import build_block_matrix, extract_xstate
+from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 
 __all__ = [
     "VerificationCheck",
     "VerificationReport",
-    "GridPoint",
     "default_oracle_grid",
     "oracle_compare",
     "relationship_suite",
@@ -194,18 +186,27 @@ def relationship_suite(
     """Distribution and monogamy identities.
 
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
-      over mode splits, evaluated purely from the closed form.
+      over mode splits, evaluated purely from the closed form, for
+      ``n = 1 .. max_horizon`` (an int >= 1); each dilaton's powers of
+      alpha and beta are shared by every theta.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
-      state (three or more parties) carries no entanglement.
+      state (three or more parties) carries no entanglement.  Each pair's
+      X-state comes straight from the one pass over the state's entries
+      and is validated as :func:`extract_xstate` would validate it.
     * ``monogamy``: the full E**2 minus the squared pair terms matches
       the closed-form residual.
     """
+    if not isinstance(max_horizon, int) or isinstance(max_horizon, bool):
+        raise InvalidParams(f"max_horizon must be an integer, got {max_horizon!r}")
+    if max_horizon < 1:
+        raise InvalidParams(f"max_horizon must be at least 1, got {_count_text(max_horizon)}")
     worst_quad = _Worst()
     worst_lin = _Worst()
     for dilaton in dilatons:
         params = BlackHoleParams(mass, dilaton * mass, omega)
-        pair = bogoliubov(params)
-        for theta in thetas:
+        quadratic, linear = _sum_rule_table(thetas, bogoliubov(params), max_horizon)
+        for t, theta in enumerate(thetas):
+            sine = math.sin(2.0 * theta)
             for n_horizon in range(1, max_horizon + 1):
                 inputs = {
                     "n-horizon": n_horizon,
@@ -214,11 +215,9 @@ def relationship_suite(
                     "dilaton": params.dilaton,
                     "omega": omega,
                 }
-                lhs, rhs = sum_rule_quadratic(theta, pair, n_horizon)
-                worst_quad.update(lhs - rhs, inputs)
+                worst_quad.update(quadratic[n_horizon - 1][t] - sine**2, inputs)
                 if n_horizon % 2 == 0:
-                    lhs, rhs = sum_rule_linear(theta, pair, n_horizon)
-                    worst_lin.update(lhs - rhs, inputs)
+                    worst_lin.update(linear[n_horizon // 2 - 1][t] - sine, inputs)
     quad_size = len(dilatons) * len(thetas) * max_horizon
     lin_size = len(dilatons) * len(thetas) * (max_horizon // 2)
 
@@ -236,8 +235,8 @@ def relationship_suite(
         first = spec.kept_modes()[0]
         inputs = _describe(spec, params)
         pair_sq = []
-        for (mode_i, _), reduced in rho.pair_reductions().items():
-            e_pair = pair_entanglement(reduced)
+        for (mode_i, _), x in _pair_xstates(rho).items():
+            e_pair = gme_xstate(x)
             worst_pair.update(e_pair, inputs)
             if mode_i == first:
                 pair_sq.append(e_pair * e_pair)

@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .errors import InvalidDensity, NotXState
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import ScenarioSpec, SparseDensity
+from .modes_state import Mode, ScenarioSpec, SparseDensity
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
 
@@ -77,10 +77,15 @@ def extract_xstate(rho: SparseDensity, tol: float = 1e-12) -> XState:
     Any entry with ``|value| > tol`` that sits neither on the diagonal nor
     on the anti-diagonal raises :class:`NotXState` carrying its position.
     """
-    dim = 1 << len(rho.layout)
+    return _read_blocks(rho.entries, len(rho.layout), tol)
+
+
+def _read_blocks(entries: Mapping[tuple[int, int], float], n_modes: int, tol: float) -> XState:
+    """:func:`extract_xstate` on upper-triangle ``entries`` over ``n_modes`` modes."""
+    dim = 1 << n_modes
     half = dim >> 1
     blocks: dict[int, list[float]] = {}
-    for (row, col), value in rho.entries.items():
+    for (row, col), value in entries.items():
         if row == col:
             index, slot = (row, 0) if row < half else (dim - 1 - row, 1)
         elif row + col == dim - 1:
@@ -91,6 +96,20 @@ def extract_xstate(rho: SparseDensity, tol: float = 1e-12) -> XState:
             continue
         blocks.setdefault(index, [0.0, 0.0, 0.0])[slot] = value
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
+
+
+def _pair_xstates(rho: SparseDensity, tol: float = 1e-12) -> dict[tuple[Mode, Mode], XState]:
+    """``extract_xstate(rho.reduce(pair))`` for every pair of modes, in layout order.
+
+    Each pair's sums from the one scan of ``rho`` map straight to
+    ``XState(2, blocks)``: block 0 is ``(rho_00, rho_33, rho_03)`` and block
+    1 is ``(rho_11, rho_22, rho_12)``, and any other sum above ``tol`` raises
+    :class:`NotXState`.  No two-mode :class:`SparseDensity` is built: a zero
+    sum, which it would drop, leaves its slot at ``0.0`` (``math.fsum`` never
+    returns ``-0.0``), and :class:`XState` checks the trace and the
+    populations to the tolerances the density applies.
+    """
+    return {pair: _read_blocks(sums, 2, tol) for pair, sums in rho._pair_sums().items()}
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

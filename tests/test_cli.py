@@ -171,6 +171,25 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "steps,message",
+    [
+        ("2", "need at least 3 steps for a shape scan, got 2"),
+        ("1000001", "a dilaton grid takes at most 1000000 steps, got 1000001"),
+    ],
+    ids=["too-few", "too-many"],
+)
+@pytest.mark.parametrize("grid", ["full", "small"])
+def test_verify_checks_steps_before_the_oracle_grid(monkeypatch, capsys, grid, steps, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle grid ran before --steps was checked")
+
+    monkeypatch.setattr(cli, "oracle_compare", unreachable)
+    monkeypatch.setattr(cli, "relationship_suite", unreachable)
+    assert main(["verify", "--grid", grid, "--steps", steps]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_domain_errors_exit_2(capsys):
     # dilaton beyond the mass is a parameter error, not a crash
     code = main(

@@ -16,6 +16,7 @@ from dilaton_gme import (
     BogoliubovGrid,
     InvalidParams,
     InvalidSpec,
+    analytic,
     bogoliubov,
     coeff_power,
     e_general,
@@ -91,12 +92,34 @@ def test_grid_without_inside_modes():
     _assert_grid_matches_scalar(1.3, 0.7, [0.0, 0.65, 1.3], [0.1, math.pi / 4], 80, 0)
 
 
+_RULE_THETAS = (0.0, math.pi / 12, math.pi / 4, 0.4 * math.pi)
+
+
 @pytest.mark.parametrize("omega", [1.0, 80.0])
 @pytest.mark.parametrize("dilaton", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("n_horizon", [1, 2, 7, 16, 80])
+@pytest.mark.parametrize("n_horizon", [1, 2, 7, 16, 80, 1029, 1030, 2059, 2060])
 def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
-    theta = math.pi / 6
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, omega))
+    # Batched over theta, each rule gives the floats of its scalar form, on both
+    # sides of its switch to decimals (quadratic past n = 1029, linear past 2059).
+    quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
+    assert analytic._binomial_sums(_RULE_THETAS, pair, n_horizon, 1, 2) == quadratic
+    even = n_horizon % 2 == 0
+    if even:
+        linear = [sum_rule_linear(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
+        assert analytic._binomial_sums(_RULE_THETAS, pair, n_horizon, 2, 1) == linear
+    if n_horizon <= 16:
+        quadratic_rows, linear_rows = analytic._sum_rule_table(_RULE_THETAS, pair, n_horizon)
+        assert quadratic_rows[-1] == quadratic
+        assert len(linear_rows) == n_horizon // 2
+        if even:
+            assert linear_rows[-1] == linear
+    if n_horizon > 80:
+        # This reference rounds C * E**2, the rule (C * E) * E, so past here
+        # the last bits may part; the sums are held to RELATION_TOL instead by
+        # test_sum_rules_hold_past_the_float_range_of_the_binomials.
+        return
+    theta = math.pi / 6
     quadratic = math.fsum(
         math.comb(n_horizon, p) * e_general(theta, pair, p, n_horizon - p) ** 2
         for p in range(n_horizon + 1)

@@ -14,6 +14,7 @@ from dilaton_gme import (
     InvalidSpec,
     Mode,
     ModeLayout,
+    NotXState,
     ScaleCap,
     ScenarioSpec,
     SparseDensity,
@@ -22,6 +23,7 @@ from dilaton_gme import (
     bogoliubov,
     build_initial_state,
     expand_kruskal,
+    extract_xstate,
     flat_mode,
     in_mode,
     kruskal_mode,
@@ -31,6 +33,7 @@ from dilaton_gme import (
 )
 from dilaton_gme.modes_state import SCALE_BUDGET
 from dilaton_gme.verify import default_oracle_grid
+from dilaton_gme.xstate import _pair_xstates
 from conftest import dense_density, dense_state
 
 
@@ -260,11 +263,29 @@ def test_density_reduce_composes_with_partial_trace():
 def _assert_pairs_match_reduce(rho):
     pairs = rho.pair_reductions()
     assert list(pairs) == list(itertools.combinations(rho.layout.modes, 2))
+    xstates, off_x = {}, None
     for keep, got in pairs.items():
         expected = rho.reduce(keep)
         assert got.layout == expected.layout
         # Same keys in the same order, and floats equal to the last bit.
         assert list(got.entries.items()) == list(expected.entries.items())
+        try:
+            xstates[keep] = extract_xstate(expected)
+        except NotXState as exc:
+            if off_x is None:
+                off_x = (exc.row, exc.col)
+    # The X-states read straight off the pair scan: the same blocks, or the
+    # NotXState of the first pair whose reduction is off the X.
+    if off_x is None:
+        got_x = _pair_xstates(rho)
+        assert list(got_x) == list(xstates)
+        for keep, x in got_x.items():
+            assert x.half_dimension == 2
+            assert list(x.blocks.items()) == list(xstates[keep].blocks.items())
+    else:
+        with pytest.raises(NotXState) as excinfo:
+            _pair_xstates(rho)
+        assert (excinfo.value.row, excinfo.value.col) == off_x
 
 
 def test_pair_reductions_match_reduce_on_the_oracle_grid():

@@ -5,6 +5,7 @@ import pytest
 from dilaton_gme import (
     BlackHoleParams,
     InvalidParams,
+    InvalidSpec,
     ScenarioSpec,
     VerificationCheck,
     VerificationReport,
@@ -65,6 +66,44 @@ def test_relationship_suite_passes():
     assert by_name["pairwise-zero"].grid_size == sum(
         1 for spec, _ in _small_grid() if spec.n_parties >= 3
     )
+
+
+@pytest.mark.parametrize(
+    "max_horizon,message",
+    [
+        (0, "must be at least 1, got 0"),
+        (-1, "must be at least 1, got -1"),
+        (-(10**5000), "must be at least 1, got <negative 16610-bit integer>"),
+        (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+        ("3", "must be an integer, got '3'"),
+        (None, "must be an integer, got None"),
+    ],
+    ids=["zero", "negative", "huge-negative", "float", "bool", "str", "none"],
+)
+def test_relationship_suite_checks_max_horizon_up_front(max_horizon, message):
+    def unreachable():
+        raise AssertionError("the grid was read before max_horizon was checked")
+        yield
+
+    # Checked before anything else, a bad dilaton included.
+    with pytest.raises(InvalidParams, match=rf"^max_horizon {message}$"):
+        relationship_suite(grid=unreachable(), max_horizon=max_horizon, dilatons=(2.0,))
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,message",
+    [
+        ({"thetas": (0.3, 2.0)}, InvalidSpec, r"^theta must lie in \[0, pi/2\], got 2.0$"),
+        ({"thetas": (math.nan,)}, InvalidSpec, r"^theta must be a finite number, got nan$"),
+        ({"dilatons": (0.5, 1.5)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
+        ({"mass": -1.0}, InvalidParams, r"^mass must be a positive finite number, got -1.0$"),
+        ({"omega": math.inf}, InvalidParams, r"^omega must be a positive finite number, got inf$"),
+    ],
+)
+def test_relationship_suite_input_errors(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        relationship_suite(grid=[], max_horizon=3, **kwargs)
 
 
 def test_monotonicity_scan_peaked():

@@ -20,6 +20,7 @@ from dilaton_gme import (
     flat_mode,
     scenario_density,
 )
+from dilaton_gme.xstate import _pair_xstates
 from conftest import dense_xstate, triplets, xstate_from_triplets
 
 
@@ -52,6 +53,14 @@ def test_xstate_validation():
         xstate_from_triplets(a=(0.5,), b=(0.5,), c=(0.6,))  # coherence too large
     with pytest.raises(InvalidDensity):
         xstate_from_triplets(a=(), b=(), c=())
+    # A density that passes its own checks but not the X-state's: the pair
+    # scan validates each pair as extract_xstate does.
+    rho = SparseDensity(
+        ModeLayout((flat_mode(1), flat_mode(2))), {(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.6}
+    )
+    for read in (extract_xstate, _pair_xstates):
+        with pytest.raises(InvalidDensity, match=r"^coherence \|c\[0\]\| = 0.6 exceeds"):
+            read(rho)
 
 
 @given(
@@ -89,6 +98,19 @@ def test_extract_rejects_entries_off_the_x():
     with pytest.raises(NotXState) as excinfo:
         extract_xstate(rho)
     assert (excinfo.value.row, excinfo.value.col) == (0, 1)
+    # The pair scan raises where extract_xstate does: on the pair itself, and
+    # on a pair of three modes whose reduction picks up a coherence off the X.
+    three = SparseDensity(
+        ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3))),
+        {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.25},
+    )
+    with pytest.raises(NotXState) as excinfo:
+        extract_xstate(three.reduce((flat_mode(1), flat_mode(3))))
+    assert (excinfo.value.row, excinfo.value.col) == (0, 1)
+    for dense in (rho, three):
+        with pytest.raises(NotXState) as excinfo:
+            _pair_xstates(dense)
+        assert (excinfo.value.row, excinfo.value.col) == (0, 1)
 
 
 def test_extract_tolerates_junk_below_tol():
@@ -98,8 +120,11 @@ def test_extract_tolerates_junk_below_tol():
     )
     a, _, _ = triplets(extract_xstate(rho, tol=1e-12))
     assert a == (0.5, 0.0)
+    assert _pair_xstates(rho) == {(flat_mode(1), flat_mode(2)): extract_xstate(rho)}
     with pytest.raises(NotXState):
         extract_xstate(rho, tol=1e-14)
+    with pytest.raises(NotXState):
+        _pair_xstates(rho, tol=1e-14)
 
 
 # Frozen from a 60-digit evaluation of the block structure at
