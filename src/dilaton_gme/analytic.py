@@ -115,26 +115,6 @@ def _binomial_sums(
         return sums
 
 
-def _sum_rule_table(
-    thetas: Sequence[float], pair: BogoliubovPair, max_horizon: int
-) -> tuple[list[list[float]], list[list[float]]]:
-    """Left sides of both sum rules at every theta, for ``n = 1 .. max_horizon``.
-
-    Returns ``(quadratic, linear)``: ``quadratic[n - 1][t]`` is
-    ``sum_rule_quadratic(thetas[t], pair, n)[0]`` and, for even ``n``,
-    ``linear[n // 2 - 1][t]`` is ``sum_rule_linear(thetas[t], pair, n)[0]``,
-    the very same floats.  Each theta is checked here; ``max_horizon``, a
-    positive int, is the caller's to check.
-    """
-    for theta in thetas:
-        _check_theta(theta)
-    horizons = range(1, max_horizon + 1)
-    return (
-        [_binomial_sums(thetas, pair, n, 1, 2) for n in horizons],
-        [_binomial_sums(thetas, pair, n, 2, 1) for n in horizons[1::2]],
-    )
-
-
 def e_accessible(theta: float, pair: BogoliubovPair, n_horizon: int) -> float:
     """All horizon parties keep their outside mode (``q = 0``)."""
     return e_general(theta, pair, n_horizon, 0)

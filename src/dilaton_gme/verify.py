@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .analytic import _sum_rule_table, e_general, e_grid, monogamy_residual, peak_dilaton
+from .analytic import _binomial_sums, e_general, e_grid, monogamy_residual, peak_dilaton
 from .errors import InvalidParams, _count_text
 from .gme import gme_xstate
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
-from .modes_state import ScenarioSpec, scenario_density
+from .modes_state import ScenarioSpec, _check_theta, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 
 __all__ = [
@@ -202,12 +202,19 @@ def relationship_suite(
         raise InvalidParams(f"max_horizon must be at least 1, got {_count_text(max_horizon)}")
     worst_quad = _Worst()
     worst_lin = _Worst()
-    for dilaton in dilatons:
+    horizons = range(1, max_horizon + 1)
+    for index, dilaton in enumerate(dilatons):
         params = BlackHoleParams(mass, dilaton * mass, omega)
-        quadratic, linear = _sum_rule_table(thetas, bogoliubov(params), max_horizon)
+        pair = bogoliubov(params)
+        if index == 0:
+            # Checked once, after the first pair, where the scalar rules would check them.
+            for theta in thetas:
+                _check_theta(theta)
+        quadratic = {n: _binomial_sums(thetas, pair, n, 1, 2) for n in horizons}
+        linear = {n: _binomial_sums(thetas, pair, n, 2, 1) for n in horizons[1::2]}
         for t, theta in enumerate(thetas):
             sine = math.sin(2.0 * theta)
-            for n_horizon in range(1, max_horizon + 1):
+            for n_horizon in horizons:
                 inputs = {
                     "n-horizon": n_horizon,
                     "theta": theta,
@@ -215,9 +222,9 @@ def relationship_suite(
                     "dilaton": params.dilaton,
                     "omega": omega,
                 }
-                worst_quad.update(quadratic[n_horizon - 1][t] - sine**2, inputs)
-                if n_horizon % 2 == 0:
-                    worst_lin.update(linear[n_horizon // 2 - 1][t] - sine, inputs)
+                worst_quad.update(quadratic[n_horizon][t] - sine**2, inputs)
+                if n_horizon in linear:
+                    worst_lin.update(linear[n_horizon][t] - sine, inputs)
     quad_size = len(dilatons) * len(thetas) * max_horizon
     lin_size = len(dilatons) * len(thetas) * (max_horizon // 2)
 

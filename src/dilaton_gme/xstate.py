@@ -98,18 +98,19 @@ def _read_blocks(entries: Mapping[tuple[int, int], float], n_modes: int, tol: fl
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
 
 
-def _pair_xstates(rho: SparseDensity, tol: float = 1e-12) -> dict[tuple[Mode, Mode], XState]:
+def _pair_xstates(rho: SparseDensity) -> dict[tuple[Mode, Mode], XState]:
     """``extract_xstate(rho.reduce(pair))`` for every pair of modes, in layout order.
 
     Each pair's sums from the one scan of ``rho`` map straight to
     ``XState(2, blocks)``: block 0 is ``(rho_00, rho_33, rho_03)`` and block
-    1 is ``(rho_11, rho_22, rho_12)``, and any other sum above ``tol`` raises
+    1 is ``(rho_11, rho_22, rho_12)``, and any other sum above 1e-12, the
+    default tolerance of :func:`extract_xstate`, raises
     :class:`NotXState`.  No two-mode :class:`SparseDensity` is built: a zero
     sum, which it would drop, leaves its slot at ``0.0`` (``math.fsum`` never
     returns ``-0.0``), and :class:`XState` checks the trace and the
     populations to the tolerances the density applies.
     """
-    return {pair: _read_blocks(sums, 2, tol) for pair, sums in rho._pair_sums().items()}
+    return {pair: _read_blocks(sums, 2, 1e-12) for pair, sums in rho._pair_sums().items()}
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

@@ -9,10 +9,13 @@ from dilaton_gme import (
     ScenarioSpec,
     VerificationCheck,
     VerificationReport,
+    bogoliubov,
     default_oracle_grid,
     monotonicity_scan,
     oracle_compare,
     relationship_suite,
+    sum_rule_linear,
+    sum_rule_quadratic,
 )
 from dilaton_gme.verify import MAX_GRID_STEPS, dilaton_grid
 
@@ -68,6 +71,28 @@ def test_relationship_suite_passes():
     )
 
 
+def test_relationship_suite_sum_rules_are_the_scalar_rules():
+    dilatons, thetas = (0.0, 0.3, 1.0), (0.0, 0.2, math.pi / 4, 1.5)
+    report = relationship_suite(grid=[], max_horizon=7, dilatons=dilatons, thetas=thetas)
+    # The scalar rules walked in dilaton -> theta -> n order: the same worst
+    # error, bit for bit, at the same first worst inputs.
+    worst = {"sum-rule-quadratic": (0.0, None), "sum-rule-linear": (0.0, None)}
+    for dilaton in dilatons:
+        pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
+        for theta in thetas:
+            for n in range(1, 8):
+                inputs = {"n-horizon": n, "theta": theta, "mass": 1.0, "dilaton": dilaton, "omega": 1.0}
+                rules = [("sum-rule-quadratic", sum_rule_quadratic)]
+                if n % 2 == 0:
+                    rules.append(("sum-rule-linear", sum_rule_linear))
+                for name, rule in rules:
+                    lhs, rhs = rule(theta, pair, n)
+                    if worst[name][1] is None or abs(lhs - rhs) > worst[name][0]:
+                        worst[name] = (abs(lhs - rhs), inputs)
+    for check in report.checks[:2]:
+        assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
+
+
 @pytest.mark.parametrize(
     "max_horizon,message",
     [
@@ -97,6 +122,8 @@ def test_relationship_suite_checks_max_horizon_up_front(max_horizon, message):
         ({"thetas": (0.3, 2.0)}, InvalidSpec, r"^theta must lie in \[0, pi/2\], got 2.0$"),
         ({"thetas": (math.nan,)}, InvalidSpec, r"^theta must be a finite number, got nan$"),
         ({"dilatons": (0.5, 1.5)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
+        # The first dilaton is checked before any theta.
+        ({"dilatons": (1.5,), "thetas": (2.0,)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
         ({"mass": -1.0}, InvalidParams, r"^mass must be a positive finite number, got -1.0$"),
         ({"omega": math.inf}, InvalidParams, r"^omega must be a positive finite number, got inf$"),
     ],
