@@ -11,9 +11,11 @@ The pipeline is: build the GHZ state on ``[F..., K...]``, rewrite every
 Kruskal mode in the dilaton basis (which entangles ``O_i`` with ``I_i``),
 then trace out whichever dilaton modes are not kept.  States stay as
 dictionaries keyed by basis labels — a GHZ input only ever populates
-``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays; with
-labels ``N + n`` bits wide the work grows as ``N * 2**n``, see :data:`SCALE_BUDGET`.
-A :class:`ScenarioSpec` builds its registers once, and
+``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays.
+A :class:`ScenarioSpec` builds its registers once, in O(N), together with
+a trace plan: the kept layout, the mask of the traced bits and the runs of
+consecutive kept bits.  Each scenario point then costs O(2**n) operations
+on its labels, whatever the party count; see :data:`SCALE_BUDGET`.
 :meth:`SparseDensity.pair_reductions` takes every two-mode reduction in one
 pass over the entries; that pass also yields each pair's bare sums, which
 the verification suite reads as X-state blocks without building a
@@ -144,6 +146,29 @@ class ModeLayout:
     def labels(self) -> str:
         return ",".join(m.label for m in self.modes)
 
+    def _extended(self, more: tuple[Mode, ...]) -> "ModeLayout":
+        """``ModeLayout(self.modes + more)``, hashing only ``more``.
+
+        Copying the position map keeps the hashes it has stored, so layouts
+        that share a long prefix pay for its hashes once.
+        """
+        positions = self._positions.copy()
+        positions.update(zip(more, itertools.count(len(self.modes))))
+        modes = self.modes + more
+        if len(positions) != len(modes):
+            raise InvalidSpec("layout contains a duplicate mode")
+        layout = object.__new__(ModeLayout)
+        object.__setattr__(layout, "modes", modes)
+        object.__setattr__(layout, "_positions", positions)
+        return layout
+
+
+#: How to trace a register onto some of its modes: ``(kept layout, traced
+#: mask, runs)``.  Each run ``(shift, width, mask)`` is a stretch of
+#: ``width`` kept bits that sit next to each other, in the same order, in
+#: both registers, its lowest bit at ``shift``; the runs come in kept order.
+TracePlan = tuple[ModeLayout, int, tuple[tuple[int, int, int], ...]]
+
 
 def _check_theta(theta: float) -> None:
     if not (isinstance(theta, (int, float)) and math.isfinite(theta)):
@@ -208,15 +233,28 @@ class ScenarioSpec:
         return self.n_parties - self.n_horizon
 
     @functools.cached_property
-    def _registers(self) -> tuple[ModeLayout, ModeLayout, tuple[Mode, ...]]:
-        """``(kruskal layout, expanded layout, kept modes)``, built once per spec."""
+    def _registers(self) -> tuple[ModeLayout, ModeLayout, TracePlan]:
+        """``(kruskal layout, expanded layout, trace plan)``, built once per spec.
+
+        The plan traces the expanded register onto the kept modes.  It comes
+        from the counts alone: the flat modes and the kept out modes form
+        one run, the kept in modes (if any) a second one at the bottom, and
+        the traced modes are the out modes ``O_{p+1}..O_n`` (bits ``n ..
+        n+q-1``) and the in modes ``I_1..I_p`` (bits ``q .. n-1``).
+        """
+        n, p = self.n_horizon, self.n_out_kept
+        q = n - p
         flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
-        indices = range(1, self.n_horizon + 1)
+        indices = range(1, n + 1)
         kruskals = tuple(kruskal_mode(i) for i in indices)
         outs = tuple(out_mode(i) for i in indices)
         ins = tuple(in_mode(i) for i in indices)
-        kept = flats + outs[: self.n_out_kept] + ins[self.n_out_kept :]
-        return ModeLayout(flats + kruskals), ModeLayout(flats + outs + ins), kept
+        head = self.n_flat + p
+        runs = ((n + q, head, (1 << head) - 1),) + (((0, q, (1 << q) - 1),) if q else ())
+        traced_mask = ((1 << q) - 1) << n | ((1 << p) - 1) << q
+        base = ModeLayout(flats)
+        plan = (base._extended(outs[:p] + ins[p:]), traced_mask, runs)
+        return base._extended(kruskals), base._extended(outs + ins), plan
 
     def kruskal_layout(self) -> ModeLayout:
         """Register before the horizon expansion: ``[F..., K...]``."""
@@ -228,13 +266,7 @@ class ScenarioSpec:
 
     def kept_modes(self) -> tuple[Mode, ...]:
         """One mode per party: flat modes, then kept out, then kept in."""
-        return self._registers[2]
-
-    def traced_modes(self) -> tuple[Mode, ...]:
-        """The dilaton partners that fall behind (or outside) reach."""
-        ins = tuple(in_mode(i) for i in range(1, self.n_out_kept + 1))
-        outs = tuple(out_mode(i) for i in range(self.n_out_kept + 1, self.n_horizon + 1))
-        return ins + outs
+        return self._registers[2][0].modes
 
 
 @dataclass(frozen=True)
@@ -323,16 +355,16 @@ class SparseDensity:
 
     def reduce(self, keep: Sequence[Mode]) -> "SparseDensity":
         """Partial trace onto ``keep`` (result ordered as given)."""
-        shifts, traced_mask = _split_positions(self.layout, keep)
+        layout, traced_mask, runs = _plan(self.layout, keep)
         acc: dict[tuple[int, int], list[float]] = {}
         for (row, col), value in self.entries.items():
             if (row ^ col) & traced_mask:
                 continue
-            rk, ck = _gather(row, shifts), _gather(col, shifts)
+            rk, ck = _gather(row, runs), _gather(col, runs)
             key = (rk, ck) if rk <= ck else (ck, rk)
             acc.setdefault(key, []).append(value)
         entries = {key: math.fsum(values) for key, values in acc.items()}
-        return SparseDensity(ModeLayout(tuple(keep)), entries)
+        return SparseDensity(layout, entries)
 
     def pair_reductions(self) -> dict[tuple[Mode, Mode], "SparseDensity"]:
         """``reduce((mode_i, mode_j))`` for every pair ``i < j``, from one scan."""
@@ -380,27 +412,36 @@ class SparseDensity:
         }
 
 
-def _split_positions(layout: ModeLayout, keep: Sequence[Mode]) -> tuple[list[int], int]:
-    """Shifts of the kept bits, in ``keep`` order, and the mask of the traced bits."""
+def _plan(layout: ModeLayout, keep: Sequence[Mode]) -> TracePlan:
+    """The :data:`TracePlan` from ``layout`` onto ``keep``, in ``keep`` order."""
     kept = tuple(keep)
     if not kept:
         raise InvalidPartition("must keep at least one mode")
-    if len(set(kept)) != len(kept):
-        raise InvalidPartition("kept modes contain a duplicate")
     try:
-        kept_pos = [layout.position(mode) for mode in kept]
+        kept_layout = ModeLayout(kept)
+    except InvalidSpec:  # the only layout error left is a repeated mode
+        raise InvalidPartition("kept modes contain a duplicate") from None
+    try:
+        shifts = [len(layout) - 1 - layout.position(mode) for mode in kept]
     except UnknownMode as exc:
         raise InvalidPartition(str(exc)) from None
-    kept_set = set(kept_pos)
-    traced_mask = int("".join("0" if i in kept_set else "1" for i in range(len(layout))), 2)
-    return [len(layout) - 1 - pos for pos in kept_pos], traced_mask
-
-
-def _gather(label: int, shifts: list[int]) -> int:
-    """The bits of ``label`` at ``shifts``, in that order, as one word."""
-    kept = 0
+    spans: list[list[int]] = []  # [lowest shift, width] per run
     for shift in shifts:
-        kept = (kept << 1) | ((label >> shift) & 1)
+        if spans and spans[-1][0] == shift + 1:
+            spans[-1][0] = shift
+            spans[-1][1] += 1
+        else:
+            spans.append([shift, 1])
+    runs = tuple((shift, width, (1 << width) - 1) for shift, width in spans)
+    kept_mask = sum(mask << shift for shift, _, mask in runs)
+    return kept_layout, ((1 << len(layout)) - 1) ^ kept_mask, runs
+
+
+def _gather(label: int, runs: tuple[tuple[int, int, int], ...]) -> int:
+    """The kept bits of ``label``, run by run, as one word."""
+    kept = 0
+    for shift, width, mask in runs:
+        kept = (kept << width) | ((label >> shift) & mask)
     return kept
 
 
@@ -410,10 +451,15 @@ def partial_trace(state: SparseState, keep: Sequence[Mode]) -> SparseDensity:
     Amplitude pairs contribute only when they agree on every traced mode,
     so the work is grouping the (few) amplitudes by their traced bits.
     """
-    shifts, traced_mask = _split_positions(state.layout, keep)
+    return _trace(state, _plan(state.layout, keep))
+
+
+def _trace(state: SparseState, plan: TracePlan) -> SparseDensity:
+    """:func:`partial_trace` along a plan built for ``state.layout``."""
+    layout, traced_mask, runs = plan
     groups: dict[int, list[tuple[int, float]]] = {}
     for label, amp in state.amplitudes.items():
-        groups.setdefault(label & traced_mask, []).append((_gather(label, shifts), amp))
+        groups.setdefault(label & traced_mask, []).append((_gather(label, runs), amp))
     acc: dict[tuple[int, int], list[float]] = {}
     for members in groups.values():
         for i, (k1, a1) in enumerate(members):
@@ -422,7 +468,7 @@ def partial_trace(state: SparseState, keep: Sequence[Mode]) -> SparseDensity:
                 key = (k1, k2) if k1 <= k2 else (k2, k1)
                 acc.setdefault(key, []).append(a1 * a2)
     entries = {key: math.fsum(values) for key, values in acc.items()}
-    return SparseDensity(ModeLayout(tuple(keep)), entries)
+    return SparseDensity(layout, entries)
 
 
 def build_initial_state(spec: ScenarioSpec) -> SparseState:
@@ -474,4 +520,4 @@ def scenario_density(spec: ScenarioSpec, pair: BogoliubovPair) -> SparseDensity:
     unreachable dilaton partners, keeping one mode per party.
     """
     state = expand_kruskal(build_initial_state(spec), pair, spec)
-    return partial_trace(state, spec.kept_modes())
+    return _trace(state, spec._registers[2])

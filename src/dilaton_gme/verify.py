@@ -32,6 +32,10 @@ GridPoint = tuple[ScenarioSpec, BlackHoleParams]
 
 #: Most points a dilaton grid may take; each is built and evaluated one by one.
 MAX_GRID_STEPS = 10**6
+#: Largest ``max_horizon`` of :func:`relationship_suite`: the last n whose
+#: sum-rule terms all fit a float.  Past it the sums run in decimals at a cost
+#: that grows as n**2, and they drift off ``RELATION_TOL`` near n = 4000.
+MAX_SUM_RULE_HORIZON = 1029
 
 ORACLE_TOL = 1e-10
 ENTRYWISE_TOL = 1e-13
@@ -187,8 +191,8 @@ def relationship_suite(
 
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
       over mode splits, evaluated purely from the closed form, for
-      ``n = 1 .. max_horizon`` (an int >= 1); each dilaton's powers of
-      alpha and beta are shared by every theta.
+      ``n = 1 .. max_horizon`` (an int in ``[1, MAX_SUM_RULE_HORIZON]``);
+      each dilaton's powers of alpha and beta are shared by every theta.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  Each pair's
       X-state comes straight from the one pass over the state's entries
@@ -200,6 +204,10 @@ def relationship_suite(
         raise InvalidParams(f"max_horizon must be an integer, got {max_horizon!r}")
     if max_horizon < 1:
         raise InvalidParams(f"max_horizon must be at least 1, got {_count_text(max_horizon)}")
+    if max_horizon > MAX_SUM_RULE_HORIZON:
+        raise InvalidParams(
+            f"max_horizon must be at most {MAX_SUM_RULE_HORIZON}, got {_count_text(max_horizon)}"
+        )
     worst_quad = _Worst()
     worst_lin = _Worst()
     horizons = range(1, max_horizon + 1)

@@ -47,22 +47,25 @@ class XState:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise InvalidDensity(f"half dimension must be a positive integer, got {m!r}")
         blocks: dict[int, Block] = {}
+        populations: list[float] = []
         for i, (a, b, c) in self.blocks.items():
             if not isinstance(i, int) or not 0 <= i < m:
                 raise InvalidDensity(f"block index {i!r} outside [0, {m})")
-            block = (float(a), float(b), float(c))
-            for name, v in zip("ab", block):
-                if not math.isfinite(v) or v < -1e-14:
-                    raise InvalidDensity(f"{name}-entry {v!r} is not a valid population")
-            bound = math.sqrt(max(block[0], 0.0) * max(block[1], 0.0))
-            if abs(block[2]) > bound + 1e-12:
+            a, b, c = float(a), float(b), float(c)
+            if not math.isfinite(a) or a < -1e-14:
+                raise InvalidDensity(f"a-entry {a!r} is not a valid population")
+            if not math.isfinite(b) or b < -1e-14:
+                raise InvalidDensity(f"b-entry {b!r} is not a valid population")
+            bound = math.sqrt(max(a, 0.0) * max(b, 0.0))
+            if abs(c) > bound + 1e-12:
                 raise InvalidDensity(
-                    f"coherence |c[{i}]| = {abs(block[2])!r} exceeds sqrt(a*b) = {bound!r}"
+                    f"coherence |c[{i}]| = {abs(c)!r} exceeds sqrt(a*b) = {bound!r}"
                 )
-            if any(block):
-                blocks[i] = block
+            if a or b or c:
+                blocks[i] = (a, b, c)
+                populations += (a, b)
         object.__setattr__(self, "blocks", blocks)
-        trace = math.fsum(v for a, b, _ in blocks.values() for v in (a, b))
+        trace = math.fsum(populations)
         if abs(trace - 1.0) > 1e-12:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
 
@@ -126,10 +129,8 @@ def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
     n = spec.n_horizon
     cos_t, sin_t = math.cos(spec.theta), math.sin(spec.theta)
     cos_sq = cos_t * cos_t
-    blocks: dict[int, Block] = {}
-    for pattern in range(1 << n):
-        w = pattern.bit_count()
-        blocks[pattern] = (cos_sq * coeff_power(pair, 2 * (n - w), 2 * w), 0.0, 0.0)
+    weights = [cos_sq * coeff_power(pair, 2 * (n - w), 2 * w) for w in range(n + 1)]
+    blocks = {pattern: (weights[pattern.bit_count()], 0.0, 0.0) for pattern in range(1 << n)}
     mirror = (1 << spec.n_in_kept) - 1
     coherence = coeff_power(pair, spec.n_out_kept, spec.n_in_kept) * cos_t * sin_t
     blocks[mirror] = (blocks[mirror][0], sin_t * sin_t, coherence)

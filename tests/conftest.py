@@ -6,12 +6,12 @@ criterion is visible even when output capturing is on.
 
 The library keeps states, densities and X-states sparse; the dense
 builders below give tests full numpy arrays to check them against, plus
-the ``(a, b, c)`` triplet view of an X-state.
+the ``(a, b, c)`` triplet view of an X-state and a scenario's traced modes.
 """
 
 import numpy as np
 
-from dilaton_gme import SparseDensity, SparseState, XState
+from dilaton_gme import Mode, ScenarioSpec, SparseDensity, SparseState, XState, in_mode, out_mode
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
@@ -71,3 +71,10 @@ def dense_xstate(x: XState) -> np.ndarray:
         mat[i, j] = c
         mat[j, i] = c
     return mat
+
+
+def traced_modes(spec: ScenarioSpec) -> tuple[Mode, ...]:
+    """The dilaton partners that fall behind (or outside) reach."""
+    ins = tuple(in_mode(i) for i in range(1, spec.n_out_kept + 1))
+    outs = tuple(out_mode(i) for i in range(spec.n_out_kept + 1, spec.n_horizon + 1))
+    return ins + outs

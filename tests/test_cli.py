@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -260,6 +261,38 @@ def test_state_dump(capsys):
     assert rows[("0", "0")] == pytest.approx(0.25)
     assert rows[("0", "3")] == pytest.approx(0.125**0.5)
     assert rows[("3", "3")] == pytest.approx(0.5)
+
+
+# sha256 of stdout, pinned before scenario points were traced through cached plans.
+_PINNED_STDOUT = {
+    "state-8-3": (
+        ["state", "--n-parties", "8", "--n-horizon", "3", "--p", "2", "--dilaton", "0.6"],
+        "f1344cb32d3a796fb406a3157ecd496938cf25bb8a8700403b1998025b230391",
+    ),
+    "state-18-4": (
+        ["state", "--n-parties", "18", "--n-horizon", "4", "--p", "1", "--dilaton", "0.6"],
+        "5a5408093f1dd8a314dc142cf0b91deabca7bbb053f9f008e229d5fd82589885",
+    ),
+    "state-13312-1": (
+        ["state", "--n-parties", "13312", "--n-horizon", "1", "--accessible"],
+        "018a80f5c23e8bc1ff164db660fcee887ed32737b705186586bb70d138085ffa",
+    ),
+    "verify-small": (
+        ["verify", "--grid", "small"],
+        "f4ee8ea808380abecad8b1da45aa11e7b1d35a450c565324abb0e667c2072331",
+    ),
+    "sweep-oracle-18-4": (
+        ["sweep", "--n-horizon", "4", "--p", "2", "--oracle", "--n-parties", "18", "--steps", "41"],
+        "3bd03f5302d03388181eea165fbcbe26a020377896e88c5f8099d33386782cb2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(capsys, name):
+    argv, digest = _PINNED_STDOUT[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_state_dump_diagonal_at_theta_zero(capsys):

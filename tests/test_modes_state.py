@@ -31,10 +31,10 @@ from dilaton_gme import (
     partial_trace,
     scenario_density,
 )
-from dilaton_gme.modes_state import SCALE_BUDGET
+from dilaton_gme.modes_state import SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid
 from dilaton_gme.xstate import _pair_xstates
-from conftest import dense_density, dense_state
+from conftest import dense_density, dense_state, traced_modes
 
 
 def test_mode_labels():
@@ -78,6 +78,13 @@ def test_layout_validation():
         ModeLayout(())
     with pytest.raises(InvalidSpec):
         ModeLayout((flat_mode(1), flat_mode(1)))
+    base = ModeLayout((flat_mode(1), flat_mode(2)))
+    with pytest.raises(InvalidSpec, match="^layout contains a duplicate mode$"):
+        base._extended((out_mode(1), flat_mode(2)))
+    extended = base._extended((out_mode(1), in_mode(1)))
+    assert extended == ModeLayout(base.modes + (out_mode(1), in_mode(1)))
+    assert [extended.position(m) for m in extended] == [0, 1, 2, 3]
+    assert base.modes == (flat_mode(1), flat_mode(2)) and in_mode(1) not in base
 
 
 def test_scenario_spec_layouts():
@@ -86,7 +93,9 @@ def test_scenario_spec_layouts():
     assert spec.kruskal_layout().labels() == "F1,F2,K1,K2,K3"
     assert spec.expanded_layout().labels() == "F1,F2,O1,O2,O3,I1,I2,I3"
     assert tuple(m.label for m in spec.kept_modes()) == ("F1", "F2", "O1", "O2", "I3")
-    assert tuple(m.label for m in spec.traced_modes()) == ("I1", "I2", "O3")
+    assert tuple(m.label for m in traced_modes(spec)) == ("I1", "I2", "O3")
+    # The plan: F1..O2 and I3 kept in two runs, O3, I1 and I2 traced.
+    assert spec._registers[2][1:] == (0b00_001_110, ((4, 4, 0b1111), (0, 1, 0b1)))
 
 
 @pytest.mark.parametrize(
@@ -135,6 +144,73 @@ def test_scenario_spec_builds_its_registers_once():
     assert moved.kruskal_layout() == spec.kruskal_layout()
     assert tuple(m.label for m in moved.kept_modes()) == ("F1", "F2", "O1", "I2", "I3")
     assert tuple(m.label for m in spec.kept_modes()) == ("F1", "F2", "O1", "O2", "I3")
+
+
+def _every_shape(max_parties):
+    for n_parties in range(2, max_parties + 1):
+        for n_horizon in range(1, n_parties):
+            for n_out in range(n_horizon + 1):
+                yield n_parties, n_horizon, n_out
+
+
+def test_spec_plan_equals_the_plan_from_positions():
+    large = [(1000, 4, 0), (1000, 4, 2), (1000, 4, 4), (13312, 1, 0), (13312, 1, 1)]
+    for n_parties, n_horizon, n_out in [*_every_shape(8), *large]:
+        spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, 0.3)
+        layout, traced_mask, runs = spec._registers[2]
+        assert (layout, traced_mask, runs) == _plan(spec.expanded_layout(), spec.kept_modes())
+        assert layout.modes is spec.kept_modes()
+        # Flats plus kept outs, then the kept ins: at most two runs.
+        assert len(runs) == 1 + (n_out < n_horizon)
+        expanded = spec.expanded_layout()
+        traced = sum(1 << (len(expanded) - 1 - expanded.position(m)) for m in traced_modes(spec))
+        assert traced_mask == traced
+
+
+def test_plan_groups_adjacent_kept_bits_into_runs():
+    layout = ModeLayout(tuple(flat_mode(i) for i in range(1, 7)))
+    keep = [flat_mode(2), flat_mode(3), flat_mode(5), flat_mode(1)]
+    kept_layout, traced_mask, runs = _plan(layout, keep)
+    assert kept_layout.labels() == "F2,F3,F5,F1"
+    assert traced_mask == 0b000101  # F4 and F6
+    assert runs == ((3, 2, 0b11), (1, 1, 0b1), (5, 1, 0b1))
+
+
+def test_scenario_density_equals_the_public_partial_trace():
+    pair = bogoliubov(BlackHoleParams(1.0, 0.6, 1.0))
+    for n_parties, n_horizon, n_out in [*_every_shape(7), (1000, 4, 1), (13312, 1, 0)]:
+        spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, 0.7)
+        rho = scenario_density(spec, pair)
+        expanded = expand_kruskal(build_initial_state(spec), pair, spec)
+        reference = partial_trace(expanded, spec.kept_modes())
+        assert rho.layout is spec._registers[2][0] and rho.layout == reference.layout
+        assert list(rho.entries.items()) == list(reference.entries.items())
+
+
+def test_scenario_point_hashes_no_mode(monkeypatch):
+    # Once the registers are built, a point does no per-mode lookups.
+    spec = ScenarioSpec(40, 3, 1, 2, 0.5)
+    pair = bogoliubov(BlackHoleParams(1.0, 0.4, 1.0))
+    spec.kept_modes()
+    counts = {"hash": 0, "position": 0}
+    mode_hash, position = Mode.__hash__, ModeLayout.position
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return mode_hash(self)
+
+    def counted_position(self, mode):
+        counts["position"] += 1
+        return position(self, mode)
+
+    monkeypatch.setattr(Mode, "__hash__", counted_hash)
+    monkeypatch.setattr(ModeLayout, "position", counted_position)
+    rho = scenario_density(spec, pair)
+    assert counts == {"hash": 0, "position": 0}
+    # The counters do count: the public partial trace looks every kept mode up.
+    partial_trace(expand_kruskal(build_initial_state(spec), pair, spec), spec.kept_modes())
+    assert counts["position"] == 40 and counts["hash"] >= 40
+    assert len(rho.layout) == 40
 
 
 def test_sparse_state_basics():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from dilaton_gme import (
     sum_rule_linear,
     sum_rule_quadratic,
 )
-from dilaton_gme.verify import MAX_GRID_STEPS, dilaton_grid
+from dilaton_gme.verify import MAX_GRID_STEPS, MAX_SUM_RULE_HORIZON, dilaton_grid
 
 
 def test_default_grid_shape():
@@ -93,6 +94,13 @@ def test_relationship_suite_sum_rules_are_the_scalar_rules():
         assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
 
 
+def test_sum_rule_horizon_cap_is_the_last_float_sum():
+    # The quadratic rule sums C(n, k) * E**2; from n = 1030 on, C(n, n // 2)
+    # leaves the float range and the sums switch to decimals.
+    assert MAX_SUM_RULE_HORIZON == 1029
+    assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+
+
 @pytest.mark.parametrize(
     "max_horizon,message",
     [
@@ -103,8 +111,12 @@ def test_relationship_suite_sum_rules_are_the_scalar_rules():
         (True, "must be an integer, got True"),
         ("3", "must be an integer, got '3'"),
         (None, "must be an integer, got None"),
+        (1030, "must be at most 1029, got 1030"),
+        (10**400, f"must be at most 1029, got {10**400}"),
+        (10**5000, "must be at most 1029, got <16610-bit integer>"),
     ],
-    ids=["zero", "negative", "huge-negative", "float", "bool", "str", "none"],
+    ids=["zero", "negative", "huge-negative", "float", "bool", "str", "none", "above-cap",
+         "huge", "past-str-limit"],
 )
 def test_relationship_suite_checks_max_horizon_up_front(max_horizon, message):
     def unreachable():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dilaton_gme import (
     flat_mode,
     scenario_density,
 )
+from dilaton_gme import hawking, xstate
 from dilaton_gme.xstate import _pair_xstates
 from conftest import dense_xstate, triplets, xstate_from_triplets
 
@@ -61,6 +63,55 @@ def test_xstate_validation():
     for read in (extract_xstate, _pair_xstates):
         with pytest.raises(InvalidDensity, match=r"^coherence \|c\[0\]\| = 0.6 exceeds"):
             read(rho)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        *(
+            (blocks, f"{slot}-entry {value!r} is not a valid population")
+            for value in (_NAN, _INF, -_INF, -2e-14)
+            for slot, blocks in (
+                ("a", {0: (value, 1.0, 0.0)}),
+                ("b", {0: (1.0, value, 0.0)}),
+            )
+        ),
+        # a is checked before b, both after the index and before the coherence
+        ({0: (_NAN, -_INF, 5.0)}, "a-entry nan is not a valid population"),
+        ({0: (0.5, _INF, 5.0)}, "b-entry inf is not a valid population"),
+        ({0: (0.5, 0.5, 0.0), 2: (_NAN, 0.0, 0.0)}, "block index 2 outside [0, 2)"),
+        ({-1: (0.5, 0.5, 0.0)}, "block index -1 outside [0, 2)"),
+        ({1.0: (0.5, 0.5, 0.0)}, "block index 1.0 outside [0, 2)"),
+        ({0: (0.5, 0.5, 0.6)}, "coherence |c[0]| = 0.6 exceeds sqrt(a*b) = 0.5"),
+        (
+            {1: (0.5, 0.5, -0.5 - 2e-12)},
+            "coherence |c[1]| = 0.500000000002 exceeds sqrt(a*b) = 0.5",
+        ),
+        # A population just below zero counts as zero in the bound, and -0.0 as itself.
+        ({0: (1.0, -1e-15, 2e-12)}, "coherence |c[0]| = 2e-12 exceeds sqrt(a*b) = 0.0"),
+        ({0: (1.0, -0.0, 2e-12)}, "coherence |c[0]| = 2e-12 exceeds sqrt(a*b) = -0.0"),
+        ({0: (0.5 + 2e-12, 0.5, 0.0)}, "trace deviates from 1 by 2.000e-12"),
+        (
+            {0: (0.25, 0.25, 0.0), 1: (0.25, 0.25 - 2e-12, 0.0)},
+            "trace deviates from 1 by -2.000e-12",
+        ),
+    ],
+)
+def test_xstate_validation_messages(blocks, message):
+    with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
+        XState(2, blocks)
+
+
+def test_xstate_keeps_the_nonzero_blocks_as_floats():
+    x = XState(4, {3: (0, 0.0, -0.0), 1: (1, 0, 0), 0: (0.0, 0.0, 0.0)})
+    assert x.blocks == {1: (1.0, 0.0, 0.0)}
+    assert all(type(v) is float for v in x.blocks[1])
+    # Populations of 0.5 - 1e-15 and -1e-15 pass and enter the trace as they are.
+    x = XState(2, {0: (0.5 - 1e-15, -1e-15, 0.0), 1: (0.5 + 2e-15, 0.0, 0.0)})
+    assert x.blocks[0][1] == -1e-15
 
 
 @given(
@@ -147,6 +198,19 @@ def test_build_block_matrix_frozen_triplets():
         assert value == pytest.approx(frozen, rel=1e-13)
     assert b == (0.0, pytest.approx(FROZEN_B1, rel=1e-15), 0.0, 0.0)
     assert c == (0.0, pytest.approx(FROZEN_C1, rel=1e-13), 0.0, 0.0)
+
+
+def test_block_matrix_takes_one_power_per_weight(monkeypatch):
+    calls = []
+
+    def counted(pair, alpha_exp, beta_exp):
+        calls.append((alpha_exp, beta_exp))
+        return hawking.coeff_power(pair, alpha_exp, beta_exp)
+
+    monkeypatch.setattr(xstate, "coeff_power", counted)
+    build_block_matrix(ScenarioSpec(9, 4, 3, 1, 0.5), bogoliubov(BlackHoleParams(1.0, 0.4, 1.0)))
+    # n + 1 = 5 diagonal weights, one per Hamming weight, then the coherence.
+    assert calls == [(8, 0), (6, 2), (4, 4), (2, 6), (0, 8), (3, 1)]
 
 
 def test_block_matrix_agrees_with_simulated_reduction():
