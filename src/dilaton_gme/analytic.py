@@ -34,8 +34,6 @@ from .modes_state import _check_theta
 __all__ = [
     "e_general",
     "e_grid",
-    "e_accessible",
-    "e_inaccessible",
     "theta_derivative",
     "extreme_limit",
     "peak_dilaton",
@@ -113,16 +111,6 @@ def _binomial_sums(
                 c, e = c * (m - k) / (k + 1), e * ratio
             sums.append(float(total))
         return sums
-
-
-def e_accessible(theta: float, pair: BogoliubovPair, n_horizon: int) -> float:
-    """All horizon parties keep their outside mode (``q = 0``)."""
-    return e_general(theta, pair, n_horizon, 0)
-
-
-def e_inaccessible(theta: float, pair: BogoliubovPair, n_horizon: int) -> float:
-    """All horizon parties keep their inside mode (``p = 0``)."""
-    return e_general(theta, pair, 0, n_horizon)
 
 
 def theta_derivative(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) -> float:

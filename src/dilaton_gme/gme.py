@@ -18,10 +18,10 @@ quantifies how little entanglement survives in any single pair.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .errors import InvalidPartition, ScaleCap
-from .modes_state import Mode, SparseDensity, SparseState, partial_trace
+from .modes_state import SparseDensity, SparseState, partial_trace
 from .xstate import XState, extract_xstate
 
 __all__ = ["gme_xstate", "gme_pure", "pair_entanglement"]
@@ -44,18 +44,13 @@ def gme_xstate(x: XState) -> float:
     return 2.0 * best
 
 
-def gme_pure(
-    state: SparseState,
-    parties: Sequence[Sequence[Mode]],
-    probe: Optional[Callable[[int, float], None]] = None,
-) -> float:
+def gme_pure(state: SparseState, parties: Sequence[Sequence[str]]) -> float:
     """Genuine multipartite entanglement of a pure state.
 
     ``parties`` groups the register's modes into cells, one per party;
     the cells must cover the layout exactly.  Every bipartition keeps the
     last cell on the fixed side, so masks over the remaining cells
-    enumerate each split once.  ``probe``, if given, is called with
-    ``(mask, purity)`` for every bipartition.
+    enumerate each split once.
     """
     cells = [tuple(cell) for cell in parties]
     if len(cells) < 2:
@@ -86,15 +81,13 @@ def gme_pure(
         else:
             keep = [m for m in state.layout if m not in side]
         purity = partial_trace(state, keep).purity()
-        if probe is not None:
-            probe(mask, purity)
         entanglement = math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
         if entanglement < best:
             best = entanglement
     return best
 
 
-def pair_entanglement(rho: SparseDensity, tol: float = 1e-12) -> float:
+def pair_entanglement(rho: SparseDensity) -> float:
     """Entanglement of a two-mode X-shaped reduction.
 
     For two modes the X-state closed form coincides with the concurrence
@@ -104,4 +97,4 @@ def pair_entanglement(rho: SparseDensity, tol: float = 1e-12) -> float:
         raise InvalidPartition(
             f"pair entanglement needs exactly two modes, got {len(rho.layout)}"
         )
-    return gme_xstate(extract_xstate(rho, tol))
+    return gme_xstate(extract_xstate(rho))

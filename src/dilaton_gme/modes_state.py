@@ -1,11 +1,11 @@
 """Sparse register simulator for GHZ sharing across a dilaton horizon.
 
-The register holds one fermionic qubit per mode.  Modes are labelled by
-kind and 1-based index: ``F`` (flat-region observer), ``K`` (Kruskal mode
-of an observer hovering near the horizon), and the two dilaton modes the
-Kruskal vacuum decomposes into, ``O`` (outside the horizon) and ``I``
-(inside).  A basis state is an integer whose most significant bit is the
-first mode of the layout.
+The register holds one fermionic qubit per mode.  A mode is its label
+string: a kind letter and a 1-based index, ``F`` (flat-region observer),
+``K`` (Kruskal mode of an observer hovering near the horizon), and the two
+dilaton modes the Kruskal vacuum decomposes into, ``O`` (outside the
+horizon) and ``I`` (inside), as in ``"F1"`` or ``"I4"``.  A basis state is
+an integer whose most significant bit is the first mode of the layout.
 
 The pipeline is: build the GHZ state on ``[F..., K...]``, rewrite every
 Kruskal mode in the dilaton basis (which entangles ``O_i`` with ``I_i``),
@@ -13,13 +13,13 @@ then trace out whichever dilaton modes are not kept.  States stay as
 dictionaries keyed by basis labels — a GHZ input only ever populates
 ``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays.
 A :class:`ScenarioSpec` builds its registers once, in O(N), together with
-a trace plan: the kept layout, the mask of the traced bits and the runs of
-consecutive kept bits.  Each scenario point then costs O(2**n) operations
-on its labels, whatever the party count; see :data:`SCALE_BUDGET`.
-:meth:`SparseDensity.pair_reductions` takes every two-mode reduction in one
-pass over the entries; that pass also yields each pair's bare sums, which
-the verification suite reads as X-state blocks without building a
-two-mode density.
+a trace plan from the same builder :func:`partial_trace` uses: the kept
+layout, the mask of the traced bits and the runs of consecutive kept bits.
+Each scenario point then costs O(2**n) operations on its labels, whatever
+the party count; see :data:`SCALE_BUDGET`.  One pass over a density's
+entries yields the sums of every two-mode reduction, which the
+verification suite reads as X-state blocks without building a two-mode
+density.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .errors import (
 from .hawking import BogoliubovPair
 
 __all__ = [
-    "Mode",
     "flat_mode",
     "kruskal_mode",
     "out_mode",
@@ -65,59 +64,44 @@ NORM_TOL = 1e-12
 #: N <= 13312 keeps basis labels under Python's 4300-digit int-to-str limit.
 SCALE_BUDGET = 13 * 2**11
 
-_KIND_PREFIX = {"flat": "F", "kruskal": "K", "out": "O", "in": "I"}
+
+def _mode(prefix: str, index: int) -> str:
+    """The label ``prefix + index``: ``F``, ``K``, ``O`` or ``I``, then a 1-based index."""
+    if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+        raise InvalidSpec(f"mode index must be a positive integer, got {index!r}")
+    return f"{prefix}{index}"
 
 
-@dataclass(frozen=True)
-class Mode:
-    """A single fermionic mode, identified by kind and 1-based index."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in _KIND_PREFIX:
-            raise InvalidSpec(
-                f"unknown mode kind {self.kind!r}; expected one of {sorted(_KIND_PREFIX)}"
-            )
-        if not isinstance(self.index, int) or self.index < 1:
-            raise InvalidSpec(f"mode index must be a positive integer, got {self.index!r}")
-
-    @property
-    def label(self) -> str:
-        return f"{_KIND_PREFIX[self.kind]}{self.index}"
-
-    def __str__(self) -> str:
-        return self.label
+def flat_mode(index: int) -> str:
+    return _mode("F", index)
 
 
-def flat_mode(index: int) -> Mode:
-    return Mode("flat", index)
+def kruskal_mode(index: int) -> str:
+    return _mode("K", index)
 
 
-def kruskal_mode(index: int) -> Mode:
-    return Mode("kruskal", index)
+def out_mode(index: int) -> str:
+    return _mode("O", index)
 
 
-def out_mode(index: int) -> Mode:
-    return Mode("out", index)
-
-
-def in_mode(index: int) -> Mode:
-    return Mode("in", index)
+def in_mode(index: int) -> str:
+    return _mode("I", index)
 
 
 @dataclass(frozen=True)
 class ModeLayout:
     """Ordered register of distinct modes; the first mode is the MSB."""
 
-    modes: tuple[Mode, ...]
-    _positions: dict[Mode, int] = field(init=False, repr=False, compare=False)
+    modes: tuple[str, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise InvalidSpec("a layout needs at least one mode")
+        for mode in self.modes:
+            if not isinstance(mode, str):
+                raise InvalidSpec(f"a mode is its label string, got {mode!r}")
         positions = {mode: i for i, mode in enumerate(self.modes)}
         if len(positions) != len(self.modes):
             raise InvalidSpec("layout contains a duplicate mode")
@@ -126,41 +110,25 @@ class ModeLayout:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def __iter__(self) -> Iterator[Mode]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.modes)
 
-    def __contains__(self, mode: Mode) -> bool:
+    def __contains__(self, mode: str) -> bool:
         return mode in self._positions
 
-    def position(self, mode: Mode) -> int:
+    def position(self, mode: str) -> int:
         """Index of ``mode`` in the register, 0 for the MSB."""
         try:
             return self._positions[mode]
         except KeyError:
             raise UnknownMode(f"mode {mode} is not part of layout {self.labels()}") from None
 
-    def bit(self, label: int, mode: Mode) -> int:
+    def bit(self, label: int, mode: str) -> int:
         """Occupation of ``mode`` in the basis state ``label``."""
         return (label >> (len(self.modes) - 1 - self.position(mode))) & 1
 
     def labels(self) -> str:
-        return ",".join(m.label for m in self.modes)
-
-    def _extended(self, more: tuple[Mode, ...]) -> "ModeLayout":
-        """``ModeLayout(self.modes + more)``, hashing only ``more``.
-
-        Copying the position map keeps the hashes it has stored, so layouts
-        that share a long prefix pay for its hashes once.
-        """
-        positions = self._positions.copy()
-        positions.update(zip(more, itertools.count(len(self.modes))))
-        modes = self.modes + more
-        if len(positions) != len(modes):
-            raise InvalidSpec("layout contains a duplicate mode")
-        layout = object.__new__(ModeLayout)
-        object.__setattr__(layout, "modes", modes)
-        object.__setattr__(layout, "_positions", positions)
-        return layout
+        return ",".join(self.modes)
 
 
 #: How to trace a register onto some of its modes: ``(kept layout, traced
@@ -236,25 +204,16 @@ class ScenarioSpec:
     def _registers(self) -> tuple[ModeLayout, ModeLayout, TracePlan]:
         """``(kruskal layout, expanded layout, trace plan)``, built once per spec.
 
-        The plan traces the expanded register onto the kept modes.  It comes
-        from the counts alone: the flat modes and the kept out modes form
-        one run, the kept in modes (if any) a second one at the bottom, and
-        the traced modes are the out modes ``O_{p+1}..O_n`` (bits ``n ..
-        n+q-1``) and the in modes ``I_1..I_p`` (bits ``q .. n-1``).
+        The plan traces the expanded register onto :meth:`kept_modes`.
         """
         n, p = self.n_horizon, self.n_out_kept
-        q = n - p
         flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
         indices = range(1, n + 1)
-        kruskals = tuple(kruskal_mode(i) for i in indices)
         outs = tuple(out_mode(i) for i in indices)
         ins = tuple(in_mode(i) for i in indices)
-        head = self.n_flat + p
-        runs = ((n + q, head, (1 << head) - 1),) + (((0, q, (1 << q) - 1),) if q else ())
-        traced_mask = ((1 << q) - 1) << n | ((1 << p) - 1) << q
-        base = ModeLayout(flats)
-        plan = (base._extended(outs[:p] + ins[p:]), traced_mask, runs)
-        return base._extended(kruskals), base._extended(outs + ins), plan
+        expanded = ModeLayout(flats + outs + ins)
+        kruskal = ModeLayout(flats + tuple(kruskal_mode(i) for i in indices))
+        return kruskal, expanded, _plan(expanded, flats + outs[:p] + ins[p:])
 
     def kruskal_layout(self) -> ModeLayout:
         """Register before the horizon expansion: ``[F..., K...]``."""
@@ -264,7 +223,7 @@ class ScenarioSpec:
         """Register after the expansion: ``[F..., O..., I...]``."""
         return self._registers[1]
 
-    def kept_modes(self) -> tuple[Mode, ...]:
+    def kept_modes(self) -> tuple[str, ...]:
         """One mode per party: flat modes, then kept out, then kept in."""
         return self._registers[2][0].modes
 
@@ -353,7 +312,7 @@ class SparseDensity:
             (v * v if r == c else 2.0 * v * v) for (r, c), v in self.entries.items()
         )
 
-    def reduce(self, keep: Sequence[Mode]) -> "SparseDensity":
+    def reduce(self, keep: Sequence[str]) -> "SparseDensity":
         """Partial trace onto ``keep`` (result ordered as given)."""
         layout, traced_mask, runs = _plan(self.layout, keep)
         acc: dict[tuple[int, int], list[float]] = {}
@@ -366,13 +325,7 @@ class SparseDensity:
         entries = {key: math.fsum(values) for key, values in acc.items()}
         return SparseDensity(layout, entries)
 
-    def pair_reductions(self) -> dict[tuple[Mode, Mode], "SparseDensity"]:
-        """``reduce((mode_i, mode_j))`` for every pair ``i < j``, from one scan."""
-        return {
-            keep: SparseDensity(ModeLayout(keep), sums) for keep, sums in self._pair_sums().items()
-        }
-
-    def _pair_sums(self) -> dict[tuple[Mode, Mode], dict[tuple[int, int], float]]:
+    def _pair_sums(self) -> dict[tuple[str, str], dict[tuple[int, int], float]]:
         """Upper-triangle entries of every two-mode reduction, unvalidated, from one scan.
 
         An entry survives the trace onto a pair only when its row and column
@@ -412,19 +365,19 @@ class SparseDensity:
         }
 
 
-def _plan(layout: ModeLayout, keep: Sequence[Mode]) -> TracePlan:
+def _plan(layout: ModeLayout, keep: Sequence[str]) -> TracePlan:
     """The :data:`TracePlan` from ``layout`` onto ``keep``, in ``keep`` order."""
     kept = tuple(keep)
     if not kept:
         raise InvalidPartition("must keep at least one mode")
     try:
-        kept_layout = ModeLayout(kept)
-    except InvalidSpec:  # the only layout error left is a repeated mode
-        raise InvalidPartition("kept modes contain a duplicate") from None
-    try:
         shifts = [len(layout) - 1 - layout.position(mode) for mode in kept]
     except UnknownMode as exc:
         raise InvalidPartition(str(exc)) from None
+    try:
+        kept_layout = ModeLayout(kept)
+    except InvalidSpec:  # every kept mode is a label of ``layout``, so one repeats
+        raise InvalidPartition("kept modes contain a duplicate") from None
     spans: list[list[int]] = []  # [lowest shift, width] per run
     for shift in shifts:
         if spans and spans[-1][0] == shift + 1:
@@ -445,7 +398,7 @@ def _gather(label: int, runs: tuple[tuple[int, int, int], ...]) -> int:
     return kept
 
 
-def partial_trace(state: SparseState, keep: Sequence[Mode]) -> SparseDensity:
+def partial_trace(state: SparseState, keep: Sequence[str]) -> SparseDensity:
     """Reduced density matrix of a pure state on the ``keep`` modes.
 
     Amplitude pairs contribute only when they agree on every traced mode,

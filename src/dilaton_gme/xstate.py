@@ -28,11 +28,15 @@ from typing import Mapping
 
 from .errors import InvalidDensity, NotXState
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import Mode, ScenarioSpec, SparseDensity
+from .modes_state import ScenarioSpec, SparseDensity
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
 
 Block = tuple[float, float, float]
+
+#: Largest magnitude an entry off the diagonal and the anti-diagonal may have
+#: and still be read as an X state's zero.
+OFF_X_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,16 +78,17 @@ class XState:
         return 2 * self.half_dimension
 
 
-def extract_xstate(rho: SparseDensity, tol: float = 1e-12) -> XState:
+def extract_xstate(rho: SparseDensity) -> XState:
     """Read the (a, b, c) blocks off a sparse density matrix.
 
-    Any entry with ``|value| > tol`` that sits neither on the diagonal nor
-    on the anti-diagonal raises :class:`NotXState` carrying its position.
+    Any entry above :data:`OFF_X_TOL` in magnitude that sits neither on the
+    diagonal nor on the anti-diagonal raises :class:`NotXState` carrying its
+    position.
     """
-    return _read_blocks(rho.entries, len(rho.layout), tol)
+    return _read_blocks(rho.entries, len(rho.layout))
 
 
-def _read_blocks(entries: Mapping[tuple[int, int], float], n_modes: int, tol: float) -> XState:
+def _read_blocks(entries: Mapping[tuple[int, int], float], n_modes: int) -> XState:
     """:func:`extract_xstate` on upper-triangle ``entries`` over ``n_modes`` modes."""
     dim = 1 << n_modes
     half = dim >> 1
@@ -93,7 +98,7 @@ def _read_blocks(entries: Mapping[tuple[int, int], float], n_modes: int, tol: fl
             index, slot = (row, 0) if row < half else (dim - 1 - row, 1)
         elif row + col == dim - 1:
             index, slot = row, 2
-        elif abs(value) > tol:
+        elif abs(value) > OFF_X_TOL:
             raise NotXState(row, col)
         else:
             continue
@@ -101,19 +106,18 @@ def _read_blocks(entries: Mapping[tuple[int, int], float], n_modes: int, tol: fl
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
 
 
-def _pair_xstates(rho: SparseDensity) -> dict[tuple[Mode, Mode], XState]:
+def _pair_xstates(rho: SparseDensity) -> dict[tuple[str, str], XState]:
     """``extract_xstate(rho.reduce(pair))`` for every pair of modes, in layout order.
 
     Each pair's sums from the one scan of ``rho`` map straight to
     ``XState(2, blocks)``: block 0 is ``(rho_00, rho_33, rho_03)`` and block
-    1 is ``(rho_11, rho_22, rho_12)``, and any other sum above 1e-12, the
-    default tolerance of :func:`extract_xstate`, raises
-    :class:`NotXState`.  No two-mode :class:`SparseDensity` is built: a zero
+    1 is ``(rho_11, rho_22, rho_12)``, and any other sum above
+    :data:`OFF_X_TOL` raises :class:`NotXState`.  No two-mode :class:`SparseDensity` is built: a zero
     sum, which it would drop, leaves its slot at ``0.0`` (``math.fsum`` never
     returns ``-0.0``), and :class:`XState` checks the trace and the
     populations to the tolerances the density applies.
     """
-    return {pair: _read_blocks(sums, 2, 1e-12) for pair, sums in rho._pair_sums().items()}
+    return {pair: _read_blocks(sums, 2) for pair, sums in rho._pair_sums().items()}
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

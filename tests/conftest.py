@@ -11,7 +11,7 @@ the ``(a, b, c)`` triplet view of an X-state and a scenario's traced modes.
 
 import numpy as np
 
-from dilaton_gme import Mode, ScenarioSpec, SparseDensity, SparseState, XState, in_mode, out_mode
+from dilaton_gme import ScenarioSpec, SparseDensity, SparseState, XState, in_mode, out_mode
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
@@ -73,7 +73,7 @@ def dense_xstate(x: XState) -> np.ndarray:
     return mat
 
 
-def traced_modes(spec: ScenarioSpec) -> tuple[Mode, ...]:
+def traced_modes(spec: ScenarioSpec) -> tuple[str, ...]:
     """The dilaton partners that fall behind (or outside) reach."""
     ins = tuple(in_mode(i) for i in range(1, spec.n_out_kept + 1))
     outs = tuple(out_mode(i) for i in range(spec.n_out_kept + 1, spec.n_horizon + 1))

@@ -262,8 +262,8 @@ def test_criterion_8_structural_invariants():
     expanded = expand_kruskal(build_initial_state(spec), pair, spec)
     keeps = [
         spec.kept_modes(),
-        tuple(m for m in expanded.layout if m.label in ("F1", "O1", "O3", "I2")),
-        tuple(m for m in expanded.layout if m.label in ("F1", "O2", "O3", "I1")),
+        tuple(m for m in expanded.layout if m in ("F1", "O1", "O3", "I2")),
+        tuple(m for m in expanded.layout if m in ("F1", "O2", "O3", "I1")),
     ]
     perm_values = [
         gme_xstate(extract_xstate(partial_trace(expanded, keep))) for keep in keeps

@@ -13,10 +13,8 @@ from dilaton_gme import (
     OddN,
     bogoliubov,
     coeff_power,
-    e_accessible,
     e_general,
     e_grid,
-    e_inaccessible,
     extreme_limit,
     log_power,
     monogamy_residual,
@@ -40,13 +38,6 @@ FROZEN_E = [
 def test_e_general_frozen_values(theta, dilaton, p, q, expected):
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
     assert e_general(theta, pair, p, q) == pytest.approx(expected, rel=1e-13)
-
-
-def test_accessible_and_inaccessible_are_the_split_extremes():
-    pair = bogoliubov(BlackHoleParams(1.0, 0.7, 1.0))
-    theta = 0.9
-    assert e_accessible(theta, pair, 4) == e_general(theta, pair, 4, 0)
-    assert e_inaccessible(theta, pair, 4) == e_general(theta, pair, 0, 4)
 
 
 def test_theta_endpoints_kill_the_entanglement():

@@ -15,6 +15,7 @@ from dilaton_gme import (
     bogoliubov,
     build_initial_state,
     flat_mode,
+    gme,
     gme_pure,
     gme_xstate,
     pair_entanglement,
@@ -114,13 +115,20 @@ def test_gme_pure_grouped_parties():
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gme_pure_probe_counts_bipartitions():
+def test_gme_pure_probe_counts_bipartitions(monkeypatch):
     state = _ghz_state(4, 0.7)
     cells = [[m] for m in state.layout]
     seen = []
-    gme_pure(state, cells, probe=lambda mask, purity: seen.append((mask, purity)))
+
+    def counted_trace(state, keep):
+        rho = partial_trace(state, keep)
+        seen.append((tuple(keep), rho.purity()))
+        return rho
+
+    monkeypatch.setattr(gme, "partial_trace", counted_trace)
+    gme_pure(state, cells)
     assert len(seen) == 2 ** (4 - 1) - 1
-    assert len({mask for mask, _ in seen}) == len(seen)
+    assert len({keep for keep, _ in seen}) == len(seen)
     for _, purity in seen:
         assert purity == pytest.approx(math.cos(0.7) ** 4 + math.sin(0.7) ** 4, abs=1e-12)
 
@@ -184,5 +192,5 @@ def test_gme_pure_agrees_with_xstate_formula_on_full_state():
 
     expanded = expand_kruskal(build_initial_state(spec), pair, spec)
     # group each horizon pair (O_i, I_i) with its party
-    cells = [[flat_mode(1)], [flat_mode(2)], [m for m in expanded.layout if m.kind in ("out", "in")]]
+    cells = [[flat_mode(1)], [flat_mode(2)], [m for m in expanded.layout if m.startswith(("O", "I"))]]
     assert gme_pure(expanded, cells) == pytest.approx(math.sin(2 * theta), abs=1e-12)

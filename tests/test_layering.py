@@ -39,23 +39,24 @@ def test_oracle_modules_never_import_analytic():
     assert "analytic" not in reached and "verify" not in reached and "cli" not in reached
 
 
-# The package exports what the modules list in their ``__all__``; these are its 52 names.
+# The package exports what the modules list in their ``__all__``; these are its 49 names.
 _EXPORTS = """
 BlackHoleParams BogoliubovGrid BogoliubovPair DegenerateCoefficient DilatonGmeError
-InvalidDensity InvalidParams InvalidPartition InvalidSpec Mode ModeLayout NotXState OddN
+InvalidDensity InvalidParams InvalidPartition InvalidSpec ModeLayout NotXState OddN
 ScaleCap ScenarioSpec SparseDensity SparseState UnknownMode VerificationCheck
 VerificationReport XState __version__ bogoliubov build_block_matrix build_initial_state
-coeff_power default_oracle_grid e_accessible e_general e_grid e_inaccessible
-expand_kruskal extract_xstate extreme_limit flat_mode gme_pure gme_xstate in_mode
-kruskal_mode log_power monogamy_residual monotonicity_scan oracle_compare out_mode
-pair_entanglement partial_trace peak_dilaton relationship_suite scenario_density
-sum_rule_linear sum_rule_quadratic theta_derivative
+coeff_power default_oracle_grid e_general e_grid expand_kruskal extract_xstate
+extreme_limit flat_mode gme_pure gme_xstate in_mode kruskal_mode log_power
+monogamy_residual monotonicity_scan oracle_compare out_mode pair_entanglement
+partial_trace peak_dilaton relationship_suite scenario_density sum_rule_linear
+sum_rule_quadratic theta_derivative
 """.split()
 
 
 def test_package_exports_are_pinned():
-    assert len(_EXPORTS) == 52
+    assert len(_EXPORTS) == 49
     assert sorted(dilaton_gme.__all__) == _EXPORTS
     for name in _EXPORTS:
         assert getattr(dilaton_gme, name) is not None
-    assert not hasattr(dilaton_gme, "GridPoint")
+    for gone in ("GridPoint", "Mode", "e_accessible", "e_inaccessible"):
+        assert not hasattr(dilaton_gme, gone)

@@ -8,11 +8,11 @@ import pytest
 
 from dilaton_gme import (
     BlackHoleParams,
+    DilatonGmeError,
     InvalidDensity,
     InvalidParams,
     InvalidPartition,
     InvalidSpec,
-    Mode,
     ModeLayout,
     NotXState,
     ScaleCap,
@@ -38,20 +38,19 @@ from conftest import dense_density, dense_state, traced_modes
 
 
 def test_mode_labels():
-    assert flat_mode(1).label == "F1"
-    assert kruskal_mode(3).label == "K3"
-    assert out_mode(2).label == "O2"
-    assert in_mode(7).label == "I7"
-    assert str(out_mode(2)) == "O2"
+    # A mode is its label.
+    assert flat_mode(1) == "F1"
+    assert kruskal_mode(3) == "K3"
+    assert out_mode(2) == "O2"
+    assert in_mode(7) == "I7"
+    assert type(out_mode(2)) is str
 
 
 def test_mode_validation():
-    with pytest.raises(InvalidSpec):
-        Mode("bogus", 1)
-    with pytest.raises(InvalidSpec):
-        Mode("flat", 0)
-    with pytest.raises(InvalidSpec):
-        Mode("out", -2)
+    for factory in (flat_mode, kruskal_mode, out_mode, in_mode):
+        for index in (True, 0, -2, 1.0):
+            with pytest.raises(InvalidSpec, match=f"^mode index must be a positive integer, got {index}$"):
+                factory(index)
 
 
 def test_layout_position_and_bit():
@@ -78,13 +77,15 @@ def test_layout_validation():
         ModeLayout(())
     with pytest.raises(InvalidSpec):
         ModeLayout((flat_mode(1), flat_mode(1)))
-    base = ModeLayout((flat_mode(1), flat_mode(2)))
     with pytest.raises(InvalidSpec, match="^layout contains a duplicate mode$"):
-        base._extended((out_mode(1), flat_mode(2)))
-    extended = base._extended((out_mode(1), in_mode(1)))
-    assert extended == ModeLayout(base.modes + (out_mode(1), in_mode(1)))
-    assert [extended.position(m) for m in extended] == [0, 1, 2, 3]
-    assert base.modes == (flat_mode(1), flat_mode(2)) and in_mode(1) not in base
+        ModeLayout((flat_mode(1), flat_mode(2), out_mode(1), flat_mode(2)))
+
+
+@pytest.mark.parametrize("modes", [(1, 2), (flat_mode(1), None), (flat_mode(1), ("F", 2))])
+def test_layout_refuses_a_mode_that_is_not_a_label(modes):
+    with pytest.raises(InvalidSpec, match=r"^a mode is its label string, got ") as excinfo:
+        ModeLayout(modes)
+    assert isinstance(excinfo.value, DilatonGmeError)
 
 
 def test_scenario_spec_layouts():
@@ -92,8 +93,8 @@ def test_scenario_spec_layouts():
     assert spec.n_flat == 2
     assert spec.kruskal_layout().labels() == "F1,F2,K1,K2,K3"
     assert spec.expanded_layout().labels() == "F1,F2,O1,O2,O3,I1,I2,I3"
-    assert tuple(m.label for m in spec.kept_modes()) == ("F1", "F2", "O1", "O2", "I3")
-    assert tuple(m.label for m in traced_modes(spec)) == ("I1", "I2", "O3")
+    assert spec.kept_modes() == ("F1", "F2", "O1", "O2", "I3")
+    assert traced_modes(spec) == ("I1", "I2", "O3")
     # The plan: F1..O2 and I3 kept in two runs, O3, I1 and I2 traced.
     assert spec._registers[2][1:] == (0b00_001_110, ((4, 4, 0b1111), (0, 1, 0b1)))
 
@@ -142,8 +143,8 @@ def test_scenario_spec_builds_its_registers_once():
     assert restored == spec and restored.expanded_layout() == spec.expanded_layout()
     moved = dataclasses.replace(spec, n_out_kept=1, n_in_kept=2)
     assert moved.kruskal_layout() == spec.kruskal_layout()
-    assert tuple(m.label for m in moved.kept_modes()) == ("F1", "F2", "O1", "I2", "I3")
-    assert tuple(m.label for m in spec.kept_modes()) == ("F1", "F2", "O1", "O2", "I3")
+    assert moved.kept_modes() == ("F1", "F2", "O1", "I2", "I3")
+    assert spec.kept_modes() == ("F1", "F2", "O1", "O2", "I3")
 
 
 def _every_shape(max_parties):
@@ -192,24 +193,20 @@ def test_scenario_point_hashes_no_mode(monkeypatch):
     spec = ScenarioSpec(40, 3, 1, 2, 0.5)
     pair = bogoliubov(BlackHoleParams(1.0, 0.4, 1.0))
     spec.kept_modes()
-    counts = {"hash": 0, "position": 0}
-    mode_hash, position = Mode.__hash__, ModeLayout.position
-
-    def counted_hash(self):
-        counts["hash"] += 1
-        return mode_hash(self)
+    calls = 0
+    position = ModeLayout.position
 
     def counted_position(self, mode):
-        counts["position"] += 1
+        nonlocal calls
+        calls += 1
         return position(self, mode)
 
-    monkeypatch.setattr(Mode, "__hash__", counted_hash)
     monkeypatch.setattr(ModeLayout, "position", counted_position)
     rho = scenario_density(spec, pair)
-    assert counts == {"hash": 0, "position": 0}
-    # The counters do count: the public partial trace looks every kept mode up.
+    assert calls == 0
+    # The counter does count: the public partial trace looks every kept mode up.
     partial_trace(expand_kruskal(build_initial_state(spec), pair, spec), spec.kept_modes())
-    assert counts["position"] == 40 and counts["hash"] >= 40
+    assert calls == 40
     assert len(rho.layout) == 40
 
 
@@ -307,8 +304,7 @@ def _dense_reduction(vec, n_modes, kept_positions):
 def test_partial_trace_matches_dense_oracle(seed, kept_labels):
     rng = np.random.default_rng(seed)
     state, vec = _random_state(rng, 4)
-    by_label = {m.label: m for m in state.layout}
-    keep = [by_label[l] for l in kept_labels]
+    keep = list(kept_labels)
     rho = partial_trace(state, keep)
     expected = _dense_reduction(vec, 4, [state.layout.position(m) for m in keep])
     np.testing.assert_allclose(dense_density(rho), expected, atol=1e-13)
@@ -323,6 +319,9 @@ def test_partial_trace_partition_errors():
         partial_trace(state, [flat_mode(1), flat_mode(1)])
     with pytest.raises(InvalidPartition):
         partial_trace(state, [out_mode(9)])
+    # A kept mode that is not a label is not in the layout, not a duplicate.
+    with pytest.raises(InvalidPartition, match=r"^mode 1 is not part of layout F1,F2,F3$"):
+        partial_trace(state, [1])
 
 
 def test_density_reduce_composes_with_partial_trace():
@@ -337,14 +336,13 @@ def test_density_reduce_composes_with_partial_trace():
 
 
 def _assert_pairs_match_reduce(rho):
-    pairs = rho.pair_reductions()
+    pairs = rho._pair_sums()
     assert list(pairs) == list(itertools.combinations(rho.layout.modes, 2))
     xstates, off_x = {}, None
-    for keep, got in pairs.items():
+    for keep, sums in pairs.items():
         expected = rho.reduce(keep)
-        assert got.layout == expected.layout
         # Same keys in the same order, and floats equal to the last bit.
-        assert list(got.entries.items()) == list(expected.entries.items())
+        assert list(sums.items()) == list(expected.entries.items())
         try:
             xstates[keep] = extract_xstate(expected)
         except NotXState as exc:

@@ -165,15 +165,19 @@ def test_extract_rejects_entries_off_the_x():
 
 
 def test_extract_tolerates_junk_below_tol():
+    # Entries off the X are read as zero up to 1e-12 in magnitude.
     layout = ModeLayout((flat_mode(1), flat_mode(2)))
     rho = SparseDensity(
         layout, {(0, 0): 0.5, (3, 3): 0.5, (0, 1): 1e-13}
     )
-    a, _, _ = triplets(extract_xstate(rho, tol=1e-12))
+    a, _, _ = triplets(extract_xstate(rho))
     assert a == (0.5, 0.0)
     assert _pair_xstates(rho) == {(flat_mode(1), flat_mode(2)): extract_xstate(rho)}
+    above = SparseDensity(layout, {(0, 0): 0.5, (3, 3): 0.5, (0, 1): 2e-12})
     with pytest.raises(NotXState):
-        extract_xstate(rho, tol=1e-14)
+        extract_xstate(above)
+    with pytest.raises(NotXState):
+        _pair_xstates(above)
 
 
 # Frozen from a 60-digit evaluation of the block structure at
