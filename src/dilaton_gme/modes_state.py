@@ -16,10 +16,9 @@ A :class:`ScenarioSpec` builds its registers once, in O(N), together with
 a trace plan from the same builder :func:`partial_trace` uses: the kept
 layout, the mask of the traced bits and the runs of consecutive kept bits.
 Each scenario point then costs O(2**n) operations on its labels, whatever
-the party count; see :data:`SCALE_BUDGET`.  One pass over a density's
-entries yields the sums of every two-mode reduction, which the
-verification suite reads as X-state blocks without building a two-mode
-density.
+the party count; see :data:`SCALE_BUDGET`.  Each container checks its
+input in one pass, and every basis label, entry index and block index
+obeys one rule: an ``int`` that is not a ``bool``.
 """
 
 from __future__ import annotations
@@ -65,9 +64,14 @@ NORM_TOL = 1e-12
 SCALE_BUDGET = 13 * 2**11
 
 
+def _is_index(value: object) -> bool:
+    """The one rule for a mode index, basis label or block index: an ``int`` but not a ``bool``."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def _mode(prefix: str, index: int) -> str:
     """The label ``prefix + index``: ``F``, ``K``, ``O`` or ``I``, then a 1-based index."""
-    if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+    if not _is_index(index) or index < 1:
         raise InvalidSpec(f"mode index must be a positive integer, got {index!r}")
     return f"{prefix}{index}"
 
@@ -96,14 +100,16 @@ class ModeLayout:
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if not self.modes:
+        modes = tuple(self.modes)
+        object.__setattr__(self, "modes", modes)
+        if not modes:
             raise InvalidSpec("a layout needs at least one mode")
-        for mode in self.modes:
+        positions: dict[str, int] = {}
+        for i, mode in enumerate(modes):
             if not isinstance(mode, str):
                 raise InvalidSpec(f"a mode is its label string, got {mode!r}")
-        positions = {mode: i for i, mode in enumerate(self.modes)}
-        if len(positions) != len(self.modes):
+            positions[mode] = i
+        if len(positions) != len(modes):
             raise InvalidSpec("layout contains a duplicate mode")
         object.__setattr__(self, "_positions", positions)
 
@@ -122,10 +128,6 @@ class ModeLayout:
             return self._positions[mode]
         except KeyError:
             raise UnknownMode(f"mode {mode} is not part of layout {self.labels()}") from None
-
-    def bit(self, label: int, mode: str) -> int:
-        """Occupation of ``mode`` in the basis state ``label``."""
-        return (label >> (len(self.modes) - 1 - self.position(mode))) & 1
 
     def labels(self) -> str:
         return ",".join(self.modes)
@@ -207,12 +209,13 @@ class ScenarioSpec:
         The plan traces the expanded register onto :meth:`kept_modes`.
         """
         n, p = self.n_horizon, self.n_out_kept
-        flats = tuple(flat_mode(i) for i in range(1, self.n_flat + 1))
+        # The fields are checked integers, so the labels need no mode factory.
+        flats = tuple([f"F{i}" for i in range(1, self.n_flat + 1)])
         indices = range(1, n + 1)
-        outs = tuple(out_mode(i) for i in indices)
-        ins = tuple(in_mode(i) for i in indices)
+        outs = tuple([f"O{i}" for i in indices])
+        ins = tuple([f"I{i}" for i in indices])
         expanded = ModeLayout(flats + outs + ins)
-        kruskal = ModeLayout(flats + tuple(kruskal_mode(i) for i in indices))
+        kruskal = ModeLayout(flats + tuple([f"K{i}" for i in indices]))
         return kruskal, expanded, _plan(expanded, flats + outs[:p] + ins[p:])
 
     def kruskal_layout(self) -> ModeLayout:
@@ -238,24 +241,20 @@ class SparseState:
     def __post_init__(self):
         dim = 1 << len(self.layout)
         cleaned: dict[int, float] = {}
+        squares: list[float] = []
         for label, amp in self.amplitudes.items():
-            if not isinstance(label, int) or not 0 <= label < dim:
+            if not (_is_index(label) and 0 <= label < dim):
                 raise InvalidParams(
                     f"basis label {label!r} outside [0, {dim}) for layout {self.layout.labels()}"
                 )
             value = float(amp)
             if abs(value) >= AMPLITUDE_TOL:
                 cleaned[label] = value
+                squares.append(value * value)
         object.__setattr__(self, "amplitudes", cleaned)
-        norm_sq = math.fsum(a * a for a in cleaned.values())
+        norm_sq = math.fsum(squares)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise InvalidParams(f"state norm**2 deviates from 1 by {norm_sq - 1.0:.3e}")
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(a * a for a in self.amplitudes.values()))
-
-    def amplitude(self, label: int) -> float:
-        return self.amplitudes.get(label, 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,35 +275,41 @@ class SparseDensity:
     def __post_init__(self):
         dim = 1 << len(self.layout)
         canonical: dict[tuple[int, int], float] = {}
-        for (row, col), value in self.entries.items():
-            if not (0 <= row < dim and 0 <= col < dim):
+        diagonal: list[float] = []
+        negative = None  # the first diagonal entry below -1e-14, reported after the trace
+        zeros = False
+        for key, value in self.entries.items():
+            row, col = key
+            if not (_is_index(row) and _is_index(col) and 0 <= row < dim and 0 <= col < dim):
                 raise InvalidDensity(
                     f"entry ({row}, {col}) outside [0, {dim})**2 for layout "
                     f"{self.layout.labels()}"
                 )
-            key = (row, col) if row <= col else (col, row)
+            if row > col:
+                key = (col, row)
             value = float(value)
-            if key in canonical and abs(canonical[key] - value) > 1e-12:
-                raise InvalidDensity(
-                    f"asymmetric values for entry {key}: "
-                    f"{canonical[key]!r} vs {value!r}"
-                )
-            canonical.setdefault(key, value)
-        canonical = {k: v for k, v in canonical.items() if v != 0.0}
+            if key in canonical:  # a mirrored duplicate: the first value stays
+                if abs(canonical[key] - value) > 1e-12:
+                    raise InvalidDensity(
+                        f"asymmetric values for entry {key}: "
+                        f"{canonical[key]!r} vs {value!r}"
+                    )
+                continue
+            canonical[key] = value
+            if row == col:
+                diagonal.append(value)
+                if value < -1e-14 and negative is None:
+                    negative = f"negative diagonal entry {value!r} at ({row}, {row})"
+            if not value:
+                zeros = True
+        if zeros:
+            canonical = {k: v for k, v in canonical.items() if v != 0.0}
         object.__setattr__(self, "entries", canonical)
-        trace = math.fsum(v for (r, c), v in canonical.items() if r == c)
+        trace = math.fsum(diagonal)
         if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
-        for (r, c), v in canonical.items():
-            if r == c and v < -1e-14:
-                raise InvalidDensity(f"negative diagonal entry {v!r} at ({r}, {r})")
-
-    def value(self, row: int, col: int) -> float:
-        key = (row, col) if row <= col else (col, row)
-        return self.entries.get(key, 0.0)
-
-    def trace(self) -> float:
-        return math.fsum(v for (r, c), v in self.entries.items() if r == c)
+        if negative is not None:
+            raise InvalidDensity(negative)
 
     def purity(self) -> float:
         """``Tr rho**2``; off-diagonal entries count twice."""
@@ -325,53 +330,15 @@ class SparseDensity:
         entries = {key: math.fsum(values) for key, values in acc.items()}
         return SparseDensity(layout, entries)
 
-    def _pair_sums(self) -> dict[tuple[str, str], dict[tuple[int, int], float]]:
-        """Upper-triangle entries of every two-mode reduction, unvalidated, from one scan.
-
-        An entry survives the trace onto a pair only when its row and column
-        differ on no other mode: a diagonal entry feeds every pair, one that
-        differs on a single mode the pairs through it, one that differs on two
-        modes that pair alone, and any other entry no pair.  Each key's values
-        are summed with ``math.fsum`` in entry order, as :meth:`reduce` sums
-        them, so a pair's sums are the entries ``reduce`` would store.
-        """
-        modes = self.layout.modes
-        top = len(modes) - 1
-        pairs = list(itertools.combinations(range(len(modes)), 2))
-        through = [[(i, j) for i, j in pairs if k in (i, j)] for k in range(len(modes))]
-        acc: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
-        for (row, col), value in self.entries.items():
-            diff = row ^ col
-            low = diff & -diff
-            high = diff ^ low
-            if high & (high - 1):
-                continue
-            if not diff:
-                targets = pairs
-            elif not high:
-                targets = through[top + 1 - low.bit_length()]
-            else:
-                targets = ((top + 1 - high.bit_length(), top + 1 - low.bit_length()),)
-            row_bits = [(row >> (top - k)) & 1 for k in range(top + 1)]
-            col_bits = [(col >> (top - k)) & 1 for k in range(top + 1)] if diff else row_bits
-            for i, j in targets:
-                rk = (row_bits[i] << 1) | row_bits[j]
-                ck = (col_bits[i] << 1) | col_bits[j]
-                key = (rk, ck) if rk <= ck else (ck, rk)
-                acc[i, j].setdefault(key, []).append(value)
-        return {
-            (modes[i], modes[j]): {key: math.fsum(values) for key, values in sums.items()}
-            for (i, j), sums in acc.items()
-        }
-
 
 def _plan(layout: ModeLayout, keep: Sequence[str]) -> TracePlan:
     """The :data:`TracePlan` from ``layout`` onto ``keep``, in ``keep`` order."""
     kept = tuple(keep)
     if not kept:
         raise InvalidPartition("must keep at least one mode")
+    top = len(layout) - 1
     try:
-        shifts = [len(layout) - 1 - layout.position(mode) for mode in kept]
+        shifts = [top - layout.position(mode) for mode in kept]
     except UnknownMode as exc:
         raise InvalidPartition(str(exc)) from None
     try:

@@ -163,14 +163,15 @@ def oracle_compare(grid: Optional[Iterable[GridPoint]] = None) -> VerificationRe
         from_oracle = extract_xstate(rho)
         e_oracle = gme_xstate(from_oracle)
         e_closed = e_general(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
-        worst_e.update(e_oracle - e_closed, _describe(spec, params))
+        inputs = _describe(spec, params)
+        worst_e.update(e_oracle - e_closed, inputs)
         from_blocks = build_block_matrix(spec, pair)
         entry_error = max(
             abs(x - y)
             for i in from_oracle.blocks.keys() | from_blocks.blocks.keys()
             for x, y in zip(from_oracle.blocks.get(i, zero), from_blocks.blocks.get(i, zero))
         )
-        worst_dual.update(entry_error, _describe(spec, params))
+        worst_dual.update(entry_error, inputs)
     return VerificationReport(
         (
             _check("oracle-vs-analytic", len(points), worst_e.error, ORACLE_TOL, worst_e.inputs),
@@ -208,16 +209,15 @@ def relationship_suite(
         raise InvalidParams(
             f"max_horizon must be at most {MAX_SUM_RULE_HORIZON}, got {_count_text(max_horizon)}"
         )
+    # Every dilaton and theta is checked before the first sum.
+    black_holes = [BlackHoleParams(mass, dilaton * mass, omega) for dilaton in dilatons]
+    for theta in thetas:
+        _check_theta(theta)
     worst_quad = _Worst()
     worst_lin = _Worst()
     horizons = range(1, max_horizon + 1)
-    for index, dilaton in enumerate(dilatons):
-        params = BlackHoleParams(mass, dilaton * mass, omega)
+    for params in black_holes:
         pair = bogoliubov(params)
-        if index == 0:
-            # Checked once, after the first pair, where the scalar rules would check them.
-            for theta in thetas:
-                _check_theta(theta)
         quadratic = {n: _binomial_sums(thetas, pair, n, 1, 2) for n in horizons}
         linear = {n: _binomial_sums(thetas, pair, n, 2, 1) for n in horizons[1::2]}
         for t, theta in enumerate(thetas):

@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilaton_gme import (
     BlackHoleParams,
@@ -20,6 +23,7 @@ from dilaton_gme import (
     SparseDensity,
     SparseState,
     UnknownMode,
+    XState,
     bogoliubov,
     build_initial_state,
     expand_kruskal,
@@ -33,8 +37,19 @@ from dilaton_gme import (
 )
 from dilaton_gme.modes_state import SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid
-from dilaton_gme.xstate import _pair_xstates
-from conftest import dense_density, dense_state, traced_modes
+from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
+from conftest import (
+    dense_density,
+    dense_state,
+    density_trace,
+    density_value,
+    mode_bit,
+    pair_sums,
+    read_blocks,
+    state_amplitude,
+    state_norm,
+    traced_modes,
+)
 
 
 def test_mode_labels():
@@ -60,9 +75,9 @@ def test_layout_position_and_bit():
     assert layout.position(in_mode(1)) == 2
     assert layout.labels() == "F1,O1,I1"
     # label 0b110 = F1 and O1 occupied, I1 empty
-    assert layout.bit(6, flat_mode(1)) == 1
-    assert layout.bit(6, out_mode(1)) == 1
-    assert layout.bit(6, in_mode(1)) == 0
+    assert mode_bit(layout, 6, flat_mode(1)) == 1
+    assert mode_bit(layout, 6, out_mode(1)) == 1
+    assert mode_bit(layout, 6, in_mode(1)) == 0
     with pytest.raises(UnknownMode, match=r"^mode K1 is not part of layout F1,O1,I1$"):
         layout.position(kruskal_mode(1))
     assert kruskal_mode(1) not in layout and in_mode(1) in layout
@@ -214,8 +229,8 @@ def test_sparse_state_basics():
     layout = ModeLayout((flat_mode(1), flat_mode(2)))
     state = SparseState(layout, {0: 0.6, 3: 0.8, 1: 1e-16})
     assert state.amplitudes == {0: 0.6, 3: 0.8}  # tiny term pruned
-    assert state.amplitude(1) == 0.0
-    assert state.norm() == pytest.approx(1.0)
+    assert state_amplitude(state, 1) == 0.0
+    assert state_norm(state) == pytest.approx(1.0)
     np.testing.assert_allclose(dense_state(state), [0.6, 0.0, 0.0, 0.8])
 
 
@@ -243,9 +258,9 @@ def test_expand_kruskal_two_party_hand_case():
     expanded = expand_kruskal(build_initial_state(spec), pair, spec)
     assert expanded.layout.labels() == "F1,O1,I1"
     # cos * alpha |000>, cos * beta |011>, sin |110>
-    assert expanded.amplitude(0b000) == pytest.approx(0.5, abs=1e-15)
-    assert expanded.amplitude(0b011) == pytest.approx(0.5, abs=1e-15)
-    assert expanded.amplitude(0b110) == pytest.approx(2.0**-0.5, abs=1e-15)
+    assert state_amplitude(expanded, 0b000) == pytest.approx(0.5, abs=1e-15)
+    assert state_amplitude(expanded, 0b011) == pytest.approx(0.5, abs=1e-15)
+    assert state_amplitude(expanded, 0b110) == pytest.approx(2.0**-0.5, abs=1e-15)
     assert set(expanded.amplitudes) == {0b000, 0b011, 0b110}
 
 
@@ -270,7 +285,7 @@ def test_expand_preserves_norm(dilaton, theta):
     spec = ScenarioSpec(4, 3, 1, 2, theta)
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
     expanded = expand_kruskal(build_initial_state(spec), pair, spec)
-    assert abs(expanded.norm() - 1.0) < 1e-14
+    assert abs(state_norm(expanded) - 1.0) < 1e-14
 
 
 def _random_state(rng, n_modes):
@@ -308,7 +323,7 @@ def test_partial_trace_matches_dense_oracle(seed, kept_labels):
     rho = partial_trace(state, keep)
     expected = _dense_reduction(vec, 4, [state.layout.position(m) for m in keep])
     np.testing.assert_allclose(dense_density(rho), expected, atol=1e-13)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-13)
+    assert density_trace(rho) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_partial_trace_partition_errors():
@@ -336,35 +351,57 @@ def test_density_reduce_composes_with_partial_trace():
 
 
 def _assert_pairs_match_reduce(rho):
-    pairs = rho._pair_sums()
-    assert list(pairs) == list(itertools.combinations(rho.layout.modes, 2))
-    xstates, off_x = {}, None
-    for keep, sums in pairs.items():
-        expected = rho.reduce(keep)
-        # Same keys in the same order, and floats equal to the last bit.
-        assert list(sums.items()) == list(expected.entries.items())
+    """Hold ``_pair_xstates`` against ``extract_xstate(rho.reduce(pair))`` pair by pair.
+
+    The same pairs and blocks in the same order, floats equal to the last
+    bit; or, where a reduction fails the X-state reading, the same error at
+    the first such pair, with the same ``NotXState`` position.
+    """
+    expected, failure = {}, None
+    for keep in itertools.combinations(rho.layout.modes, 2):
         try:
-            xstates[keep] = extract_xstate(expected)
-        except NotXState as exc:
-            if off_x is None:
-                off_x = (exc.row, exc.col)
-    # The X-states read straight off the pair scan: the same blocks, or the
-    # NotXState of the first pair whose reduction is off the X.
-    if off_x is None:
-        got_x = _pair_xstates(rho)
-        assert list(got_x) == list(xstates)
-        for keep, x in got_x.items():
+            expected[keep] = extract_xstate(rho.reduce(keep))
+        except DilatonGmeError as exc:
+            failure = exc
+            break
+    if failure is None:
+        got = _pair_xstates(rho)
+        assert list(got) == list(expected)
+        for keep, x in got.items():
             assert x.half_dimension == 2
-            assert list(x.blocks.items()) == list(xstates[keep].blocks.items())
+            assert list(x.blocks.items()) == list(expected[keep].blocks.items())
     else:
+        with pytest.raises(type(failure)) as excinfo:
+            _pair_xstates(rho)
+        assert str(excinfo.value) == str(failure)
+        if isinstance(failure, NotXState):
+            assert (excinfo.value.row, excinfo.value.col) == (failure.row, failure.col)
+
+
+def _assert_old_pair_path_matches(rho):
+    """The earlier two-pass pair reading: ``reduce``'s entries, and the production X-states."""
+    sums = pair_sums(rho)
+    assert list(sums) == list(itertools.combinations(rho.layout.modes, 2))
+    for keep, pair in sums.items():
+        assert list(pair.items()) == list(rho.reduce(keep).entries.items())
+    try:
+        old = {keep: read_blocks(pair, 2) for keep, pair in sums.items()}
+    except NotXState as exc:
         with pytest.raises(NotXState) as excinfo:
             _pair_xstates(rho)
-        assert (excinfo.value.row, excinfo.value.col) == off_x
+        assert (excinfo.value.row, excinfo.value.col) == (exc.row, exc.col)
+    else:
+        got = _pair_xstates(rho)
+        assert [list(x.blocks.items()) for x in got.values()] == [
+            list(x.blocks.items()) for x in old.values()
+        ]
 
 
 def test_pair_reductions_match_reduce_on_the_oracle_grid():
     for spec, params in default_oracle_grid():
-        _assert_pairs_match_reduce(scenario_density(spec, bogoliubov(params)))
+        rho = scenario_density(spec, bogoliubov(params))
+        _assert_pairs_match_reduce(rho)
+        _assert_old_pair_path_matches(rho)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -375,17 +412,65 @@ def test_pair_reductions_match_reduce_on_dense_states(seed, n_modes):
     state, _ = _random_state(np.random.default_rng(seed), n_modes)
     rho = partial_trace(state, list(state.layout))
     assert len(rho.entries) == (1 << n_modes) * ((1 << n_modes) + 1) // 2
-    _assert_pairs_match_reduce(rho)
     # A register in another order than the state's.
-    _assert_pairs_match_reduce(partial_trace(state, list(reversed(state.layout.modes))))
+    for density in (rho, partial_trace(state, list(reversed(state.layout.modes)))):
+        _assert_pairs_match_reduce(density)
+        _assert_old_pair_path_matches(density)
+
+
+def test_pair_blocks_follow_the_first_entry_that_survives_the_reduction():
+    # On F1, F2 the first two entries add to rho_11 and cancel, so reduce drops
+    # that entry and block 0 leads; on F1, F3 the first entry leads block 0.
+    layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
+    rho = SparseDensity(layout, {(2, 2): 1e-14, (3, 3): -1e-14, (0, 0): 0.5, (4, 4): 0.5})
+    _assert_pairs_match_reduce(rho)
+    assert [list(x.blocks) for x in _pair_xstates(rho).values()] == [[0, 1], [0, 1], [1, 0]]
+
+
+@st.composite
+def _mixed_densities(draw):
+    """Mixtures of two-label pure states on 3 to 5 modes, with entries at +-OFF_X_TOL.
+
+    Each component ``cos(phi)|row> + sin(phi)|row ^ flip>`` adds two
+    populations and one coherence that differs on the modes of ``flip``:
+    one, two, or three and more.  Entries of magnitude exactly
+    ``OFF_X_TOL`` sit at further such positions, and the entries come in
+    any order, so a coherence may precede every population.
+    """
+    n_modes = draw(st.integers(3, 5))
+    labels = st.integers(0, (1 << n_modes) - 1)
+    flips = st.integers(1, (1 << n_modes) - 1)
+    components = draw(
+        st.lists(st.tuples(labels, flips, st.floats(0.1, 1.0), st.floats(-1.6, 1.6)), min_size=1, max_size=6)
+    )
+    total = math.fsum(weight for _, _, weight, _ in components)
+    parts: dict[tuple[int, int], list[float]] = {}
+    for row, flip, weight, phi in components:
+        col, w, cos, sin = row ^ flip, weight / total, math.cos(phi), math.sin(phi)
+        parts.setdefault((row, row), []).append(w * cos * cos)
+        parts.setdefault((col, col), []).append(w * sin * sin)
+        parts.setdefault((min(row, col), max(row, col)), []).append(w * cos * sin)
+    entries = {key: math.fsum(values) for key, values in parts.items()}
+    for row, flip, sign in draw(st.lists(st.tuples(labels, flips, st.sampled_from((1, -1))), max_size=3)):
+        col = row ^ flip
+        entries.setdefault((min(row, col), max(row, col)), sign * OFF_X_TOL)
+    order = draw(st.permutations(list(entries)))
+    layout = ModeLayout(tuple(flat_mode(i) for i in range(1, n_modes + 1)))
+    return SparseDensity(layout, {key: entries[key] for key in order})
+
+
+@settings(deadline=None)
+@given(rho=_mixed_densities())
+def test_pair_reductions_match_reduce_on_mixed_densities(rho):
+    _assert_pairs_match_reduce(rho)
 
 
 def test_sparse_density_validation():
     layout = ModeLayout((flat_mode(1),))
     # mirrored duplicates that agree are merged
     rho = SparseDensity(layout, {(0, 1): 0.3, (1, 0): 0.3, (0, 0): 0.5, (1, 1): 0.5})
-    assert rho.value(1, 0) == 0.3
-    assert rho.value(0, 1) == 0.3
+    assert density_value(rho, 1, 0) == 0.3
+    assert density_value(rho, 0, 1) == 0.3
     with pytest.raises(InvalidDensity):
         SparseDensity(layout, {(0, 1): 0.3, (1, 0): 0.1, (0, 0): 0.5, (1, 1): 0.5})
     with pytest.raises(InvalidDensity):
@@ -394,6 +479,48 @@ def test_sparse_density_validation():
         SparseDensity(layout, {(0, 0): 1.5, (1, 1): -0.5})  # negative diagonal
     with pytest.raises(InvalidDensity):
         SparseDensity(layout, {(0, 2): 1.0})  # out of range
+
+
+_ONE_MODE = ModeLayout((flat_mode(1),))
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (
+            lambda: SparseDensity(_ONE_MODE, {(0.5, 0.5): 1.0}),
+            InvalidDensity,
+            "entry (0.5, 0.5) outside [0, 2)**2 for layout F1",
+        ),
+        (
+            lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (True, True): 0.5}),
+            InvalidDensity,
+            "entry (True, True) outside [0, 2)**2 for layout F1",
+        ),
+        (
+            lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (0, 1.0): 0.1}),
+            InvalidDensity,
+            "entry (0, 1.0) outside [0, 2)**2 for layout F1",
+        ),
+        (
+            lambda: SparseState(_ONE_MODE, {True: 1.0}),
+            InvalidParams,
+            "basis label True outside [0, 2) for layout F1",
+        ),
+        (
+            lambda: SparseState(_ONE_MODE, {0: 0.6, 1.0: 0.8}),
+            InvalidParams,
+            "basis label 1.0 outside [0, 2) for layout F1",
+        ),
+        (lambda: XState(2, {True: (1.0, 0.0, 0.0)}), InvalidDensity, "block index True outside [0, 2)"),
+        (lambda: XState(2, {0.0: (1.0, 0.0, 0.0)}), InvalidDensity, "block index 0.0 outside [0, 2)"),
+    ],
+    ids=["density-float", "density-bool", "density-float-col", "state-bool", "state-float",
+         "xstate-bool", "xstate-float"],
+)
+def test_an_index_is_an_int_but_not_a_bool(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_density_purity():
@@ -410,12 +537,12 @@ def test_scenario_density_hand_case():
     pair = bogoliubov(BlackHoleParams(1.0, 1.0, 1.0))
     rho = scenario_density(spec, pair)
     assert rho.layout.labels() == "F1,O1"
-    assert rho.value(0, 0) == pytest.approx(0.25, abs=1e-15)
-    assert rho.value(1, 1) == pytest.approx(0.25, abs=1e-15)
-    assert rho.value(3, 3) == pytest.approx(0.5, abs=1e-15)
-    assert rho.value(0, 3) == pytest.approx(0.125**0.5, abs=1e-15)
-    assert rho.value(2, 2) == 0.0
-    assert rho.value(1, 2) == 0.0
+    assert density_value(rho, 0, 0) == pytest.approx(0.25, abs=1e-15)
+    assert density_value(rho, 1, 1) == pytest.approx(0.25, abs=1e-15)
+    assert density_value(rho, 3, 3) == pytest.approx(0.5, abs=1e-15)
+    assert density_value(rho, 0, 3) == pytest.approx(0.125**0.5, abs=1e-15)
+    assert density_value(rho, 2, 2) == 0.0
+    assert density_value(rho, 1, 2) == 0.0
 
 
 def test_scenario_density_is_positive_semidefinite():
@@ -424,7 +551,7 @@ def test_scenario_density_is_positive_semidefinite():
     rho = scenario_density(spec, pair)
     eigenvalues = np.linalg.eigvalsh(dense_density(rho))
     assert eigenvalues.min() > -1e-14
-    assert rho.trace() == pytest.approx(1.0, abs=1e-13)
+    assert density_trace(rho) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_scale_cap():

@@ -18,6 +18,7 @@ from dilaton_gme import (
     sum_rule_linear,
     sum_rule_quadratic,
 )
+from dilaton_gme import verify
 from dilaton_gme.verify import MAX_GRID_STEPS, MAX_SUM_RULE_HORIZON, dilaton_grid
 
 
@@ -143,6 +144,44 @@ def test_relationship_suite_checks_max_horizon_up_front(max_horizon, message):
 def test_relationship_suite_input_errors(kwargs, error, message):
     with pytest.raises(error, match=message):
         relationship_suite(grid=[], max_horizon=3, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,message",
+    [
+        # No dilaton, so no sum to run: the thetas are checked all the same.
+        ({"dilatons": (), "thetas": (math.nan, 7.0)}, InvalidSpec, r"^theta must be a finite number, got nan$"),
+        ({"dilatons": (0.0, 0.5, 1.5)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
+        ({"dilatons": (0.0, 0.5), "thetas": (0.3, 2.0)}, InvalidSpec, r"^theta must lie in \[0, pi/2\]"),
+    ],
+    ids=["no-dilaton", "third-dilaton", "second-theta"],
+)
+def test_relationship_suite_checks_every_input_before_the_first_sum(monkeypatch, kwargs, error, message):
+    sums = []
+    binomial_sums = verify._binomial_sums
+
+    def counted(*args):
+        sums.append(args)
+        return binomial_sums(*args)
+
+    monkeypatch.setattr(verify, "_binomial_sums", counted)
+    with pytest.raises(error, match=message):
+        relationship_suite(grid=[], **kwargs)
+    assert sums == []
+
+
+def test_oracle_compare_describes_each_point_once(monkeypatch):
+    described = []
+    describe = verify._describe
+
+    def counted(spec, params):
+        described.append(spec)
+        return describe(spec, params)
+
+    monkeypatch.setattr(verify, "_describe", counted)
+    spec = ScenarioSpec(4, 2, 1, 1, 0.5)
+    assert oracle_compare([(spec, BlackHoleParams(1.0, 0.3, 1.0))]).passed
+    assert described == [spec]
 
 
 def test_monotonicity_scan_peaked():

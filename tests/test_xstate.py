@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 
@@ -178,6 +179,25 @@ def test_extract_tolerates_junk_below_tol():
         extract_xstate(above)
     with pytest.raises(NotXState):
         _pair_xstates(above)
+
+
+@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4)])
+def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_parties, n_horizon):
+    spec = ScenarioSpec(n_parties, n_horizon, 1, n_horizon - 1, 0.7)
+    rho = scenario_density(spec, bogoliubov(BlackHoleParams(1.0, 0.4, 1.0)))
+    built = collections.Counter()
+    for cls in (XState, SparseDensity, ModeLayout):
+
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert len(_pair_xstates(rho)) == math.comb(n_parties, 2)
+    assert built == {"XState": math.comb(n_parties, 2)}
+    # The counters do count: one reduction builds a layout, a density and an X-state.
+    extract_xstate(rho.reduce(spec.kept_modes()[:2]))
+    assert built == {"XState": math.comb(n_parties, 2) + 1, "SparseDensity": 1, "ModeLayout": 1}
 
 
 # Frozen from a 60-digit evaluation of the block structure at
