@@ -420,7 +420,8 @@ def test_pair_reductions_match_reduce_on_dense_states(seed, n_modes):
 
 def test_pair_blocks_follow_the_first_entry_that_survives_the_reduction():
     # On F1, F2 the first two entries add to rho_11 and cancel, so reduce drops
-    # that entry and block 0 leads; on F1, F3 the first entry leads block 0.
+    # that entry and block 0 leads; on F2, F3 the first entry adds to rho_22
+    # and block 1 leads.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     rho = SparseDensity(layout, {(2, 2): 1e-14, (3, 3): -1e-14, (0, 0): 0.5, (4, 4): 0.5})
     _assert_pairs_match_reduce(rho)
