@@ -75,42 +75,53 @@ def e_grid(
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
 
 
-def _binomial_sums(
-    thetas: Sequence[float], pair: BogoliubovPair, n: int, step: int, power: int
-) -> list[float]:
-    """``sum_k C(m, k) * E(n - step*k, step*k)**power``, ``m = n // step``, at each theta.
+def _power_row(pair: BogoliubovPair, n: int) -> list[float]:
+    """``alpha**(n - k) * beta**k`` for ``k = 0 .. n``, each as :func:`coeff_power` forms it.
 
-    Inputs are checked by the caller.  ``alpha**(n - step*k) *
-    beta**(step*k)`` is formed once per ``k`` and shared by every theta.
-    Each term is ``C * E * E`` (or ``C * E``) from the float E while every
-    ``C`` fits a float.  Past that (``m >= 1030``) ``C`` and the deepest E
-    leave the float range, so the sums run in 40-digit decimals instead.
+    Inputs are checked by the caller.  The quadratic sum rule at ``n`` reads
+    the whole row, the linear one its even entries ``row[::2]``.
     """
-    m, sines = n // step, [math.sin(2.0 * theta) for theta in thetas]
+    alpha, beta = pair.alpha, pair.beta
+    log_alpha, log_beta = math.log(alpha), _log_beta(beta)
+    return [_power(alpha, beta, log_alpha, log_beta, n - k, k) for k in range(n + 1)]
+
+
+def _binomial_sums(sines: Sequence[float], row: Sequence[float], power: int) -> list[float]:
+    """``sum_k C(m, k) * (s * row[k])**power``, ``m = len(row) - 1``, at each sine ``s``.
+
+    With ``s = sin(2 theta)`` and a row of :func:`_power_row`, each term is
+    ``C * E * E`` (or ``C * E``) from the float E.  Every ``C`` must fit a
+    float, which holds while ``m < 1030``.
+    """
+    m = len(row) - 1
+    combs = [math.comb(m, k) for k in range(m + 1)]
+    if power == 2:
+        return [math.fsum([c * e * e for c, e in zip(combs, map(s.__mul__, row))]) for s in sines]
+    return [math.fsum([c * e for c, e in zip(combs, map(s.__mul__, row))]) for s in sines]
+
+
+def _rule_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int) -> float:
+    """``sum_k C(m, k) * E(n - step*k, step*k)**power``, ``m = n // step``.
+
+    Inputs are checked by the caller.  While every ``C`` fits a float this
+    is :func:`_binomial_sums` on every ``step``-th entry of the power row.
+    Past that (``m >= 1030``) ``C`` and the deepest E leave the float range,
+    so the sum runs in 40-digit decimals instead.
+    """
+    m, s = n // step, math.sin(2.0 * theta)
     if math.comb(m, m // 2) <= sys.float_info.max:
-        alpha, beta = pair.alpha, pair.beta
-        log_alpha, log_beta = math.log(alpha), _log_beta(beta)
-        powers = [_power(alpha, beta, log_alpha, log_beta, n - step * k, step * k) for k in range(m + 1)]
-        combs = [math.comb(m, k) for k in range(m + 1)]
-        sums = []
-        for s in sines:
-            es = [s * p for p in powers]
-            weighted = [c * e for c, e in zip(combs, es)]
-            sums.append(math.fsum([w * e for w, e in zip(weighted, es)] if power == 2 else weighted))
-        return sums
+        return _binomial_sums((s,), _power_row(pair, n)[::step], power)[0]
     from decimal import Decimal, localcontext  # only these large sums need it
 
     with localcontext() as ctx:
         ctx.prec = 40
-        alpha, sums = Decimal(pair.alpha), []
-        top, ratio = alpha**n, (Decimal(pair.beta) / alpha) ** step
-        for s in sines:
-            c, e, total = Decimal(1), Decimal(s) * top, Decimal(0)
-            for k in range(m + 1):
-                total += c * e**power
-                c, e = c * (m - k) / (k + 1), e * ratio
-            sums.append(float(total))
-        return sums
+        alpha = Decimal(pair.alpha)
+        ratio = (Decimal(pair.beta) / alpha) ** step
+        c, e, total = Decimal(1), Decimal(s) * alpha**n, Decimal(0)
+        for k in range(m + 1):
+            total += c * e**power
+            c, e = c * (m - k) / (k + 1), e * ratio
+        return float(total)
 
 
 def theta_derivative(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) -> float:
@@ -156,7 +167,7 @@ def sum_rule_quadratic(
     """
     _check_theta(theta)
     _check_split(n_horizon, 0)
-    return _binomial_sums((theta,), pair, n_horizon, 1, 2)[0], math.sin(2.0 * theta) ** 2
+    return _rule_sum(theta, pair, n_horizon, 1, 2), math.sin(2.0 * theta) ** 2
 
 
 def sum_rule_linear(
@@ -173,7 +184,7 @@ def sum_rule_linear(
     _check_split(n_horizon, 0)
     if n_horizon % 2:
         raise OddN(f"the linear sum rule needs an even mode count, got {n_horizon}")
-    return _binomial_sums((theta,), pair, n_horizon, 2, 1)[0], math.sin(2.0 * theta)
+    return _rule_sum(theta, pair, n_horizon, 2, 1), math.sin(2.0 * theta)
 
 
 def monogamy_residual(

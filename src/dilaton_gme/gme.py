@@ -32,13 +32,12 @@ MAX_PURE_PARTIES = 16
 
 def gme_xstate(x: XState) -> float:
     """Closed-form genuine multipartite entanglement of an X state."""
-    roots = {
-        i: math.sqrt(max(a, 0.0) * max(b, 0.0)) for i, (a, b, _) in x.blocks.items()
-    }
-    total = math.fsum(roots.values())
+    blocks = x.blocks.values()
+    roots = [math.sqrt(max(a, 0.0) * max(b, 0.0)) for a, b, _ in blocks]
+    total = math.fsum(roots)
     best = 0.0
-    for i, (_, _, c) in x.blocks.items():
-        candidate = abs(c) - (total - roots[i])
+    for (_, _, c), root in zip(blocks, roots):
+        candidate = abs(c) - (total - root)
         if candidate > best:
             best = candidate
     return 2.0 * best

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .analytic import _binomial_sums, e_general, e_grid, monogamy_residual, peak_dilaton
+from .analytic import _binomial_sums, _power_row, e_general, e_grid, monogamy_residual, peak_dilaton
 from .errors import InvalidParams, _count_text
 from .gme import gme_xstate
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
@@ -105,6 +105,26 @@ class _Worst:
             self.inputs = inputs
 
 
+def _check_count(name: str, value: int) -> None:
+    """The one rule for a count argument: an ``int`` that is not a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+
+
+def _grid_points(grid: Optional[Iterable[GridPoint]]) -> list[GridPoint]:
+    """The grid's items (the default oracle grid for ``None``), each checked to be a point."""
+    points = list(default_oracle_grid() if grid is None else grid)
+    for index, item in enumerate(points):
+        if type(item) is not tuple:
+            got = type(item).__name__
+        elif len(item) == 2 and isinstance(item[0], ScenarioSpec) and isinstance(item[1], BlackHoleParams):
+            continue
+        else:
+            got = f"({', '.join(type(x).__name__ for x in item)})"
+        raise InvalidParams(f"grid item {index} must be a (ScenarioSpec, BlackHoleParams) pair, got {got}")
+    return points
+
+
 def _describe(spec: ScenarioSpec, params: BlackHoleParams) -> dict:
     return {
         "n-parties": spec.n_parties,
@@ -127,6 +147,8 @@ def default_oracle_grid(
     dilatons: Sequence[float] = _DEFAULT_DILATONS,
 ) -> list[GridPoint]:
     """Every scenario with N <= max_parties, n <= max_horizon, all splits."""
+    _check_count("max_parties", max_parties)
+    _check_count("max_horizon", max_horizon)
     grid: list[GridPoint] = []
     for n_parties in range(2, max_parties + 1):
         for n_horizon in range(1, min(max_horizon, n_parties - 1) + 1):
@@ -153,7 +175,7 @@ def oracle_compare(grid: Optional[Iterable[GridPoint]] = None) -> VerificationRe
     against :func:`build_block_matrix`, a block missing on one side
     reading as zero.
     """
-    points = list(default_oracle_grid() if grid is None else grid)
+    points = _grid_points(grid)
     worst_e = _Worst()
     worst_dual = _Worst()
     zero = (0.0, 0.0, 0.0)
@@ -192,36 +214,41 @@ def relationship_suite(
 
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
       over mode splits, evaluated purely from the closed form, for
-      ``n = 1 .. max_horizon`` (an int in ``[1, MAX_SUM_RULE_HORIZON]``);
-      each dilaton's powers of alpha and beta are shared by every theta.
+      ``n = 1 .. max_horizon`` (an int in ``[1, MAX_SUM_RULE_HORIZON]``).
+      Per dilaton and n, one row ``alpha**(n-k) * beta**k`` serves every
+      theta: the quadratic rule reads all of it, the linear rule its even
+      entries.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
-      state (three or more parties) carries no entanglement.  Each pair's
-      X-state comes straight from the one pass over the state's entries
-      and is validated as :func:`extract_xstate` would validate it.
+      state (three or more parties) carries no entanglement.  The pair
+      X-states come straight from the one pass over the state's entries,
+      one per class of pairs whose modes have the same bit columns, each
+      validated as :func:`extract_xstate` would validate it and scored
+      once for its whole class.
     * ``monogamy``: the full E**2 minus the squared pair terms matches
       the closed-form residual.
     """
-    if not isinstance(max_horizon, int) or isinstance(max_horizon, bool):
-        raise InvalidParams(f"max_horizon must be an integer, got {max_horizon!r}")
+    _check_count("max_horizon", max_horizon)
     if max_horizon < 1:
         raise InvalidParams(f"max_horizon must be at least 1, got {_count_text(max_horizon)}")
     if max_horizon > MAX_SUM_RULE_HORIZON:
         raise InvalidParams(
             f"max_horizon must be at most {MAX_SUM_RULE_HORIZON}, got {_count_text(max_horizon)}"
         )
-    # Every dilaton and theta is checked before the first sum.
+    # Every dilaton, theta and grid item is checked before the first sum.
     black_holes = [BlackHoleParams(mass, dilaton * mass, omega) for dilaton in dilatons]
     for theta in thetas:
         _check_theta(theta)
+    points = [(spec, params) for spec, params in _grid_points(grid) if spec.n_parties >= 3]
     worst_quad = _Worst()
     worst_lin = _Worst()
     horizons = range(1, max_horizon + 1)
+    sines = [math.sin(2.0 * theta) for theta in thetas]
     for params in black_holes:
         pair = bogoliubov(params)
-        quadratic = {n: _binomial_sums(thetas, pair, n, 1, 2) for n in horizons}
-        linear = {n: _binomial_sums(thetas, pair, n, 2, 1) for n in horizons[1::2]}
-        for t, theta in enumerate(thetas):
-            sine = math.sin(2.0 * theta)
+        rows = {n: _power_row(pair, n) for n in horizons}
+        quadratic = {n: _binomial_sums(sines, rows[n], 2) for n in horizons}
+        linear = {n: _binomial_sums(sines, rows[n][::2], 1) for n in horizons[1::2]}
+        for t, (theta, sine) in enumerate(zip(thetas, sines)):
             for n_horizon in horizons:
                 inputs = {
                     "n-horizon": n_horizon,
@@ -236,11 +263,6 @@ def relationship_suite(
     quad_size = len(dilatons) * len(thetas) * max_horizon
     lin_size = len(dilatons) * len(thetas) * (max_horizon // 2)
 
-    points = [
-        (spec, params)
-        for spec, params in (default_oracle_grid() if grid is None else grid)
-        if spec.n_parties >= 3
-    ]
     worst_pair = _Worst()
     worst_mono = _Worst()
     for spec, params in points:
@@ -250,11 +272,10 @@ def relationship_suite(
         first = spec.kept_modes()[0]
         inputs = _describe(spec, params)
         pair_sq = []
-        for (mode_i, _), x in _pair_xstates(rho).items():
+        for x, pairs in _pair_xstates(rho):
             e_pair = gme_xstate(x)
             worst_pair.update(e_pair, inputs)
-            if mode_i == first:
-                pair_sq.append(e_pair * e_pair)
+            pair_sq += [e_pair * e_pair] * sum(1 for mode_i, _ in pairs if mode_i == first)
         residual = monogamy_residual(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
         deficit = e_oracle * e_oracle - math.fsum(pair_sq)
         worst_mono.update(deficit - residual, inputs)
@@ -271,6 +292,7 @@ def relationship_suite(
 
 def dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:
     """``steps`` evenly spaced dilatons from ``d_min`` to exactly ``d_max``."""
+    _check_count("steps", steps)
     if steps < 2:
         raise InvalidParams(f"a dilaton grid needs at least 2 steps, got {_count_text(steps)}")
     if steps > MAX_GRID_STEPS:
@@ -331,6 +353,7 @@ def monotonicity_scan(
     """
     if d_max is None:
         d_max = mass
+    _check_count("steps", steps)
     if steps < 3:
         raise InvalidParams(f"need at least 3 steps for a shape scan, got {_count_text(steps)}")
     if not 0.0 <= d_min < d_max <= mass:

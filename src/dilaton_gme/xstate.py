@@ -104,29 +104,37 @@ def extract_xstate(rho: SparseDensity) -> XState:
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
 
 
-def _pair_xstates(rho: SparseDensity) -> dict[tuple[str, str], XState]:
-    """``extract_xstate(rho.reduce(pair))`` for every pair of modes, in layout order.
+def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, list[tuple[str, str]]]]:
+    """``extract_xstate(rho.reduce(pair))`` once per class of alike pairs, with its pairs.
 
     An entry survives the trace onto a pair only when its row and column
     differ on no other mode.  So one scan of ``rho.entries`` keeps the
     diagonal entries, which feed every pair, and the entries that differ on
-    one or two modes; any other entry feeds no pair.  Each pair then adds
-    each diagonal value to one of four int-keyed slots, found with two
-    shifts: the sums of its reduction's ``rho_00``, ``rho_11``, ``rho_22`` and
-    ``rho_33``.  An entry that differs on both of the pair's modes adds to its
-    coherence ``rho_03`` or ``rho_12``, and one that differs on a single mode
-    of the pair lies off its X.  Each slot sums with ``math.fsum``, as
+    one or two modes; any other entry feeds no pair.  A mode's column is its
+    bits over the rows and columns the scan keeps.  Which kept entries the
+    pair ``(i, j)`` keeps, and where each lands, depends only on
+    ``(column_i, column_j)``, so the pairs fall into one class per distinct
+    ordered pair of columns.  In a scenario state every flat mode has the
+    same column, which leaves ``C(n + 1, 2)`` classes plus one of flat
+    pairs, however many parties there are.
+
+    Each class is read at its first pair: it adds each diagonal value to
+    one of four int-keyed slots, found with two shifts, the sums of its
+    reduction's ``rho_00``, ``rho_11``, ``rho_22`` and ``rho_33``.  An entry
+    that differs on both of the pair's modes adds to its coherence
+    ``rho_03`` or ``rho_12``, and one that differs on a single mode of the
+    pair lies off its X.  Each slot sums with ``math.fsum``, as
     :meth:`SparseDensity.reduce` sums its entries, and the two blocks enter
     ``XState(2, …)`` in the order of their first entry that the reduction
-    keeps.  So each X-state, and each :class:`NotXState` position, is the one
-    :func:`extract_xstate` reads off the reduction, and no two-mode
-    :class:`SparseDensity` or :class:`ModeLayout` is built.
+    keeps.  So each X-state, and each :class:`NotXState` position, is the
+    one :func:`extract_xstate` reads off the reduction onto any pair of the
+    class, and no two-mode :class:`SparseDensity` or :class:`ModeLayout` is
+    built.  The classes come in the order of their first pair and list
+    their pairs in ``combinations`` order, so the first pair whose
+    reduction fails is the one that raises.
     """
     modes = rho.layout.modes
     n = len(modes)
-    pairs = list(itertools.combinations(range(n), 2))
-    # Per pair: the shifts that bring its two bits to 2 and 1.
-    shifts = [(n - 2 - i, n - 1 - j) for i, j in pairs]
     diagonal: list[tuple[int, float]] = []
     near: list[tuple[int, int, float]] = []  # entries that differ on one or two modes
     for (row, col), value in rho.entries.items():
@@ -137,34 +145,58 @@ def _pair_xstates(rho: SparseDensity) -> dict[tuple[str, str], XState]:
             rest = diff & (diff - 1)  # the difference without its lowest mode
             if not rest & (rest - 1):
                 near.append((row, col, value))
-    xstates = {}
-    for (i, j), (hi, lo) in zip(pairs, shifts):
-        slots: tuple[list[float], ...] = ([], [], [], [], [], [])
-        for row, value in diagonal:
-            slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
-        if near:
-            off_x: dict[tuple[int, int], list[float]] = {}
-            outside = ~((2 << hi) | (1 << lo))
-            for row, col, value in near:
-                if (row ^ col) & outside:
-                    continue
-                rk = (row >> hi) & 2 | (row >> lo) & 1
-                ck = (col >> hi) & 2 | (col >> lo) & 1
-                if rk ^ ck == 3:
-                    slots[4 + (rk in (1, 2))].append(value)
-                else:
-                    off_x.setdefault((rk, ck) if rk < ck else (ck, rk), []).append(value)
-            for key, values in off_x.items():
-                if abs(math.fsum(values)) > OFF_X_TOL:
-                    raise NotXState(*key)
-        sums = [math.fsum(values) if values else 0.0 for values in slots]
-        rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = sums
-        blocks = {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)}
-        if (rho_11 or rho_22 or rho_12) and (rho_00 or rho_33 or rho_03):
-            if _lead_block(rho.entries, hi, lo, sums):
-                blocks = {1: blocks[1], 0: blocks[0]}
-        xstates[modes[i], modes[j]] = XState(2, blocks)
-    return xstates
+    labels = [row for row, _ in diagonal] + [label for row, col, _ in near for label in (row, col)]
+    columns: dict[tuple[str, ...], int] = {}
+    kind = [
+        columns.setdefault(column, len(columns))
+        for column in zip(*[format(label, f"0{n}b") for label in labels])
+    ]
+    # Per class: its first pair and its pairs, keyed by the two columns.
+    classes: dict[tuple[int, int], tuple[tuple[int, int], list[tuple[str, str]]]] = {}
+    for i, j in itertools.combinations(range(n), 2):
+        key = (kind[i], kind[j])
+        if key not in classes:
+            classes[key] = ((i, j), [])
+        classes[key][1].append((modes[i], modes[j]))
+    return [
+        (_pair_xstate(rho.entries, diagonal, near, n - 2 - i, n - 1 - j), members)
+        for (i, j), members in classes.values()
+    ]
+
+
+def _pair_xstate(
+    entries: Mapping[tuple[int, int], float],
+    diagonal: list[tuple[int, float]],
+    near: list[tuple[int, int, float]],
+    hi: int,
+    lo: int,
+) -> XState:
+    """The X-state of the pair whose bits the shifts ``hi, lo`` bring to 2 and 1."""
+    slots: tuple[list[float], ...] = ([], [], [], [], [], [])
+    for row, value in diagonal:
+        slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
+    if near:
+        off_x: dict[tuple[int, int], list[float]] = {}
+        outside = ~((2 << hi) | (1 << lo))
+        for row, col, value in near:
+            if (row ^ col) & outside:
+                continue
+            rk = (row >> hi) & 2 | (row >> lo) & 1
+            ck = (col >> hi) & 2 | (col >> lo) & 1
+            if rk ^ ck == 3:
+                slots[4 + (rk in (1, 2))].append(value)
+            else:
+                off_x.setdefault((rk, ck) if rk < ck else (ck, rk), []).append(value)
+        for key, values in off_x.items():
+            if abs(math.fsum(values)) > OFF_X_TOL:
+                raise NotXState(*key)
+    sums = [math.fsum(values) if values else 0.0 for values in slots]
+    rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = sums
+    blocks = {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)}
+    if (rho_11 or rho_22 or rho_12) and (rho_00 or rho_33 or rho_03):
+        if _lead_block(entries, hi, lo, sums):
+            blocks = {1: blocks[1], 0: blocks[0]}
+    return XState(2, blocks)
 
 
 def _lead_block(

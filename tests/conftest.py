@@ -8,9 +8,10 @@ The library keeps states, densities and X-states sparse; the dense
 builders below give tests full numpy arrays to check them against, plus
 the ``(a, b, c)`` triplet view of an X-state and a scenario's traced modes.
 The lookups only tests need (a state's norm and amplitudes, a density's
-values and trace, a mode's bit in a label) live here too, as does the
-earlier two-pass reading of the pair reductions, kept as a reference for
-``xstate._pair_xstates``.
+values and trace, a mode's bit in a label) live here too, as do the
+per-pair view of ``xstate._pair_xstates``, which reads one X-state per
+class of alike pairs, and the earlier two-pass reading of the pair
+reductions, kept as a reference for it.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from dilaton_gme import (
     in_mode,
     out_mode,
 )
-from dilaton_gme.xstate import OFF_X_TOL
+from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
@@ -173,3 +174,25 @@ def read_blocks(entries: dict[tuple[int, int], float], n_modes: int) -> XState:
             continue
         blocks.setdefault(index, [0.0, 0.0, 0.0])[slot] = entry
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
+
+
+def pair_xstates_by_pair(rho: SparseDensity) -> dict[tuple[str, str], XState]:
+    """``_pair_xstates(rho)`` expanded to ``{pair: X-state}`` in ``combinations`` order.
+
+    On the way it checks the class layout: every pair of the layout sits in
+    exactly one class, each class lists its pairs in ``combinations`` order,
+    and the classes come in the order of their first pairs.
+    """
+    order = {pair: k for k, pair in enumerate(itertools.combinations(rho.layout.modes, 2))}
+    by_pair: dict[tuple[str, str], XState] = {}
+    firsts = []
+    for x, pairs in _pair_xstates(rho):
+        ranks = [order[pair] for pair in pairs]
+        assert ranks and ranks == sorted(ranks)
+        firsts.append(ranks[0])
+        for pair in pairs:
+            assert pair not in by_pair
+            by_pair[pair] = x
+    assert firsts == sorted(firsts)
+    assert len(by_pair) == len(order)
+    return {pair: by_pair[pair] for pair in order}

@@ -26,6 +26,7 @@ from dilaton_gme import (
     sum_rule_linear,
     sum_rule_quadratic,
 )
+from dilaton_gme.verify import MAX_SUM_RULE_HORIZON
 
 
 def _bits(values):
@@ -100,13 +101,19 @@ _RULE_THETAS = (0.0, math.pi / 12, math.pi / 4, 0.4 * math.pi)
 @pytest.mark.parametrize("n_horizon", [1, 2, 7, 16, 80, 1029, 1030, 2059, 2060])
 def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, omega))
-    # Batched over theta, each rule gives the floats of its scalar form, on both
-    # sides of its switch to decimals (quadratic past n = 1029, linear past 2059).
+    # Batched over theta on one power row, each rule gives the floats of its
+    # scalar form while its binomials fit a float (the quadratic rule to
+    # n = 1029, the linear one to n = 2059); past that the scalar rules sum in
+    # decimals, which only they do.
+    sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
+    row = analytic._power_row(pair, n_horizon)
     quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
-    assert analytic._binomial_sums(_RULE_THETAS, pair, n_horizon, 1, 2) == quadratic
+    if n_horizon <= MAX_SUM_RULE_HORIZON:
+        assert analytic._binomial_sums(sines, row, 2) == quadratic
     if n_horizon % 2 == 0:
         linear = [sum_rule_linear(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
-        assert analytic._binomial_sums(_RULE_THETAS, pair, n_horizon, 2, 1) == linear
+        if n_horizon // 2 <= MAX_SUM_RULE_HORIZON:
+            assert analytic._binomial_sums(sines, row[::2], 1) == linear
     if n_horizon > 80:
         # This reference rounds C * E**2, the rule (C * E) * E, so past here
         # the last bits may part; the sums are held to RELATION_TOL instead by

@@ -37,7 +37,7 @@ from dilaton_gme import (
 )
 from dilaton_gme.modes_state import SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid
-from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
+from dilaton_gme.xstate import OFF_X_TOL
 from conftest import (
     dense_density,
     dense_state,
@@ -45,6 +45,7 @@ from conftest import (
     density_value,
     mode_bit,
     pair_sums,
+    pair_xstates_by_pair,
     read_blocks,
     state_amplitude,
     state_norm,
@@ -351,7 +352,7 @@ def test_density_reduce_composes_with_partial_trace():
 
 
 def _assert_pairs_match_reduce(rho):
-    """Hold ``_pair_xstates`` against ``extract_xstate(rho.reduce(pair))`` pair by pair.
+    """Hold ``_pair_xstates``, pair by pair, against ``extract_xstate(rho.reduce(pair))``.
 
     The same pairs and blocks in the same order, floats equal to the last
     bit; or, where a reduction fails the X-state reading, the same error at
@@ -365,14 +366,14 @@ def _assert_pairs_match_reduce(rho):
             failure = exc
             break
     if failure is None:
-        got = _pair_xstates(rho)
+        got = pair_xstates_by_pair(rho)
         assert list(got) == list(expected)
         for keep, x in got.items():
             assert x.half_dimension == 2
             assert list(x.blocks.items()) == list(expected[keep].blocks.items())
     else:
         with pytest.raises(type(failure)) as excinfo:
-            _pair_xstates(rho)
+            pair_xstates_by_pair(rho)
         assert str(excinfo.value) == str(failure)
         if isinstance(failure, NotXState):
             assert (excinfo.value.row, excinfo.value.col) == (failure.row, failure.col)
@@ -388,10 +389,10 @@ def _assert_old_pair_path_matches(rho):
         old = {keep: read_blocks(pair, 2) for keep, pair in sums.items()}
     except NotXState as exc:
         with pytest.raises(NotXState) as excinfo:
-            _pair_xstates(rho)
+            pair_xstates_by_pair(rho)
         assert (excinfo.value.row, excinfo.value.col) == (exc.row, exc.col)
     else:
-        got = _pair_xstates(rho)
+        got = pair_xstates_by_pair(rho)
         assert [list(x.blocks.items()) for x in got.values()] == [
             list(x.blocks.items()) for x in old.values()
         ]
@@ -425,7 +426,24 @@ def test_pair_blocks_follow_the_first_entry_that_survives_the_reduction():
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     rho = SparseDensity(layout, {(2, 2): 1e-14, (3, 3): -1e-14, (0, 0): 0.5, (4, 4): 0.5})
     _assert_pairs_match_reduce(rho)
-    assert [list(x.blocks) for x in _pair_xstates(rho).values()] == [[0, 1], [0, 1], [1, 0]]
+    assert [list(x.blocks) for x in pair_xstates_by_pair(rho).values()] == [[0, 1], [0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Differs on F3 alone: off the X of (F1, F3) and (F2, F3), outside (F1, F2).
+        {(0, 0): 0.5, (7, 7): 0.5, (0, 1): 2e-12},
+        # Differs on F2 and F3: the coherence of (F2, F3) only.
+        {(0, 0): 0.5, (7, 7): 0.5, (0, 3): 0.1},
+    ],
+    ids=["off-x", "coherence"],
+)
+def test_pair_classes_split_on_the_column_of_a_near_entry(entries):
+    # Over the diagonal rows 000 and 111 the three modes have one column; only
+    # the near entry's column label tells F3 (and, for the coherence, F2) apart.
+    layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
+    _assert_pairs_match_reduce(SparseDensity(layout, entries))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -73,16 +74,13 @@ def test_relationship_suite_passes():
     )
 
 
-def test_relationship_suite_sum_rules_are_the_scalar_rules():
-    dilatons, thetas = (0.0, 0.3, 1.0), (0.0, 0.2, math.pi / 4, 1.5)
-    report = relationship_suite(grid=[], max_horizon=7, dilatons=dilatons, thetas=thetas)
-    # The scalar rules walked in dilaton -> theta -> n order: the same worst
-    # error, bit for bit, at the same first worst inputs.
+def _scalar_rule_worst(dilatons, thetas, max_horizon):
+    """The worst sum-rule errors of the scalar rules walked in dilaton -> theta -> n order."""
     worst = {"sum-rule-quadratic": (0.0, None), "sum-rule-linear": (0.0, None)}
     for dilaton in dilatons:
         pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
         for theta in thetas:
-            for n in range(1, 8):
+            for n in range(1, max_horizon + 1):
                 inputs = {"n-horizon": n, "theta": theta, "mass": 1.0, "dilaton": dilaton, "omega": 1.0}
                 rules = [("sum-rule-quadratic", sum_rule_quadratic)]
                 if n % 2 == 0:
@@ -91,8 +89,34 @@ def test_relationship_suite_sum_rules_are_the_scalar_rules():
                     lhs, rhs = rule(theta, pair, n)
                     if worst[name][1] is None or abs(lhs - rhs) > worst[name][0]:
                         worst[name] = (abs(lhs - rhs), inputs)
-    for check in report.checks[:2]:
-        assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
+    return worst
+
+
+def test_relationship_suite_sum_rules_are_the_scalar_rules():
+    # The same worst error, bit for bit, at the same first worst inputs: on a
+    # hand-picked grid and on the defaults (max_horizon = 16, four dilatons).
+    dilatons, thetas = (0.0, 0.3, 1.0), (0.0, 0.2, math.pi / 4, 1.5)
+    cases = [
+        (relationship_suite(grid=[], max_horizon=7, dilatons=dilatons, thetas=thetas),
+         _scalar_rule_worst(dilatons, thetas, 7)),
+        (relationship_suite(grid=[]),
+         _scalar_rule_worst((0.0, 0.5, 0.9, 1.0), (math.pi / 12, math.pi / 6, math.pi / 4), 16)),
+    ]
+    for report, worst in cases:
+        for check in report.checks[:2]:
+            assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
+
+
+def test_monogamy_counts_every_pair_of_the_first_mode(monkeypatch):
+    # Each pair of a scenario state scores zero, so score every pair X-state 1
+    # instead: the deficit then falls short of the residual by the number of
+    # pairs that hold the first mode, N - 1, and not by the number of classes.
+    score = verify.gme_xstate
+    monkeypatch.setattr(verify, "gme_xstate", lambda x: 1.0 if x.half_dimension == 2 else score(x))
+    grid = [(ScenarioSpec(5, 1, 1, 0, 0.6), BlackHoleParams(1.0, 0.4, 1.0))]
+    checks = {check.name: check for check in relationship_suite(grid=grid, max_horizon=1).checks}
+    assert checks["pairwise-zero"].max_abs_error == 1.0
+    assert checks["monogamy"].max_abs_error == pytest.approx(4.0, abs=1e-12)
 
 
 def test_sum_rule_horizon_cap_is_the_last_float_sum():
@@ -168,6 +192,47 @@ def test_relationship_suite_checks_every_input_before_the_first_sum(monkeypatch,
     with pytest.raises(error, match=message):
         relationship_suite(grid=[], **kwargs)
     assert sums == []
+
+
+@pytest.mark.parametrize(
+    "item,got",
+    [
+        ((BlackHoleParams(1.0, 0.3, 1.0), ScenarioSpec(3, 1, 1, 0, 0.5)), "(BlackHoleParams, ScenarioSpec)"),
+        (ScenarioSpec(3, 1, 1, 0, 0.5), "ScenarioSpec"),
+        ((ScenarioSpec(3, 1, 1, 0, 0.5),), "(ScenarioSpec)"),
+    ],
+    ids=["swapped", "bare-spec", "one-tuple"],
+)
+@pytest.mark.parametrize("suite", [oracle_compare, relationship_suite])
+def test_grid_items_are_checked_before_the_first_point(monkeypatch, suite, item, got):
+    def unreachable(spec, pair):
+        raise AssertionError("a point was simulated before every grid item was checked")
+
+    monkeypatch.setattr(verify, "scenario_density", unreachable)
+    good = (ScenarioSpec(3, 1, 1, 0, 0.5), BlackHoleParams(1.0, 0.3, 1.0))
+    message = rf"^grid item 1 must be a \(ScenarioSpec, BlackHoleParams\) pair, got {re.escape(got)}$"
+    with pytest.raises(InvalidParams, match=message):
+        suite(iter([good, item]))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: dilaton_grid(0.0, 1.0, 2.5), "steps must be an integer, got 2.5"),
+        (lambda: dilaton_grid(0.0, 1.0, True), "steps must be an integer, got True"),
+        (lambda: monotonicity_scan(2, 1, steps=5.5), "steps must be an integer, got 5.5"),
+        (lambda: monotonicity_scan(2, 1, steps="7"), "steps must be an integer, got '7'"),
+        (lambda: default_oracle_grid(max_parties="3"), "max_parties must be an integer, got '3'"),
+        (lambda: default_oracle_grid(max_parties=4.0), "max_parties must be an integer, got 4.0"),
+        (lambda: default_oracle_grid(max_horizon=None), "max_horizon must be an integer, got None"),
+        (lambda: default_oracle_grid(max_horizon=False), "max_horizon must be an integer, got False"),
+    ],
+    ids=["grid-float", "grid-bool", "scan-float", "scan-str", "parties-str", "parties-float",
+         "horizon-none", "horizon-bool"],
+)
+def test_counts_are_ints_that_are_not_bools(call, message):
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_oracle_compare_describes_each_point_once(monkeypatch):

@@ -173,7 +173,7 @@ def test_extract_tolerates_junk_below_tol():
     )
     a, _, _ = triplets(extract_xstate(rho))
     assert a == (0.5, 0.0)
-    assert _pair_xstates(rho) == {(flat_mode(1), flat_mode(2)): extract_xstate(rho)}
+    assert _pair_xstates(rho) == [(extract_xstate(rho), [(flat_mode(1), flat_mode(2))])]
     above = SparseDensity(layout, {(0, 0): 0.5, (3, 3): 0.5, (0, 1): 2e-12})
     with pytest.raises(NotXState):
         extract_xstate(above)
@@ -181,8 +181,11 @@ def test_extract_tolerates_junk_below_tol():
         _pair_xstates(above)
 
 
-@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4)])
+@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4)])
 def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_parties, n_horizon):
+    # One X-state per class of alike pairs: every flat mode has the same bit
+    # column, so the classes are the C(n + 1, 2) pairs of distinct columns plus,
+    # with two flat modes or more, the flat pairs.
     spec = ScenarioSpec(n_parties, n_horizon, 1, n_horizon - 1, 0.7)
     rho = scenario_density(spec, bogoliubov(BlackHoleParams(1.0, 0.4, 1.0)))
     built = collections.Counter()
@@ -193,11 +196,14 @@ def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_part
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    assert len(_pair_xstates(rho)) == math.comb(n_parties, 2)
-    assert built == {"XState": math.comb(n_parties, 2)}
+    classes = _pair_xstates(rho)
+    n_classes = math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
+    assert len(classes) == n_classes
+    assert sum(len(pairs) for _, pairs in classes) == math.comb(n_parties, 2)
+    assert built == {"XState": n_classes}
     # The counters do count: one reduction builds a layout, a density and an X-state.
     extract_xstate(rho.reduce(spec.kept_modes()[:2]))
-    assert built == {"XState": math.comb(n_parties, 2) + 1, "SparseDensity": 1, "ModeLayout": 1}
+    assert built == {"XState": n_classes + 1, "SparseDensity": 1, "ModeLayout": 1}
 
 
 # Frozen from a 60-digit evaluation of the block structure at
