@@ -281,6 +281,10 @@ _PINNED_STDOUT = {
         ["verify", "--grid", "small"],
         "f4ee8ea808380abecad8b1da45aa11e7b1d35a450c565324abb0e667c2072331",
     ),
+    "verify-full": (
+        ["verify", "--grid", "full"],
+        "8b8657354812dd4c17cb36adb8d3060dbaa7dca19092a397ac9b5a2f9f758dee",
+    ),
     "sweep-oracle-18-4": (
         ["sweep", "--n-horizon", "4", "--p", "2", "--oracle", "--n-parties", "18", "--steps", "41"],
         "3bd03f5302d03388181eea165fbcbe26a020377896e88c5f8099d33386782cb2",
