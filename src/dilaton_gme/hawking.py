@@ -46,12 +46,20 @@ _LOG_DIRECT_FLOOR = -700.0
 _MAX_EXPONENT = sys.float_info.max
 
 
+def _check_real(name: str, value: float) -> None:
+    """Refuse what no range check can judge: a non-number, and a bool, which compares as 0 or 1."""
+    if not isinstance(value, (int, float)) or type(value) is bool:
+        raise InvalidParams(f"{name} must be a real number, got {value!r}")
+
+
 def _check_positive(name: str, value: float) -> None:
+    _check_real(name, value)
     if not (value > 0.0) or not math.isfinite(value):
         raise InvalidParams(f"{name} must be a positive finite number, got {value}")
 
 
 def _check_dilaton(mass: float, dilaton: float) -> None:
+    _check_real("dilaton", dilaton)
     if not math.isfinite(dilaton) or not (0.0 <= dilaton <= mass):
         raise InvalidParams(f"dilaton must lie in [0, mass] = [0, {mass}], got {dilaton}")
 
@@ -103,6 +111,7 @@ class BlackHoleParams:
         ulp, so a relative slack of 1e-12 is clamped back to the extreme.
         """
         _check_positive("mass", mass)
+        _check_real("charge", charge)
         if not math.isfinite(charge):
             raise InvalidParams(f"charge must be finite, got {charge}")
         dilaton = charge * charge / (2.0 * mass)
@@ -235,9 +244,16 @@ class BogoliubovGrid:
         dilatons = tuple(dilatons)
         _check_positive("mass", mass)
         if dilatons:
-            # min() and max() skip a NaN that is not first, so a NaN is checked first.
-            _check_dilaton(mass, next(filter(math.isnan, dilatons), min(dilatons)))
-            _check_dilaton(mass, max(dilatons))
+            try:  # a value that does not compare with a float raises TypeError here
+                # min() and max() skip a NaN that is not first, so a NaN is checked first.
+                extremes = (next(filter(math.isnan, dilatons), min(dilatons)), max(dilatons))
+            except TypeError:
+                extremes = ()
+            if not extremes or bool in map(type, dilatons):
+                kinds = ", ".join(sorted({type(dilaton).__name__ for dilaton in dilatons}))
+                raise InvalidParams(f"every dilaton must be a real number, got {kinds}")
+            for dilaton in extremes:
+                _check_dilaton(mass, dilaton)
         _check_positive("omega", omega)
         pairs = [_mixing(mass, dilaton, omega) for dilaton in dilatons]
         for alpha, beta in pairs:

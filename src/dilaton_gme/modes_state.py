@@ -141,7 +141,7 @@ TracePlan = tuple[ModeLayout, int, tuple[tuple[int, int, int], ...]]
 
 
 def _check_theta(theta: float) -> None:
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta)):
+    if not (isinstance(theta, (int, float)) and type(theta) is not bool and math.isfinite(theta)):
         raise InvalidSpec(f"theta must be a finite number, got {theta!r}")
     if not 0.0 <= theta <= math.pi / 2:
         raise InvalidSpec(f"theta must lie in [0, pi/2], got {theta}")
@@ -248,12 +248,15 @@ class SparseState:
                     f"basis label {label!r} outside [0, {dim}) for layout {self.layout.labels()}"
                 )
             value = float(amp)
-            if abs(value) >= AMPLITUDE_TOL:
+            if not abs(value) < AMPLITUDE_TOL:  # keeps a NaN, for the norm check to name
                 cleaned[label] = value
                 squares.append(value * value)
         object.__setattr__(self, "amplitudes", cleaned)
         norm_sq = math.fsum(squares)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            for label, value in cleaned.items():
+                if value != value:
+                    raise InvalidParams(f"amplitude at basis label {label} is nan")
             raise InvalidParams(f"state norm**2 deviates from 1 by {norm_sq - 1.0:.3e}")
 
 
@@ -288,6 +291,8 @@ class SparseDensity:
             if row > col:
                 key = (col, row)
             value = float(value)
+            if value - value:  # NaN for a NaN or an infinity, else 0.0
+                raise InvalidDensity(f"entry ({row}, {col}) = {value!r} is not finite")
             if key in canonical:  # a mirrored duplicate: the first value stays
                 if abs(canonical[key] - value) > 1e-12:
                     raise InvalidDensity(

@@ -92,7 +92,7 @@ def _check(
 
 
 class _Worst:
-    """Track the largest absolute error and the inputs that caused it."""
+    """Track the largest absolute error and its inputs; the first NaN error is worse than any."""
 
     def __init__(self) -> None:
         self.error = 0.0
@@ -100,7 +100,7 @@ class _Worst:
 
     def update(self, error: float, inputs: dict) -> None:
         error = abs(error)
-        if self.inputs is None or error > self.error:
+        if self.inputs is None or error > self.error or (error != error and self.error == self.error):
             self.error = error
             self.inputs = inputs
 
@@ -224,8 +224,9 @@ def relationship_suite(
       one per class of pairs whose modes have the same bit columns, each
       validated as :func:`extract_xstate` would validate it and scored
       once for its whole class.
-    * ``monogamy``: the full E**2 minus the squared pair terms matches
-      the closed-form residual.
+    * ``monogamy``: the full E**2 minus the squared pair terms of the
+      first mode matches the closed-form residual.  Each class adds its
+      E**2 once per pair it holds on that mode, a count the pair scan gives.
     """
     _check_count("max_horizon", max_horizon)
     if max_horizon < 1:
@@ -269,13 +270,12 @@ def relationship_suite(
         pair = bogoliubov(params)
         rho = scenario_density(spec, pair)
         e_oracle = gme_xstate(extract_xstate(rho))
-        first = spec.kept_modes()[0]
         inputs = _describe(spec, params)
         pair_sq = []
-        for x, pairs in _pair_xstates(rho):
+        for x, n_on_first in _pair_xstates(rho):
             e_pair = gme_xstate(x)
             worst_pair.update(e_pair, inputs)
-            pair_sq += [e_pair * e_pair] * sum(1 for mode_i, _ in pairs if mode_i == first)
+            pair_sq += [e_pair * e_pair] * n_on_first
         residual = monogamy_residual(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
         deficit = e_oracle * e_oracle - math.fsum(pair_sq)
         worst_mono.update(deficit - residual, inputs)

@@ -22,7 +22,6 @@ must agree entry by entry; the verification suite checks that they do.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -64,7 +63,9 @@ class XState:
                 raise InvalidDensity(f"b-entry {b!r} is not a valid population")
             if c:  # a zero coherence is within any bound
                 bound = math.sqrt(max(a, 0.0) * max(b, 0.0))
-                if abs(c) > bound + 1e-12:
+                if not abs(c) <= bound + 1e-12:  # a NaN fails it too
+                    if c != c:
+                        raise InvalidDensity(f"coherence c[{i}] is nan")
                     raise InvalidDensity(
                         f"coherence |c[{i}]| = {abs(c)!r} exceeds sqrt(a*b) = {bound!r}"
                     )
@@ -104,8 +105,8 @@ def extract_xstate(rho: SparseDensity) -> XState:
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
 
 
-def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, list[tuple[str, str]]]]:
-    """``extract_xstate(rho.reduce(pair))`` once per class of alike pairs, with its pairs.
+def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
+    """``extract_xstate(rho.reduce(pair))`` once per class of alike pairs, with its pairs on mode 0.
 
     An entry survives the trace onto a pair only when its row and column
     differ on no other mode.  So one scan of ``rho.entries`` keeps the
@@ -118,23 +119,25 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, list[tuple[str, str]
     same column, which leaves ``C(n + 1, 2)`` classes plus one of flat
     pairs, however many parties there are.
 
+    One sweep over the modes gives each class its first pair in
+    ``combinations`` order, and a class whose first column is mode 0's
+    holds one pair ``(0, j)`` per later mode ``j`` with its second column.
+    No pair is listed.
+
     Each class is read at its first pair: it adds each diagonal value to
     one of four int-keyed slots, found with two shifts, the sums of its
     reduction's ``rho_00``, ``rho_11``, ``rho_22`` and ``rho_33``.  An entry
     that differs on both of the pair's modes adds to its coherence
     ``rho_03`` or ``rho_12``, and one that differs on a single mode of the
     pair lies off its X.  Each slot sums with ``math.fsum``, as
-    :meth:`SparseDensity.reduce` sums its entries, and the two blocks enter
-    ``XState(2, …)`` in the order of their first entry that the reduction
-    keeps.  So each X-state, and each :class:`NotXState` position, is the
-    one :func:`extract_xstate` reads off the reduction onto any pair of the
+    :meth:`SparseDensity.reduce` sums its entries.  So each X-state's
+    blocks, and each :class:`NotXState` position, are the ones
+    :func:`extract_xstate` reads off the reduction onto any pair of the
     class, and no two-mode :class:`SparseDensity` or :class:`ModeLayout` is
-    built.  The classes come in the order of their first pair and list
-    their pairs in ``combinations`` order, so the first pair whose
-    reduction fails is the one that raises.
+    built.  The classes come in the order of their first pairs, so the
+    first pair whose reduction fails is the one that raises.
     """
-    modes = rho.layout.modes
-    n = len(modes)
+    n = len(rho.layout)
     diagonal: list[tuple[int, float]] = []
     near: list[tuple[int, int, float]] = []  # entries that differ on one or two modes
     for (row, col), value in rho.entries.items():
@@ -151,21 +154,22 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, list[tuple[str, str]
         columns.setdefault(column, len(columns))
         for column in zip(*[format(label, f"0{n}b") for label in labels])
     ]
-    # Per class: its first pair and its pairs, keyed by the two columns.
-    classes: dict[tuple[int, int], tuple[tuple[int, int], list[tuple[str, str]]]] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        key = (kind[i], kind[j])
-        if key not in classes:
-            classes[key] = ((i, j), [])
-        classes[key][1].append((modes[i], modes[j]))
+    seen: dict[int, int] = {}  # column -> the first mode that has it
+    firsts: dict[tuple[int, int], tuple[int, int]] = {}  # class -> its first pair
+    for j, column in enumerate(kind):
+        for first, i in seen.items():
+            firsts.setdefault((first, column), (i, j))
+        seen.setdefault(column, j)
     return [
-        (_pair_xstate(rho.entries, diagonal, near, n - 2 - i, n - 1 - j), members)
-        for (i, j), members in classes.values()
+        (
+            _pair_xstate(diagonal, near, n - 2 - i, n - 1 - j),
+            kind[1:].count(second) if first == kind[0] else 0,
+        )
+        for (i, j), (first, second) in sorted(zip(firsts.values(), firsts))
     ]
 
 
 def _pair_xstate(
-    entries: Mapping[tuple[int, int], float],
     diagonal: list[tuple[int, float]],
     near: list[tuple[int, int, float]],
     hi: int,
@@ -192,33 +196,7 @@ def _pair_xstate(
                 raise NotXState(*key)
     sums = [math.fsum(values) if values else 0.0 for values in slots]
     rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = sums
-    blocks = {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)}
-    if (rho_11 or rho_22 or rho_12) and (rho_00 or rho_33 or rho_03):
-        if _lead_block(entries, hi, lo, sums):
-            blocks = {1: blocks[1], 0: blocks[0]}
-    return XState(2, blocks)
-
-
-def _lead_block(
-    entries: Mapping[tuple[int, int], float], hi: int, lo: int, sums: list[float]
-) -> int:
-    """The block of the first entry that adds to a non-zero X slot of the pair at ``hi, lo``."""
-    outside = ~((2 << hi) | (1 << lo))
-    for row, col in entries:
-        if (row ^ col) & outside:
-            continue
-        rk = (row >> hi) & 2 | (row >> lo) & 1
-        ck = (col >> hi) & 2 | (col >> lo) & 1
-        block = rk in (1, 2)
-        if rk == ck:
-            slot = rk
-        elif rk ^ ck == 3:
-            slot = 4 + block
-        else:
-            continue
-        if sums[slot]:
-            return block
-    return 0
+    return XState(2, {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)})
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

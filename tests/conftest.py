@@ -179,20 +179,30 @@ def read_blocks(entries: dict[tuple[int, int], float], n_modes: int) -> XState:
 def pair_xstates_by_pair(rho: SparseDensity) -> dict[tuple[str, str], XState]:
     """``_pair_xstates(rho)`` expanded to ``{pair: X-state}`` in ``combinations`` order.
 
-    On the way it checks the class layout: every pair of the layout sits in
-    exactly one class, each class lists its pairs in ``combinations`` order,
-    and the classes come in the order of their first pairs.
+    On the way it checks the class layout against the mode columns, worked
+    out here from the entries: a mode's column is its bits over the rows
+    and columns of the diagonal entries and of the entries that differ on
+    one or two modes, and the pairs with the same ordered pair of columns
+    form one class.  The classes must come in the order of their first
+    pairs, and each must count its pairs on the first mode.
     """
-    order = {pair: k for k, pair in enumerate(itertools.combinations(rho.layout.modes, 2))}
-    by_pair: dict[tuple[str, str], XState] = {}
-    firsts = []
-    for x, pairs in _pair_xstates(rho):
-        ranks = [order[pair] for pair in pairs]
-        assert ranks and ranks == sorted(ranks)
-        firsts.append(ranks[0])
-        for pair in pairs:
-            assert pair not in by_pair
-            by_pair[pair] = x
-    assert firsts == sorted(firsts)
-    assert len(by_pair) == len(order)
-    return {pair: by_pair[pair] for pair in order}
+    modes = rho.layout.modes
+    top = len(modes) - 1
+    labels = [
+        label
+        for (row, col), _ in rho.entries.items()
+        if (row ^ col).bit_count() <= 2
+        for label in ((row,) if row == col else (row, col))
+    ]
+    column = [tuple((label >> (top - k)) & 1 for label in labels) for k in range(top + 1)]
+    pairs = list(itertools.combinations(range(top + 1), 2))
+    members: dict[tuple, list[tuple[int, int]]] = {}
+    for i, j in pairs:
+        members.setdefault((column[i], column[j]), []).append((i, j))
+    classes = _pair_xstates(rho)
+    assert len(classes) == len(members)
+    by_pair: dict[tuple[int, int], XState] = {}
+    for (x, n_on_first), held in zip(classes, members.values()):
+        assert n_on_first == sum(1 for i, _ in held if i == 0)
+        by_pair.update(dict.fromkeys(held, x))
+    return {(modes[i], modes[j]): by_pair[i, j] for i, j in pairs}

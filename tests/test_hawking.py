@@ -5,6 +5,7 @@ the defining expressions, independent of the implementation.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from dilaton_gme import (
     BlackHoleParams,
+    BogoliubovGrid,
     BogoliubovPair,
     DegenerateCoefficient,
     InvalidParams,
+    InvalidSpec,
+    ScenarioSpec,
     bogoliubov,
     coeff_power,
     log_power,
@@ -75,6 +79,37 @@ def test_from_charge():
 def test_invalid_black_hole_params(mass, dilaton, omega):
     with pytest.raises(InvalidParams):
         BlackHoleParams(mass, dilaton, omega)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: BlackHoleParams("1", 0.5, 1.0), InvalidParams, "mass must be a real number, got '1'"),
+        (lambda: BlackHoleParams(1.0, 0.5, None), InvalidParams, "omega must be a real number, got None"),
+        (lambda: BlackHoleParams(1.0, 0.5j, 1.0), InvalidParams, "dilaton must be a real number, got 0.5j"),
+        (lambda: BlackHoleParams.from_charge(1.0, "0.5", 1.0), InvalidParams,
+         "charge must be a real number, got '0.5'"),
+        (lambda: BlackHoleParams(True, 0.5, 1.0), InvalidParams, "mass must be a real number, got True"),
+        (lambda: BlackHoleParams(1.0, False, 1.0), InvalidParams, "dilaton must be a real number, got False"),
+        (lambda: BlackHoleParams(1.0, 0.5, True), InvalidParams, "omega must be a real number, got True"),
+        (lambda: BlackHoleParams.from_charge(1.0, True, 1.0), InvalidParams,
+         "charge must be a real number, got True"),
+        (lambda: BogoliubovGrid(1.0, 1.0, [0.1, "0.2"]), InvalidParams,
+         "every dilaton must be a real number, got float, str"),
+        (lambda: BogoliubovGrid(1.0, 1.0, ["0.2"]), InvalidParams,
+         "every dilaton must be a real number, got str"),
+        (lambda: BogoliubovGrid(1.0, 1.0, [0.0, 1.0, True, 0.5]), InvalidParams,
+         "every dilaton must be a real number, got bool, float"),
+        (lambda: BogoliubovGrid(None, 1.0, [0.5]), InvalidParams, "mass must be a real number, got None"),
+        (lambda: ScenarioSpec(3, 1, 1, 0, True), InvalidSpec, "theta must be a finite number, got True"),
+    ],
+    ids=["mass-str", "omega-none", "dilaton-complex", "charge-str", "mass-bool", "dilaton-bool",
+         "omega-bool", "charge-bool", "grid-str", "grid-only-str", "grid-bool", "grid-mass-none",
+         "theta-bool"],
+)
+def test_a_value_that_is_not_a_real_number_is_refused(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_pair_validation():

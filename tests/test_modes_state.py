@@ -354,9 +354,9 @@ def test_density_reduce_composes_with_partial_trace():
 def _assert_pairs_match_reduce(rho):
     """Hold ``_pair_xstates``, pair by pair, against ``extract_xstate(rho.reduce(pair))``.
 
-    The same pairs and blocks in the same order, floats equal to the last
-    bit; or, where a reduction fails the X-state reading, the same error at
-    the first such pair, with the same ``NotXState`` position.
+    The same pairs and the same blocks, floats equal to the last bit; or,
+    where a reduction fails the X-state reading, the same error at the
+    first such pair, with the same ``NotXState`` position.
     """
     expected, failure = {}, None
     for keep in itertools.combinations(rho.layout.modes, 2):
@@ -370,7 +370,7 @@ def _assert_pairs_match_reduce(rho):
         assert list(got) == list(expected)
         for keep, x in got.items():
             assert x.half_dimension == 2
-            assert list(x.blocks.items()) == list(expected[keep].blocks.items())
+            assert x.blocks == expected[keep].blocks
     else:
         with pytest.raises(type(failure)) as excinfo:
             pair_xstates_by_pair(rho)
@@ -393,9 +393,7 @@ def _assert_old_pair_path_matches(rho):
         assert (excinfo.value.row, excinfo.value.col) == (exc.row, exc.col)
     else:
         got = pair_xstates_by_pair(rho)
-        assert [list(x.blocks.items()) for x in got.values()] == [
-            list(x.blocks.items()) for x in old.values()
-        ]
+        assert [x.blocks for x in got.values()] == [x.blocks for x in old.values()]
 
 
 def test_pair_reductions_match_reduce_on_the_oracle_grid():
@@ -419,14 +417,12 @@ def test_pair_reductions_match_reduce_on_dense_states(seed, n_modes):
         _assert_old_pair_path_matches(density)
 
 
-def test_pair_blocks_follow_the_first_entry_that_survives_the_reduction():
+def test_pair_blocks_match_reduce_when_entries_cancel():
     # On F1, F2 the first two entries add to rho_11 and cancel, so reduce drops
-    # that entry and block 0 leads; on F2, F3 the first entry adds to rho_22
-    # and block 1 leads.
+    # that entry; on F2, F3 they land apart, on rho_22 and rho_33.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     rho = SparseDensity(layout, {(2, 2): 1e-14, (3, 3): -1e-14, (0, 0): 0.5, (4, 4): 0.5})
     _assert_pairs_match_reduce(rho)
-    assert [list(x.blocks) for x in pair_xstates_by_pair(rho).values()] == [[0, 1], [0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -538,6 +534,34 @@ _ONE_MODE = ModeLayout((flat_mode(1),))
          "xstate-bool", "xstate-float"],
 )
 def test_an_index_is_an_int_but_not_a_bool(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): _NAN, (1, 1): 1.0}), InvalidDensity,
+         "entry (0, 0) = nan is not finite"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): _NAN}), InvalidDensity,
+         "entry (0, 1) = nan is not finite"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (1, 0): -_INF}), InvalidDensity,
+         "entry (1, 0) = -inf is not finite"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 1): 0.1, (1, 0): _NAN, (0, 0): 0.5, (1, 1): 0.5}),
+         InvalidDensity, "entry (1, 0) = nan is not finite"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): _INF, (1, 1): -_INF}), InvalidDensity,
+         "entry (0, 0) = inf is not finite"),
+        (lambda: SparseState(_ONE_MODE, {0: 1.0, 1: _NAN}), InvalidParams, "amplitude at basis label 1 is nan"),
+        (lambda: SparseState(_ONE_MODE, {0: _NAN}), InvalidParams, "amplitude at basis label 0 is nan"),
+        (lambda: SparseState(_ONE_MODE, {0: 1.0, 1: _INF}), InvalidParams, "state norm**2 deviates from 1 by inf"),
+    ],
+    ids=["density-diagonal-nan", "density-nan", "density-inf", "density-mirrored-nan", "density-inf-trace",
+         "state-nan", "state-only-nan", "state-inf"],
+)
+def test_a_nan_or_infinite_entry_is_refused(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 

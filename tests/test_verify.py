@@ -107,6 +107,48 @@ def test_relationship_suite_sum_rules_are_the_scalar_rules():
             assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
 
 
+@pytest.mark.parametrize("n_parties,n_horizon", [(13312, 1), (1000, 4)])
+def test_relationship_checks_pass_at_the_largest_party_counts(n_parties, n_horizon):
+    # The pair classes are counted, never listed: 88.6 M pairs at (13312, 1).
+    grid = [(ScenarioSpec(n_parties, n_horizon, 1, n_horizon - 1, 0.7), BlackHoleParams(1.0, 0.4, 1.0))]
+    report = relationship_suite(grid=grid, max_horizon=1)
+    assert [(check.name, check.status) for check in report.checks] == [
+        ("sum-rule-quadratic", "pass"),
+        ("sum-rule-linear", "pass"),
+        ("pairwise-zero", "pass"),
+        ("monogamy", "pass"),
+    ]
+    assert report.checks[2].grid_size == 1
+
+
+def test_a_nan_error_is_the_worst_and_stays_the_worst():
+    worst = verify._Worst()
+    for error, point in [(0.1, "a"), (math.nan, "b"), (0.5, "c"), (-math.nan, "d"), (math.inf, "e")]:
+        worst.update(error, {"point": point})
+    assert math.isnan(worst.error) and worst.inputs == {"point": "b"}
+    first = verify._Worst()
+    first.update(math.nan, {"point": "a"})
+    first.update(0.2, {"point": "b"})
+    assert math.isnan(first.error) and first.inputs == {"point": "a"}
+
+
+def test_oracle_compare_fails_on_a_nan_entanglement(monkeypatch):
+    grid = _small_grid()[:3]
+    score = verify.gme_xstate
+    calls = []
+
+    def nan_at_the_second_point(x):
+        calls.append(x)
+        return math.nan if len(calls) == 2 else score(x)
+
+    monkeypatch.setattr(verify, "gme_xstate", nan_at_the_second_point)
+    check, dual = oracle_compare(grid).checks
+    assert check.name == "oracle-vs-analytic" and check.status == "fail"
+    assert math.isnan(check.max_abs_error)
+    assert check.worst_case_inputs == verify._describe(*grid[1])
+    assert dual.status == "pass"
+
+
 def test_monogamy_counts_every_pair_of_the_first_mode(monkeypatch):
     # Each pair of a scenario state scores zero, so score every pair X-state 1
     # instead: the deficit then falls short of the residual by the number of

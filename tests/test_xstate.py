@@ -106,6 +106,13 @@ def test_xstate_validation_messages(blocks, message):
         XState(2, blocks)
 
 
+def test_xstate_refuses_a_nan_coherence():
+    # abs(nan) compares false with any bound, so the bound check alone passed it.
+    for blocks in ({0: (0.5, 0.5, _NAN)}, {0: (0.25, 0.25, 0.0), 1: (0.25, 0.25, -_NAN)}):
+        with pytest.raises(InvalidDensity, match=rf"^coherence c\[{max(blocks)}\] is nan$"):
+            XState(2, blocks)
+
+
 def test_xstate_keeps_the_nonzero_blocks_as_floats():
     x = XState(4, {3: (0, 0.0, -0.0), 1: (1, 0, 0), 0: (0.0, 0.0, 0.0)})
     assert x.blocks == {1: (1.0, 0.0, 0.0)}
@@ -173,7 +180,7 @@ def test_extract_tolerates_junk_below_tol():
     )
     a, _, _ = triplets(extract_xstate(rho))
     assert a == (0.5, 0.0)
-    assert _pair_xstates(rho) == [(extract_xstate(rho), [(flat_mode(1), flat_mode(2))])]
+    assert _pair_xstates(rho) == [(extract_xstate(rho), 1)]
     above = SparseDensity(layout, {(0, 0): 0.5, (3, 3): 0.5, (0, 1): 2e-12})
     with pytest.raises(NotXState):
         extract_xstate(above)
@@ -181,7 +188,7 @@ def test_extract_tolerates_junk_below_tol():
         _pair_xstates(above)
 
 
-@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4)])
+@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4), (13312, 1)])
 def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_parties, n_horizon):
     # One X-state per class of alike pairs: every flat mode has the same bit
     # column, so the classes are the C(n + 1, 2) pairs of distinct columns plus,
@@ -199,7 +206,7 @@ def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_part
     classes = _pair_xstates(rho)
     n_classes = math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
     assert len(classes) == n_classes
-    assert sum(len(pairs) for _, pairs in classes) == math.comb(n_parties, 2)
+    assert sum(n_on_first for _, n_on_first in classes) == n_parties - 1
     assert built == {"XState": n_classes}
     # The counters do count: one reduction builds a layout, a density and an X-state.
     extract_xstate(rho.reduce(spec.kept_modes()[:2]))
