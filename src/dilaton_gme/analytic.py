@@ -16,10 +16,9 @@ the monogamy deficit.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
-from .errors import InvalidSpec, OddN
+from .errors import InvalidSpec, OddN, _count_text
 from .hawking import (
     BogoliubovGrid,
     BogoliubovPair,
@@ -42,11 +41,16 @@ __all__ = [
     "monogamy_residual",
 ]
 
+#: Largest ``m`` whose binomials ``C(m, k)`` all fit a float: ``C(1030, 515)``
+#: does not.  Past it the sum rules run in decimals, at a cost that grows as
+#: ``m**2``, and they drift off ``1e-12`` near ``n = 4000``.
+MAX_FLOAT_BINOMIAL = 1029
+
 
 def _check_split(n_out: int, n_in: int) -> None:
     for name, value in (("n_out", n_out), ("n_in", n_in)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InvalidSpec(f"{name} must be a non-negative integer, got {value!r}")
+            raise InvalidSpec(f"{name} must be a non-negative integer, got {_count_text(value)}")
     if n_out + n_in < 1:
         raise InvalidSpec("at least one horizon mode is needed")
     _check_exponents(n_out, n_in)
@@ -91,7 +95,7 @@ def _binomial_sums(sines: Sequence[float], row: Sequence[float], power: int) -> 
 
     With ``s = sin(2 theta)`` and a row of :func:`_power_row`, each term is
     ``C * E * E`` (or ``C * E``) from the float E.  Every ``C`` must fit a
-    float, which holds while ``m < 1030``.
+    float, which holds while ``m <= MAX_FLOAT_BINOMIAL``.
     """
     m = len(row) - 1
     combs = [math.comb(m, k) for k in range(m + 1)]
@@ -105,11 +109,11 @@ def _rule_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int)
 
     Inputs are checked by the caller.  While every ``C`` fits a float this
     is :func:`_binomial_sums` on every ``step``-th entry of the power row.
-    Past that (``m >= 1030``) ``C`` and the deepest E leave the float range,
-    so the sum runs in 40-digit decimals instead.
+    Past that (``m > MAX_FLOAT_BINOMIAL``) ``C`` and the deepest E leave the
+    float range, so the sum runs in 40-digit decimals instead.
     """
     m, s = n // step, math.sin(2.0 * theta)
-    if math.comb(m, m // 2) <= sys.float_info.max:
+    if m <= MAX_FLOAT_BINOMIAL:
         return _binomial_sums((s,), _power_row(pair, n)[::step], power)[0]
     from decimal import Decimal, localcontext  # only these large sums need it
 

@@ -14,10 +14,11 @@ __all__ = [
 ]
 
 
-def _count_text(value: int) -> str:
-    """``str(value)``, or its bit length once the digits pass Python's int-to-str limit."""
+def _count_text(value: object) -> str:
+    """``str`` of an int, ``repr`` of anything else, or an int's bit length once
+    its digits pass Python's int-to-str limit."""
     try:
-        return str(value)
+        return str(value) if isinstance(value, int) else repr(value)
     except ValueError:
         return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
 

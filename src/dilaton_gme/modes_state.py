@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -69,10 +70,17 @@ def _is_index(value: object) -> bool:
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
+def _real(value: object, error: type, where: str) -> float:
+    """``float(value)`` for a real number; a ``bool``, a ``str`` or any other value raises."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{where} must be a real number, got {value!r}")
+
+
 def _mode(prefix: str, index: int) -> str:
     """The label ``prefix + index``: ``F``, ``K``, ``O`` or ``I``, then a 1-based index."""
     if not _is_index(index) or index < 1:
-        raise InvalidSpec(f"mode index must be a positive integer, got {index!r}")
+        raise InvalidSpec(f"mode index must be a positive integer, got {_count_text(index)}")
     return f"{prefix}{index}"
 
 
@@ -245,9 +253,12 @@ class SparseState:
         for label, amp in self.amplitudes.items():
             if not (_is_index(label) and 0 <= label < dim):
                 raise InvalidParams(
-                    f"basis label {label!r} outside [0, {dim}) for layout {self.layout.labels()}"
+                    f"basis label {_count_text(label)} outside [0, {_count_text(dim)}) for layout "
+                    f"{self.layout.labels()}"
                 )
-            value = float(amp)
+            value = amp if type(amp) is float else _real(
+                amp, InvalidParams, f"amplitude at basis label {_count_text(label)}"
+            )
             if not abs(value) < AMPLITUDE_TOL:  # keeps a NaN, for the norm check to name
                 cleaned[label] = value
                 squares.append(value * value)
@@ -256,7 +267,7 @@ class SparseState:
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             for label, value in cleaned.items():
                 if value != value:
-                    raise InvalidParams(f"amplitude at basis label {label} is nan")
+                    raise InvalidParams(f"amplitude at basis label {_count_text(label)} is nan")
             raise InvalidParams(f"state norm**2 deviates from 1 by {norm_sq - 1.0:.3e}")
 
 
@@ -285,26 +296,31 @@ class SparseDensity:
             row, col = key
             if not (_is_index(row) and _is_index(col) and 0 <= row < dim and 0 <= col < dim):
                 raise InvalidDensity(
-                    f"entry ({row}, {col}) outside [0, {dim})**2 for layout "
-                    f"{self.layout.labels()}"
+                    f"entry ({_count_text(row)}, {_count_text(col)}) outside "
+                    f"[0, {_count_text(dim)})**2 for layout {self.layout.labels()}"
                 )
             if row > col:
                 key = (col, row)
-            value = float(value)
+            value = value if type(value) is float else _real(
+                value, InvalidDensity, f"entry ({_count_text(row)}, {_count_text(col)})"
+            )
             if value - value:  # NaN for a NaN or an infinity, else 0.0
-                raise InvalidDensity(f"entry ({row}, {col}) = {value!r} is not finite")
+                raise InvalidDensity(
+                    f"entry ({_count_text(row)}, {_count_text(col)}) = {value!r} is not finite"
+                )
             if key in canonical:  # a mirrored duplicate: the first value stays
                 if abs(canonical[key] - value) > 1e-12:
                     raise InvalidDensity(
-                        f"asymmetric values for entry {key}: "
-                        f"{canonical[key]!r} vs {value!r}"
+                        f"asymmetric values for entry ({_count_text(key[0])}, "
+                        f"{_count_text(key[1])}): {canonical[key]!r} vs {value!r}"
                     )
                 continue
             canonical[key] = value
             if row == col:
                 diagonal.append(value)
                 if value < -1e-14 and negative is None:
-                    negative = f"negative diagonal entry {value!r} at ({row}, {row})"
+                    at = _count_text(row)
+                    negative = f"negative diagonal entry {value!r} at ({at}, {at})"
             if not value:
                 zeros = True
         if zeros:

@@ -16,7 +16,7 @@ from .analytic import _binomial_sums, _power_row, e_general, e_grid, monogamy_re
 from .errors import InvalidParams, _count_text
 from .gme import gme_xstate
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
-from .modes_state import ScenarioSpec, _check_theta, scenario_density
+from .modes_state import ScenarioSpec, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 
 __all__ = [
@@ -32,17 +32,17 @@ GridPoint = tuple[ScenarioSpec, BlackHoleParams]
 
 #: Most points a dilaton grid may take; each is built and evaluated one by one.
 MAX_GRID_STEPS = 10**6
-#: Largest ``max_horizon`` of :func:`relationship_suite`: the last n whose
-#: sum-rule terms all fit a float.  Past it the sums run in decimals at a cost
-#: that grows as n**2, and they drift off ``RELATION_TOL`` near n = 4000.
-MAX_SUM_RULE_HORIZON = 1029
 
 ORACLE_TOL = 1e-10
 ENTRYWISE_TOL = 1e-13
 RELATION_TOL = 1e-12
 
+# Every check runs at M = omega = 1, so a dilaton is also its fraction of M.
 _DEFAULT_THETAS = (math.pi / 12, math.pi / 6, math.pi / 4, 0.4 * math.pi)
 _DEFAULT_DILATONS = (0.0, 0.3, 0.6, 0.9, 1.0)
+_RULE_THETAS = (math.pi / 12, math.pi / 6, math.pi / 4)
+_RULE_DILATONS = (0.0, 0.5, 0.9, 1.0)
+_RULE_HORIZONS = range(1, 17)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class VerificationCheck:
         return {
             "name": self.name,
             "grid-size": self.grid_size,
-            "max-abs-error": self.max_abs_error,
+            # JSON has no NaN or infinity; such an error has already failed its check.
+            "max-abs-error": self.max_abs_error if math.isfinite(self.max_abs_error) else None,
             "tolerance": self.tolerance,
             "status": self.status,
             "worst-case-inputs": self.worst_case_inputs,
@@ -138,23 +139,16 @@ def _describe(spec: ScenarioSpec, params: BlackHoleParams) -> dict:
     }
 
 
-def default_oracle_grid(
-    mass: float = 1.0,
-    omega: float = 1.0,
-    max_parties: int = 6,
-    max_horizon: int = 4,
-    thetas: Sequence[float] = _DEFAULT_THETAS,
-    dilatons: Sequence[float] = _DEFAULT_DILATONS,
-) -> list[GridPoint]:
-    """Every scenario with N <= max_parties, n <= max_horizon, all splits."""
+def default_oracle_grid(max_parties: int = 6, max_horizon: int = 4) -> list[GridPoint]:
+    """Every scenario with N <= max_parties, n <= max_horizon, all splits, at M = omega = 1."""
     _check_count("max_parties", max_parties)
     _check_count("max_horizon", max_horizon)
     grid: list[GridPoint] = []
     for n_parties in range(2, max_parties + 1):
         for n_horizon in range(1, min(max_horizon, n_parties - 1) + 1):
             for n_out in range(n_horizon + 1):
-                for theta in thetas:
-                    for dilaton in dilatons:
+                for theta in _DEFAULT_THETAS:
+                    for dilaton in _DEFAULT_DILATONS:
                         spec = ScenarioSpec(
                             n_parties=n_parties,
                             n_horizon=n_horizon,
@@ -162,7 +156,7 @@ def default_oracle_grid(
                             n_in_kept=n_horizon - n_out,
                             theta=theta,
                         )
-                        grid.append((spec, BlackHoleParams(mass, dilaton * mass, omega)))
+                        grid.append((spec, BlackHoleParams(1.0, dilaton, 1.0)))
     return grid
 
 
@@ -202,22 +196,15 @@ def oracle_compare(grid: Optional[Iterable[GridPoint]] = None) -> VerificationRe
     )
 
 
-def relationship_suite(
-    grid: Optional[Iterable[GridPoint]] = None,
-    max_horizon: int = 16,
-    mass: float = 1.0,
-    omega: float = 1.0,
-    dilatons: Sequence[float] = (0.0, 0.5, 0.9, 1.0),
-    thetas: Sequence[float] = (math.pi / 12, math.pi / 6, math.pi / 4),
-) -> VerificationReport:
+def relationship_suite(grid: Optional[Iterable[GridPoint]] = None) -> VerificationReport:
     """Distribution and monogamy identities.
 
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
       over mode splits, evaluated purely from the closed form, for
-      ``n = 1 .. max_horizon`` (an int in ``[1, MAX_SUM_RULE_HORIZON]``).
-      Per dilaton and n, one row ``alpha**(n-k) * beta**k`` serves every
-      theta: the quadratic rule reads all of it, the linear rule its even
-      entries.
+      ``n = 1 .. 16``, dilatons ``(0, 0.5, 0.9, 1)`` and theta ``pi/12``,
+      ``pi/6`` and ``pi/4`` at ``M = omega = 1``.  Per dilaton and n, one
+      row ``alpha**(n-k) * beta**k`` serves every theta: the quadratic
+      rule reads all of it, the linear rule its even entries.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  The pair
       X-states come straight from the one pass over the state's entries,
@@ -228,41 +215,30 @@ def relationship_suite(
       first mode matches the closed-form residual.  Each class adds its
       E**2 once per pair it holds on that mode, a count the pair scan gives.
     """
-    _check_count("max_horizon", max_horizon)
-    if max_horizon < 1:
-        raise InvalidParams(f"max_horizon must be at least 1, got {_count_text(max_horizon)}")
-    if max_horizon > MAX_SUM_RULE_HORIZON:
-        raise InvalidParams(
-            f"max_horizon must be at most {MAX_SUM_RULE_HORIZON}, got {_count_text(max_horizon)}"
-        )
-    # Every dilaton, theta and grid item is checked before the first sum.
-    black_holes = [BlackHoleParams(mass, dilaton * mass, omega) for dilaton in dilatons]
-    for theta in thetas:
-        _check_theta(theta)
+    # Every grid item is checked before the first sum.
     points = [(spec, params) for spec, params in _grid_points(grid) if spec.n_parties >= 3]
     worst_quad = _Worst()
     worst_lin = _Worst()
-    horizons = range(1, max_horizon + 1)
-    sines = [math.sin(2.0 * theta) for theta in thetas]
-    for params in black_holes:
-        pair = bogoliubov(params)
-        rows = {n: _power_row(pair, n) for n in horizons}
-        quadratic = {n: _binomial_sums(sines, rows[n], 2) for n in horizons}
-        linear = {n: _binomial_sums(sines, rows[n][::2], 1) for n in horizons[1::2]}
-        for t, (theta, sine) in enumerate(zip(thetas, sines)):
-            for n_horizon in horizons:
+    sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
+    for dilaton in _RULE_DILATONS:
+        pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
+        rows = {n: _power_row(pair, n) for n in _RULE_HORIZONS}
+        quadratic = {n: _binomial_sums(sines, rows[n], 2) for n in _RULE_HORIZONS}
+        linear = {n: _binomial_sums(sines, rows[n][::2], 1) for n in _RULE_HORIZONS[1::2]}
+        for t, (theta, sine) in enumerate(zip(_RULE_THETAS, sines)):
+            for n_horizon in _RULE_HORIZONS:
                 inputs = {
                     "n-horizon": n_horizon,
                     "theta": theta,
-                    "mass": mass,
-                    "dilaton": params.dilaton,
-                    "omega": omega,
+                    "mass": 1.0,
+                    "dilaton": dilaton,
+                    "omega": 1.0,
                 }
                 worst_quad.update(quadratic[n_horizon][t] - sine**2, inputs)
                 if n_horizon in linear:
                     worst_lin.update(linear[n_horizon][t] - sine, inputs)
-    quad_size = len(dilatons) * len(thetas) * max_horizon
-    lin_size = len(dilatons) * len(thetas) * (max_horizon // 2)
+    quad_size = len(_RULE_DILATONS) * len(_RULE_THETAS) * len(_RULE_HORIZONS)
+    lin_size = len(_RULE_DILATONS) * len(_RULE_THETAS) * len(_RULE_HORIZONS[1::2])
 
     worst_pair = _Worst()
     worst_mono = _Worst()
@@ -318,31 +294,20 @@ def _classify(values: Sequence[float]) -> str:
     return shapes.get(tuple(collapsed), "irregular")
 
 
-def _expected_shape(
-    n_out: int, n_in: int, mass: float, omega: float, d_min: float, d_max: float
-) -> str:
+def _expected_shape(n_out: int, n_in: int) -> str:
     if n_in == 0:
         return "decreasing"
     if n_out == 0 or n_out <= n_in:
         return "increasing"
-    d_star = peak_dilaton(mass, omega, n_out, n_in)
-    if d_star is None or d_star <= d_min:
+    # D* = M - ln(p/q) / (8 pi omega) < M for p > q: no peak lies right of the scan.
+    d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
+    if d_star is None or d_star <= 0.0:
         return "decreasing"
-    if d_star >= d_max:
-        return "increasing"
     return "single-peaked"
 
 
-def monotonicity_scan(
-    n_out: int,
-    n_in: int,
-    mass: float = 1.0,
-    omega: float = 1.0,
-    d_min: float = 0.0,
-    d_max: Optional[float] = None,
-    steps: int = 2001,
-) -> VerificationReport:
-    """Shape of E over a dilaton sweep at theta = pi/4.
+def monotonicity_scan(n_out: int, n_in: int, steps: int = 2001) -> VerificationReport:
+    """Shape of E over a dilaton sweep of ``D`` in ``[0, M]`` at theta = pi/4, ``M = omega = 1``.
 
     Classifies the sampled curve as increasing / decreasing /
     single-peaked and compares with what the closed form predicts from
@@ -351,38 +316,32 @@ def monotonicity_scan(
     predicted ``D*``.  A ``D*`` within one grid step of either end may not
     show on the grid, so there the matching monotone shape also passes.
     """
-    if d_max is None:
-        d_max = mass
     _check_count("steps", steps)
     if steps < 3:
         raise InvalidParams(f"need at least 3 steps for a shape scan, got {_count_text(steps)}")
-    if not 0.0 <= d_min < d_max <= mass:
-        raise InvalidParams(
-            f"need 0 <= d_min < d_max <= mass, got [{d_min}, {d_max}] with mass {mass}"
-        )
     theta = math.pi / 4
-    ds = dilaton_grid(d_min, d_max, steps)  # bounds steps before the division below
-    step = (d_max - d_min) / (steps - 1)
-    (es,) = e_grid((theta,), BogoliubovGrid(mass, omega, ds), n_out, n_in)
+    ds = dilaton_grid(0.0, 1.0, steps)  # bounds steps before the division below
+    step = 1.0 / (steps - 1)
+    (es,) = e_grid((theta,), BogoliubovGrid(1.0, 1.0, ds), n_out, n_in)
     observed = _classify(es)
-    expected = _expected_shape(n_out, n_in, mass, omega, d_min, d_max)
+    expected = _expected_shape(n_out, n_in)
     accepted = {expected}
     if expected == "single-peaked":
-        d_star = peak_dilaton(mass, omega, n_out, n_in)
+        d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
         # A peak less than one step from an end can fall between the two
         # samples nearest that end, so the grid then shows no turn.
-        if d_max - d_star < step:
+        if 1.0 - d_star < step:
             accepted.add("increasing")
-        if d_star - d_min < step:
+        if d_star < step:
             accepted.add("decreasing")
     scan_inputs = {
         "n-out-kept": n_out,
         "n-in-kept": n_in,
         "theta": theta,
-        "mass": mass,
-        "omega": omega,
-        "d-min": d_min,
-        "d-max": d_max,
+        "mass": 1.0,
+        "omega": 1.0,
+        "d-min": 0.0,
+        "d-max": 1.0,
         "steps": steps,
         "expected-shape": expected,
         "observed-shape": observed,

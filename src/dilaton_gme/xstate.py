@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidDensity, NotXState
+from .errors import InvalidDensity, NotXState, _count_text
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import ScenarioSpec, SparseDensity, _is_index
+from .modes_state import ScenarioSpec, SparseDensity, _is_index, _real
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
 
@@ -49,13 +49,17 @@ class XState:
     def __post_init__(self):
         m = self.half_dimension
         if not _is_index(m) or m < 1:
-            raise InvalidDensity(f"half dimension must be a positive integer, got {m!r}")
+            raise InvalidDensity(f"half dimension must be a positive integer, got {_count_text(m)}")
         blocks: dict[int, Block] = {}
         populations: list[float] = []
         for i, (a, b, c) in self.blocks.items():
             if not (_is_index(i) and 0 <= i < m):
-                raise InvalidDensity(f"block index {i!r} outside [0, {m})")
-            a, b, c = float(a), float(b), float(c)
+                raise InvalidDensity(f"block index {_count_text(i)} outside [0, {_count_text(m)})")
+            if not type(a) is type(b) is type(c) is float:
+                a, b, c = [
+                    _real(v, InvalidDensity, f"{name}-entry of block {_count_text(i)}")
+                    for name, v in zip("abc", (a, b, c))
+                ]
             # A NaN fails both comparisons, an infinity the second.
             if not -1e-14 <= a < math.inf:
                 raise InvalidDensity(f"a-entry {a!r} is not a valid population")
@@ -65,9 +69,10 @@ class XState:
                 bound = math.sqrt(max(a, 0.0) * max(b, 0.0))
                 if not abs(c) <= bound + 1e-12:  # a NaN fails it too
                     if c != c:
-                        raise InvalidDensity(f"coherence c[{i}] is nan")
+                        raise InvalidDensity(f"coherence c[{_count_text(i)}] is nan")
                     raise InvalidDensity(
-                        f"coherence |c[{i}]| = {abs(c)!r} exceeds sqrt(a*b) = {bound!r}"
+                        f"coherence |c[{_count_text(i)}]| = {abs(c)!r} exceeds "
+                        f"sqrt(a*b) = {bound!r}"
                     )
             if a or b or c:
                 blocks[i] = (a, b, c)

@@ -185,6 +185,19 @@ def test_validation_errors():
         peak_dilaton(-1.0, 1.0, 2, 1)
     with pytest.raises(InvalidParams):
         peak_dilaton(1.0, 0.0, 2, 1)
+    # A negative count past the int-to-str limit is still named.
+    huge = -(10**5000)
+    for call in [
+        lambda: e_general(0.3, pair, huge, 1),
+        lambda: theta_derivative(0.3, pair, 1, huge),
+        lambda: extreme_limit(0.3, huge),
+        lambda: peak_dilaton(1.0, 1.0, huge, 1),
+        lambda: monogamy_residual(0.3, pair, 1, huge),
+        lambda: sum_rule_quadratic(0.3, pair, huge),
+    ]:
+        with pytest.raises(InvalidSpec, match=r"^n_(out|in) must be a non-negative integer, "
+                           r"got <negative 16610-bit integer>$"):
+            call()
 
 
 @given(

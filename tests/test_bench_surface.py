@@ -63,6 +63,25 @@ def test_attributes_the_workloads_and_bench_tests_use_exist():
             assert callable(getattr(owner, name)), f"{owner.__name__}.{name}"
 
 
+def test_the_verify_calls_of_bench_and_cli_still_bind():
+    verify, points = dilaton_gme.verify, []
+    for function, args, kwargs in [
+        (verify.oracle_compare, (points,), {}),
+        (verify.relationship_suite, (), {"grid": points}),
+        (verify.monotonicity_scan, (8, 4), {"steps": 201}),
+        (verify.default_oracle_grid, (), {"max_parties": 4, "max_horizon": 2}),
+    ]:
+        inspect.signature(function).bind(*args, **kwargs)
+    # The suites run on fixed grids: these parameters are gone.
+    for function, removed in [
+        (verify.default_oracle_grid, {"mass", "omega", "thetas", "dilatons"}),
+        (verify.relationship_suite, {"max_horizon", "mass", "omega", "dilatons", "thetas"}),
+        (verify.monotonicity_scan, {"mass", "omega", "d_min", "d_max"}),
+    ]:
+        assert not removed & set(inspect.signature(function).parameters), function.__name__
+    assert not hasattr(verify, "MAX_SUM_RULE_HORIZON")
+
+
 def test_traced_layers_and_counted_functions_exist():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

@@ -19,6 +19,7 @@ from dilaton_gme import (
     extract_xstate,
     gme_xstate,
     scenario_density,
+    verify,
 )
 from dilaton_gme.cli import main
 from dilaton_gme.verify import dilaton_grid
@@ -367,3 +368,22 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     assert main(["verify", "--grid", "small"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["status"] == "fail"
+
+
+def test_verify_writes_a_nan_error_as_null(monkeypatch, capsys):
+    # JSON has no NaN: the report stays valid JSON, and the check still fails.
+    score, calls = verify.gme_xstate, []
+
+    def nan_at_the_second_point(x):
+        calls.append(x)
+        return math.nan if len(calls) == 2 else score(x)
+
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    monkeypatch.setattr(verify, "gme_xstate", nan_at_the_second_point)
+    assert main(["verify", "--grid", "small"]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert [item["status"] for item in payload].count("fail") == 1
+    assert payload[0]["name"] == "oracle-vs-analytic"
+    assert (payload[0]["status"], payload[0]["max-abs-error"]) == ("fail", None)

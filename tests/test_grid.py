@@ -26,7 +26,7 @@ from dilaton_gme import (
     sum_rule_linear,
     sum_rule_quadratic,
 )
-from dilaton_gme.verify import MAX_SUM_RULE_HORIZON
+from dilaton_gme.analytic import MAX_FLOAT_BINOMIAL
 
 
 def _bits(values):
@@ -108,11 +108,11 @@ def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
     sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
     row = analytic._power_row(pair, n_horizon)
     quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
-    if n_horizon <= MAX_SUM_RULE_HORIZON:
+    if n_horizon <= MAX_FLOAT_BINOMIAL:
         assert analytic._binomial_sums(sines, row, 2) == quadratic
     if n_horizon % 2 == 0:
         linear = [sum_rule_linear(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
-        if n_horizon // 2 <= MAX_SUM_RULE_HORIZON:
+        if n_horizon // 2 <= MAX_FLOAT_BINOMIAL:
             assert analytic._binomial_sums(sines, row[::2], 1) == linear
     if n_horizon > 80:
         # This reference rounds C * E**2, the rule (C * E) * E, so past here

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 import math
 import pickle
 import re
@@ -67,6 +68,9 @@ def test_mode_validation():
         for index in (True, 0, -2, 1.0):
             with pytest.raises(InvalidSpec, match=f"^mode index must be a positive integer, got {index}$"):
                 factory(index)
+        with pytest.raises(InvalidSpec, match=r"^mode index must be a positive integer, "
+                           r"got <negative 16610-bit integer>$"):
+            factory(-(10**5000))
 
 
 def test_layout_position_and_bit():
@@ -529,9 +533,31 @@ _ONE_MODE = ModeLayout((flat_mode(1),))
         ),
         (lambda: XState(2, {True: (1.0, 0.0, 0.0)}), InvalidDensity, "block index True outside [0, 2)"),
         (lambda: XState(2, {0.0: (1.0, 0.0, 0.0)}), InvalidDensity, "block index 0.0 outside [0, 2)"),
+        # Past the int-to-str limit an index is named by its bit length.
+        (
+            lambda: SparseDensity(_ONE_MODE, {(0, 0): 1.0, (10**5000, 0): 0.0}),
+            InvalidDensity,
+            "entry (<16610-bit integer>, 0) outside [0, 2)**2 for layout F1",
+        ),
+        (
+            lambda: SparseState(_ONE_MODE, {10**5000: 1.0}),
+            InvalidParams,
+            "basis label <16610-bit integer> outside [0, 2) for layout F1",
+        ),
+        (
+            lambda: XState(2, {10**5000: (1.0, 0.0, 0.0)}),
+            InvalidDensity,
+            "block index <16610-bit integer> outside [0, 2)",
+        ),
+        (
+            lambda: XState(-(10**5000), {}),
+            InvalidDensity,
+            "half dimension must be a positive integer, got <negative 16610-bit integer>",
+        ),
     ],
     ids=["density-float", "density-bool", "density-float-col", "state-bool", "state-float",
-         "xstate-bool", "xstate-float"],
+         "xstate-bool", "xstate-float", "density-huge", "state-huge", "xstate-huge",
+         "xstate-huge-half-dimension"],
 )
 def test_an_index_is_an_int_but_not_a_bool(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -564,6 +590,47 @@ _NAN, _INF = float("nan"), float("inf")
 def test_a_nan_or_infinite_entry_is_refused(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: SparseState(_ONE_MODE, {0: "1"}), InvalidParams,
+         "amplitude at basis label 0 must be a real number, got '1'"),
+        (lambda: SparseState(_ONE_MODE, {0: 0.6, 1: True}), InvalidParams,
+         "amplitude at basis label 1 must be a real number, got True"),
+        (lambda: SparseState(_ONE_MODE, {0: None}), InvalidParams,
+         "amplitude at basis label 0 must be a real number, got None"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): "1"}), InvalidDensity,
+         "entry (0, 0) must be a real number, got '1'"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 1.0, (1, 1): False}), InvalidDensity,
+         "entry (1, 1) must be a real number, got False"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (1, 0): 0.1j}), InvalidDensity,
+         "entry (1, 0) must be a real number, got 0.1j"),
+        (lambda: XState(1, {0: ("x", 0, 0)}), InvalidDensity,
+         "a-entry of block 0 must be a real number, got 'x'"),
+        (lambda: XState(1, {0: (None, 0, 0)}), InvalidDensity,
+         "a-entry of block 0 must be a real number, got None"),
+        (lambda: XState(2, {0: (0.5, 0.5, 0.0), 1: (0.0, 0.0, True)}), InvalidDensity,
+         "c-entry of block 1 must be a real number, got True"),
+    ],
+    ids=["state-str", "state-bool", "state-none", "density-str", "density-bool", "density-complex",
+         "xstate-str", "xstate-none", "xstate-bool"],
+)
+def test_a_value_that_is_not_a_real_number_is_refused(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_real_number_that_is_not_a_float_is_read_as_a_float():
+    state = SparseState(_ONE_MODE, {0: 1})
+    density = SparseDensity(_ONE_MODE, {(0, 0): Fraction(1, 4), (1, 1): np.float32(0.75)})
+    x = XState(1, {0: (1, 0, 0)})
+    for values in (state.amplitudes.values(), density.entries.values(), x.blocks[0]):
+        assert all(type(v) is float for v in values)
+    assert state.amplitudes == {0: 1.0}
+    assert density.entries == {(0, 0): 0.25, (1, 1): 0.75}
+    assert x.blocks == {0: (1.0, 0.0, 0.0)}
 
 
 def test_density_purity():

@@ -7,7 +7,6 @@ import pytest
 from dilaton_gme import (
     BlackHoleParams,
     InvalidParams,
-    InvalidSpec,
     ScenarioSpec,
     VerificationCheck,
     VerificationReport,
@@ -20,7 +19,8 @@ from dilaton_gme import (
     sum_rule_quadratic,
 )
 from dilaton_gme import verify
-from dilaton_gme.verify import MAX_GRID_STEPS, MAX_SUM_RULE_HORIZON, dilaton_grid
+from dilaton_gme.analytic import MAX_FLOAT_BINOMIAL
+from dilaton_gme.verify import MAX_GRID_STEPS, dilaton_grid
 
 
 def test_default_grid_shape():
@@ -36,7 +36,8 @@ def test_default_grid_shape():
 
 
 def _small_grid():
-    return default_oracle_grid(max_parties=3, max_horizon=2, dilatons=(0.0, 0.9, 1.0))
+    grid = default_oracle_grid(max_parties=3, max_horizon=2)
+    return [(spec, params) for spec, params in grid if params.dilaton in (0.0, 0.9, 1.0)]
 
 
 def test_oracle_compare_passes_on_small_grid():
@@ -61,13 +62,13 @@ def test_oracle_compare_passes_on_small_grid():
 
 
 def test_relationship_suite_passes():
-    report = relationship_suite(grid=_small_grid(), max_horizon=6)
+    report = relationship_suite(grid=_small_grid())
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == ["sum-rule-quadratic", "sum-rule-linear", "pairwise-zero", "monogamy"]
     by_name = {c.name: c for c in report.checks}
-    assert by_name["sum-rule-quadratic"].grid_size == 4 * 3 * 6
-    assert by_name["sum-rule-linear"].grid_size == 4 * 3 * 3
+    assert by_name["sum-rule-quadratic"].grid_size == 4 * 3 * 16
+    assert by_name["sum-rule-linear"].grid_size == 4 * 3 * 8
     # two-party scenarios are excluded from the pair checks
     assert by_name["pairwise-zero"].grid_size == sum(
         1 for spec, _ in _small_grid() if spec.n_parties >= 3
@@ -93,25 +94,19 @@ def _scalar_rule_worst(dilatons, thetas, max_horizon):
 
 
 def test_relationship_suite_sum_rules_are_the_scalar_rules():
-    # The same worst error, bit for bit, at the same first worst inputs: on a
-    # hand-picked grid and on the defaults (max_horizon = 16, four dilatons).
-    dilatons, thetas = (0.0, 0.3, 1.0), (0.0, 0.2, math.pi / 4, 1.5)
-    cases = [
-        (relationship_suite(grid=[], max_horizon=7, dilatons=dilatons, thetas=thetas),
-         _scalar_rule_worst(dilatons, thetas, 7)),
-        (relationship_suite(grid=[]),
-         _scalar_rule_worst((0.0, 0.5, 0.9, 1.0), (math.pi / 12, math.pi / 6, math.pi / 4), 16)),
-    ]
-    for report, worst in cases:
-        for check in report.checks[:2]:
-            assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
+    # The same worst error, bit for bit, at the same first worst inputs
+    # (n = 1 .. 16, four dilatons, three thetas).
+    report = relationship_suite(grid=[])
+    worst = _scalar_rule_worst((0.0, 0.5, 0.9, 1.0), (math.pi / 12, math.pi / 6, math.pi / 4), 16)
+    for check in report.checks[:2]:
+        assert (check.max_abs_error, check.worst_case_inputs) == worst[check.name]
 
 
 @pytest.mark.parametrize("n_parties,n_horizon", [(13312, 1), (1000, 4)])
 def test_relationship_checks_pass_at_the_largest_party_counts(n_parties, n_horizon):
     # The pair classes are counted, never listed: 88.6 M pairs at (13312, 1).
     grid = [(ScenarioSpec(n_parties, n_horizon, 1, n_horizon - 1, 0.7), BlackHoleParams(1.0, 0.4, 1.0))]
-    report = relationship_suite(grid=grid, max_horizon=1)
+    report = relationship_suite(grid=grid)
     assert [(check.name, check.status) for check in report.checks] == [
         ("sum-rule-quadratic", "pass"),
         ("sum-rule-linear", "pass"),
@@ -156,7 +151,7 @@ def test_monogamy_counts_every_pair_of_the_first_mode(monkeypatch):
     score = verify.gme_xstate
     monkeypatch.setattr(verify, "gme_xstate", lambda x: 1.0 if x.half_dimension == 2 else score(x))
     grid = [(ScenarioSpec(5, 1, 1, 0, 0.6), BlackHoleParams(1.0, 0.4, 1.0))]
-    checks = {check.name: check for check in relationship_suite(grid=grid, max_horizon=1).checks}
+    checks = {check.name: check for check in relationship_suite(grid=grid).checks}
     assert checks["pairwise-zero"].max_abs_error == 1.0
     assert checks["monogamy"].max_abs_error == pytest.approx(4.0, abs=1e-12)
 
@@ -164,76 +159,8 @@ def test_monogamy_counts_every_pair_of_the_first_mode(monkeypatch):
 def test_sum_rule_horizon_cap_is_the_last_float_sum():
     # The quadratic rule sums C(n, k) * E**2; from n = 1030 on, C(n, n // 2)
     # leaves the float range and the sums switch to decimals.
-    assert MAX_SUM_RULE_HORIZON == 1029
+    assert MAX_FLOAT_BINOMIAL == 1029
     assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
-
-
-@pytest.mark.parametrize(
-    "max_horizon,message",
-    [
-        (0, "must be at least 1, got 0"),
-        (-1, "must be at least 1, got -1"),
-        (-(10**5000), "must be at least 1, got <negative 16610-bit integer>"),
-        (2.5, "must be an integer, got 2.5"),
-        (True, "must be an integer, got True"),
-        ("3", "must be an integer, got '3'"),
-        (None, "must be an integer, got None"),
-        (1030, "must be at most 1029, got 1030"),
-        (10**400, f"must be at most 1029, got {10**400}"),
-        (10**5000, "must be at most 1029, got <16610-bit integer>"),
-    ],
-    ids=["zero", "negative", "huge-negative", "float", "bool", "str", "none", "above-cap",
-         "huge", "past-str-limit"],
-)
-def test_relationship_suite_checks_max_horizon_up_front(max_horizon, message):
-    def unreachable():
-        raise AssertionError("the grid was read before max_horizon was checked")
-        yield
-
-    # Checked before anything else, a bad dilaton included.
-    with pytest.raises(InvalidParams, match=rf"^max_horizon {message}$"):
-        relationship_suite(grid=unreachable(), max_horizon=max_horizon, dilatons=(2.0,))
-
-
-@pytest.mark.parametrize(
-    "kwargs,error,message",
-    [
-        ({"thetas": (0.3, 2.0)}, InvalidSpec, r"^theta must lie in \[0, pi/2\], got 2.0$"),
-        ({"thetas": (math.nan,)}, InvalidSpec, r"^theta must be a finite number, got nan$"),
-        ({"dilatons": (0.5, 1.5)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
-        # The first dilaton is checked before any theta.
-        ({"dilatons": (1.5,), "thetas": (2.0,)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
-        ({"mass": -1.0}, InvalidParams, r"^mass must be a positive finite number, got -1.0$"),
-        ({"omega": math.inf}, InvalidParams, r"^omega must be a positive finite number, got inf$"),
-    ],
-)
-def test_relationship_suite_input_errors(kwargs, error, message):
-    with pytest.raises(error, match=message):
-        relationship_suite(grid=[], max_horizon=3, **kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs,error,message",
-    [
-        # No dilaton, so no sum to run: the thetas are checked all the same.
-        ({"dilatons": (), "thetas": (math.nan, 7.0)}, InvalidSpec, r"^theta must be a finite number, got nan$"),
-        ({"dilatons": (0.0, 0.5, 1.5)}, InvalidParams, r"^dilaton must lie in \[0, mass\]"),
-        ({"dilatons": (0.0, 0.5), "thetas": (0.3, 2.0)}, InvalidSpec, r"^theta must lie in \[0, pi/2\]"),
-    ],
-    ids=["no-dilaton", "third-dilaton", "second-theta"],
-)
-def test_relationship_suite_checks_every_input_before_the_first_sum(monkeypatch, kwargs, error, message):
-    sums = []
-    binomial_sums = verify._binomial_sums
-
-    def counted(*args):
-        sums.append(args)
-        return binomial_sums(*args)
-
-    monkeypatch.setattr(verify, "_binomial_sums", counted)
-    with pytest.raises(error, match=message):
-        relationship_suite(grid=[], **kwargs)
-    assert sums == []
 
 
 @pytest.mark.parametrize(
@@ -313,26 +240,24 @@ def test_monotonicity_scan_monotone(p, q, expected):
     assert report.checks[0].worst_case_inputs["observed-shape"] == expected
 
 
-def test_monotonicity_scan_window_changes_expectation():
-    # D* for (8, 4) is ~0.972; scanning left of it the curve only rises,
-    # right of it the curve only falls
-    left = monotonicity_scan(8, 4, d_min=0.0, d_max=0.5, steps=101)
-    assert left.checks[0].worst_case_inputs["observed-shape"] == "increasing"
-    assert left.passed
-    right = monotonicity_scan(8, 4, d_min=0.98, d_max=1.0, steps=101)
-    assert right.checks[0].worst_case_inputs["observed-shape"] == "decreasing"
-    assert right.passed
+def test_monotonicity_scan_without_a_peak_in_the_scan():
+    # p > q, but D* = 1 - ln(10**12) / (8 pi) lies below D = 0: E only falls.
+    report = monotonicity_scan(10**12, 1, steps=11)
+    assert report.passed
+    assert [c.name for c in report.checks] == [f"monotonicity-p{10**12}-q1"]
+    inputs = report.checks[0].worst_case_inputs
+    assert inputs["expected-shape"] == inputs["observed-shape"] == "decreasing"
 
 
 @pytest.mark.parametrize(
-    "p,q,d_min,steps,observed",
+    "p,q,steps,observed",
     [
-        (26, 25, 0.0, 201, "increasing"),    # D* ~ 0.9984, under one step below d_max
-        (8, 4, 0.972, 11, "decreasing"),     # D* ~ 0.9724, under one step above d_min
+        (26, 25, 201, "increasing"),               # D* ~ 0.9984, under one step below D = 1
+        (23_000_000_000, 1, 11, "decreasing"),     # D* ~ 0.0507, under one step above D = 0
     ],
 )
-def test_monotonicity_scan_peak_within_a_step_of_an_end(p, q, d_min, steps, observed):
-    report = monotonicity_scan(p, q, d_min=d_min, steps=steps)
+def test_monotonicity_scan_peak_within_a_step_of_an_end(p, q, steps, observed):
+    report = monotonicity_scan(p, q, steps=steps)
     assert report.passed
     inputs = report.checks[0].worst_case_inputs
     assert inputs["expected-shape"] == "single-peaked"
@@ -346,10 +271,6 @@ def test_monotonicity_scan_peak_within_a_step_of_an_end(p, q, d_min, steps, obse
 def test_monotonicity_scan_validation():
     with pytest.raises(InvalidParams):
         monotonicity_scan(8, 4, steps=2)
-    with pytest.raises(InvalidParams):
-        monotonicity_scan(8, 4, d_min=0.7, d_max=0.2)
-    with pytest.raises(InvalidParams):
-        monotonicity_scan(8, 4, d_max=2.0)
 
 
 def test_grid_step_count_is_bounded():
