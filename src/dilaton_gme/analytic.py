@@ -18,17 +18,17 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import InvalidSpec, OddN, _count_text
+from .errors import InvalidSpec, OddN, _count_text, _is_index
 from .hawking import (
     BogoliubovGrid,
     BogoliubovPair,
     _check_exponents,
     _check_positive,
+    _check_theta,
     _log_beta,
     _power,
     coeff_power,
 )
-from .modes_state import _check_theta
 
 __all__ = [
     "e_general",
@@ -49,7 +49,7 @@ MAX_FLOAT_BINOMIAL = 1029
 
 def _check_split(n_out: int, n_in: int) -> None:
     for name, value in (("n_out", n_out), ("n_in", n_in)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not _is_index(value) or value < 0:
             raise InvalidSpec(f"{name} must be a non-negative integer, got {_count_text(value)}")
     if n_out + n_in < 1:
         raise InvalidSpec("at least one horizon mode is needed")
@@ -58,7 +58,7 @@ def _check_split(n_out: int, n_in: int) -> None:
 
 def e_general(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) -> float:
     """``sin(2 theta) * alpha**n_out * beta**n_in``."""
-    _check_theta(theta)
+    theta = _check_theta(theta)
     _check_split(n_out, n_in)
     return math.sin(2.0 * theta) * coeff_power(pair, n_out, n_in)
 
@@ -72,8 +72,7 @@ def e_grid(
     beta**n_in`` is computed once per point and shared by every theta, so
     each value is the very float ``e_general`` returns for that point.
     """
-    for theta in thetas:
-        _check_theta(theta)
+    thetas = [_check_theta(theta) for theta in thetas]
     _check_split(n_out, n_in)
     powers = grid.powers(n_out, n_in)
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
@@ -130,14 +129,14 @@ def _rule_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int)
 
 def theta_derivative(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) -> float:
     """``dE/dtheta = 2 cos(2 theta) * alpha**n_out * beta**n_in``."""
-    _check_theta(theta)
+    theta = _check_theta(theta)
     _check_split(n_out, n_in)
     return 2.0 * math.cos(2.0 * theta) * coeff_power(pair, n_out, n_in)
 
 
 def extreme_limit(theta: float, n_horizon: int) -> float:
     """Value of E when alpha = beta = 1/sqrt(2): ``sin(2 theta) / 2**(n/2)``."""
-    _check_theta(theta)
+    theta = _check_theta(theta)
     _check_split(n_horizon, 0)
     return math.sin(2.0 * theta) * 2.0 ** (-0.5 * n_horizon)
 
@@ -151,8 +150,8 @@ def peak_dilaton(mass: float, omega: float, n_out: int, n_in: int):
     above ``M``, so E is monotone over the physical range and the answer
     is None).
     """
-    _check_positive("mass", mass)
-    _check_positive("omega", omega)
+    mass = _check_positive("mass", mass)
+    omega = _check_positive("omega", omega)
     _check_split(n_out, n_in)
     if n_out == 0 or n_in == 0:
         return None
@@ -169,7 +168,7 @@ def sum_rule_quadratic(
     ``rhs = sin(2 theta)**2``; the two agree because
     ``(alpha**2 + beta**2)**n = 1``.
     """
-    _check_theta(theta)
+    theta = _check_theta(theta)
     _check_split(n_horizon, 0)
     return _rule_sum(theta, pair, n_horizon, 1, 2), math.sin(2.0 * theta) ** 2
 
@@ -184,7 +183,7 @@ def sum_rule_linear(
     telescopes through ``(alpha**2 + beta**2)**(n/2)``.  Returns
     ``(lhs, rhs)``; odd ``n`` raises :class:`OddN`.
     """
-    _check_theta(theta)
+    theta = _check_theta(theta)
     _check_split(n_horizon, 0)
     if n_horizon % 2:
         raise OddN(f"the linear sum rule needs an even mode count, got {n_horizon}")
@@ -199,6 +198,6 @@ def monogamy_residual(
     Every two-party reduction of the scenario state is separable, so the
     remainder is the full ``E**2 = sin(2 theta)**2 * alpha**(2p) * beta**(2q)``.
     """
-    _check_theta(theta)
+    theta = _check_theta(theta)
     _check_split(n_out, n_in)
     return math.sin(2.0 * theta) ** 2 * coeff_power(pair, 2 * n_out, 2 * n_in)

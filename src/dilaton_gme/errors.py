@@ -1,4 +1,6 @@
-"""Exception types raised across the package, and how their messages show a count."""
+"""Exception types raised across the package, and its one rule each for a count and a real number."""
+
+import numbers
 
 __all__ = [
     "DilatonGmeError",
@@ -21,6 +23,37 @@ def _count_text(value: object) -> str:
         return str(value) if isinstance(value, int) else repr(value)
     except ValueError:
         return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
+
+
+def _is_index(value: object) -> bool:
+    """The rule for a count (an index, a label, an exponent, a size): an ``int``, not a ``bool``."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def _check_count(name: str, value: object, error: type) -> None:
+    """Raise ``error`` for a ``value`` that is not a count."""
+    if type(value) is not int and not _is_index(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _is_real(kind: type) -> bool:
+    """The rule for a real number's type: ``numbers.Real``, not ``bool`` (which compares as 0 or 1)."""
+    return issubclass(kind, numbers.Real) and kind is not bool
+
+
+def _real(value: object, error: type, where: str) -> float:
+    """``value`` as a ``float`` if it is a real number, else ``error`` naming ``where``."""
+    if type(value) is float or _is_real(type(value)):
+        return float(value)
+    raise error(f"{where} must be a real number, got {value!r}")
+
+
+def _items(mapping: object, error: type, what: str):
+    """``mapping.items()``, or ``error`` naming ``what`` for a value that is not a mapping."""
+    try:
+        return mapping.items()
+    except AttributeError:
+        raise error(f"{what} must be a mapping, got {type(mapping).__name__}") from None
 
 
 class DilatonGmeError(Exception):

@@ -27,7 +27,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DegenerateCoefficient, InvalidParams, _count_text
+from .errors import DegenerateCoefficient, InvalidParams, InvalidSpec, _count_text
+from .errors import _is_index, _is_real, _real
 
 __all__ = [
     "BlackHoleParams",
@@ -46,22 +47,23 @@ _LOG_DIRECT_FLOOR = -700.0
 _MAX_EXPONENT = sys.float_info.max
 
 
-def _check_real(name: str, value: float) -> None:
-    """Refuse what no range check can judge: a non-number, and a bool, which compares as 0 or 1."""
-    if not isinstance(value, (int, float)) or type(value) is bool:
-        raise InvalidParams(f"{name} must be a real number, got {value!r}")
-
-
-def _check_positive(name: str, value: float) -> None:
-    _check_real(name, value)
-    if not (value > 0.0) or not math.isfinite(value):
+def _check_positive(name: str, value: float) -> float:
+    value = _real(value, InvalidParams, name)
+    if not 0.0 < value < math.inf:
         raise InvalidParams(f"{name} must be a positive finite number, got {value}")
+    return value
 
 
 def _check_dilaton(mass: float, dilaton: float) -> None:
-    _check_real("dilaton", dilaton)
-    if not math.isfinite(dilaton) or not (0.0 <= dilaton <= mass):
+    if not 0.0 <= dilaton <= mass:  # both are floats, and a NaN fails
         raise InvalidParams(f"dilaton must lie in [0, mass] = [0, {mass}], got {dilaton}")
+
+
+def _check_theta(theta: float) -> float:
+    theta = _real(theta, InvalidSpec, "theta")
+    if not 0.0 <= theta <= math.pi / 2:
+        raise InvalidSpec(f"theta must lie in [0, pi/2], got {theta}")
+    return theta
 
 
 def _check_pair(alpha: float, beta: float) -> None:
@@ -97,6 +99,9 @@ class BlackHoleParams:
     omega: float
 
     def __post_init__(self):
+        if not type(self.mass) is type(self.dilaton) is type(self.omega) is float:
+            for name in ("mass", "dilaton", "omega"):
+                object.__setattr__(self, name, _real(getattr(self, name), InvalidParams, name))
         _check_positive("mass", self.mass)
         _check_dilaton(self.mass, self.dilaton)
         _check_positive("omega", self.omega)
@@ -110,8 +115,8 @@ class BlackHoleParams:
         squaring a charge given as ``sqrt(2) * M`` overshoots ``M`` by a few
         ulp, so a relative slack of 1e-12 is clamped back to the extreme.
         """
-        _check_positive("mass", mass)
-        _check_real("charge", charge)
+        mass = _check_positive("mass", mass)
+        charge = _real(charge, InvalidParams, "charge")
         if not math.isfinite(charge):
             raise InvalidParams(f"charge must be finite, got {charge}")
         dilaton = charge * charge / (2.0 * mass)
@@ -138,6 +143,9 @@ class BogoliubovPair:
     beta: float
 
     def __post_init__(self):
+        if not type(self.alpha) is type(self.beta) is float:
+            for name in ("alpha", "beta"):
+                object.__setattr__(self, name, _real(getattr(self, name), InvalidParams, name))
         _check_pair(self.alpha, self.beta)
 
 
@@ -184,9 +192,10 @@ def _power(
 
 
 def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
-    if alpha_exp < 0 or beta_exp < 0:
+    counts = type(alpha_exp) is type(beta_exp) is int or (_is_index(alpha_exp) and _is_index(beta_exp))
+    if not counts or alpha_exp < 0 or beta_exp < 0:
         raise InvalidParams(
-            f"exponents must be non-negative, got "
+            f"exponents must be non-negative integers, got "
             f"({_count_text(alpha_exp)}, {_count_text(beta_exp)})"
         )
     if alpha_exp > _MAX_EXPONENT or beta_exp > _MAX_EXPONENT:
@@ -231,8 +240,8 @@ class BogoliubovGrid:
     """Mixing coefficients at every dilaton of a list, for one mass and frequency.
 
     ``mass`` and ``omega`` are checked once, every dilaton must lie in
-    ``[0, mass]``, and each point passes the checks of
-    :class:`BogoliubovPair`.  Point ``i`` holds exactly the floats
+    ``[0, mass]``, all are kept as floats, and each point passes the
+    checks of :class:`BogoliubovPair`.  Point ``i`` holds exactly the floats
     ``bogoliubov(BlackHoleParams(mass, dilatons[i], omega))`` would, kept as
     parallel lists together with their logs.
     """
@@ -242,19 +251,18 @@ class BogoliubovGrid:
 
     def __init__(self, mass: float, omega: float, dilatons: Iterable[float]):
         dilatons = tuple(dilatons)
-        _check_positive("mass", mass)
+        mass = _check_positive("mass", mass)
+        kinds = set(map(type, dilatons))
+        if not all(map(_is_real, kinds)):
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise InvalidParams(f"every dilaton must be a real number, got {names}")
+        if kinds - {float}:
+            dilatons = tuple(map(float, dilatons))
         if dilatons:
-            try:  # a value that does not compare with a float raises TypeError here
-                # min() and max() skip a NaN that is not first, so a NaN is checked first.
-                extremes = (next(filter(math.isnan, dilatons), min(dilatons)), max(dilatons))
-            except TypeError:
-                extremes = ()
-            if not extremes or bool in map(type, dilatons):
-                kinds = ", ".join(sorted({type(dilaton).__name__ for dilaton in dilatons}))
-                raise InvalidParams(f"every dilaton must be a real number, got {kinds}")
-            for dilaton in extremes:
-                _check_dilaton(mass, dilaton)
-        _check_positive("omega", omega)
+            # min() and max() skip a NaN that is not first, so a NaN is checked first.
+            _check_dilaton(mass, next(filter(math.isnan, dilatons), min(dilatons)))
+            _check_dilaton(mass, max(dilatons))
+        omega = _check_positive("omega", omega)
         pairs = [_mixing(mass, dilaton, omega) for dilaton in dilatons]
         for alpha, beta in pairs:
             _check_pair(alpha, beta)

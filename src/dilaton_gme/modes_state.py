@@ -17,8 +17,8 @@ a trace plan from the same builder :func:`partial_trace` uses: the kept
 layout, the mask of the traced bits and the runs of consecutive kept bits.
 Each scenario point then costs O(2**n) operations on its labels, whatever
 the party count; see :data:`SCALE_BUDGET`.  Each container checks its
-input in one pass, and every basis label, entry index and block index
-obeys one rule: an ``int`` that is not a ``bool``.
+input in one pass, under the count and real-number rules of
+:mod:`dilaton_gme.errors`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -39,7 +38,8 @@ from .errors import (
     UnknownMode,
     _count_text,
 )
-from .hawking import BogoliubovPair
+from .errors import _check_count, _is_index, _items, _real
+from .hawking import BogoliubovPair, _check_theta
 
 __all__ = [
     "flat_mode",
@@ -63,18 +63,6 @@ NORM_TOL = 1e-12
 #: Largest ``n_parties * 2**n_horizon`` the exact pipeline accepts, reached at (13, 11).
 #: N <= 13312 keeps basis labels under Python's 4300-digit int-to-str limit.
 SCALE_BUDGET = 13 * 2**11
-
-
-def _is_index(value: object) -> bool:
-    """The one rule for a mode index, basis label or block index: an ``int`` but not a ``bool``."""
-    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
-
-
-def _real(value: object, error: type, where: str) -> float:
-    """``float(value)`` for a real number; a ``bool``, a ``str`` or any other value raises."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise error(f"{where} must be a real number, got {value!r}")
 
 
 def _mode(prefix: str, index: int) -> str:
@@ -148,13 +136,6 @@ class ModeLayout:
 TracePlan = tuple[ModeLayout, int, tuple[tuple[int, int, int], ...]]
 
 
-def _check_theta(theta: float) -> None:
-    if not (isinstance(theta, (int, float)) and type(theta) is not bool and math.isfinite(theta)):
-        raise InvalidSpec(f"theta must be a finite number, got {theta!r}")
-    if not 0.0 <= theta <= math.pi / 2:
-        raise InvalidSpec(f"theta must lie in [0, pi/2], got {theta}")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """How an N-party GHZ state is split across the horizon.
@@ -177,9 +158,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("n_parties", "n_horizon", "n_out_kept", "n_in_kept"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            _check_count(name, getattr(self, name), InvalidSpec)
         if self.n_parties < 2:
             raise InvalidSpec(f"need at least two parties, got {_count_text(self.n_parties)}")
         if not 1 <= self.n_horizon < self.n_parties:
@@ -200,6 +179,8 @@ class ScenarioSpec:
                 f"kept out + in modes must equal n_horizon: {_count_text(self.n_out_kept)} "
                 f"+ {_count_text(self.n_in_kept)} != {_count_text(self.n_horizon)}"
             )
+        if type(self.theta) is not float:
+            object.__setattr__(self, "theta", _real(self.theta, InvalidSpec, "theta"))
         _check_theta(self.theta)
 
     def __getstate__(self) -> dict:
@@ -250,7 +231,7 @@ class SparseState:
         dim = 1 << len(self.layout)
         cleaned: dict[int, float] = {}
         squares: list[float] = []
-        for label, amp in self.amplitudes.items():
+        for label, amp in _items(self.amplitudes, InvalidParams, "amplitudes"):
             if not (_is_index(label) and 0 <= label < dim):
                 raise InvalidParams(
                     f"basis label {_count_text(label)} outside [0, {_count_text(dim)}) for layout "
@@ -292,8 +273,11 @@ class SparseDensity:
         diagonal: list[float] = []
         negative = None  # the first diagonal entry below -1e-14, reported after the trace
         zeros = False
-        for key, value in self.entries.items():
-            row, col = key
+        for key, value in _items(self.entries, InvalidDensity, "entries"):
+            try:
+                row, col = key
+            except (TypeError, ValueError):
+                raise InvalidDensity(f"entry key {_count_text(key)} is not a (row, col) pair") from None
             if not (_is_index(row) and _is_index(col) and 0 <= row < dim and 0 <= col < dim):
                 raise InvalidDensity(
                     f"entry ({_count_text(row)}, {_count_text(col)}) outside "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .analytic import _binomial_sums, _power_row, e_general, e_grid, monogamy_residual, peak_dilaton
-from .errors import InvalidParams, _count_text
+from .errors import InvalidParams, _check_count, _count_text
 from .gme import gme_xstate
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
 from .modes_state import ScenarioSpec, scenario_density
@@ -106,12 +106,6 @@ class _Worst:
             self.inputs = inputs
 
 
-def _check_count(name: str, value: int) -> None:
-    """The one rule for a count argument: an ``int`` that is not a ``bool``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParams(f"{name} must be an integer, got {value!r}")
-
-
 def _grid_points(grid: Optional[Iterable[GridPoint]]) -> list[GridPoint]:
     """The grid's items (the default oracle grid for ``None``), each checked to be a point."""
     points = list(default_oracle_grid() if grid is None else grid)
@@ -141,8 +135,8 @@ def _describe(spec: ScenarioSpec, params: BlackHoleParams) -> dict:
 
 def default_oracle_grid(max_parties: int = 6, max_horizon: int = 4) -> list[GridPoint]:
     """Every scenario with N <= max_parties, n <= max_horizon, all splits, at M = omega = 1."""
-    _check_count("max_parties", max_parties)
-    _check_count("max_horizon", max_horizon)
+    _check_count("max_parties", max_parties, InvalidParams)
+    _check_count("max_horizon", max_horizon, InvalidParams)
     grid: list[GridPoint] = []
     for n_parties in range(2, max_parties + 1):
         for n_horizon in range(1, min(max_horizon, n_parties - 1) + 1):
@@ -268,7 +262,7 @@ def relationship_suite(grid: Optional[Iterable[GridPoint]] = None) -> Verificati
 
 def dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:
     """``steps`` evenly spaced dilatons from ``d_min`` to exactly ``d_max``."""
-    _check_count("steps", steps)
+    _check_count("steps", steps, InvalidParams)
     if steps < 2:
         raise InvalidParams(f"a dilaton grid needs at least 2 steps, got {_count_text(steps)}")
     if steps > MAX_GRID_STEPS:
@@ -316,7 +310,7 @@ def monotonicity_scan(n_out: int, n_in: int, steps: int = 2001) -> VerificationR
     predicted ``D*``.  A ``D*`` within one grid step of either end may not
     show on the grid, so there the matching monotone shape also passes.
     """
-    _check_count("steps", steps)
+    _check_count("steps", steps, InvalidParams)
     if steps < 3:
         raise InvalidParams(f"need at least 3 steps for a shape scan, got {_count_text(steps)}")
     theta = math.pi / 4

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidDensity, NotXState, _count_text
+from .errors import InvalidDensity, NotXState, _count_text, _is_index, _items, _real
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import ScenarioSpec, SparseDensity, _is_index, _real
+from .modes_state import ScenarioSpec, SparseDensity
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
 
@@ -52,14 +52,16 @@ class XState:
             raise InvalidDensity(f"half dimension must be a positive integer, got {_count_text(m)}")
         blocks: dict[int, Block] = {}
         populations: list[float] = []
-        for i, (a, b, c) in self.blocks.items():
+        for i, block in _items(self.blocks, InvalidDensity, "blocks"):
+            try:
+                a, b, c = block
+            except (TypeError, ValueError):
+                raise InvalidDensity(f"block {_count_text(i)} is not an (a, b, c) triple") from None
             if not (_is_index(i) and 0 <= i < m):
                 raise InvalidDensity(f"block index {_count_text(i)} outside [0, {_count_text(m)})")
             if not type(a) is type(b) is type(c) is float:
-                a, b, c = [
-                    _real(v, InvalidDensity, f"{name}-entry of block {_count_text(i)}")
-                    for name, v in zip("abc", (a, b, c))
-                ]
+                where = f"-entry of block {_count_text(i)}"
+                a, b, c = [_real(v, InvalidDensity, name + where) for name, v in zip("abc", (a, b, c))]
             # A NaN fails both comparisons, an infinity the second.
             if not -1e-14 <= a < math.inf:
                 raise InvalidDensity(f"a-entry {a!r} is not a valid population")

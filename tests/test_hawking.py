@@ -101,7 +101,7 @@ def test_invalid_black_hole_params(mass, dilaton, omega):
         (lambda: BogoliubovGrid(1.0, 1.0, [0.0, 1.0, True, 0.5]), InvalidParams,
          "every dilaton must be a real number, got bool, float"),
         (lambda: BogoliubovGrid(None, 1.0, [0.5]), InvalidParams, "mass must be a real number, got None"),
-        (lambda: ScenarioSpec(3, 1, 1, 0, True), InvalidSpec, "theta must be a finite number, got True"),
+        (lambda: ScenarioSpec(3, 1, 1, 0, True), InvalidSpec, "theta must be a real number, got True"),
     ],
     ids=["mass-str", "omega-none", "dilaton-complex", "charge-str", "mass-bool", "dilaton-bool",
          "omega-bool", "charge-bool", "grid-str", "grid-only-str", "grid-bool", "grid-mass-none",

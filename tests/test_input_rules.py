@@ -1,0 +1,135 @@
+"""Every site that takes a real number or a count gives the same verdict on the same value.
+
+The package has one rule for each, in ``dilaton_gme.errors``: a real number
+is a ``numbers.Real`` that is not a ``bool``, read as a ``float``; a count
+is an ``int`` that is not a ``bool``.  Each site below is fed a value that
+lies inside its own range, so only the rule can refuse it.
+"""
+
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dilaton_gme import (
+    BlackHoleParams,
+    BogoliubovGrid,
+    BogoliubovPair,
+    DilatonGmeError,
+    InvalidDensity,
+    InvalidParams,
+    InvalidSpec,
+    ModeLayout,
+    ScenarioSpec,
+    SparseDensity,
+    SparseState,
+    XState,
+    coeff_power,
+    default_oracle_grid,
+    e_general,
+    flat_mode,
+    log_power,
+    monotonicity_scan,
+)
+from dilaton_gme.verify import dilaton_grid
+
+_ONE_MODE = ModeLayout(("F1",))
+_TWO_MODES = ModeLayout(("F1", "F2"))
+_PAIR = BogoliubovPair(0.8, 0.6)
+
+# Each site takes the value 1 and returns what it stored.
+_REAL_SITES = {
+    "mass": lambda v: BlackHoleParams(v, 0.0, 1.0).mass,
+    "omega": lambda v: BlackHoleParams(1.0, 0.0, v).omega,
+    "dilaton": lambda v: BlackHoleParams(2.0, v, 1.0).dilaton,
+    "charge": lambda v: BlackHoleParams.from_charge(1.0, v, 1.0).dilaton * 2.0,
+    "theta": lambda v: ScenarioSpec(3, 1, 1, 0, v).theta,
+    "pair-alpha": lambda v: BogoliubovPair(v, 0.0).alpha,
+    "grid-mass": lambda v: BogoliubovGrid(v, 1.0, [0.5]).mass,
+    "grid-interior": lambda v: BogoliubovGrid(2.0, 1.0, [0.0, v, 2.0]).dilatons[1],
+    "grid-end": lambda v: BogoliubovGrid(1.0, 1.0, [0.0, v]).dilatons[1],
+    "amplitude": lambda v: SparseState(_ONE_MODE, {0: v}).amplitudes[0],
+    "density-entry": lambda v: SparseDensity(_ONE_MODE, {(0, 0): v}).entries[(0, 0)],
+    "xstate-entry": lambda v: XState(1, {0: (v, 0.0, 0.0)}).blocks[0][0],
+}
+
+# Each site takes the count 3.
+_COUNT_SITES = {
+    "n_parties": lambda v: ScenarioSpec(v, 1, 1, 0, 0.5),
+    "n_horizon": lambda v: ScenarioSpec(5, v, 2, 1, 0.5),
+    "n_out_kept": lambda v: ScenarioSpec(5, 3, v, 0, 0.5),
+    "n_in_kept": lambda v: ScenarioSpec(5, 3, 0, v, 0.5),
+    "steps": lambda v: dilaton_grid(0.0, 1.0, v),
+    "scan-steps": lambda v: monotonicity_scan(2, 1, steps=v),
+    "max_parties": lambda v: default_oracle_grid(max_parties=v),
+    "max_horizon": lambda v: default_oracle_grid(max_parties=4, max_horizon=v),
+    "n_out": lambda v: e_general(0.5, _PAIR, v, 0),
+    "n_in": lambda v: e_general(0.5, _PAIR, 0, v),
+    "coeff-exponent": lambda v: coeff_power(_PAIR, v, 0),
+    "log-exponent": lambda v: log_power(_PAIR, 0, v),
+    "grid-exponent": lambda v: BogoliubovGrid(1.0, 1.0, [0.5]).powers(v, 1),
+    "mode-index": lambda v: flat_mode(v),
+    "basis-label": lambda v: SparseState(_TWO_MODES, {v: 1.0}),
+    "entry-index": lambda v: SparseDensity(_TWO_MODES, {(v, v): 1.0}),
+    "block-index": lambda v: XState(4, {v: (1.0, 0.0, 0.0)}),
+}
+
+
+@pytest.mark.parametrize("site", _REAL_SITES)
+@pytest.mark.parametrize("value", [1.0, 1, Fraction(1), np.float32(1.0), np.int64(1)], ids=repr)
+def test_every_real_site_stores_a_real_number_as_a_float(site, value):
+    stored = _REAL_SITES[site](value)
+    assert type(stored) is float and stored == 1.0
+
+
+@pytest.mark.parametrize("site", _REAL_SITES)
+@pytest.mark.parametrize("value", [True, "1", None, 1 + 0j, Decimal(1)], ids=repr)
+def test_every_real_site_refuses_what_is_not_a_real_number(site, value):
+    with pytest.raises(DilatonGmeError):
+        _REAL_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+def test_every_count_site_takes_an_int(site):
+    _COUNT_SITES[site](3)
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+@pytest.mark.parametrize("value", [np.int64(3), True, 3.0, "3"], ids=repr)
+def test_every_count_site_refuses_what_is_not_an_int(site, value):
+    with pytest.raises(DilatonGmeError):
+        _COUNT_SITES[site](value)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: BogoliubovPair("1", 0.0), InvalidParams, "alpha must be a real number, got '1'"),
+        (lambda: BogoliubovPair(1.0, None), InvalidParams, "beta must be a real number, got None"),
+        (lambda: BogoliubovGrid(1.0, 1.0, [0.0, Decimal("0.5"), 1.0]), InvalidParams,
+         "every dilaton must be a real number, got Decimal, float"),
+        (lambda: ScenarioSpec(3, 1, 1, 0, float("nan")), InvalidSpec, "theta must lie in [0, pi/2], got nan"),
+        (lambda: ScenarioSpec(3, 1, 1, 0, float("-inf")), InvalidSpec, "theta must lie in [0, pi/2], got -inf"),
+        (lambda: coeff_power(_PAIR, 1.5, 0), InvalidParams, "exponents must be non-negative integers, got (1.5, 0)"),
+        (lambda: log_power(_PAIR, None, 0), InvalidParams, "exponents must be non-negative integers, got (None, 0)"),
+        (lambda: BogoliubovGrid(1.0, 1.0, [0.5]).powers(0, "1"), InvalidParams,
+         "exponents must be non-negative integers, got (0, '1')"),
+        (lambda: coeff_power(_PAIR, True, 0), InvalidParams, "exponents must be non-negative integers, got (True, 0)"),
+        (lambda: XState(1, {0: (1.0, 0.0)}), InvalidDensity, "block 0 is not an (a, b, c) triple"),
+        (lambda: XState(1, {0: 1.0}), InvalidDensity, "block 0 is not an (a, b, c) triple"),
+        (lambda: XState(1, None), InvalidDensity, "blocks must be a mapping, got NoneType"),
+        (lambda: SparseDensity(_ONE_MODE, {0: 1.0}), InvalidDensity, "entry key 0 is not a (row, col) pair"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0, 0): 1.0}), InvalidDensity,
+         "entry key (0, 0, 0) is not a (row, col) pair"),
+        (lambda: SparseDensity(_ONE_MODE, [1.0]), InvalidDensity, "entries must be a mapping, got list"),
+        (lambda: SparseState(_ONE_MODE, None), InvalidParams, "amplitudes must be a mapping, got NoneType"),
+    ],
+    ids=["pair-str", "pair-none", "grid-decimal", "theta-nan", "theta-inf", "exponent-float", "exponent-none",
+         "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
+         "density-int-key", "density-long-key", "density-list", "state-none"],
+)
+def test_a_refused_input_names_what_it_refuses(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,4 +1,4 @@
-"""The exact oracle never reaches the closed forms it is checked against."""
+"""The oracle and the closed forms never reach each other; only ``errors`` spells the input rules."""
 
 import ast
 import os
@@ -7,14 +7,18 @@ import dilaton_gme
 
 _PACKAGE_DIR = os.path.dirname(dilaton_gme.__file__)
 _ORACLE_MODULES = ("modes_state", "xstate", "gme")
+_MODULES = sorted(name[:-3] for name in os.listdir(_PACKAGE_DIR) if name.endswith(".py"))
+
+
+def _tree(module):
+    with open(os.path.join(_PACKAGE_DIR, f"{module}.py")) as handle:
+        return ast.parse(handle.read())
 
 
 def _package_imports(module):
     """Names of the package modules that ``module`` imports directly."""
-    with open(os.path.join(_PACKAGE_DIR, f"{module}.py")) as handle:
-        tree = ast.parse(handle.read())
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and node.module and node.module.startswith("dilaton_gme"):
                 names.add(node.module.partition(".")[2])
@@ -27,16 +31,86 @@ def _package_imports(module):
     return names - {""}
 
 
-def test_oracle_modules_never_import_analytic():
+def _closure(*modules):
+    """The package modules that ``modules`` reach through their imports, themselves included."""
     reached = set()
-    pending = list(_ORACLE_MODULES)
+    pending = list(modules)
     while pending:
         module = pending.pop()
         if module not in reached:
             reached.add(module)
             pending.extend(_package_imports(module))
+    return reached
+
+
+def test_oracle_modules_never_import_analytic():
+    reached = _closure(*_ORACLE_MODULES)
     assert {"modes_state", "xstate", "gme", "hawking", "errors"} <= reached
     assert "analytic" not in reached and "verify" not in reached and "cli" not in reached
+
+
+def test_the_closed_forms_never_import_the_oracle():
+    assert _closure("analytic") == {"analytic", "hawking", "errors"}
+
+
+def _is_bool(node):
+    return isinstance(node, ast.Name) and node.id == "bool"
+
+
+def _bool_tests(tree):
+    """Line numbers where ``tree`` tests a value or a type against ``bool``.
+
+    That is ``isinstance``/``issubclass`` with ``bool`` among the types, and
+    any comparison with ``bool`` as an operand (``type(v) is bool``,
+    ``bool in kinds``).  ``type(v) is float`` is not one.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            if any(map(_is_bool, [node.left, *node.comparators])):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+            kinds = node.args[1:]
+            kinds = [*kinds, *(e for k in kinds if isinstance(k, ast.Tuple) for e in k.elts)]
+            if any(map(_is_bool, kinds)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_errors_imports_numbers():
+    imports_numbers = [
+        module
+        for module in _MODULES
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+    ]
+    assert imports_numbers == ["errors"]
+
+
+def test_only_errors_tests_for_bool():
+    tests_bool = {module: _bool_tests(_tree(module)) for module in _MODULES}
+    assert [module for module, lines in tests_bool.items() if lines] == ["errors"], tests_bool
+
+
+# Where each input-rule helper is defined; ``None`` marks a deleted spelling.
+_RULE_HOMES = {
+    "_is_index": "errors",
+    "_check_count": "errors",
+    "_is_real": "errors",
+    "_real": "errors",
+    "_check_theta": "hawking",
+    "_check_real": None,
+}
+
+
+def test_each_rule_helper_is_defined_in_one_module():
+    defined = {}
+    for module in _MODULES:
+        for node in _tree(module).body:
+            if isinstance(node, ast.FunctionDef) and node.name in _RULE_HOMES:
+                defined.setdefault(node.name, []).append(module)
+    assert defined == {name: [home] for name, home in _RULE_HOMES.items() if home}
 
 
 # The package exports what the modules list in their ``__all__``; these are its 49 names.
