@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import InvalidSpec, OddN, _count_text, _is_index
+from .errors import InvalidSpec, OddN, _count_text, _is_index, _sequence
 from .hawking import (
     BogoliubovGrid,
     BogoliubovPair,
@@ -72,7 +72,7 @@ def e_grid(
     beta**n_in`` is computed once per point and shared by every theta, so
     each value is the very float ``e_general`` returns for that point.
     """
-    thetas = [_check_theta(theta) for theta in thetas]
+    thetas = [_check_theta(theta) for theta in _sequence(thetas, InvalidSpec, "thetas")]
     _check_split(n_out, n_in)
     powers = grid.powers(n_out, n_in)
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]

@@ -132,20 +132,14 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _figure_table(
-    columns: Sequence[tuple[str, int, int, float]],
-    mass: float,
-    omega: float,
-    steps: int,
-) -> tuple[list[float], list[tuple[str, list[float]]]]:
-    ds = dilaton_grid(0.0, mass, steps)
-    grid = BogoliubovGrid(mass, omega, ds)
+    columns: Sequence[tuple[str, int, int, float]], grid: BogoliubovGrid
+) -> list[tuple[str, list[float]]]:
     thetas: dict[tuple[int, int], list[float]] = {}
     for _, p, q, theta in columns:
         thetas.setdefault((p, q), []).append(theta)
     # One monomial per split, shared by that split's theta columns.
     values = {split: iter(e_grid(ts, grid, *split)) for split, ts in thetas.items()}
-    series = [(name, next(values[p, q])) for name, p, q, _ in columns]
-    return ds, series
+    return [(name, next(values[p, q])) for name, p, q, _ in columns]
 
 
 def _figure_csv(ds: list[float], series: list[tuple[str, list[float]]]) -> str:
@@ -199,8 +193,11 @@ def _render_svg(title: str, ds: list[float], series: list[tuple[str, list[float]
 
 def cmd_figures(args, parser) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
+    # The three figures share one dilaton range, so they share one grid.
+    ds = dilaton_grid(0.0, args.mass, args.steps)
+    grid = BogoliubovGrid(args.mass, args.omega, ds)
     for stem, columns in _FIGURES.items():
-        ds, series = _figure_table(columns, args.mass, args.omega, args.steps)
+        series = _figure_table(columns, grid)
         csv_path = os.path.join(args.output_dir, f"{stem}.csv")
         _write_text(csv_path, _figure_csv(ds, series))
         print(csv_path)
@@ -254,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add an E_oracle column from the exact pipeline")
     sweep.add_argument("--n-parties", type=int, default=None)
     sweep.add_argument("--output", default=None, metavar="FILE")
-    sweep.set_defaults(func=cmd_sweep)
 
     figures = sub.add_parser("figures", help="write fig1/fig2/fig3 datasets")
     figures.add_argument("--output-dir", default=".")
@@ -262,14 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--mass", type=float, default=1.0)
     figures.add_argument("--omega", type=float, default=1.0)
     figures.add_argument("--svg", action="store_true", help="also render SVG plots")
-    figures.set_defaults(func=cmd_figures)
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--grid", choices=("full", "small"), default="full")
     verify.add_argument("--steps", type=int, default=2001,
                         help="points per monotonicity scan")
     verify.add_argument("--output", default=None, metavar="FILE")
-    verify.set_defaults(func=cmd_verify)
 
     state = sub.add_parser("state", help="dump a reduced density matrix")
     state.add_argument("--n-parties", type=int, required=True)
@@ -279,19 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     state.add_argument("--dilaton", type=float, default=0.0)
     state.add_argument("--omega", type=float, default=1.0)
     state.add_argument("--output", default=None, metavar="FILE")
-    state.set_defaults(func=cmd_state)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # built on first use, not at import: ~1 ms, mostly argparse sizing the terminal
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        # Looked up per call, not kept in the shared parser, so a rebound cmd_* is the one that runs.
+        return globals()[f"cmd_{args.command}"](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DilatonGmeError, OSError) as exc:

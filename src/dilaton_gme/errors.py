@@ -1,4 +1,5 @@
-"""Exception types raised across the package, and its one rule each for a count and a real number."""
+"""Exception types raised across the package, and its one rule each for a count, a real number,
+a mapping and a sequence."""
 
 import numbers
 
@@ -44,7 +45,12 @@ def _is_real(kind: type) -> bool:
 def _real(value: object, error: type, where: str) -> float:
     """``value`` as a ``float`` if it is a real number, else ``error`` naming ``where``."""
     if type(value) is float or _is_real(type(value)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int or a Fraction past the largest float
+            raise error(
+                f"{where} must lie within the float range, got {type(value).__name__} beyond it"
+            ) from None
     raise error(f"{where} must be a real number, got {value!r}")
 
 
@@ -54,6 +60,15 @@ def _items(mapping: object, error: type, what: str):
         return mapping.items()
     except AttributeError:
         raise error(f"{what} must be a mapping, got {type(mapping).__name__}") from None
+
+
+def _sequence(values: object, error: type, what: str) -> tuple:
+    """``tuple(values)``, or ``error`` naming ``what`` for a value that cannot be iterated."""
+    try:
+        iter(values)  # tested apart, so a TypeError raised while iterating is not renamed
+    except TypeError:
+        raise error(f"{what} must be a sequence, got {type(values).__name__}") from None
+    return tuple(values)
 
 
 class DilatonGmeError(Exception):

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DegenerateCoefficient, InvalidParams, InvalidSpec, _count_text
-from .errors import _is_index, _is_real, _real
+from .errors import _is_index, _is_real, _real, _sequence
 
 __all__ = [
     "BlackHoleParams",
@@ -66,18 +66,20 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _check_pair(alpha: float, beta: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
-    if not (0.0 <= beta < 1.0):
-        raise InvalidParams(f"beta must lie in [0, 1), got {beta}")
-    if alpha < beta:
-        raise InvalidParams(
-            f"alpha must not be smaller than beta, got alpha={alpha}, beta={beta}"
-        )
-    norm = alpha * alpha + beta * beta
-    if abs(norm - 1.0) > 1e-14:
-        raise InvalidParams(f"alpha**2 + beta**2 must equal 1 within 1e-14, got {norm!r}")
+def _check_pair(alphas: Sequence[float], betas: Sequence[float]) -> None:
+    """The checks of a :class:`BogoliubovPair` at each point; the first bad point raises."""
+    for alpha, beta in zip(alphas, betas):
+        if not (0.0 < alpha <= 1.0):
+            raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
+        if not (0.0 <= beta < 1.0):
+            raise InvalidParams(f"beta must lie in [0, 1), got {beta}")
+        if alpha < beta:
+            raise InvalidParams(
+                f"alpha must not be smaller than beta, got alpha={alpha}, beta={beta}"
+            )
+        norm = alpha * alpha + beta * beta
+        if abs(norm - 1.0) > 1e-14:
+            raise InvalidParams(f"alpha**2 + beta**2 must equal 1 within 1e-14, got {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,20 @@ class BogoliubovPair:
         if not type(self.alpha) is type(self.beta) is float:
             for name in ("alpha", "beta"):
                 object.__setattr__(self, name, _real(getattr(self, name), InvalidParams, name))
-        _check_pair(self.alpha, self.beta)
+        _check_pair((self.alpha,), (self.beta,))
 
 
-def _mixing(mass: float, dilaton: float, omega: float) -> tuple[float, float]:
-    x = 8.0 * math.pi * (mass - dilaton) * omega
-    alpha = 1.0 / math.sqrt(1.0 + math.exp(-x))
-    return alpha, math.exp(-0.5 * x) * alpha
+def _mixing(mass: float, dilatons: Iterable[float], omega: float) -> tuple[list[float], list[float]]:
+    """``(alphas, betas)`` at each dilaton, built in one loop."""
+    alphas: list[float] = []
+    betas: list[float] = []
+    scale, exp, sqrt = 8.0 * math.pi, math.exp, math.sqrt
+    for dilaton in dilatons:
+        x = scale * (mass - dilaton) * omega  # 8*pi*(M - D)*omega, multiplied in that order
+        alpha = 1.0 / sqrt(1.0 + exp(-x))
+        alphas.append(alpha)
+        betas.append(exp(-0.5 * x) * alpha)
+    return alphas, betas
 
 
 def bogoliubov(params: BlackHoleParams) -> BogoliubovPair:
@@ -164,7 +173,8 @@ def bogoliubov(params: BlackHoleParams) -> BogoliubovPair:
     precision.  In the extreme limit ``x = 0`` the two coefficients are the
     identical float ``1/sqrt(2)``.
     """
-    return BogoliubovPair(*_mixing(params.mass, params.dilaton, params.omega))
+    (alpha,), (beta,) = _mixing(params.mass, (params.dilaton,), params.omega)
+    return BogoliubovPair(alpha, beta)
 
 
 def _log_beta(beta: float) -> float:
@@ -250,35 +260,49 @@ class BogoliubovGrid:
     __slots__ = ("mass", "omega", "dilatons", "alphas", "betas", "log_alphas", "log_betas")
 
     def __init__(self, mass: float, omega: float, dilatons: Iterable[float]):
-        dilatons = tuple(dilatons)
+        dilatons = _sequence(dilatons, InvalidParams, "dilatons")
         mass = _check_positive("mass", mass)
         kinds = set(map(type, dilatons))
         if not all(map(_is_real, kinds)):
             names = ", ".join(sorted(kind.__name__ for kind in kinds))
             raise InvalidParams(f"every dilaton must be a real number, got {names}")
         if kinds - {float}:
-            dilatons = tuple(map(float, dilatons))
+            try:
+                dilatons = tuple(map(float, dilatons))
+            except OverflowError:  # some dilaton has no float: let the rule name it
+                dilatons = tuple([_real(dilaton, InvalidParams, "dilaton") for dilaton in dilatons])
         if dilatons:
             # min() and max() skip a NaN that is not first, so a NaN is checked first.
             _check_dilaton(mass, next(filter(math.isnan, dilatons), min(dilatons)))
             _check_dilaton(mass, max(dilatons))
         omega = _check_positive("omega", omega)
-        pairs = [_mixing(mass, dilaton, omega) for dilaton in dilatons]
-        for alpha, beta in pairs:
-            _check_pair(alpha, beta)
+        alphas, betas = _mixing(mass, dilatons, omega)
+        _check_pair(alphas, betas)
         self.mass = mass
         self.omega = omega
         self.dilatons = dilatons
-        self.alphas = [alpha for alpha, _ in pairs]
-        self.betas = [beta for _, beta in pairs]
-        self.log_alphas = list(map(math.log, self.alphas))
-        self.log_betas = list(map(_log_beta, self.betas))
+        self.alphas = alphas
+        self.betas = betas
+        self.log_alphas = list(map(math.log, alphas))
+        self.log_betas = list(map(_log_beta, betas))
 
     def powers(self, alpha_exp: int, beta_exp: int) -> list[float]:
-        """:func:`coeff_power` at every point, the exponents checked once."""
+        """:func:`coeff_power` at every point, the exponents checked once.
+
+        This is the body of :func:`_power`, inlined into one pass per branch.
+        """
         _check_exponents(alpha_exp, beta_exp)
+        exp, floor = math.exp, _LOG_DIRECT_FLOOR
+        if beta_exp == 0:  # beta**0 is 1.0, and a float times 1.0 is itself
+            return [
+                alpha**alpha_exp if (log_value := alpha_exp * log_alpha) > floor else exp(log_value)
+                for alpha, log_alpha in zip(self.alphas, self.log_alphas)
+            ]
         return [
-            _power(alpha, beta, log_alpha, log_beta, alpha_exp, beta_exp)
+            0.0 if beta == 0.0
+            else alpha**alpha_exp * beta**beta_exp
+            if (log_value := alpha_exp * log_alpha + beta_exp * log_beta) > floor
+            else exp(log_value)
             for alpha, beta, log_alpha, log_beta in zip(
                 self.alphas, self.betas, self.log_alphas, self.log_betas
             )

@@ -38,7 +38,7 @@ from .errors import (
     UnknownMode,
     _count_text,
 )
-from .errors import _check_count, _is_index, _items, _real
+from .errors import _check_count, _is_index, _items, _real, _sequence
 from .hawking import BogoliubovPair, _check_theta
 
 __all__ = [
@@ -96,7 +96,7 @@ class ModeLayout:
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        modes = tuple(self.modes)
+        modes = _sequence(self.modes, InvalidSpec, "modes")
         object.__setattr__(self, "modes", modes)
         if not modes:
             raise InvalidSpec("a layout needs at least one mode")

@@ -21,7 +21,7 @@ from dilaton_gme import (
     scenario_density,
     verify,
 )
-from dilaton_gme.cli import main
+from dilaton_gme.cli import build_parser, main
 from dilaton_gme.verify import dilaton_grid
 
 
@@ -237,6 +237,52 @@ def test_io_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(dilaton_gme.__file__))
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import dilaton_gme.cli\n"
+        "print(len(built), dilaton_gme.cli._parser)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0 None"
+
+
+_SMALL_SWEEP = ["sweep", "--n-horizon", "3", "--p", "2", "--steps", "7"]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(_SMALL_SWEEP) == 0
+    assert main(["sweep", "--n-horizon", "2", "--accessible", "--steps", "3"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["sweep", "--bogus"]) == 2
+    assert "dilaton-gme sweep: error:" in capsys.readouterr().err
+    assert main(_SMALL_SWEEP) == 0
+    reused = capsys.readouterr()
+    monkeypatch.setattr(cli, "_parser", None)  # the next call builds a fresh parser
+    assert main(_SMALL_SWEEP) == 0
+    assert capsys.readouterr() == reused
+
+
 def test_import_loads_no_numpy():
     src = os.path.dirname(os.path.dirname(dilaton_gme.__file__))
     code = "import sys, dilaton_gme, dilaton_gme.cli; print('numpy' in sys.modules)"
@@ -290,6 +336,16 @@ _PINNED_STDOUT = {
         ["sweep", "--n-horizon", "4", "--p", "2", "--oracle", "--n-parties", "18", "--steps", "41"],
         "3bd03f5302d03388181eea165fbcbe26a020377896e88c5f8099d33386782cb2",
     ),
+    # The closed-form sweeps, pinned before the grid built its coefficients in one pass.
+    "sweep-accessible-2000": (
+        ["sweep", "--n-horizon", "2000", "--accessible", "--steps", "2001"],
+        "8cb5a36ae1c6c35d74dc56407199e9153c3fa157e5695b13ee3f6821ef089a82",
+    ),
+    "sweep-8-4": (
+        ["sweep", "--n-horizon", "12", "--p", "8", "--q", "4", "--mass", "1.3", "--omega", "0.7",
+         "--steps", "1001"],
+        "3af543114fabd85f53ea8519d81c9b040bf471ba2d9569829360417ede8e1498",
+    ),
 }
 
 
@@ -298,6 +354,21 @@ def test_stdout_bytes_are_pinned(capsys, name):
     argv, digest = _PINNED_STDOUT[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of the default figures, pinned before the three figures shared one grid.
+_PINNED_FIGURES = {
+    "fig1.csv": "a4b4979d39df3067922fbe16edd7dd3ce7b5ae54216d83ac580e33476583cd90",
+    "fig2.csv": "30680253879c2a6f8d0c189be694ad68a3fe231ebcbc215e6c855b8aad855af1",
+    "fig3.csv": "a26b8fbe88c2090eb31d87caa74c89ec2d00dfdc9110a542896fc06ab0d25c1e",
+}
+
+
+def test_figures_bytes_are_pinned(tmp_path, capsys):
+    assert main(["figures", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _PINNED_FIGURES}
+    assert digests == _PINNED_FIGURES
 
 
 def test_state_dump_diagonal_at_theta_zero(capsys):

@@ -21,7 +21,6 @@ from dilaton_gme import (
     coeff_power,
     e_general,
     e_grid,
-    hawking,
     log_power,
     sum_rule_linear,
     sum_rule_quadratic,
@@ -181,15 +180,30 @@ def test_empty_grid():
         ((0.3,), 1.5, 1),
     ],
 )
-def test_bad_theta_or_split_is_rejected_before_any_point(thetas, n_out, n_in, monkeypatch):
+def test_bad_theta_or_split_is_rejected_before_any_point(thetas, n_out, n_in):
     grid = BogoliubovGrid(1.0, 1.0, [0.0, 0.5, 1.0])
+    # ``powers`` runs its per-point loop inline, over ``grid.alphas`` in either
+    # branch, so each point it computes is one alpha read from that list.
     computed = []
-    monkeypatch.setattr(hawking, "_power", lambda *args: computed.append(args) or 0.0)
+    grid.alphas = _ReadCounted(grid.alphas, computed)
     with pytest.raises(InvalidSpec):
         e_grid(thetas, grid, n_out, n_in)
     assert computed == []
     e_grid((0.3,), grid, 1, 1)
     assert len(computed) == 3
+
+
+class _ReadCounted(list):
+    """A list that records every item its iterator hands out."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads.append(item)
+            yield item
 
 
 def test_negative_exponents_are_rejected_by_the_grid():

@@ -3,7 +3,9 @@
 The package has one rule for each, in ``dilaton_gme.errors``: a real number
 is a ``numbers.Real`` that is not a ``bool``, read as a ``float``; a count
 is an ``int`` that is not a ``bool``.  Each site below is fed a value that
-lies inside its own range, so only the rule can refuse it.
+lies inside its own range, so only the rule can refuse it.  A real number
+that no float can hold, and a sequence input that cannot be iterated, are
+refused by the rule as well.
 """
 
 import re
@@ -29,6 +31,7 @@ from dilaton_gme import (
     coeff_power,
     default_oracle_grid,
     e_general,
+    e_grid,
     flat_mode,
     log_power,
     monotonicity_scan,
@@ -91,6 +94,35 @@ def test_every_real_site_refuses_what_is_not_a_real_number(site, value):
         _REAL_SITES[site](value)
 
 
+@pytest.mark.parametrize("site", _REAL_SITES)
+@pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["1e400", "-1e400", "fraction"])
+def test_every_real_site_refuses_a_real_number_past_the_float_range(site, value):
+    with pytest.raises(DilatonGmeError, match="must lie within the float range, got (int|Fraction) beyond it$"):
+        _REAL_SITES[site](value)
+
+
+# Each site takes its two items as any iterable and returns how many it read.
+_SEQUENCE_SITES = {
+    "layout-modes": lambda v: len(ModeLayout(v).modes),
+    "grid-dilatons": lambda v: len(BogoliubovGrid(1.0, 1.0, v).dilatons),
+    "e-grid-thetas": lambda v: len(e_grid(v, BogoliubovGrid(1.0, 1.0, [0.5]), 1, 0)),
+}
+_SEQUENCE_ITEMS = {"layout-modes": ("F1", "F2"), "grid-dilatons": (0.5, 1.0), "e-grid-thetas": (0.0, 0.25)}
+
+
+@pytest.mark.parametrize("site", _SEQUENCE_SITES)
+@pytest.mark.parametrize("kind", [tuple, list, iter], ids=["tuple", "list", "iterator"])
+def test_every_sequence_site_takes_any_iterable(site, kind):
+    assert _SEQUENCE_SITES[site](kind(_SEQUENCE_ITEMS[site])) == 2
+
+
+@pytest.mark.parametrize("site", _SEQUENCE_SITES)
+@pytest.mark.parametrize("value", [None, 5, 0.5], ids=repr)
+def test_every_sequence_site_refuses_what_cannot_be_iterated(site, value):
+    with pytest.raises(DilatonGmeError, match=f"must be a sequence, got {type(value).__name__}$"):
+        _SEQUENCE_SITES[site](value)
+
+
 @pytest.mark.parametrize("site", _COUNT_SITES)
 def test_every_count_site_takes_an_int(site):
     _COUNT_SITES[site](3)
@@ -125,10 +157,27 @@ def test_every_count_site_refuses_what_is_not_an_int(site, value):
          "entry key (0, 0, 0) is not a (row, col) pair"),
         (lambda: SparseDensity(_ONE_MODE, [1.0]), InvalidDensity, "entries must be a mapping, got list"),
         (lambda: SparseState(_ONE_MODE, None), InvalidParams, "amplitudes must be a mapping, got NoneType"),
+        (lambda: BlackHoleParams(10**400, 0.0, 1.0), InvalidParams,
+         "mass must lie within the float range, got int beyond it"),
+        (lambda: SparseState(_ONE_MODE, {0: 10**400}), InvalidParams,
+         "amplitude at basis label 0 must lie within the float range, got int beyond it"),
+        (lambda: BogoliubovGrid(1.0, 1.0, [0.5, 10**400]), InvalidParams,
+         "dilaton must lie within the float range, got int beyond it"),
+        (lambda: ScenarioSpec(3, 1, 1, 0, Fraction(10**400, 3)), InvalidSpec,
+         "theta must lie within the float range, got Fraction beyond it"),
+        (lambda: e_grid([10**400], BogoliubovGrid(1.0, 1.0, [0.5]), 1, 0), InvalidSpec,
+         "theta must lie within the float range, got int beyond it"),
+        (lambda: ModeLayout(None), InvalidSpec, "modes must be a sequence, got NoneType"),
+        (lambda: BogoliubovGrid(1.0, 1.0, None), InvalidParams, "dilatons must be a sequence, got NoneType"),
+        (lambda: BogoliubovGrid(1.0, 1.0, 5), InvalidParams, "dilatons must be a sequence, got int"),
+        (lambda: e_grid(None, BogoliubovGrid(1.0, 1.0, [0.5]), 1, 0), InvalidSpec,
+         "thetas must be a sequence, got NoneType"),
     ],
     ids=["pair-str", "pair-none", "grid-decimal", "theta-nan", "theta-inf", "exponent-float", "exponent-none",
          "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
-         "density-int-key", "density-long-key", "density-list", "state-none"],
+         "density-int-key", "density-long-key", "density-list", "state-none", "mass-past-floats",
+         "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
+         "grid-none", "grid-int", "e-grid-none"],
 )
 def test_a_refused_input_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -99,6 +99,8 @@ _RULE_HOMES = {
     "_check_count": "errors",
     "_is_real": "errors",
     "_real": "errors",
+    "_items": "errors",
+    "_sequence": "errors",
     "_check_theta": "hawking",
     "_check_real": None,
 }
