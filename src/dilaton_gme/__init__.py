@@ -4,24 +4,52 @@ The package pairs an exact sparse simulation of the horizon mode mixing
 with closed-form expressions for the surviving genuine multipartite
 entanglement, plus a verification suite that cross-checks the two.
 Every name a module lists in its ``__all__`` is exported here.
+
+Nothing is imported until it is asked for (PEP 562): a submodule name
+imports that module, and any other exported name imports the library
+modules and binds all their exports at once.  So a closed-form command
+never loads the oracle layers.
 """
 
-from . import analytic, errors, gme, hawking, modes_state, verify, xstate
-from .analytic import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .gme import *  # noqa: F403
-from .hawking import *  # noqa: F403
-from .modes_state import *  # noqa: F403
-from .verify import *  # noqa: F403
-from .xstate import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    *(
-        name
-        for module in (hawking, modes_state, xstate, gme, analytic, verify, errors)
-        for name in module.__all__
-    ),
+    # hawking
+    "BlackHoleParams", "BogoliubovPair", "BogoliubovGrid", "bogoliubov", "log_power", "coeff_power",
+    # modes_state
+    "flat_mode", "kruskal_mode", "out_mode", "in_mode", "ModeLayout", "ScenarioSpec", "SparseState",
+    "SparseDensity", "build_initial_state", "expand_kruskal", "partial_trace", "scenario_density",
+    # xstate
+    "XState", "extract_xstate", "build_block_matrix",
+    # gme
+    "gme_xstate", "gme_pure", "pair_entanglement",
+    # analytic
+    "e_general", "e_grid", "theta_derivative", "extreme_limit", "peak_dilaton",
+    "sum_rule_quadratic", "sum_rule_linear", "monogamy_residual",
+    # verify
+    "VerificationCheck", "VerificationReport", "default_oracle_grid", "oracle_compare",
+    "relationship_suite", "monotonicity_scan",
+    # errors
+    "DilatonGmeError", "InvalidParams", "DegenerateCoefficient", "InvalidSpec", "UnknownMode",
+    "NotXState", "InvalidDensity", "InvalidPartition", "ScaleCap", "OddN",
 ]
+
+#: The modules whose ``__all__`` lists make up the package's exports.
+_LIBRARY = ("hawking", "modes_state", "xstate", "gme", "analytic", "verify", "errors")
+
+
+def __getattr__(name: str):
+    if name in _LIBRARY or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module in [importlib.import_module(f"{__name__}.{m}") for m in _LIBRARY]:
+        globals().update((export, getattr(module, export)) for export in module.__all__)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LIBRARY})

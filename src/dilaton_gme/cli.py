@@ -21,19 +21,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
+# Only the closed-form layers load with this module: ``sweep`` and ``figures`` need no
+# other, and the commands that use the oracle or ``verify`` import them where they do.
 from .analytic import e_grid
 from .errors import DilatonGmeError
-from .gme import gme_xstate
-from .hawking import BlackHoleParams, BogoliubovGrid, BogoliubovPair, bogoliubov
-from .modes_state import ScenarioSpec, scenario_density
-from .verify import (
-    default_oracle_grid,
-    dilaton_grid,
-    monotonicity_scan,
-    oracle_compare,
-    relationship_suite,
-)
-from .xstate import extract_xstate
+from .hawking import BlackHoleParams, BogoliubovGrid, BogoliubovPair, bogoliubov, dilaton_grid
 
 _FIG3_SPLITS = ((8, 4), (32, 2), (4, 8), (2, 32))
 _SCAN_SPLITS = ((8, 4), (32, 2), (4, 8), (2, 32), (5, 0), (0, 5))
@@ -110,9 +102,14 @@ def _sweep_rows(args, parser) -> str:
         parser.error(
             f"need 0 <= --d-min < --d-max <= --mass, got [{args.d_min}, {d_max}]"
         )
-    if args.oracle and args.n_parties is None:
-        parser.error("--oracle needs --n-parties")
-    spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta) if args.oracle else None
+    if args.oracle:
+        if args.n_parties is None:
+            parser.error("--oracle needs --n-parties")
+        from .gme import gme_xstate
+        from .modes_state import ScenarioSpec, scenario_density
+        from .xstate import extract_xstate
+
+        spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta)
     grid = BogoliubovGrid(args.mass, args.omega, dilaton_grid(args.d_min, d_max, args.steps))
     (es,) = e_grid((args.theta,), grid, p, q)
     rows = zip(grid.dilatons, grid.alphas, grid.betas, es)
@@ -209,18 +206,23 @@ def cmd_figures(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from . import verify
+
     # The scans check --steps, so they run before the grid and merge after it.
-    scans = [monotonicity_scan(p, q, steps=args.steps) for p, q in _SCAN_SPLITS]
-    small = args.grid == "small"
-    grid = default_oracle_grid(max_parties=4, max_horizon=2) if small else default_oracle_grid()
-    report = oracle_compare(grid).merged_with(relationship_suite(grid=grid))
-    for scan in scans:
-        report = report.merged_with(scan)
+    scans = verify._shape_scans(_SCAN_SPLITS, args.steps)
+    if args.grid == "small":
+        grid = verify.default_oracle_grid(max_parties=4, max_horizon=2)
+    else:
+        grid = verify.default_oracle_grid()
+    report = verify.oracle_compare(grid).merged_with(verify.relationship_suite(grid=grid))
+    report = report.merged_with(scans)
     _write_text(args.output, json.dumps(report.as_json(), indent=2) + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_state(args, parser) -> int:
+    from .modes_state import ScenarioSpec, scenario_density
+
     p, q = _resolve_split(parser, args)
     spec = ScenarioSpec(args.n_parties, p + q, p, q, args.theta)
     pair = bogoliubov(BlackHoleParams(args.mass, args.dilaton, args.omega))

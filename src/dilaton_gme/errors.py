@@ -18,12 +18,14 @@ __all__ = [
 
 
 def _count_text(value: object) -> str:
-    """``str`` of an int, ``repr`` of anything else, or an int's bit length once
-    its digits pass Python's int-to-str limit."""
+    """``str`` of an int, ``repr`` of anything else; once the digits pass Python's int-to-str
+    limit, an int's bit length or any other value's type."""
     try:
         return str(value) if isinstance(value, int) else repr(value)
     except ValueError:
-        return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
+        if isinstance(value, int):
+            return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
+        return f"<{type(value).__name__} with too many digits to print>"
 
 
 def _is_index(value: object) -> bool:
@@ -34,7 +36,7 @@ def _is_index(value: object) -> bool:
 def _check_count(name: str, value: object, error: type) -> None:
     """Raise ``error`` for a ``value`` that is not a count."""
     if type(value) is not int and not _is_index(value):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_count_text(value)}")
 
 
 def _is_real(kind: type) -> bool:

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegenerateCoefficient, InvalidParams, InvalidSpec, _count_text
+from .errors import DegenerateCoefficient, InvalidParams, InvalidSpec, _check_count, _count_text
 from .errors import _is_index, _is_real, _real, _sequence
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 _LOG_DIRECT_FLOOR = -700.0
 # An exponent past the largest float cannot enter float arithmetic at all.
 _MAX_EXPONENT = sys.float_info.max
+
+#: Most points a dilaton grid may take; each is built and evaluated one by one.
+MAX_GRID_STEPS = 10**6
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -307,3 +310,16 @@ class BogoliubovGrid:
                 self.alphas, self.betas, self.log_alphas, self.log_betas
             )
         ]
+
+
+def dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced dilatons from ``d_min`` to exactly ``d_max``."""
+    _check_count("steps", steps, InvalidParams)
+    if steps < 2:
+        raise InvalidParams(f"a dilaton grid needs at least 2 steps, got {_count_text(steps)}")
+    if steps > MAX_GRID_STEPS:
+        raise InvalidParams(
+            f"a dilaton grid takes at most {MAX_GRID_STEPS} steps, got {_count_text(steps)}"
+        )
+    step = (d_max - d_min) / (steps - 1)
+    return [d_min + i * step for i in range(steps - 1)] + [d_max]

@@ -15,7 +15,8 @@ from typing import Iterable, Optional, Sequence
 from .analytic import _binomial_sums, _power_row, e_general, e_grid, monogamy_residual, peak_dilaton
 from .errors import InvalidParams, _check_count, _count_text
 from .gme import gme_xstate
-from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov
+from .hawking import MAX_GRID_STEPS  # noqa: F401  (re-exported: read from here as before)
+from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov, dilaton_grid
 from .modes_state import ScenarioSpec, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 
@@ -29,9 +30,6 @@ __all__ = [
 ]
 
 GridPoint = tuple[ScenarioSpec, BlackHoleParams]
-
-#: Most points a dilaton grid may take; each is built and evaluated one by one.
-MAX_GRID_STEPS = 10**6
 
 ORACLE_TOL = 1e-10
 ENTRYWISE_TOL = 1e-13
@@ -260,19 +258,6 @@ def relationship_suite(grid: Optional[Iterable[GridPoint]] = None) -> Verificati
     )
 
 
-def dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:
-    """``steps`` evenly spaced dilatons from ``d_min`` to exactly ``d_max``."""
-    _check_count("steps", steps, InvalidParams)
-    if steps < 2:
-        raise InvalidParams(f"a dilaton grid needs at least 2 steps, got {_count_text(steps)}")
-    if steps > MAX_GRID_STEPS:
-        raise InvalidParams(
-            f"a dilaton grid takes at most {MAX_GRID_STEPS} steps, got {_count_text(steps)}"
-        )
-    step = (d_max - d_min) / (steps - 1)
-    return [d_min + i * step for i in range(steps - 1)] + [d_max]
-
-
 def _classify(values: Sequence[float]) -> str:
     signs = []
     for prev, cur in zip(values, values[1:]):
@@ -310,54 +295,62 @@ def monotonicity_scan(n_out: int, n_in: int, steps: int = 2001) -> VerificationR
     predicted ``D*``.  A ``D*`` within one grid step of either end may not
     show on the grid, so there the matching monotone shape also passes.
     """
+    return _shape_scans([(n_out, n_in)], steps)
+
+
+def _shape_scans(splits: Iterable[tuple[int, int]], steps: int) -> VerificationReport:
+    """:func:`monotonicity_scan` of each ``(n_out, n_in)`` split in turn, all on one grid."""
     _check_count("steps", steps, InvalidParams)
     if steps < 3:
         raise InvalidParams(f"need at least 3 steps for a shape scan, got {_count_text(steps)}")
     theta = math.pi / 4
     ds = dilaton_grid(0.0, 1.0, steps)  # bounds steps before the division below
     step = 1.0 / (steps - 1)
-    (es,) = e_grid((theta,), BogoliubovGrid(1.0, 1.0, ds), n_out, n_in)
-    observed = _classify(es)
-    expected = _expected_shape(n_out, n_in)
-    accepted = {expected}
-    if expected == "single-peaked":
-        d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
-        # A peak less than one step from an end can fall between the two
-        # samples nearest that end, so the grid then shows no turn.
-        if 1.0 - d_star < step:
-            accepted.add("increasing")
-        if d_star < step:
-            accepted.add("decreasing")
-    scan_inputs = {
-        "n-out-kept": n_out,
-        "n-in-kept": n_in,
-        "theta": theta,
-        "mass": 1.0,
-        "omega": 1.0,
-        "d-min": 0.0,
-        "d-max": 1.0,
-        "steps": steps,
-        "expected-shape": expected,
-        "observed-shape": observed,
-    }
-    checks = [
-        _check(
-            f"monotonicity-p{n_out}-q{n_in}",
-            steps,
-            0.0 if observed in accepted else 1.0,
-            0.0,
-            scan_inputs,
-        )
-    ]
-    if expected == "single-peaked":
-        argmax = max(range(steps), key=es.__getitem__)
+    grid = BogoliubovGrid(1.0, 1.0, ds)
+    checks = []
+    for n_out, n_in in splits:
+        (es,) = e_grid((theta,), grid, n_out, n_in)
+        observed = _classify(es)
+        expected = _expected_shape(n_out, n_in)
+        accepted = {expected}
+        if expected == "single-peaked":
+            d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
+            # A peak less than one step from an end can fall between the two
+            # samples nearest that end, so the grid then shows no turn.
+            if 1.0 - d_star < step:
+                accepted.add("increasing")
+            if d_star < step:
+                accepted.add("decreasing")
+        scan_inputs = {
+            "n-out-kept": n_out,
+            "n-in-kept": n_in,
+            "theta": theta,
+            "mass": 1.0,
+            "omega": 1.0,
+            "d-min": 0.0,
+            "d-max": 1.0,
+            "steps": steps,
+            "expected-shape": expected,
+            "observed-shape": observed,
+        }
         checks.append(
             _check(
-                f"peak-location-p{n_out}-q{n_in}",
+                f"monotonicity-p{n_out}-q{n_in}",
                 steps,
-                abs(ds[argmax] - d_star),
-                step,
-                dict(scan_inputs, **{"d-argmax": ds[argmax], "d-star": d_star}),
+                0.0 if observed in accepted else 1.0,
+                0.0,
+                scan_inputs,
             )
         )
+        if expected == "single-peaked":
+            argmax = max(range(steps), key=es.__getitem__)
+            checks.append(
+                _check(
+                    f"peak-location-p{n_out}-q{n_in}",
+                    steps,
+                    abs(ds[argmax] - d_star),
+                    step,
+                    dict(scan_inputs, **{"d-argmax": ds[argmax], "d-star": d_star}),
+                )
+            )
     return VerificationReport(tuple(checks))

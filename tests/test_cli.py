@@ -22,7 +22,7 @@ from dilaton_gme import (
     verify,
 )
 from dilaton_gme.cli import build_parser, main
-from dilaton_gme.verify import dilaton_grid
+from dilaton_gme.hawking import dilaton_grid
 
 
 def test_no_command_is_a_usage_error(capsys):
@@ -186,8 +186,8 @@ def test_verify_checks_steps_before_the_oracle_grid(monkeypatch, capsys, grid, s
     def unreachable(*args, **kwargs):
         raise AssertionError("the oracle grid ran before --steps was checked")
 
-    monkeypatch.setattr(cli, "oracle_compare", unreachable)
-    monkeypatch.setattr(cli, "relationship_suite", unreachable)
+    monkeypatch.setattr(verify, "oracle_compare", unreachable)
+    monkeypatch.setattr(verify, "relationship_suite", unreachable)
     assert main(["verify", "--grid", grid, "--steps", steps]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -291,6 +291,30 @@ def test_import_loads_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# The commands that import layers of their own; in-process runs find every module
+# already loaded, so only a fresh interpreter shows a missing import.
+_FRESH_RUNS = {
+    "sweep-oracle": ["sweep", "--n-horizon", "2", "--p", "1", "--oracle", "--n-parties", "4", "--steps", "5"],
+    "state": ["state", "--n-parties", "4", "--n-horizon", "2", "--p", "1"],
+    "verify": ["verify", "--grid", "small", "--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(_FRESH_RUNS))
+def test_each_command_runs_in_a_fresh_interpreter(capsys, name):
+    argv = _FRESH_RUNS[name]
+    code = main(argv)
+    expected = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(dilaton_gme.__file__))
+    script = "import sys\nfrom dilaton_gme.cli import main\nsys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=src), capture_output=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        code, expected.out.encode(), expected.err.encode()
+    )
 
 
 def test_state_dump(capsys):
@@ -431,10 +455,10 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     failing = VerificationReport(
         (VerificationCheck("forced", 1, 1.0, 0.0, "fail", None),)
     )
-    monkeypatch.setattr(cli, "oracle_compare", lambda grid: failing)
-    monkeypatch.setattr(cli, "relationship_suite", lambda grid: VerificationReport(()))
+    monkeypatch.setattr(verify, "oracle_compare", lambda grid: failing)
+    monkeypatch.setattr(verify, "relationship_suite", lambda grid: VerificationReport(()))
     monkeypatch.setattr(
-        cli, "monotonicity_scan", lambda p, q, steps: VerificationReport(())
+        verify, "_shape_scans", lambda splits, steps: VerificationReport(())
     )
     assert main(["verify", "--grid", "small"]) == 1
     payload = json.loads(capsys.readouterr().out)

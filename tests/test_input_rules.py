@@ -36,7 +36,7 @@ from dilaton_gme import (
     log_power,
     monotonicity_scan,
 )
-from dilaton_gme.verify import dilaton_grid
+from dilaton_gme.hawking import dilaton_grid
 
 _ONE_MODE = ModeLayout(("F1",))
 _TWO_MODES = ModeLayout(("F1", "F2"))
@@ -135,6 +135,16 @@ def test_every_count_site_refuses_what_is_not_an_int(site, value):
         _COUNT_SITES[site](value)
 
 
+# Its repr passes Python's int-to-str limit, so a message names its type instead.
+_HUGE_FRACTION = Fraction(10**5000, 3)
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+def test_every_count_site_refuses_a_value_too_long_to_print(site):
+    with pytest.raises(DilatonGmeError, match="<Fraction with too many digits to print>"):
+        _COUNT_SITES[site](_HUGE_FRACTION)
+
+
 @pytest.mark.parametrize(
     "build,error,message",
     [
@@ -172,12 +182,19 @@ def test_every_count_site_refuses_what_is_not_an_int(site, value):
         (lambda: BogoliubovGrid(1.0, 1.0, 5), InvalidParams, "dilatons must be a sequence, got int"),
         (lambda: e_grid(None, BogoliubovGrid(1.0, 1.0, [0.5]), 1, 0), InvalidSpec,
          "thetas must be a sequence, got NoneType"),
+        (lambda: dilaton_grid(0.0, 1.0, _HUGE_FRACTION), InvalidParams,
+         "steps must be an integer, got <Fraction with too many digits to print>"),
+        (lambda: ScenarioSpec(_HUGE_FRACTION, 1, 1, 0, 0.5), InvalidSpec,
+         "n_parties must be an integer, got <Fraction with too many digits to print>"),
+        (lambda: coeff_power(_PAIR, _HUGE_FRACTION, 0), InvalidParams,
+         "exponents must be non-negative integers, got (<Fraction with too many digits to print>, 0)"),
     ],
     ids=["pair-str", "pair-none", "grid-decimal", "theta-nan", "theta-inf", "exponent-float", "exponent-none",
          "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
          "density-int-key", "density-long-key", "density-list", "state-none", "mass-past-floats",
          "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
-         "grid-none", "grid-int", "e-grid-none"],
+         "grid-none", "grid-int", "e-grid-none", "steps-too-long", "n-parties-too-long",
+         "exponent-too-long"],
 )
 def test_a_refused_input_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -1,7 +1,11 @@
-"""The oracle and the closed forms never reach each other; only ``errors`` spells the input rules."""
+"""The oracle and the closed forms never reach each other, and a closed-form command loads neither
+the oracle nor verify; only ``errors`` spells the input rules."""
 
 import ast
+import importlib
 import os
+import subprocess
+import sys
 
 import dilaton_gme
 
@@ -51,6 +55,26 @@ def test_oracle_modules_never_import_analytic():
 
 def test_the_closed_forms_never_import_the_oracle():
     assert _closure("analytic") == {"analytic", "hawking", "errors"}
+
+
+def test_closed_form_commands_load_only_the_closed_form_layers(tmp_path):
+    # In a fresh interpreter: the package resolves its names lazily, and cli imports the
+    # oracle and verify only in the commands that use them.
+    sweep = ["sweep", "--n-horizon", "3", "--p", "2", "--steps", "7", "--output", str(tmp_path / "e.csv")]
+    figures = ["figures", "--output-dir", str(tmp_path), "--steps", "5"]
+    code = (
+        "import sys\n"
+        "from dilaton_gme import cli\n"
+        f"assert cli.main({sweep!r}) == 0 and cli.main({figures!r}) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('dilaton_gme')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(_PACKAGE_DIR))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    closed_form = ["dilaton_gme", "dilaton_gme.analytic", "dilaton_gme.cli", "dilaton_gme.errors",
+                   "dilaton_gme.hawking"]
+    assert result.stdout.splitlines()[-1] == str(closed_form)
 
 
 def _is_bool(node):
@@ -127,6 +151,14 @@ monogamy_residual monotonicity_scan oracle_compare out_mode pair_entanglement
 partial_trace peak_dilaton relationship_suite scenario_density sum_rule_linear
 sum_rule_quadratic theta_derivative
 """.split()
+
+
+def test_the_export_list_is_every_library_modules_list():
+    library = [importlib.import_module(f"dilaton_gme.{m}") for m in _MODULES if m not in ("__init__", "cli")]
+    assert len(library) == 7
+    exports = ["__version__", *(name for module in library for name in module.__all__)]
+    assert sorted(dilaton_gme.__all__) == sorted(exports)
+    assert set(exports) <= set(dir(dilaton_gme))
 
 
 def test_package_exports_are_pinned():

@@ -6,12 +6,14 @@ import pytest
 
 from dilaton_gme import (
     BlackHoleParams,
+    BogoliubovGrid,
     InvalidParams,
     ScenarioSpec,
     VerificationCheck,
     VerificationReport,
     bogoliubov,
     default_oracle_grid,
+    e_grid,
     monotonicity_scan,
     oracle_compare,
     relationship_suite,
@@ -266,6 +268,30 @@ def test_monotonicity_scan_peak_within_a_step_of_an_end(p, q, steps, observed):
         f"monotonicity-p{p}-q{q}",
         f"peak-location-p{p}-q{q}",
     ]
+
+
+def test_shared_grid_scans_equal_one_scan_per_split():
+    splits = [(8, 4), (5, 0), (0, 5), (26, 25)]
+    shared = verify._shape_scans(splits, 201)
+    assert shared.checks == sum((monotonicity_scan(p, q, steps=201).checks for p, q in splits), ())
+
+
+def test_every_split_up_to_16_modes_has_the_predicted_shape():
+    # The scans' classification over one 2001-point grid, for all 152 splits with 1 <= p + q <= 16.
+    grid = BogoliubovGrid(1.0, 1.0, dilaton_grid(0.0, 1.0, 2001))
+    shapes = {
+        (p, n - p): verify._classify(e_grid((math.pi / 4,), grid, p, n - p)[0])
+        for n in range(1, 17)
+        for p in range(n + 1)
+    }
+    assert len(shapes) == 152
+    wrong = {split: shape for split, shape in shapes.items() if shape != verify._expected_shape(*split)}
+    assert wrong == {}
+    # The paper's contrast: bipartite and tripartite entanglement (p + q <= 2) never turns;
+    # the first split to peak keeps two outside modes and one inside mode, at N >= 4.
+    peaked = [split for split, shape in shapes.items() if shape == "single-peaked"]
+    assert [split for split in peaked if sum(split) <= 2] == []
+    assert [split for split in peaked if sum(split) == 3] == [(2, 1)]
 
 
 def test_monotonicity_scan_validation():
