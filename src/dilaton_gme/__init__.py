@@ -18,23 +18,23 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # hawking
-    "BlackHoleParams", "BogoliubovPair", "BogoliubovGrid", "bogoliubov", "log_power", "coeff_power",
+    "BlackHoleParams", "BogoliubovPair", "BogoliubovGrid", "bogoliubov", "coeff_power",
     # modes_state
-    "flat_mode", "kruskal_mode", "out_mode", "in_mode", "ModeLayout", "ScenarioSpec", "SparseState",
-    "SparseDensity", "build_initial_state", "expand_kruskal", "partial_trace", "scenario_density",
+    "flat_mode", "ModeLayout", "ScenarioSpec", "SparseState", "SparseDensity", "build_initial_state",
+    "expand_kruskal", "partial_trace", "scenario_density",
     # xstate
     "XState", "extract_xstate", "build_block_matrix",
     # gme
     "gme_xstate", "gme_pure", "pair_entanglement",
     # analytic
-    "e_general", "e_grid", "theta_derivative", "extreme_limit", "peak_dilaton",
+    "e_general", "e_grid", "theta_derivative", "peak_dilaton",
     "sum_rule_quadratic", "sum_rule_linear", "monogamy_residual",
     # verify
     "VerificationCheck", "VerificationReport", "default_oracle_grid", "oracle_compare",
     "relationship_suite", "monotonicity_scan",
     # errors
-    "DilatonGmeError", "InvalidParams", "DegenerateCoefficient", "InvalidSpec", "UnknownMode",
-    "NotXState", "InvalidDensity", "InvalidPartition", "ScaleCap", "OddN",
+    "DilatonGmeError", "InvalidParams", "InvalidSpec", "UnknownMode", "NotXState",
+    "InvalidDensity", "InvalidPartition", "ScaleCap", "OddN",
 ]
 
 #: The modules whose ``__all__`` lists make up the package's exports.

@@ -8,9 +8,9 @@ N-party state is
 
 The party count drops out entirely, and theta enters only through
 ``sin(2 theta)``.  Everything else here follows from that one line:
-derivative in theta, extreme-limit value, location of the thermal peak
-in the dilaton parameter, distribution identities over mode splits, and
-the monogamy deficit.
+derivative in theta, location of the thermal peak in the dilaton
+parameter, distribution identities over mode splits, and the monogamy
+deficit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "e_general",
     "e_grid",
     "theta_derivative",
-    "extreme_limit",
     "peak_dilaton",
     "sum_rule_quadratic",
     "sum_rule_linear",
@@ -132,13 +131,6 @@ def theta_derivative(theta: float, pair: BogoliubovPair, n_out: int, n_in: int) 
     theta = _check_theta(theta)
     _check_split(n_out, n_in)
     return 2.0 * math.cos(2.0 * theta) * coeff_power(pair, n_out, n_in)
-
-
-def extreme_limit(theta: float, n_horizon: int) -> float:
-    """Value of E when alpha = beta = 1/sqrt(2): ``sin(2 theta) / 2**(n/2)``."""
-    theta = _check_theta(theta)
-    _check_split(n_horizon, 0)
-    return math.sin(2.0 * theta) * 2.0 ** (-0.5 * n_horizon)
 
 
 def peak_dilaton(mass: float, omega: float, n_out: int, n_in: int):

@@ -189,10 +189,11 @@ def _render_svg(title: str, ds: list[float], series: list[tuple[str, list[float]
 
 
 def cmd_figures(args, parser) -> int:
-    os.makedirs(args.output_dir, exist_ok=True)
-    # The three figures share one dilaton range, so they share one grid.
+    # The three figures share one dilaton range, so they share one grid, built before
+    # the output directory so that a refused request leaves none behind.
     ds = dilaton_grid(0.0, args.mass, args.steps)
     grid = BogoliubovGrid(args.mass, args.omega, ds)
+    os.makedirs(args.output_dir, exist_ok=True)
     for stem, columns in _FIGURES.items():
         series = _figure_table(columns, grid)
         csv_path = os.path.join(args.output_dir, f"{stem}.csv")

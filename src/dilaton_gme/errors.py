@@ -6,7 +6,6 @@ import numbers
 __all__ = [
     "DilatonGmeError",
     "InvalidParams",
-    "DegenerateCoefficient",
     "InvalidSpec",
     "UnknownMode",
     "NotXState",
@@ -79,10 +78,6 @@ class DilatonGmeError(Exception):
 
 class InvalidParams(DilatonGmeError):
     """Black-hole or field parameters are out of their physical domain."""
-
-
-class DegenerateCoefficient(DilatonGmeError):
-    """A coefficient power is ill-defined, e.g. log of a vanishing beta."""
 
 
 class InvalidSpec(DilatonGmeError):

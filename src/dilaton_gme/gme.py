@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import InvalidPartition, ScaleCap
+from .errors import InvalidPartition, ScaleCap, _sequence
 from .modes_state import SparseDensity, SparseState, partial_trace
 from .xstate import XState, extract_xstate
 
@@ -51,12 +51,16 @@ def gme_pure(state: SparseState, parties: Sequence[Sequence[str]]) -> float:
     last cell on the fixed side, so masks over the remaining cells
     enumerate each split once.
     """
-    cells = [tuple(cell) for cell in parties]
+    parties = _sequence(parties, InvalidPartition, "parties")
+    cells = [_sequence(cell, InvalidPartition, "a party") for cell in parties]
     if len(cells) < 2:
         raise InvalidPartition("need at least two parties")
     if any(not cell for cell in cells):
         raise InvalidPartition("every party needs at least one mode")
     flat = [mode for cell in cells for mode in cell]
+    for mode in flat:
+        if not isinstance(mode, str):
+            raise InvalidPartition(f"a mode is its label string, got {mode!r}")
     if len(set(flat)) != len(flat):
         raise InvalidPartition("a mode appears in more than one party")
     if set(flat) != set(state.layout.modes):

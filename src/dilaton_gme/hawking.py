@@ -12,12 +12,12 @@ combination ``(M - D) * omega`` matters; the extreme limit ``D -> M`` gives
 ``alpha = beta = 1/sqrt(2)``, while ``D -> 0`` at ``M = omega = 1`` leaves the
 mixing exponentially weak (``beta ~ 3.5e-6``).
 
-High powers of ``beta`` underflow double precision very quickly, so the
-module also provides log-domain and underflow-safe evaluation of monomials
-``alpha**p * beta**q``.  :class:`BogoliubovGrid` holds the coefficients
-and their logs over a whole list of dilatons, checked once per list, and
-evaluates a monomial at every point with the same arithmetic as the
-scalar functions.
+High powers of ``beta`` underflow double precision very quickly, so
+:func:`coeff_power` evaluates a monomial ``alpha**p * beta**q`` through its
+log once the direct product would leave the normal range.
+:class:`BogoliubovGrid` holds the coefficients and their logs over a whole
+list of dilatons, checked once per list, and evaluates a monomial at every
+point with the same arithmetic as the scalar function.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegenerateCoefficient, InvalidParams, InvalidSpec, _check_count, _count_text
+from .errors import InvalidParams, InvalidSpec, _check_count, _count_text
 from .errors import _is_index, _is_real, _real, _sequence
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "BogoliubovPair",
     "BogoliubovGrid",
     "bogoliubov",
-    "log_power",
     "coeff_power",
 ]
 
@@ -111,29 +110,6 @@ class BlackHoleParams:
         _check_dilaton(self.mass, self.dilaton)
         _check_positive("omega", self.omega)
 
-    @classmethod
-    def from_charge(cls, mass: float, charge: float, omega: float) -> "BlackHoleParams":
-        """Build parameters from the black-hole charge ``Q``.
-
-        The dilaton parameter is ``D = Q**2 / (2 M)``.  The charge must not
-        exceed the extreme value ``|Q| = sqrt(2) * M`` (at which ``D = M``);
-        squaring a charge given as ``sqrt(2) * M`` overshoots ``M`` by a few
-        ulp, so a relative slack of 1e-12 is clamped back to the extreme.
-        """
-        mass = _check_positive("mass", mass)
-        charge = _real(charge, InvalidParams, "charge")
-        if not math.isfinite(charge):
-            raise InvalidParams(f"charge must be finite, got {charge}")
-        dilaton = charge * charge / (2.0 * mass)
-        if mass < dilaton <= mass * (1.0 + 1e-12):
-            dilaton = mass
-        if dilaton > mass:
-            raise InvalidParams(
-                f"charge {charge} exceeds the extreme value {math.sqrt(2.0) * mass:.6g} "
-                f"for mass {mass}"
-            )
-        return cls(mass=mass, dilaton=dilaton, omega=omega)
-
 
 @dataclass(frozen=True)
 class BogoliubovPair:
@@ -185,20 +161,15 @@ def _log_beta(beta: float) -> float:
     return math.log(beta) if beta > 0.0 else -math.inf
 
 
-def _log_power(log_alpha: float, log_beta: float, alpha_exp: int, beta_exp: int) -> float:
-    total = alpha_exp * log_alpha
-    if beta_exp > 0:
-        total += beta_exp * log_beta
-    return total
-
-
 def _power(
     alpha: float, beta: float, log_alpha: float, log_beta: float, alpha_exp: int, beta_exp: int
 ) -> float:
     """Unchecked body of :func:`coeff_power`, given the logs of the pair."""
     if beta == 0.0 and beta_exp > 0:
         return 0.0
-    log_value = _log_power(log_alpha, log_beta, alpha_exp, beta_exp)
+    log_value = alpha_exp * log_alpha
+    if beta_exp > 0:  # 0 * log(0) would be nan
+        log_value += beta_exp * log_beta
     if log_value > _LOG_DIRECT_FLOOR:
         return alpha**alpha_exp * beta**beta_exp
     return math.exp(log_value)
@@ -216,24 +187,6 @@ def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
             f"exponents must not exceed {_MAX_EXPONENT!r}, got "
             f"({_count_text(alpha_exp)}, {_count_text(beta_exp)})"
         )
-
-
-def log_power(pair: BogoliubovPair, alpha_exp: int, beta_exp: int) -> float:
-    """Natural log of ``alpha**alpha_exp * beta**beta_exp``.
-
-    Raises
-    ------
-    DegenerateCoefficient
-        If ``beta == 0`` while ``beta_exp > 0`` (the log would be ``-inf``).
-    InvalidParams
-        If either exponent is negative or above the largest float.
-    """
-    _check_exponents(alpha_exp, beta_exp)
-    if pair.beta == 0.0 and beta_exp > 0:
-        raise DegenerateCoefficient(
-            f"log of beta**{beta_exp} is undefined for beta = 0"
-        )
-    return _log_power(math.log(pair.alpha), _log_beta(pair.beta), alpha_exp, beta_exp)
 
 
 def coeff_power(pair: BogoliubovPair, alpha_exp: int, beta_exp: int) -> float:

@@ -43,9 +43,6 @@ from .hawking import BogoliubovPair, _check_theta
 
 __all__ = [
     "flat_mode",
-    "kruskal_mode",
-    "out_mode",
-    "in_mode",
     "ModeLayout",
     "ScenarioSpec",
     "SparseState",
@@ -65,27 +62,11 @@ NORM_TOL = 1e-12
 SCALE_BUDGET = 13 * 2**11
 
 
-def _mode(prefix: str, index: int) -> str:
-    """The label ``prefix + index``: ``F``, ``K``, ``O`` or ``I``, then a 1-based index."""
+def flat_mode(index: int) -> str:
+    """The label of flat mode ``index`` (1-based): ``"F1"``, ``"F2"``, ..."""
     if not _is_index(index) or index < 1:
         raise InvalidSpec(f"mode index must be a positive integer, got {_count_text(index)}")
-    return f"{prefix}{index}"
-
-
-def flat_mode(index: int) -> str:
-    return _mode("F", index)
-
-
-def kruskal_mode(index: int) -> str:
-    return _mode("K", index)
-
-
-def out_mode(index: int) -> str:
-    return _mode("O", index)
-
-
-def in_mode(index: int) -> str:
-    return _mode("I", index)
+    return f"F{index}"
 
 
 @dataclass(frozen=True)
@@ -115,14 +96,11 @@ class ModeLayout:
     def __iter__(self) -> Iterator[str]:
         return iter(self.modes)
 
-    def __contains__(self, mode: str) -> bool:
-        return mode in self._positions
-
     def position(self, mode: str) -> int:
         """Index of ``mode`` in the register, 0 for the MSB."""
         try:
             return self._positions[mode]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError for an unhashable mode
             raise UnknownMode(f"mode {mode} is not part of layout {self.labels()}") from None
 
     def labels(self) -> str:
@@ -338,7 +316,7 @@ class SparseDensity:
 
 def _plan(layout: ModeLayout, keep: Sequence[str]) -> TracePlan:
     """The :data:`TracePlan` from ``layout`` onto ``keep``, in ``keep`` order."""
-    kept = tuple(keep)
+    kept = _sequence(keep, InvalidPartition, "kept modes")
     if not kept:
         raise InvalidPartition("must keep at least one mode")
     top = len(layout) - 1

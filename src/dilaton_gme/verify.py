@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .analytic import _binomial_sums, _power_row, e_general, e_grid, monogamy_residual, peak_dilaton
-from .errors import InvalidParams, _check_count, _count_text
+from .errors import InvalidParams, _check_count, _count_text, _sequence
 from .gme import gme_xstate
-from .hawking import MAX_GRID_STEPS  # noqa: F401  (re-exported: read from here as before)
 from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov, dilaton_grid
 from .modes_state import ScenarioSpec, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
@@ -106,7 +105,7 @@ class _Worst:
 
 def _grid_points(grid: Optional[Iterable[GridPoint]]) -> list[GridPoint]:
     """The grid's items (the default oracle grid for ``None``), each checked to be a point."""
-    points = list(default_oracle_grid() if grid is None else grid)
+    points = list(default_oracle_grid() if grid is None else _sequence(grid, InvalidParams, "grid"))
     for index, item in enumerate(points):
         if type(item) is not tuple:
             got = type(item).__name__

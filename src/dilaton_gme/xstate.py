@@ -84,10 +84,6 @@ class XState:
         if abs(trace - 1.0) > 1e-12:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
 
-    @property
-    def dimension(self) -> int:
-        return 2 * self.half_dimension
-
 
 def extract_xstate(rho: SparseDensity) -> XState:
     """Read the (a, b, c) blocks off a sparse density matrix.

@@ -26,8 +26,6 @@ from dilaton_gme import (
     SparseDensity,
     SparseState,
     XState,
-    in_mode,
-    out_mode,
 )
 from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
 
@@ -80,7 +78,7 @@ def dense_density(rho: SparseDensity) -> np.ndarray:
 
 
 def dense_xstate(x: XState) -> np.ndarray:
-    dim = x.dimension
+    dim = 2 * x.half_dimension
     mat = np.zeros((dim, dim))
     for i, (a, b, c) in x.blocks.items():
         j = dim - 1 - i
@@ -93,8 +91,8 @@ def dense_xstate(x: XState) -> np.ndarray:
 
 def traced_modes(spec: ScenarioSpec) -> tuple[str, ...]:
     """The dilaton partners that fall behind (or outside) reach."""
-    ins = tuple(in_mode(i) for i in range(1, spec.n_out_kept + 1))
-    outs = tuple(out_mode(i) for i in range(spec.n_out_kept + 1, spec.n_horizon + 1))
+    ins = tuple(f"I{i}" for i in range(1, spec.n_out_kept + 1))
+    outs = tuple(f"O{i}" for i in range(spec.n_out_kept + 1, spec.n_horizon + 1))
     return ins + outs
 
 

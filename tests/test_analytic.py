@@ -15,8 +15,6 @@ from dilaton_gme import (
     coeff_power,
     e_general,
     e_grid,
-    extreme_limit,
-    log_power,
     monogamy_residual,
     peak_dilaton,
     sum_rule_linear,
@@ -44,17 +42,6 @@ def test_theta_endpoints_kill_the_entanglement():
     pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
     assert e_general(0.0, pair, 2, 1) == 0.0
     assert abs(e_general(math.pi / 2, pair, 2, 1)) < 1e-15
-
-
-def test_extreme_limit():
-    assert extreme_limit(math.pi / 4, 5) == pytest.approx(0.1767766952966369, rel=1e-15)
-    assert extreme_limit(math.pi / 6, 2) == pytest.approx(0.4330127018922193, rel=1e-15)
-    # matches the general formula evaluated on the extreme pair
-    pair = bogoliubov(BlackHoleParams(1.0, 1.0, 1.0))
-    for p, q in ((5, 0), (3, 2), (0, 5)):
-        assert e_general(0.3, pair, p, q) == pytest.approx(
-            extreme_limit(0.3, 5), abs=1e-15
-        )
 
 
 def test_theta_derivative_matches_finite_difference():
@@ -133,12 +120,10 @@ def test_huge_mode_counts_are_parameter_errors():
     huge = 2**1024
     calls = [
         lambda: coeff_power(pair, huge, 0),
-        lambda: log_power(pair, 1, huge),
         lambda: grid.powers(huge, 1),
         lambda: e_general(0.3, pair, huge, 0),
         lambda: e_grid([0.3], grid, 0, 10**400),
         lambda: theta_derivative(0.3, pair, 1, huge),
-        lambda: extreme_limit(0.3, huge),
         lambda: peak_dilaton(1.0, 1.0, huge, 1),
         lambda: peak_dilaton(1.0, 1.0, 1, huge),
         lambda: monogamy_residual(0.3, pair, huge, 1),
@@ -153,7 +138,6 @@ def test_huge_mode_counts_are_parameter_errors():
     largest = int(sys.float_info.max)
     assert coeff_power(pair, largest, 0) == 0.0
     assert e_general(0.3, pair, 1, largest) == 0.0
-    assert extreme_limit(0.3, largest) == 0.0
     assert peak_dilaton(1.0, 1.0, largest, 1) is None
 
 
@@ -190,7 +174,6 @@ def test_validation_errors():
     for call in [
         lambda: e_general(0.3, pair, huge, 1),
         lambda: theta_derivative(0.3, pair, 1, huge),
-        lambda: extreme_limit(0.3, huge),
         lambda: peak_dilaton(1.0, 1.0, huge, 1),
         lambda: monogamy_residual(0.3, pair, 1, huge),
         lambda: sum_rule_quadratic(0.3, pair, huge),

@@ -237,6 +237,14 @@ def test_io_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--steps", "1"], ["--mass", "-1"], ["--omega", "0"]])
+def test_a_refused_figures_request_makes_no_output_directory(argv, tmp_path, capsys):
+    target = tmp_path / "new" / "sub"
+    assert main(["figures", "--output-dir", str(target), *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_import_builds_no_parser():
     src = os.path.dirname(os.path.dirname(dilaton_gme.__file__))
     code = (

@@ -22,19 +22,24 @@ from dilaton_gme import (
     DilatonGmeError,
     InvalidDensity,
     InvalidParams,
+    InvalidPartition,
     InvalidSpec,
     ModeLayout,
     ScenarioSpec,
     SparseDensity,
     SparseState,
+    UnknownMode,
     XState,
     coeff_power,
     default_oracle_grid,
     e_general,
     e_grid,
     flat_mode,
-    log_power,
+    gme_pure,
     monotonicity_scan,
+    oracle_compare,
+    partial_trace,
+    relationship_suite,
 )
 from dilaton_gme.hawking import dilaton_grid
 
@@ -47,7 +52,6 @@ _REAL_SITES = {
     "mass": lambda v: BlackHoleParams(v, 0.0, 1.0).mass,
     "omega": lambda v: BlackHoleParams(1.0, 0.0, v).omega,
     "dilaton": lambda v: BlackHoleParams(2.0, v, 1.0).dilaton,
-    "charge": lambda v: BlackHoleParams.from_charge(1.0, v, 1.0).dilaton * 2.0,
     "theta": lambda v: ScenarioSpec(3, 1, 1, 0, v).theta,
     "pair-alpha": lambda v: BogoliubovPair(v, 0.0).alpha,
     "grid-mass": lambda v: BogoliubovGrid(v, 1.0, [0.5]).mass,
@@ -71,7 +75,6 @@ _COUNT_SITES = {
     "n_out": lambda v: e_general(0.5, _PAIR, v, 0),
     "n_in": lambda v: e_general(0.5, _PAIR, 0, v),
     "coeff-exponent": lambda v: coeff_power(_PAIR, v, 0),
-    "log-exponent": lambda v: log_power(_PAIR, 0, v),
     "grid-exponent": lambda v: BogoliubovGrid(1.0, 1.0, [0.5]).powers(v, 1),
     "mode-index": lambda v: flat_mode(v),
     "basis-label": lambda v: SparseState(_TWO_MODES, {v: 1.0}),
@@ -101,13 +104,44 @@ def test_every_real_site_refuses_a_real_number_past_the_float_range(site, value)
         _REAL_SITES[site](value)
 
 
-# Each site takes its two items as any iterable and returns how many it read.
+_GHZ3 = SparseState(ModeLayout(("F1", "F2", "F3")), {0: 0.5**0.5, 7: 0.5**0.5})
+_POINTS = (
+    (ScenarioSpec(3, 1, 1, 0, 0.5), BlackHoleParams(1.0, 0.5, 1.0)),
+    (ScenarioSpec(3, 1, 0, 1, 0.5), BlackHoleParams(1.0, 0.5, 1.0)),
+)
+
+# Each site takes its two items as any iterable and returns how many it read.  Every
+# bipartition of a three-party GHZ state at theta = pi/4 has entanglement 1, so the
+# gme_pure sites read twice that.
 _SEQUENCE_SITES = {
     "layout-modes": lambda v: len(ModeLayout(v).modes),
     "grid-dilatons": lambda v: len(BogoliubovGrid(1.0, 1.0, v).dilatons),
     "e-grid-thetas": lambda v: len(e_grid(v, BogoliubovGrid(1.0, 1.0, [0.5]), 1, 0)),
+    "trace-keep": lambda v: len(partial_trace(_GHZ3, v).layout),
+    "reduce-keep": lambda v: len(partial_trace(_GHZ3, ("F1", "F2", "F3")).reduce(v).layout),
+    "gme-parties": lambda v: round(2 * gme_pure(_GHZ3, v)),
+    "gme-party": lambda v: round(2 * gme_pure(_GHZ3, [v, ("F3",)])),
+    "oracle-grid": lambda v: oracle_compare(v).checks[0].grid_size,
+    "suite-grid": lambda v: relationship_suite(grid=v).checks[2].grid_size,
 }
-_SEQUENCE_ITEMS = {"layout-modes": ("F1", "F2"), "grid-dilatons": (0.5, 1.0), "e-grid-thetas": (0.0, 0.25)}
+_SEQUENCE_ITEMS = {
+    "layout-modes": ("F1", "F2"),
+    "grid-dilatons": (0.5, 1.0),
+    "e-grid-thetas": (0.0, 0.25),
+    "trace-keep": ("F1", "F3"),
+    "reduce-keep": ("F3", "F1"),
+    "gme-parties": (("F1", "F2"), ("F3",)),
+    "gme-party": ("F1", "F2"),
+    "oracle-grid": _POINTS,
+    "suite-grid": _POINTS,
+}
+# ``grid=None`` asks the verify suites for their default grid, so there only 5 and 0.5 are refused.
+_NOT_ITERABLE = [
+    (site, value)
+    for site in _SEQUENCE_SITES
+    for value in (None, 5, 0.5)
+    if not (value is None and site in ("oracle-grid", "suite-grid"))
+]
 
 
 @pytest.mark.parametrize("site", _SEQUENCE_SITES)
@@ -116,8 +150,7 @@ def test_every_sequence_site_takes_any_iterable(site, kind):
     assert _SEQUENCE_SITES[site](kind(_SEQUENCE_ITEMS[site])) == 2
 
 
-@pytest.mark.parametrize("site", _SEQUENCE_SITES)
-@pytest.mark.parametrize("value", [None, 5, 0.5], ids=repr)
+@pytest.mark.parametrize("site,value", _NOT_ITERABLE, ids=[f"{value!r}-{site}" for site, value in _NOT_ITERABLE])
 def test_every_sequence_site_refuses_what_cannot_be_iterated(site, value):
     with pytest.raises(DilatonGmeError, match=f"must be a sequence, got {type(value).__name__}$"):
         _SEQUENCE_SITES[site](value)
@@ -155,7 +188,6 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
         (lambda: ScenarioSpec(3, 1, 1, 0, float("nan")), InvalidSpec, "theta must lie in [0, pi/2], got nan"),
         (lambda: ScenarioSpec(3, 1, 1, 0, float("-inf")), InvalidSpec, "theta must lie in [0, pi/2], got -inf"),
         (lambda: coeff_power(_PAIR, 1.5, 0), InvalidParams, "exponents must be non-negative integers, got (1.5, 0)"),
-        (lambda: log_power(_PAIR, None, 0), InvalidParams, "exponents must be non-negative integers, got (None, 0)"),
         (lambda: BogoliubovGrid(1.0, 1.0, [0.5]).powers(0, "1"), InvalidParams,
          "exponents must be non-negative integers, got (0, '1')"),
         (lambda: coeff_power(_PAIR, True, 0), InvalidParams, "exponents must be non-negative integers, got (True, 0)"),
@@ -188,13 +220,21 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
          "n_parties must be an integer, got <Fraction with too many digits to print>"),
         (lambda: coeff_power(_PAIR, _HUGE_FRACTION, 0), InvalidParams,
          "exponents must be non-negative integers, got (<Fraction with too many digits to print>, 0)"),
+        (lambda: partial_trace(_GHZ3, [["F1"]]), InvalidPartition, "mode ['F1'] is not part of layout F1,F2,F3"),
+        (lambda: partial_trace(_GHZ3, ["F1"]).reduce([["F1"]]), InvalidPartition,
+         "mode ['F1'] is not part of layout F1"),
+        (lambda: _TWO_MODES.position(["x"]), UnknownMode, "mode ['x'] is not part of layout F1,F2"),
+        (lambda: gme_pure(_GHZ3, [["F1"], [["F2"]], ["F3"]]), InvalidPartition,
+         "a mode is its label string, got ['F2']"),
+        (lambda: gme_pure(_GHZ3, [["F1"], [2], ["F3"]]), InvalidPartition, "a mode is its label string, got 2"),
     ],
-    ids=["pair-str", "pair-none", "grid-decimal", "theta-nan", "theta-inf", "exponent-float", "exponent-none",
+    ids=["pair-str", "pair-none", "grid-decimal", "theta-nan", "theta-inf", "exponent-float",
          "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
          "density-int-key", "density-long-key", "density-list", "state-none", "mass-past-floats",
          "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
          "grid-none", "grid-int", "e-grid-none", "steps-too-long", "n-parties-too-long",
-         "exponent-too-long"],
+         "exponent-too-long", "trace-unhashable-mode", "reduce-unhashable-mode", "position-unhashable-mode",
+         "gme-unhashable-mode", "gme-int-mode"],
 )
 def test_a_refused_input_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

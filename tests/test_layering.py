@@ -139,17 +139,15 @@ def test_each_rule_helper_is_defined_in_one_module():
     assert defined == {name: [home] for name, home in _RULE_HOMES.items() if home}
 
 
-# The package exports what the modules list in their ``__all__``; these are its 49 names.
+# The package exports what the modules list in their ``__all__``; these are its 43 names.
 _EXPORTS = """
-BlackHoleParams BogoliubovGrid BogoliubovPair DegenerateCoefficient DilatonGmeError
-InvalidDensity InvalidParams InvalidPartition InvalidSpec ModeLayout NotXState OddN
-ScaleCap ScenarioSpec SparseDensity SparseState UnknownMode VerificationCheck
-VerificationReport XState __version__ bogoliubov build_block_matrix build_initial_state
-coeff_power default_oracle_grid e_general e_grid expand_kruskal extract_xstate
-extreme_limit flat_mode gme_pure gme_xstate in_mode kruskal_mode log_power
-monogamy_residual monotonicity_scan oracle_compare out_mode pair_entanglement
-partial_trace peak_dilaton relationship_suite scenario_density sum_rule_linear
-sum_rule_quadratic theta_derivative
+BlackHoleParams BogoliubovGrid BogoliubovPair DilatonGmeError InvalidDensity InvalidParams
+InvalidPartition InvalidSpec ModeLayout NotXState OddN ScaleCap ScenarioSpec SparseDensity
+SparseState UnknownMode VerificationCheck VerificationReport XState __version__ bogoliubov
+build_block_matrix build_initial_state coeff_power default_oracle_grid e_general e_grid
+expand_kruskal extract_xstate flat_mode gme_pure gme_xstate monogamy_residual
+monotonicity_scan oracle_compare pair_entanglement partial_trace peak_dilaton
+relationship_suite scenario_density sum_rule_linear sum_rule_quadratic theta_derivative
 """.split()
 
 
@@ -162,9 +160,41 @@ def test_the_export_list_is_every_library_modules_list():
 
 
 def test_package_exports_are_pinned():
-    assert len(_EXPORTS) == 49
+    assert len(_EXPORTS) == 43
     assert sorted(dilaton_gme.__all__) == _EXPORTS
     for name in _EXPORTS:
         assert getattr(dilaton_gme, name) is not None
-    for gone in ("GridPoint", "Mode", "e_accessible", "e_inaccessible"):
-        assert not hasattr(dilaton_gme, gone)
+    gone = ("GridPoint", "Mode", "e_accessible", "e_inaccessible", "log_power", "DegenerateCoefficient",
+            "extreme_limit", "kruskal_mode", "out_mode", "in_mode")
+    for name in gone:
+        assert not hasattr(dilaton_gme, name)
+    assert not hasattr(dilaton_gme.BlackHoleParams, "from_charge")
+    assert not hasattr(dilaton_gme.XState, "dimension")
+    assert not hasattr(dilaton_gme.verify, "MAX_GRID_STEPS")
+
+
+def _names_used(path):
+    """Every name, attribute and imported name that the code in ``path`` mentions."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_unit_tests():
+    # A caller is the library itself, the benchmark or the acceptance gate; a name that only
+    # unit tests reach is surface that nothing uses.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench = os.path.join(root, "bench")
+    paths = [os.path.join(_PACKAGE_DIR, f"{m}.py") for m in _MODULES if m != "__init__"]
+    paths += [os.path.join(bench, name) for name in sorted(os.listdir(bench)) if name.endswith(".py")]
+    paths.append(os.path.join(root, "tests", "test_acceptance.py"))
+    used = set().union(*map(_names_used, paths))
+    assert sorted(set(dilaton_gme.__all__) - used - {"__version__"}) == []

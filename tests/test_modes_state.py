@@ -30,9 +30,6 @@ from dilaton_gme import (
     expand_kruskal,
     extract_xstate,
     flat_mode,
-    in_mode,
-    kruskal_mode,
-    out_mode,
     partial_trace,
     scenario_density,
 )
@@ -57,37 +54,34 @@ from conftest import (
 def test_mode_labels():
     # A mode is its label.
     assert flat_mode(1) == "F1"
-    assert kruskal_mode(3) == "K3"
-    assert out_mode(2) == "O2"
-    assert in_mode(7) == "I7"
-    assert type(out_mode(2)) is str
+    assert flat_mode(12) == "F12"
+    assert type(flat_mode(2)) is str
 
 
 def test_mode_validation():
-    for factory in (flat_mode, kruskal_mode, out_mode, in_mode):
-        for index in (True, 0, -2, 1.0):
-            with pytest.raises(InvalidSpec, match=f"^mode index must be a positive integer, got {index}$"):
-                factory(index)
-        with pytest.raises(InvalidSpec, match=r"^mode index must be a positive integer, "
-                           r"got <negative 16610-bit integer>$"):
-            factory(-(10**5000))
+    for index in (True, 0, -2, 1.0):
+        with pytest.raises(InvalidSpec, match=f"^mode index must be a positive integer, got {index}$"):
+            flat_mode(index)
+    with pytest.raises(InvalidSpec, match=r"^mode index must be a positive integer, "
+                       r"got <negative 16610-bit integer>$"):
+        flat_mode(-(10**5000))
 
 
 def test_layout_position_and_bit():
-    layout = ModeLayout((flat_mode(1), out_mode(1), in_mode(1)))
+    layout = ModeLayout((flat_mode(1), "O1", "I1"))
     assert len(layout) == 3
     assert layout.position(flat_mode(1)) == 0
-    assert layout.position(in_mode(1)) == 2
+    assert layout.position("I1") == 2
     assert layout.labels() == "F1,O1,I1"
     # label 0b110 = F1 and O1 occupied, I1 empty
     assert mode_bit(layout, 6, flat_mode(1)) == 1
-    assert mode_bit(layout, 6, out_mode(1)) == 1
-    assert mode_bit(layout, 6, in_mode(1)) == 0
+    assert mode_bit(layout, 6, "O1") == 1
+    assert mode_bit(layout, 6, "I1") == 0
     with pytest.raises(UnknownMode, match=r"^mode K1 is not part of layout F1,O1,I1$"):
-        layout.position(kruskal_mode(1))
-    assert kruskal_mode(1) not in layout and in_mode(1) in layout
+        layout.position("K1")
+    assert "K1" not in layout and "I1" in layout
     # The position lookup is not part of the layout's value.
-    same = ModeLayout([flat_mode(1), out_mode(1), in_mode(1)])
+    same = ModeLayout([flat_mode(1), "O1", "I1"])
     assert same == layout and hash(same) == hash(layout)
     assert repr(layout) == f"ModeLayout(modes={layout.modes!r})"
 
@@ -98,7 +92,7 @@ def test_layout_validation():
     with pytest.raises(InvalidSpec):
         ModeLayout((flat_mode(1), flat_mode(1)))
     with pytest.raises(InvalidSpec, match="^layout contains a duplicate mode$"):
-        ModeLayout((flat_mode(1), flat_mode(2), out_mode(1), flat_mode(2)))
+        ModeLayout((flat_mode(1), flat_mode(2), "O1", flat_mode(2)))
 
 
 @pytest.mark.parametrize("modes", [(1, 2), (flat_mode(1), None), (flat_mode(1), ("F", 2))])
@@ -338,7 +332,7 @@ def test_partial_trace_partition_errors():
     with pytest.raises(InvalidPartition):
         partial_trace(state, [flat_mode(1), flat_mode(1)])
     with pytest.raises(InvalidPartition):
-        partial_trace(state, [out_mode(9)])
+        partial_trace(state, ["O9"])
     # A kept mode that is not a label is not in the layout, not a duplicate.
     with pytest.raises(InvalidPartition, match=r"^mode 1 is not part of layout F1,F2,F3$"):
         partial_trace(state, [1])

@@ -22,7 +22,7 @@ from dilaton_gme import (
 )
 from dilaton_gme import verify
 from dilaton_gme.analytic import MAX_FLOAT_BINOMIAL
-from dilaton_gme.verify import MAX_GRID_STEPS, dilaton_grid
+from dilaton_gme.hawking import MAX_GRID_STEPS, dilaton_grid
 
 
 def test_default_grid_shape():

@@ -31,7 +31,6 @@ def test_xstate_to_array_layout():
     x = xstate_from_triplets(a=(0.3, 0.2), b=(0.25, 0.25), c=(0.1, -0.05))
     mat = dense_xstate(x)
     assert x.half_dimension == 2
-    assert x.dimension == 4
     expected = np.array(
         [
             [0.3, 0.0, 0.0, 0.1],
