@@ -20,8 +20,8 @@ __all__ = [
     # hawking
     "BlackHoleParams", "BogoliubovPair", "BogoliubovGrid", "bogoliubov", "coeff_power",
     # modes_state
-    "flat_mode", "ModeLayout", "ScenarioSpec", "SparseState", "SparseDensity", "build_initial_state",
-    "expand_kruskal", "partial_trace", "scenario_density",
+    "flat_mode", "ModeLayout", "ScenarioSpec", "SparseState", "SparseDensity", "expand_kruskal",
+    "partial_trace", "scenario_density",
     # xstate
     "XState", "extract_xstate", "build_block_matrix",
     # gme
@@ -33,7 +33,7 @@ __all__ = [
     "VerificationCheck", "VerificationReport", "default_oracle_grid", "oracle_compare",
     "relationship_suite", "monotonicity_scan",
     # errors
-    "DilatonGmeError", "InvalidParams", "InvalidSpec", "UnknownMode", "NotXState",
+    "DilatonGmeError", "InvalidParams", "InvalidSpec", "NotXState",
     "InvalidDensity", "InvalidPartition", "ScaleCap", "OddN",
 ]
 

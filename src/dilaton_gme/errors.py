@@ -7,7 +7,6 @@ __all__ = [
     "DilatonGmeError",
     "InvalidParams",
     "InvalidSpec",
-    "UnknownMode",
     "NotXState",
     "InvalidDensity",
     "InvalidPartition",
@@ -64,12 +63,16 @@ def _items(mapping: object, error: type, what: str):
 
 
 def _sequence(values: object, error: type, what: str) -> tuple:
-    """``tuple(values)``, or ``error`` naming ``what`` for a value that cannot be iterated."""
+    """``tuple(values)``, or ``error`` naming ``what`` for a value that cannot be iterated or is a
+    ``str`` (whose items are its letters, not the labels it spells)."""
     try:
-        iter(values)  # tested apart, so a TypeError raised while iterating is not renamed
+        iter(values)
     except TypeError:
-        raise error(f"{what} must be a sequence, got {type(values).__name__}") from None
-    return tuple(values)
+        pass
+    else:  # outside the try, so a TypeError raised while iterating is not renamed
+        if not isinstance(values, str):
+            return tuple(values)
+    raise error(f"{what} must be a sequence, got {type(values).__name__}")
 
 
 class DilatonGmeError(Exception):
@@ -84,22 +87,16 @@ class InvalidSpec(DilatonGmeError):
     """A scenario description violates its own consistency constraints."""
 
 
-class UnknownMode(DilatonGmeError):
-    """A mode was looked up in a layout that does not contain it."""
-
-
 class NotXState(DilatonGmeError):
     """A density matrix has weight outside the diagonal/anti-diagonal.
 
     Carries the offending (row, col) position.
     """
 
-    def __init__(self, row, col, message=None):
+    def __init__(self, row, col):
         self.row = row
         self.col = col
-        if message is None:
-            message = f"nonzero entry at ({row}, {col}) is neither diagonal nor anti-diagonal"
-        super().__init__(message)
+        super().__init__(f"nonzero entry at ({row}, {col}) is neither diagonal nor anti-diagonal")
 
 
 class InvalidDensity(DilatonGmeError):

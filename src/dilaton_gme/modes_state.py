@@ -1,18 +1,18 @@
 """Sparse register simulator for GHZ sharing across a dilaton horizon.
 
 The register holds one fermionic qubit per mode.  A mode is its label
-string: a kind letter and a 1-based index, ``F`` (flat-region observer),
-``K`` (Kruskal mode of an observer hovering near the horizon), and the two
-dilaton modes the Kruskal vacuum decomposes into, ``O`` (outside the
-horizon) and ``I`` (inside), as in ``"F1"`` or ``"I4"``.  A basis state is
-an integer whose most significant bit is the first mode of the layout.
+string: a kind letter and a 1-based index, ``F`` (flat-region observer)
+and the two dilaton modes the Kruskal mode of an observer hovering near
+the horizon decomposes into, ``O`` (outside the horizon) and ``I``
+(inside), as in ``"F1"`` or ``"I4"``.  A basis state is an integer whose
+most significant bit is the first mode of the layout.
 
-The pipeline is: build the GHZ state on ``[F..., K...]``, rewrite every
-Kruskal mode in the dilaton basis (which entangles ``O_i`` with ``I_i``),
-then trace out whichever dilaton modes are not kept.  States stay as
+The pipeline is: write the parties' GHZ state with every Kruskal mode
+already in the dilaton basis (which entangles ``O_i`` with ``I_i``), then
+trace out whichever dilaton modes are not kept.  States stay as
 dictionaries keyed by basis labels — a GHZ input only ever populates
 ``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays.
-A :class:`ScenarioSpec` builds its registers once, in O(N), together with
+A :class:`ScenarioSpec` builds its register once, in O(N), together with
 a trace plan from the same builder :func:`partial_trace` uses: the kept
 layout, the mask of the traced bits and the runs of consecutive kept bits.
 Each scenario point then costs O(2**n) operations on its labels, whatever
@@ -24,9 +24,8 @@ input in one pass, under the count and real-number rules of
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -35,7 +34,6 @@ from .errors import (
     InvalidPartition,
     InvalidSpec,
     ScaleCap,
-    UnknownMode,
     _count_text,
 )
 from .errors import _check_count, _is_index, _items, _real, _sequence
@@ -47,7 +45,6 @@ __all__ = [
     "ScenarioSpec",
     "SparseState",
     "SparseDensity",
-    "build_initial_state",
     "expand_kruskal",
     "partial_trace",
     "scenario_density",
@@ -74,34 +71,23 @@ class ModeLayout:
     """Ordered register of distinct modes; the first mode is the MSB."""
 
     modes: tuple[str, ...]
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         modes = _sequence(self.modes, InvalidSpec, "modes")
         object.__setattr__(self, "modes", modes)
         if not modes:
             raise InvalidSpec("a layout needs at least one mode")
-        positions: dict[str, int] = {}
-        for i, mode in enumerate(modes):
+        for mode in modes:
             if not isinstance(mode, str):
                 raise InvalidSpec(f"a mode is its label string, got {mode!r}")
-            positions[mode] = i
-        if len(positions) != len(modes):
+        if len(set(modes)) != len(modes):
             raise InvalidSpec("layout contains a duplicate mode")
-        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.modes)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.modes)
-
-    def position(self, mode: str) -> int:
-        """Index of ``mode`` in the register, 0 for the MSB."""
-        try:
-            return self._positions[mode]
-        except (KeyError, TypeError):  # a TypeError for an unhashable mode
-            raise UnknownMode(f"mode {mode} is not part of layout {self.labels()}") from None
 
     def labels(self) -> str:
         return ",".join(self.modes)
@@ -118,14 +104,15 @@ TracePlan = tuple[ModeLayout, int, tuple[tuple[int, int, int], ...]]
 class ScenarioSpec:
     """How an N-party GHZ state is split across the horizon.
 
-    ``n_parties`` observers share the state; the last ``n_horizon`` of them
-    hover at the horizon, where each Kruskal mode splits into an ``out``
-    and an ``in`` dilaton mode.  Of those horizon parties the first
-    ``n_out_kept`` keep their outside mode and the remaining ``n_in_kept``
-    keep their inside mode, so every party always contributes exactly one
-    mode to the reduced state.  ``theta`` parametrises the GHZ weights
-    ``cos(theta)`` / ``sin(theta)``.  A scenario whose ``n_parties *
-    2**n_horizon`` exceeds :data:`SCALE_BUDGET` raises :class:`ScaleCap`.
+    ``n_parties`` observers share ``cos(theta)|0...0> + sin(theta)|1...1>``;
+    the last ``n_horizon`` of them hover at the horizon, where each Kruskal
+    mode splits into an ``out`` and an ``in`` dilaton mode.  Of those
+    horizon parties the first ``n_out_kept`` keep their outside mode and
+    the remaining ``n_in_kept`` keep their inside mode, so every party
+    always contributes exactly one mode to the reduced state.  The spec builds one register, the expanded
+    ``[F..., O..., I...]``, and its trace plan onto the kept modes.  A
+    scenario whose ``n_parties * 2**n_horizon`` exceeds
+    :data:`SCALE_BUDGET` raises :class:`ScaleCap`.
     """
 
     n_parties: int
@@ -170,8 +157,8 @@ class ScenarioSpec:
         return self.n_parties - self.n_horizon
 
     @functools.cached_property
-    def _registers(self) -> tuple[ModeLayout, ModeLayout, TracePlan]:
-        """``(kruskal layout, expanded layout, trace plan)``, built once per spec.
+    def _registers(self) -> tuple[ModeLayout, TracePlan]:
+        """``(expanded layout, trace plan)``, built once per spec.
 
         The plan traces the expanded register onto :meth:`kept_modes`.
         """
@@ -182,20 +169,15 @@ class ScenarioSpec:
         outs = tuple([f"O{i}" for i in indices])
         ins = tuple([f"I{i}" for i in indices])
         expanded = ModeLayout(flats + outs + ins)
-        kruskal = ModeLayout(flats + tuple([f"K{i}" for i in indices]))
-        return kruskal, expanded, _plan(expanded, flats + outs[:p] + ins[p:])
-
-    def kruskal_layout(self) -> ModeLayout:
-        """Register before the horizon expansion: ``[F..., K...]``."""
-        return self._registers[0]
+        return expanded, _plan(expanded, flats + outs[:p] + ins[p:])
 
     def expanded_layout(self) -> ModeLayout:
         """Register after the expansion: ``[F..., O..., I...]``."""
-        return self._registers[1]
+        return self._registers[0]
 
     def kept_modes(self) -> tuple[str, ...]:
         """One mode per party: flat modes, then kept out, then kept in."""
-        return self._registers[2][0].modes
+        return self._registers[1][0].modes
 
 
 @dataclass(frozen=True)
@@ -320,10 +302,13 @@ def _plan(layout: ModeLayout, keep: Sequence[str]) -> TracePlan:
     if not kept:
         raise InvalidPartition("must keep at least one mode")
     top = len(layout) - 1
+    shift_of = {mode: top - i for i, mode in enumerate(layout.modes)}
+    shifts = []
     try:
-        shifts = [top - layout.position(mode) for mode in kept]
-    except UnknownMode as exc:
-        raise InvalidPartition(str(exc)) from None
+        for mode in kept:
+            shifts.append(shift_of[mode])
+    except (KeyError, TypeError):  # a TypeError for an unhashable mode
+        raise InvalidPartition(f"mode {mode} is not part of layout {layout.labels()}") from None
     try:
         kept_layout = ModeLayout(kept)
     except InvalidSpec:  # every kept mode is a label of ``layout``, so one repeats
@@ -374,53 +359,28 @@ def _trace(state: SparseState, plan: TracePlan) -> SparseDensity:
     return SparseDensity(layout, entries)
 
 
-def build_initial_state(spec: ScenarioSpec) -> SparseState:
-    """GHZ state ``cos(theta)|0...0> + sin(theta)|1...1>`` on ``[F..., K...]``."""
-    top = (1 << spec.n_parties) - 1
-    amps = {0: math.cos(spec.theta), top: math.sin(spec.theta)}
-    return SparseState(spec.kruskal_layout(), amps)
-
-
-def expand_kruskal(
-    state: SparseState, pair: BogoliubovPair, spec: ScenarioSpec
-) -> SparseState:
-    """Rewrite every Kruskal mode in the dilaton basis.
+def expand_kruskal(spec: ScenarioSpec, pair: BogoliubovPair) -> SparseState:
+    """The spec's GHZ state with every Kruskal mode in the dilaton basis.
 
     An empty Kruskal mode becomes ``alpha|0_O 0_I> + beta|1_O 1_I>``; an
-    occupied one becomes ``|1_O 0_I>``.  The result lives on
-    ``[F..., O..., I...]`` with the flat amplitudes untouched.
+    occupied one becomes ``|1_O 0_I>``.  So ``cos(theta)|0...0>`` spreads
+    over the ``2**n`` labels whose out bits equal their in bits, and
+    ``sin(theta)|1...1>`` is the one label with every flat and out bit
+    set.  The result lives on ``[F..., O..., I...]``.
     """
-    if state.layout != spec.kruskal_layout():
-        raise InvalidSpec(
-            f"state layout {state.layout.labels()} does not match the scenario "
-            f"layout {spec.kruskal_layout().labels()}"
-        )
     n = spec.n_horizon
-    empty_branches = ((0, 0, pair.alpha), (1, 1, pair.beta))
-    occupied_branch = ((1, 0, 1.0),)
-    amps: dict[int, float] = {}
-    for label, amp in state.amplitudes.items():
-        flat_bits = label >> n
-        k_bits = [(label >> (n - 1 - i)) & 1 for i in range(n)]
-        options = [empty_branches if b == 0 else occupied_branch for b in k_bits]
-        for combo in itertools.product(*options):
-            out_bits = 0
-            in_bits = 0
-            coeff = amp
-            for o_bit, i_bit, weight in combo:
-                out_bits = (out_bits << 1) | o_bit
-                in_bits = (in_bits << 1) | i_bit
-                coeff *= weight
-            new_label = (flat_bits << (2 * n)) | (out_bits << n) | in_bits
-            amps[new_label] = amps.get(new_label, 0.0) + coeff
+    coeffs = [math.cos(spec.theta)]
+    for _ in range(n):  # the first horizon mode is the most significant bit
+        coeffs = [c * w for c in coeffs for w in (pair.alpha, pair.beta)]
+    amps = {(s << n) | s: c for s, c in enumerate(coeffs)}
+    amps[((1 << spec.n_flat) - 1) << 2 * n | ((1 << n) - 1) << n] = math.sin(spec.theta)
     return SparseState(spec.expanded_layout(), amps)
 
 
 def scenario_density(spec: ScenarioSpec, pair: BogoliubovPair) -> SparseDensity:
     """Reduced state of the N parties after the horizon expansion.
 
-    Builds the GHZ state, expands the Kruskal modes, and traces out the
-    unreachable dilaton partners, keeping one mode per party.
+    Expands the spec's GHZ state and traces out the unreachable dilaton
+    partners, keeping one mode per party.
     """
-    state = expand_kruskal(build_initial_state(spec), pair, spec)
-    return _trace(state, spec._registers[2])
+    return _trace(expand_kruskal(spec, pair), spec._registers[1])

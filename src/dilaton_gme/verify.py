@@ -103,9 +103,9 @@ class _Worst:
             self.inputs = inputs
 
 
-def _grid_points(grid: Optional[Iterable[GridPoint]]) -> list[GridPoint]:
-    """The grid's items (the default oracle grid for ``None``), each checked to be a point."""
-    points = list(default_oracle_grid() if grid is None else _sequence(grid, InvalidParams, "grid"))
+def _grid_points(grid: Iterable[GridPoint]) -> tuple[GridPoint, ...]:
+    """The grid's items, each checked to be a point."""
+    points = _sequence(grid, InvalidParams, "grid")
     for index, item in enumerate(points):
         if type(item) is not tuple:
             got = type(item).__name__
@@ -151,7 +151,7 @@ def default_oracle_grid(max_parties: int = 6, max_horizon: int = 4) -> list[Grid
     return grid
 
 
-def oracle_compare(grid: Optional[Iterable[GridPoint]] = None) -> VerificationReport:
+def oracle_compare(grid: Iterable[GridPoint]) -> VerificationReport:
     """Exact pipeline vs. closed form, plus the dual block construction.
 
     Check ``oracle-vs-analytic`` compares the entanglement from the
@@ -187,7 +187,7 @@ def oracle_compare(grid: Optional[Iterable[GridPoint]] = None) -> VerificationRe
     )
 
 
-def relationship_suite(grid: Optional[Iterable[GridPoint]] = None) -> VerificationReport:
+def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     """Distribution and monogamy identities.
 
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
@@ -272,13 +272,13 @@ def _classify(values: Sequence[float]) -> str:
     return shapes.get(tuple(collapsed), "irregular")
 
 
-def _expected_shape(n_out: int, n_in: int) -> str:
+def _expected_shape(n_out: int, n_in: int, d_star: Optional[float]) -> str:
+    """The shape the closed form predicts, given the split's ``peak_dilaton`` at ``M = omega = 1``."""
     if n_in == 0:
         return "decreasing"
     if n_out == 0 or n_out <= n_in:
         return "increasing"
     # D* = M - ln(p/q) / (8 pi omega) < M for p > q: no peak lies right of the scan.
-    d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
     if d_star is None or d_star <= 0.0:
         return "decreasing"
     return "single-peaked"
@@ -310,10 +310,10 @@ def _shape_scans(splits: Iterable[tuple[int, int]], steps: int) -> VerificationR
     for n_out, n_in in splits:
         (es,) = e_grid((theta,), grid, n_out, n_in)
         observed = _classify(es)
-        expected = _expected_shape(n_out, n_in)
+        d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
+        expected = _expected_shape(n_out, n_in, d_star)
         accepted = {expected}
         if expected == "single-peaked":
-            d_star = peak_dilaton(1.0, 1.0, n_out, n_in)
             # A peak less than one step from an end can fall between the two
             # samples nearest that end, so the grid then shows no turn.
             if 1.0 - d_star < step:

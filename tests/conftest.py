@@ -115,7 +115,7 @@ def density_trace(rho: SparseDensity) -> float:
 
 def mode_bit(layout: ModeLayout, label: int, mode: str) -> int:
     """Occupation of ``mode`` in the basis state ``label``."""
-    return (label >> (len(layout) - 1 - layout.position(mode))) & 1
+    return (label >> (len(layout) - 1 - layout.modes.index(mode))) & 1
 
 
 def pair_sums(rho: SparseDensity) -> dict[tuple[str, str], dict[tuple[int, int], float]]:

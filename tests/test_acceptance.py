@@ -19,7 +19,6 @@ from dilaton_gme import (
     SparseState,
     bogoliubov,
     build_block_matrix,
-    build_initial_state,
     default_oracle_grid,
     e_general,
     expand_kruskal,
@@ -259,7 +258,7 @@ def test_criterion_8_structural_invariants():
 
     # any choice of which horizon parties keep out/in modes agrees
     spec = ScenarioSpec(4, 3, 2, 1, 0.3 * math.pi)
-    expanded = expand_kruskal(build_initial_state(spec), pair, spec)
+    expanded = expand_kruskal(spec, pair)
     keeps = [
         spec.kept_modes(),
         tuple(m for m in expanded.layout if m in ("F1", "O1", "O3", "I2")),

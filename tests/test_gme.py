@@ -13,7 +13,7 @@ from dilaton_gme import (
     ScenarioSpec,
     SparseState,
     bogoliubov,
-    build_initial_state,
+    expand_kruskal,
     flat_mode,
     gme,
     gme_pure,
@@ -188,9 +188,7 @@ def test_gme_pure_agrees_with_xstate_formula_on_full_state():
     theta = 0.6
     spec = ScenarioSpec(3, 1, 1, 0, theta)
     pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
-    from dilaton_gme import expand_kruskal
-
-    expanded = expand_kruskal(build_initial_state(spec), pair, spec)
+    expanded = expand_kruskal(spec, pair)
     # group each horizon pair (O_i, I_i) with its party
     cells = [[flat_mode(1)], [flat_mode(2)], [m for m in expanded.layout if m.startswith(("O", "I"))]]
     assert gme_pure(expanded, cells) == pytest.approx(math.sin(2 * theta), abs=1e-12)

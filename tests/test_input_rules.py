@@ -4,8 +4,8 @@ The package has one rule for each, in ``dilaton_gme.errors``: a real number
 is a ``numbers.Real`` that is not a ``bool``, read as a ``float``; a count
 is an ``int`` that is not a ``bool``.  Each site below is fed a value that
 lies inside its own range, so only the rule can refuse it.  A real number
-that no float can hold, and a sequence input that cannot be iterated, are
-refused by the rule as well.
+that no float can hold, and a sequence input that cannot be iterated or is
+a bare ``str``, are refused by the rule as well.
 """
 
 import re
@@ -28,7 +28,6 @@ from dilaton_gme import (
     ScenarioSpec,
     SparseDensity,
     SparseState,
-    UnknownMode,
     XState,
     coeff_power,
     default_oracle_grid,
@@ -135,13 +134,8 @@ _SEQUENCE_ITEMS = {
     "oracle-grid": _POINTS,
     "suite-grid": _POINTS,
 }
-# ``grid=None`` asks the verify suites for their default grid, so there only 5 and 0.5 are refused.
-_NOT_ITERABLE = [
-    (site, value)
-    for site in _SEQUENCE_SITES
-    for value in (None, 5, 0.5)
-    if not (value is None and site in ("oracle-grid", "suite-grid"))
-]
+# A bare ``str`` iterates over its letters, so it is refused too: ``"F1"`` is not the modes F and 1.
+_NOT_ITERABLE = [(site, value) for site in _SEQUENCE_SITES for value in (None, 5, 0.5, "F1")]
 
 
 @pytest.mark.parametrize("site", _SEQUENCE_SITES)
@@ -223,7 +217,6 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
         (lambda: partial_trace(_GHZ3, [["F1"]]), InvalidPartition, "mode ['F1'] is not part of layout F1,F2,F3"),
         (lambda: partial_trace(_GHZ3, ["F1"]).reduce([["F1"]]), InvalidPartition,
          "mode ['F1'] is not part of layout F1"),
-        (lambda: _TWO_MODES.position(["x"]), UnknownMode, "mode ['x'] is not part of layout F1,F2"),
         (lambda: gme_pure(_GHZ3, [["F1"], [["F2"]], ["F3"]]), InvalidPartition,
          "a mode is its label string, got ['F2']"),
         (lambda: gme_pure(_GHZ3, [["F1"], [2], ["F3"]]), InvalidPartition, "a mode is its label string, got 2"),
@@ -233,7 +226,7 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
          "density-int-key", "density-long-key", "density-list", "state-none", "mass-past-floats",
          "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
          "grid-none", "grid-int", "e-grid-none", "steps-too-long", "n-parties-too-long",
-         "exponent-too-long", "trace-unhashable-mode", "reduce-unhashable-mode", "position-unhashable-mode",
+         "exponent-too-long", "trace-unhashable-mode", "reduce-unhashable-mode",
          "gme-unhashable-mode", "gme-int-mode"],
 )
 def test_a_refused_input_names_what_it_refuses(build, error, message):

@@ -139,12 +139,12 @@ def test_each_rule_helper_is_defined_in_one_module():
     assert defined == {name: [home] for name, home in _RULE_HOMES.items() if home}
 
 
-# The package exports what the modules list in their ``__all__``; these are its 43 names.
+# The package exports what the modules list in their ``__all__``; these are its 41 names.
 _EXPORTS = """
 BlackHoleParams BogoliubovGrid BogoliubovPair DilatonGmeError InvalidDensity InvalidParams
 InvalidPartition InvalidSpec ModeLayout NotXState OddN ScaleCap ScenarioSpec SparseDensity
-SparseState UnknownMode VerificationCheck VerificationReport XState __version__ bogoliubov
-build_block_matrix build_initial_state coeff_power default_oracle_grid e_general e_grid
+SparseState VerificationCheck VerificationReport XState __version__ bogoliubov
+build_block_matrix coeff_power default_oracle_grid e_general e_grid
 expand_kruskal extract_xstate flat_mode gme_pure gme_xstate monogamy_residual
 monotonicity_scan oracle_compare pair_entanglement partial_trace peak_dilaton
 relationship_suite scenario_density sum_rule_linear sum_rule_quadratic theta_derivative
@@ -160,16 +160,18 @@ def test_the_export_list_is_every_library_modules_list():
 
 
 def test_package_exports_are_pinned():
-    assert len(_EXPORTS) == 43
+    assert len(_EXPORTS) == 41
     assert sorted(dilaton_gme.__all__) == _EXPORTS
     for name in _EXPORTS:
         assert getattr(dilaton_gme, name) is not None
     gone = ("GridPoint", "Mode", "e_accessible", "e_inaccessible", "log_power", "DegenerateCoefficient",
-            "extreme_limit", "kruskal_mode", "out_mode", "in_mode")
+            "extreme_limit", "kruskal_mode", "out_mode", "in_mode", "build_initial_state", "UnknownMode")
     for name in gone:
         assert not hasattr(dilaton_gme, name)
     assert not hasattr(dilaton_gme.BlackHoleParams, "from_charge")
     assert not hasattr(dilaton_gme.XState, "dimension")
+    assert not hasattr(dilaton_gme.ModeLayout, "position")
+    assert not hasattr(dilaton_gme.ScenarioSpec, "kruskal_layout")
     assert not hasattr(dilaton_gme.verify, "MAX_GRID_STEPS")
 
 

@@ -23,16 +23,15 @@ from dilaton_gme import (
     ScenarioSpec,
     SparseDensity,
     SparseState,
-    UnknownMode,
     XState,
     bogoliubov,
-    build_initial_state,
     expand_kruskal,
     extract_xstate,
     flat_mode,
     partial_trace,
     scenario_density,
 )
+from dilaton_gme import modes_state
 from dilaton_gme.modes_state import SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid
 from dilaton_gme.xstate import OFF_X_TOL
@@ -70,17 +69,14 @@ def test_mode_validation():
 def test_layout_position_and_bit():
     layout = ModeLayout((flat_mode(1), "O1", "I1"))
     assert len(layout) == 3
-    assert layout.position(flat_mode(1)) == 0
-    assert layout.position("I1") == 2
+    assert list(layout) == [flat_mode(1), "O1", "I1"]
     assert layout.labels() == "F1,O1,I1"
-    # label 0b110 = F1 and O1 occupied, I1 empty
+    # label 0b110 = F1 and O1 occupied, I1 empty: the first mode is the MSB
     assert mode_bit(layout, 6, flat_mode(1)) == 1
     assert mode_bit(layout, 6, "O1") == 1
     assert mode_bit(layout, 6, "I1") == 0
-    with pytest.raises(UnknownMode, match=r"^mode K1 is not part of layout F1,O1,I1$"):
-        layout.position("K1")
-    assert "K1" not in layout and "I1" in layout
-    # The position lookup is not part of the layout's value.
+    assert "O2" not in layout and "I1" in layout
+    # A layout is its modes: any sequence of the same labels builds an equal one.
     same = ModeLayout([flat_mode(1), "O1", "I1"])
     assert same == layout and hash(same) == hash(layout)
     assert repr(layout) == f"ModeLayout(modes={layout.modes!r})"
@@ -105,12 +101,11 @@ def test_layout_refuses_a_mode_that_is_not_a_label(modes):
 def test_scenario_spec_layouts():
     spec = ScenarioSpec(5, 3, 2, 1, 0.3)
     assert spec.n_flat == 2
-    assert spec.kruskal_layout().labels() == "F1,F2,K1,K2,K3"
     assert spec.expanded_layout().labels() == "F1,F2,O1,O2,O3,I1,I2,I3"
     assert spec.kept_modes() == ("F1", "F2", "O1", "O2", "I3")
     assert traced_modes(spec) == ("I1", "I2", "O3")
     # The plan: F1..O2 and I3 kept in two runs, O3, I1 and I2 traced.
-    assert spec._registers[2][1:] == (0b00_001_110, ((4, 4, 0b1111), (0, 1, 0b1)))
+    assert spec._registers[1][1:] == (0b00_001_110, ((4, 4, 0b1111), (0, 1, 0b1)))
 
 
 @pytest.mark.parametrize(
@@ -146,7 +141,6 @@ def test_scenario_spec_message_shows_a_huge_count_by_its_bit_length():
 def test_scenario_spec_builds_its_registers_once():
     spec = ScenarioSpec(5, 3, 2, 1, 0.3)
     before = (pickle.dumps(spec), hash(spec), repr(spec))
-    assert spec.kruskal_layout() is spec.kruskal_layout()
     assert spec.expanded_layout() is spec.expanded_layout()
     assert spec.kept_modes() is spec.kept_modes()
     # The cache is not part of the spec's value.
@@ -156,7 +150,7 @@ def test_scenario_spec_builds_its_registers_once():
     restored = pickle.loads(pickle.dumps(spec))
     assert restored == spec and restored.expanded_layout() == spec.expanded_layout()
     moved = dataclasses.replace(spec, n_out_kept=1, n_in_kept=2)
-    assert moved.kruskal_layout() == spec.kruskal_layout()
+    assert moved.expanded_layout() == spec.expanded_layout()
     assert moved.kept_modes() == ("F1", "F2", "O1", "I2", "I3")
     assert spec.kept_modes() == ("F1", "F2", "O1", "O2", "I3")
 
@@ -172,13 +166,13 @@ def test_spec_plan_equals_the_plan_from_positions():
     large = [(1000, 4, 0), (1000, 4, 2), (1000, 4, 4), (13312, 1, 0), (13312, 1, 1)]
     for n_parties, n_horizon, n_out in [*_every_shape(8), *large]:
         spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, 0.3)
-        layout, traced_mask, runs = spec._registers[2]
+        layout, traced_mask, runs = spec._registers[1]
         assert (layout, traced_mask, runs) == _plan(spec.expanded_layout(), spec.kept_modes())
         assert layout.modes is spec.kept_modes()
         # Flats plus kept outs, then the kept ins: at most two runs.
         assert len(runs) == 1 + (n_out < n_horizon)
         expanded = spec.expanded_layout()
-        traced = sum(1 << (len(expanded) - 1 - expanded.position(m)) for m in traced_modes(spec))
+        traced = sum(1 << (len(expanded) - 1 - expanded.modes.index(m)) for m in traced_modes(spec))
         assert traced_mask == traced
 
 
@@ -196,31 +190,49 @@ def test_scenario_density_equals_the_public_partial_trace():
     for n_parties, n_horizon, n_out in [*_every_shape(7), (1000, 4, 1), (13312, 1, 0)]:
         spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, 0.7)
         rho = scenario_density(spec, pair)
-        expanded = expand_kruskal(build_initial_state(spec), pair, spec)
+        expanded = expand_kruskal(spec, pair)
         reference = partial_trace(expanded, spec.kept_modes())
-        assert rho.layout is spec._registers[2][0] and rho.layout == reference.layout
+        assert rho.layout is spec._registers[1][0] and rho.layout == reference.layout
         assert list(rho.entries.items()) == list(reference.entries.items())
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on; returns the running count."""
+    calls = {"n": 0}
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_fresh_scenario_point_builds_two_layouts_and_one_state(monkeypatch):
+    # The expanded register and the kept one; the GHZ state is expanded from the spec.
+    spec = ScenarioSpec(40, 3, 1, 2, 0.5)
+    pair = bogoliubov(BlackHoleParams(1.0, 0.4, 1.0))
+    layouts = _count_calls(monkeypatch, ModeLayout, "__post_init__")
+    states = _count_calls(monkeypatch, SparseState, "__post_init__")
+    plans = _count_calls(monkeypatch, modes_state, "_plan")
+    rho = scenario_density(spec, pair)
+    assert (layouts["n"], states["n"], plans["n"]) == (2, 1, 1)
+    assert len(rho.layout) == 40
+
+
 def test_scenario_point_hashes_no_mode(monkeypatch):
-    # Once the registers are built, a point does no per-mode lookups.
+    # Once the registers are built, a point plans no trace and builds no layout.
     spec = ScenarioSpec(40, 3, 1, 2, 0.5)
     pair = bogoliubov(BlackHoleParams(1.0, 0.4, 1.0))
     spec.kept_modes()
-    calls = 0
-    position = ModeLayout.position
-
-    def counted_position(self, mode):
-        nonlocal calls
-        calls += 1
-        return position(self, mode)
-
-    monkeypatch.setattr(ModeLayout, "position", counted_position)
+    layouts = _count_calls(monkeypatch, ModeLayout, "__post_init__")
+    plans = _count_calls(monkeypatch, modes_state, "_plan")
     rho = scenario_density(spec, pair)
-    assert calls == 0
-    # The counter does count: the public partial trace looks every kept mode up.
-    partial_trace(expand_kruskal(build_initial_state(spec), pair, spec), spec.kept_modes())
-    assert calls == 40
+    assert (layouts["n"], plans["n"]) == (0, 0)
+    # The counters do count: the public partial trace plans, and builds the kept layout.
+    partial_trace(expand_kruskal(spec, pair), spec.kept_modes())
+    assert (layouts["n"], plans["n"]) == (1, 1)
     assert len(rho.layout) == 40
 
 
@@ -241,20 +253,38 @@ def test_sparse_state_validation():
         SparseState(layout, {2: 1.0})  # label out of range
 
 
-def test_build_initial_state():
-    theta = math.pi / 6
-    state = build_initial_state(ScenarioSpec(3, 1, 1, 0, theta))
-    assert state.layout.labels() == "F1,F2,K1"
-    assert state.amplitudes == {0: math.cos(theta), 7: math.sin(theta)}
-    # theta = 0 leaves only the empty branch
-    assert build_initial_state(ScenarioSpec(3, 1, 1, 0, 0.0)).amplitudes == {0: 1.0}
+def _empty_branch(cos, pair, n):
+    """``cos(theta)|0...0>`` expanded: the labels whose out bits equal their in bits."""
+    amps = {}
+    for s in range(1 << n):
+        amp = cos
+        for i in range(n):  # the first horizon mode is the most significant bit
+            amp *= pair.beta if (s >> (n - 1 - i)) & 1 else pair.alpha
+        amps[(s << n) | s] = amp
+    return amps
+
+
+def test_expanded_state_keeps_one_ghz_branch_at_either_end():
+    pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
+    for n_parties, n in [(3, 1), (5, 3)]:
+        spec = ScenarioSpec(n_parties, n, n, 0, math.pi / 6)
+        occupied = (((1 << spec.n_flat) - 1) << 2 * n) | (((1 << n) - 1) << n)
+        state = expand_kruskal(spec, pair)
+        assert state.layout == spec.expanded_layout()
+        expected = {**_empty_branch(math.cos(spec.theta), pair, n), occupied: math.sin(spec.theta)}
+        assert list(state.amplitudes.items()) == list(expected.items())
+        # theta = 0 leaves only the empty branch, theta = pi/2 only the occupied one
+        at_zero = expand_kruskal(dataclasses.replace(spec, theta=0.0), pair)
+        assert at_zero.amplitudes == _empty_branch(1.0, pair, n)
+        at_right_angle = expand_kruskal(dataclasses.replace(spec, theta=math.pi / 2), pair)
+        assert at_right_angle.amplitudes == {occupied: 1.0}
 
 
 def test_expand_kruskal_two_party_hand_case():
     theta = math.pi / 4
     spec = ScenarioSpec(2, 1, 1, 0, theta)
     pair = bogoliubov(BlackHoleParams(1.0, 1.0, 1.0))  # alpha = beta = 1/sqrt(2)
-    expanded = expand_kruskal(build_initial_state(spec), pair, spec)
+    expanded = expand_kruskal(spec, pair)
     assert expanded.layout.labels() == "F1,O1,I1"
     # cos * alpha |000>, cos * beta |011>, sin |110>
     assert state_amplitude(expanded, 0b000) == pytest.approx(0.5, abs=1e-15)
@@ -263,27 +293,12 @@ def test_expand_kruskal_two_party_hand_case():
     assert set(expanded.amplitudes) == {0b000, 0b011, 0b110}
 
 
-def test_expand_kruskal_layout_mismatch():
-    spec = ScenarioSpec(2, 1, 1, 0, 0.5)
-    other = ScenarioSpec(3, 2, 1, 1, 0.5)
-    pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
-    state = build_initial_state(other)
-    with pytest.raises(InvalidSpec):
-        expand_kruskal(state, pair, spec)
-    # Both registers are built by now; the mismatch is still seen, and an equal
-    # spec's state is accepted.
-    with pytest.raises(InvalidSpec):
-        expand_kruskal(state, pair, spec)
-    twin = ScenarioSpec(3, 2, 1, 1, 0.5)
-    assert expand_kruskal(state, pair, twin).layout == twin.expanded_layout()
-
-
 @pytest.mark.parametrize("dilaton", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2])
 def test_expand_preserves_norm(dilaton, theta):
     spec = ScenarioSpec(4, 3, 1, 2, theta)
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
-    expanded = expand_kruskal(build_initial_state(spec), pair, spec)
+    expanded = expand_kruskal(spec, pair)
     assert abs(state_norm(expanded) - 1.0) < 1e-14
 
 
@@ -320,7 +335,7 @@ def test_partial_trace_matches_dense_oracle(seed, kept_labels):
     state, vec = _random_state(rng, 4)
     keep = list(kept_labels)
     rho = partial_trace(state, keep)
-    expected = _dense_reduction(vec, 4, [state.layout.position(m) for m in keep])
+    expected = _dense_reduction(vec, 4, [state.layout.modes.index(m) for m in keep])
     np.testing.assert_allclose(dense_density(rho), expected, atol=1e-13)
     assert density_trace(rho) == pytest.approx(1.0, abs=1e-13)
 

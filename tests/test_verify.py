@@ -16,6 +16,7 @@ from dilaton_gme import (
     e_grid,
     monotonicity_scan,
     oracle_compare,
+    peak_dilaton,
     relationship_suite,
     sum_rule_linear,
     sum_rule_quadratic,
@@ -285,7 +286,11 @@ def test_every_split_up_to_16_modes_has_the_predicted_shape():
         for p in range(n + 1)
     }
     assert len(shapes) == 152
-    wrong = {split: shape for split, shape in shapes.items() if shape != verify._expected_shape(*split)}
+    wrong = {
+        split: shape
+        for split, shape in shapes.items()
+        if shape != verify._expected_shape(*split, peak_dilaton(1.0, 1.0, *split))
+    }
     assert wrong == {}
     # The paper's contrast: bipartite and tripartite entanglement (p + q <= 2) never turns;
     # the first split to peak keeps two outside modes and one inside mode, at N >= 4.
