@@ -88,15 +88,22 @@ def _power_row(pair: BogoliubovPair, n: int) -> list[float]:
     return [_power(alpha, beta, log_alpha, log_beta, n - k, k) for k in range(n + 1)]
 
 
-def _binomial_sums(sines: Sequence[float], row: Sequence[float], power: int) -> list[float]:
+def _binomial_row(m: int) -> list[int]:
+    """``C(m, k)`` for ``k = 0 .. m``."""
+    return [math.comb(m, k) for k in range(m + 1)]
+
+
+def _binomial_sums(
+    sines: Sequence[float], row: Sequence[float], combs: Sequence[int], power: int
+) -> list[float]:
     """``sum_k C(m, k) * (s * row[k])**power``, ``m = len(row) - 1``, at each sine ``s``.
 
-    With ``s = sin(2 theta)`` and a row of :func:`_power_row`, each term is
-    ``C * E * E`` (or ``C * E``) from the float E.  Every ``C`` must fit a
-    float, which holds while ``m <= MAX_FLOAT_BINOMIAL``.
+    ``combs`` is :func:`_binomial_row` of ``m``, built once by a caller that
+    sums many rows of one length.  With ``s = sin(2 theta)`` and a row of
+    :func:`_power_row`, each term is ``C * E * E`` (or ``C * E``) from the
+    float E.  Every ``C`` must fit a float, which holds while
+    ``m <= MAX_FLOAT_BINOMIAL``.
     """
-    m = len(row) - 1
-    combs = [math.comb(m, k) for k in range(m + 1)]
     if power == 2:
         return [math.fsum([c * e * e for c, e in zip(combs, map(s.__mul__, row))]) for s in sines]
     return [math.fsum([c * e for c, e in zip(combs, map(s.__mul__, row))]) for s in sines]
@@ -112,7 +119,7 @@ def _rule_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int)
     """
     m, s = n // step, math.sin(2.0 * theta)
     if m <= MAX_FLOAT_BINOMIAL:
-        return _binomial_sums((s,), _power_row(pair, n)[::step], power)[0]
+        return _binomial_sums((s,), _power_row(pair, n)[::step], _binomial_row(m), power)[0]
     from decimal import Decimal, localcontext  # only these large sums need it
 
     with localcontext() as ctx:

@@ -78,6 +78,10 @@ def _resolve_split(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     p, q = args.p, args.q
     if p is None and q is None:
         parser.error("choose a split: --accessible, --inaccessible, or --p/--q")
+    # Checked as typed, before the other count is derived from it.
+    for flag, count in (("--p", p), ("--q", q)):
+        if count is not None and not 0 <= count <= n:
+            parser.error(f"{flag} must lie in [0, --n-horizon] = [0, {n}], got {count}")
     if p is None:
         p = n - q
     elif q is None:

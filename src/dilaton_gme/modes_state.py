@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -149,8 +149,8 @@ class ScenarioSpec:
         _check_theta(self.theta)
 
     def __getstate__(self) -> dict:
-        # The registers are rebuilt on demand, so a pickle holds the fields only.
-        return {k: v for k, v in self.__dict__.items() if k != "_registers"}
+        # A pickle holds the fields only: whatever the spec caches is rebuilt on demand.
+        return {field.name: self.__dict__[field.name] for field in fields(self)}
 
     @property
     def n_flat(self) -> int:

@@ -149,6 +149,27 @@ def test_sweep_bad_theta_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "split,flag,got",
+    [
+        (["--p", "5"], "--p", "5"),
+        (["--q", "5"], "--q", "5"),
+        (["--p", "-1"], "--p", "-1"),
+        (["--q", "-2"], "--q", "-2"),
+        (["--p", "-1", "--q", "4"], "--p", "-1"),
+        (["--p", "3", "--q", "-1"], "--q", "-1"),
+    ],
+)
+@pytest.mark.parametrize("command", [["sweep"], ["state", "--n-parties", "5"]])
+def test_a_split_count_outside_the_horizon_names_its_flag(capsys, command, split, flag, got):
+    # The user typed --p/--q, so the refusal names them, not the library's n_out/n_in.
+    assert main([*command, "--n-horizon", "3", *split]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f" error: {flag} must lie in [0, --n-horizon] = [0, 3], got {got}\n")
+    assert "n_out" not in captured.err and "n_in" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--n-horizon", "2"],                                  # no split chosen

@@ -106,11 +106,13 @@ def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
     row = analytic._power_row(pair, n_horizon)
     quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
     if n_horizon <= MAX_FLOAT_BINOMIAL:
-        assert analytic._binomial_sums(sines, row, 2) == quadratic
+        combs = analytic._binomial_row(n_horizon)
+        assert analytic._binomial_sums(sines, row, combs, 2) == quadratic
     if n_horizon % 2 == 0:
         linear = [sum_rule_linear(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
         if n_horizon // 2 <= MAX_FLOAT_BINOMIAL:
-            assert analytic._binomial_sums(sines, row[::2], 1) == linear
+            combs = analytic._binomial_row(n_horizon // 2)
+            assert analytic._binomial_sums(sines, row[::2], combs, 1) == linear
     if n_horizon > 80:
         # This reference rounds C * E**2, the rule (C * E) * E, so past here
         # the last bits may part; the sums are held to RELATION_TOL instead by

@@ -200,3 +200,27 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
     paths.append(os.path.join(root, "tests", "test_acceptance.py"))
     used = set().union(*map(_names_used, paths))
     assert sorted(set(dilaton_gme.__all__) - used - {"__version__"}) == []
+
+
+def _value_keyed_caches(tree):
+    """Line numbers where ``tree`` names ``functools.cache`` or ``functools.lru_cache``."""
+    banned = {"cache", "lru_cache"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in banned:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in banned for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_keeps_a_value_keyed_cache():
+    # A cache keyed by argument values would let equal inputs built apart, such as the
+    # benchmark's fresh requests, share work; a cache on one object (cached_property) may not.
+    caches = {module: _value_keyed_caches(_tree(module)) for module in _MODULES}
+    assert {module: lines for module, lines in caches.items() if lines} == {}
+    assert _value_keyed_caches(ast.parse("import functools\n@functools.lru_cache\ndef f(): pass")) == [2]
+    assert _value_keyed_caches(ast.parse("from functools import cache")) == [1]
+    assert _value_keyed_caches(ast.parse("import functools\nx = functools.cached_property")) == []

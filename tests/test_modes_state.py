@@ -33,7 +33,7 @@ from dilaton_gme import (
 )
 from dilaton_gme import modes_state
 from dilaton_gme.modes_state import SCALE_BUDGET, _plan
-from dilaton_gme.verify import default_oracle_grid
+from dilaton_gme.verify import default_oracle_grid, oracle_compare
 from dilaton_gme.xstate import OFF_X_TOL
 from conftest import (
     dense_density,
@@ -147,8 +147,14 @@ def test_scenario_spec_builds_its_registers_once():
     assert (pickle.dumps(spec), hash(spec), repr(spec)) == before
     twin = ScenarioSpec(5, 3, 2, 1, 0.3)
     assert spec == twin and twin == spec and hash(twin) == hash(spec)
+    # Nor is the simulated point that the verify suites keep on the spec.
+    assert oracle_compare([(spec, BlackHoleParams(1.0, 0.3, 1.0))]).passed
+    assert "_oracle_memo" in vars(spec)
+    assert (pickle.dumps(spec), hash(spec), repr(spec)) == before
+    assert spec == twin and twin == spec and hash(twin) == hash(spec)
     restored = pickle.loads(pickle.dumps(spec))
     assert restored == spec and restored.expanded_layout() == spec.expanded_layout()
+    assert "_oracle_memo" not in vars(restored)
     moved = dataclasses.replace(spec, n_out_kept=1, n_in_kept=2)
     assert moved.expanded_layout() == spec.expanded_layout()
     assert moved.kept_modes() == ("F1", "F2", "O1", "I2", "I3")

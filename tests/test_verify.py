@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -21,8 +22,9 @@ from dilaton_gme import (
     sum_rule_linear,
     sum_rule_quadratic,
 )
-from dilaton_gme import verify
+from dilaton_gme import modes_state, verify
 from dilaton_gme.analytic import MAX_FLOAT_BINOMIAL
+from dilaton_gme.cli import main
 from dilaton_gme.hawking import MAX_GRID_STEPS, dilaton_grid
 
 
@@ -205,6 +207,108 @@ def test_grid_items_are_checked_before_the_first_point(monkeypatch, suite, item,
 def test_counts_are_ints_that_are_not_bools(call, message):
     with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _count_simulations(monkeypatch):
+    """Record each ``(spec, pair)`` that ``expand_kruskal`` expands and count ``_trace``'s calls."""
+    expanded, traced = [], []
+    expand, trace = modes_state.expand_kruskal, modes_state._trace
+
+    def counted_expand(spec, pair):
+        expanded.append((spec, pair))
+        return expand(spec, pair)
+
+    def counted_trace(state, plan):
+        traced.append(plan)
+        return trace(state, plan)
+
+    monkeypatch.setattr(modes_state, "expand_kruskal", counted_expand)
+    monkeypatch.setattr(modes_state, "_trace", counted_trace)
+    return expanded, traced
+
+
+def _built_apart(grid):
+    """The grid with every spec an equal copy, so that it shares no work with ``grid``."""
+    return [(dataclasses.replace(spec), params) for spec, params in grid]
+
+
+def _check_values(report):
+    return [(c.name, c.max_abs_error, c.status, c.worst_case_inputs) for c in report.checks]
+
+
+def test_both_suites_simulate_each_grid_point_once(monkeypatch):
+    grid = default_oracle_grid(4, 2)
+    expected_compare = oracle_compare(_built_apart(grid))
+    expected_suite = relationship_suite(_built_apart(grid))
+    expanded, traced = _count_simulations(monkeypatch)
+    compare = oracle_compare(grid)
+    suite = relationship_suite(grid)
+    assert len(expanded) == len(traced) == len(grid)
+    assert [spec for spec, _ in expanded] == [spec for spec, _ in grid]
+    assert _check_values(compare) == _check_values(expected_compare)
+    assert _check_values(suite) == _check_values(expected_suite)
+
+
+def test_verify_simulates_each_point_of_its_grid_once(monkeypatch, capsys):
+    expanded, traced = _count_simulations(monkeypatch)
+    assert main(["verify", "--grid", "small"]) == 0
+    capsys.readouterr()
+    grid = default_oracle_grid(4, 2)
+    assert len(expanded) == len(traced) == len(grid)
+    simulated = [(spec, (pair.alpha, pair.beta)) for spec, pair in expanded]
+    assert simulated == [(spec, (bogoliubov(p).alpha, bogoliubov(p).beta)) for spec, p in grid]
+
+
+def test_an_equal_spec_built_apart_simulates_again(monkeypatch):
+    params = BlackHoleParams(1.0, 0.3, 1.0)
+    spec, twin = ScenarioSpec(4, 2, 1, 1, 0.5), ScenarioSpec(4, 2, 1, 1, 0.5)
+    expanded, _ = _count_simulations(monkeypatch)
+    oracle_compare([(spec, params)])
+    relationship_suite([(twin, params)])
+    assert len(expanded) == 2 and expanded[0][0] is spec and expanded[1][0] is twin
+    # An equal params object built apart is served by the memo.
+    relationship_suite([(spec, BlackHoleParams(1.0, 0.3, 1.0))])
+    assert len(expanded) == 2
+
+
+def test_a_spec_met_again_at_other_params_simulates_again(monkeypatch):
+    spec = ScenarioSpec(5, 2, 2, 0, 0.4)
+    first, second = BlackHoleParams(1.0, 0.3, 1.0), BlackHoleParams(1.0, 0.9, 1.0)
+    alone = [relationship_suite(_built_apart([(spec, params)])) for params in (first, second)]
+    compare_alone = oracle_compare(_built_apart([(spec, first)]))
+    expanded, _ = _count_simulations(monkeypatch)
+    oracle_compare([(spec, first)])
+    shared = [relationship_suite([(spec, second)]), relationship_suite([(spec, first)])]
+    assert len(expanded) == 3
+    assert _check_values(shared[0]) == _check_values(alone[1])
+    assert _check_values(shared[1]) == _check_values(alone[0])
+    # Met at the params in its memo, oracle_compare rebuilds only the X-state it checks.
+    assert _check_values(oracle_compare([(spec, first)])) == _check_values(compare_alone)
+    assert len(expanded) == 3
+    # A fresh spec in a grid that alternates the params re-simulates at every change: all
+    # three points of the first suite, and all but the first point of the second, which
+    # meets the params that the first suite ended on.
+    spec = dataclasses.replace(spec)
+    grid = [(spec, first), (spec, second), (spec, first)]
+    oracle_compare(grid)
+    relationship_suite(grid)
+    assert len(expanded) == 3 + 3 + 2
+
+
+def test_a_point_whose_simulation_raises_leaves_no_memo(monkeypatch):
+    spec = ScenarioSpec(4, 2, 1, 1, 0.5)
+    grid = [(spec, BlackHoleParams(1.0, 0.3, 1.0))]
+
+    def broken(x):
+        raise InvalidParams("scoring failed")
+
+    monkeypatch.setattr(verify, "gme_xstate", broken)
+    with pytest.raises(InvalidParams, match="^scoring failed$"):
+        oracle_compare(grid)
+    assert "_oracle_memo" not in vars(spec)
+    with pytest.raises(InvalidParams, match="^scoring failed$"):
+        relationship_suite(grid)
+    assert "_oracle_memo" not in vars(spec)
 
 
 def test_oracle_compare_describes_each_point_once(monkeypatch):
