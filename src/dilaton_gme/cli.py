@@ -68,6 +68,8 @@ def _add_split_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_split(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[int, int]:
     n = args.n_horizon
+    if n < 1:  # refused by its flag name, before --p/--q are read against it
+        parser.error(f"--n-horizon must be at least 1, got {n}")
     chosen = sum([args.accessible, args.inaccessible, args.p is not None or args.q is not None])
     if chosen > 1:
         parser.error("--accessible, --inaccessible and --p/--q are mutually exclusive")

@@ -18,7 +18,9 @@ layout, the mask of the traced bits and the runs of consecutive kept bits.
 Each scenario point then costs O(2**n) operations on its labels, whatever
 the party count; see :data:`SCALE_BUDGET`.  Each container checks its
 input in one pass, under the count and real-number rules of
-:mod:`dilaton_gme.errors`.
+:mod:`dilaton_gme.errors`.  The containers round nothing away: they keep
+every non-zero value they are given and drop exact zeros, and a
+:class:`SparseDensity` takes its upper triangle only.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ __all__ = [
     "scenario_density",
 ]
 
-#: Amplitudes / matrix entries smaller than this are dropped on construction.
-AMPLITUDE_TOL = 1e-15
 #: Allowed deviation of the state norm (and density trace) from one.
 NORM_TOL = 1e-12
+#: Lowest value a population may take: rounding can leave a true zero just below it.
+POPULATION_FLOOR = -1e-14
 #: Largest ``n_parties * 2**n_horizon`` the exact pipeline accepts, reached at (13, 11).
 #: N <= 13312 keeps basis labels under Python's 4300-digit int-to-str limit.
 SCALE_BUDGET = 13 * 2**11
@@ -200,7 +202,7 @@ class SparseState:
             value = amp if type(amp) is float else _real(
                 amp, InvalidParams, f"amplitude at basis label {_count_text(label)}"
             )
-            if not abs(value) < AMPLITUDE_TOL:  # keeps a NaN, for the norm check to name
+            if value:  # a NaN is kept, for the norm check to name
                 cleaned[label] = value
                 squares.append(value * value)
         object.__setattr__(self, "amplitudes", cleaned)
@@ -217,11 +219,12 @@ class SparseDensity:
     """Real symmetric density matrix stored as its upper triangle.
 
     Entries are ``{(row, col): value}`` with ``row <= col``; the mirrored
-    element is implied.  Construction accepts redundant mirrored keys as
-    long as they agree and checks unit trace and non-negative diagonal.
-    Exact zeros are not stored, but small entries are kept: amplitudes of
-    order ``sqrt(eps)`` produce populations of order ``eps``, and dropping
-    a population while its coherence survives would wreck positivity.
+    element is implied, and a key below the diagonal is refused.
+    Construction checks unit trace and non-negative diagonal.  Exact zeros
+    are not stored, but every other value is kept, however small:
+    amplitudes of order ``sqrt(eps)`` produce populations of order ``eps``,
+    and dropping a population while its coherence survives would wreck
+    positivity.
     """
 
     layout: ModeLayout
@@ -229,10 +232,9 @@ class SparseDensity:
 
     def __post_init__(self):
         dim = 1 << len(self.layout)
-        canonical: dict[tuple[int, int], float] = {}
+        stored: dict[tuple[int, int], float] = {}
         diagonal: list[float] = []
-        negative = None  # the first diagonal entry below -1e-14, reported after the trace
-        zeros = False
+        negative = None  # the first diagonal entry below POPULATION_FLOOR, reported after the trace
         for key, value in _items(self.entries, InvalidDensity, "entries"):
             try:
                 row, col = key
@@ -244,7 +246,10 @@ class SparseDensity:
                     f"[0, {_count_text(dim)})**2 for layout {self.layout.labels()}"
                 )
             if row > col:
-                key = (col, row)
+                raise InvalidDensity(
+                    f"entry ({_count_text(row)}, {_count_text(col)}) lies below the diagonal; "
+                    "give the upper triangle (row <= col)"
+                )
             value = value if type(value) is float else _real(
                 value, InvalidDensity, f"entry ({_count_text(row)}, {_count_text(col)})"
             )
@@ -252,24 +257,14 @@ class SparseDensity:
                 raise InvalidDensity(
                     f"entry ({_count_text(row)}, {_count_text(col)}) = {value!r} is not finite"
                 )
-            if key in canonical:  # a mirrored duplicate: the first value stays
-                if abs(canonical[key] - value) > 1e-12:
-                    raise InvalidDensity(
-                        f"asymmetric values for entry ({_count_text(key[0])}, "
-                        f"{_count_text(key[1])}): {canonical[key]!r} vs {value!r}"
-                    )
-                continue
-            canonical[key] = value
             if row == col:
                 diagonal.append(value)
-                if value < -1e-14 and negative is None:
+                if value < POPULATION_FLOOR and negative is None:
                     at = _count_text(row)
                     negative = f"negative diagonal entry {value!r} at ({at}, {at})"
-            if not value:
-                zeros = True
-        if zeros:
-            canonical = {k: v for k, v in canonical.items() if v != 0.0}
-        object.__setattr__(self, "entries", canonical)
+            if value:
+                stored[key] = value
+        object.__setattr__(self, "entries", stored)
         trace = math.fsum(diagonal)
         if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")

@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .errors import InvalidDensity, NotXState, _count_text, _is_index, _items, _real
 from .hawking import BogoliubovPair, coeff_power
-from .modes_state import ScenarioSpec, SparseDensity
+from .modes_state import NORM_TOL, POPULATION_FLOOR, ScenarioSpec, SparseDensity
 
 __all__ = ["XState", "extract_xstate", "build_block_matrix"]
 
@@ -63,9 +63,9 @@ class XState:
                 where = f"-entry of block {_count_text(i)}"
                 a, b, c = [_real(v, InvalidDensity, name + where) for name, v in zip("abc", (a, b, c))]
             # A NaN fails both comparisons, an infinity the second.
-            if not -1e-14 <= a < math.inf:
+            if not POPULATION_FLOOR <= a < math.inf:
                 raise InvalidDensity(f"a-entry {a!r} is not a valid population")
-            if not -1e-14 <= b < math.inf:
+            if not POPULATION_FLOOR <= b < math.inf:
                 raise InvalidDensity(f"b-entry {b!r} is not a valid population")
             if c:  # a zero coherence is within any bound
                 bound = math.sqrt(max(a, 0.0) * max(b, 0.0))
@@ -81,7 +81,7 @@ class XState:
                 populations += (a, b)
         object.__setattr__(self, "blocks", blocks)
         trace = math.fsum(populations)
-        if abs(trace - 1.0) > 1e-12:
+        if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
 
 

@@ -169,6 +169,18 @@ def test_a_split_count_outside_the_horizon_names_its_flag(capsys, command, split
     assert "n_out" not in captured.err and "n_in" not in captured.err
 
 
+@pytest.mark.parametrize("n_horizon", ["-1", "0"])
+@pytest.mark.parametrize("split", [["--accessible"], ["--p", "0"]])
+@pytest.mark.parametrize("command", [["sweep"], ["state", "--n-parties", "3"]])
+def test_a_horizon_count_below_one_names_its_flag(capsys, command, split, n_horizon):
+    # Refused before --p/--q are read against it, so neither they nor n_out are blamed.
+    assert main([*command, "--n-horizon", n_horizon, *split]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f" error: --n-horizon must be at least 1, got {n_horizon}\n")
+    assert "--p" not in captured.err.splitlines()[-1] and "n_out" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -383,7 +395,7 @@ _PINNED_STDOUT = {
     ),
     "verify-full": (
         ["verify", "--grid", "full"],
-        "8b8657354812dd4c17cb36adb8d3060dbaa7dca19092a397ac9b5a2f9f758dee",
+        "56d636e140159170e1248a354edb09898e2ea55fb510927811c24c895bb2f510",
     ),
     "sweep-oracle-18-4": (
         ["sweep", "--n-horizon", "4", "--p", "2", "--oracle", "--n-parties", "18", "--steps", "41"],

@@ -244,8 +244,8 @@ def test_scenario_point_hashes_no_mode(monkeypatch):
 
 def test_sparse_state_basics():
     layout = ModeLayout((flat_mode(1), flat_mode(2)))
-    state = SparseState(layout, {0: 0.6, 3: 0.8, 1: 1e-16})
-    assert state.amplitudes == {0: 0.6, 3: 0.8}  # tiny term pruned
+    state = SparseState(layout, {0: 0.6, 3: 0.8, 1: 0.0})
+    assert state.amplitudes == {0: 0.6, 3: 0.8}  # an exact zero is not stored
     assert state_amplitude(state, 1) == 0.0
     assert state_norm(state) == pytest.approx(1.0)
     np.testing.assert_allclose(dense_state(state), [0.6, 0.0, 0.0, 0.8])
@@ -279,11 +279,14 @@ def test_expanded_state_keeps_one_ghz_branch_at_either_end():
         assert state.layout == spec.expanded_layout()
         expected = {**_empty_branch(math.cos(spec.theta), pair, n), occupied: math.sin(spec.theta)}
         assert list(state.amplitudes.items()) == list(expected.items())
-        # theta = 0 leaves only the empty branch, theta = pi/2 only the occupied one
+        # theta = 0 leaves only the empty branch (sin 0 is an exact zero); at theta = pi/2
+        # the empty branch survives at cos(pi/2) ~ 6e-17 times its weights
         at_zero = expand_kruskal(dataclasses.replace(spec, theta=0.0), pair)
         assert at_zero.amplitudes == _empty_branch(1.0, pair, n)
         at_right_angle = expand_kruskal(dataclasses.replace(spec, theta=math.pi / 2), pair)
-        assert at_right_angle.amplitudes == {occupied: 1.0}
+        empty = _empty_branch(math.cos(math.pi / 2), pair, n)
+        assert at_right_angle.amplitudes == {**empty, occupied: 1.0}
+        assert all(0.0 < amp < 1e-16 for amp in empty.values())
 
 
 def test_expand_kruskal_two_party_hand_case():
@@ -501,12 +504,13 @@ def test_pair_reductions_match_reduce_on_mixed_densities(rho):
 
 def test_sparse_density_validation():
     layout = ModeLayout((flat_mode(1),))
-    # mirrored duplicates that agree are merged
-    rho = SparseDensity(layout, {(0, 1): 0.3, (1, 0): 0.3, (0, 0): 0.5, (1, 1): 0.5})
+    # the upper triangle implies its mirror, and a key below the diagonal is refused
+    rho = SparseDensity(layout, {(0, 1): 0.3, (0, 0): 0.5, (1, 1): 0.5})
     assert density_value(rho, 1, 0) == 0.3
     assert density_value(rho, 0, 1) == 0.3
-    with pytest.raises(InvalidDensity):
-        SparseDensity(layout, {(0, 1): 0.3, (1, 0): 0.1, (0, 0): 0.5, (1, 1): 0.5})
+    message = "entry (1, 0) lies below the diagonal; give the upper triangle (row <= col)"
+    with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
+        SparseDensity(layout, {(0, 1): 0.3, (1, 0): 0.3, (0, 0): 0.5, (1, 1): 0.5})
     with pytest.raises(InvalidDensity):
         SparseDensity(layout, {(0, 0): 0.4, (1, 1): 0.4})  # trace 0.8
     with pytest.raises(InvalidDensity):
@@ -516,6 +520,7 @@ def test_sparse_density_validation():
 
 
 _ONE_MODE = ModeLayout((flat_mode(1),))
+_TWO_MODES = ModeLayout((flat_mode(1), flat_mode(2)))
 
 
 @pytest.mark.parametrize(
@@ -579,6 +584,26 @@ def test_an_index_is_an_int_but_not_a_bool(build, error, message):
         build()
 
 
+_TINY = 5e-324  # the smallest subnormal
+
+
+# Each container stores a value iff it is not an exact zero.
+@pytest.mark.parametrize(
+    "build,always,tiny",
+    [
+        (lambda v: SparseState(_ONE_MODE, {0: 1.0, 1: v}).amplitudes, {0: 1.0}, {1: _TINY}),
+        (lambda v: SparseDensity(_ONE_MODE, {(0, 0): 1.0, (0, 1): v, (1, 1): v}).entries,
+         {(0, 0): 1.0}, {(0, 1): _TINY, (1, 1): _TINY}),
+        (lambda v: XState(2, {0: (1.0, 0.0, 0.0), 1: (v, v, v)}).blocks,
+         {0: (1.0, 0.0, 0.0)}, {1: (_TINY, _TINY, _TINY)}),
+    ],
+    ids=["state", "density", "xstate"],
+)
+def test_every_nonzero_value_is_stored_and_an_exact_zero_is_not(build, always, tiny):
+    assert build(_TINY) == {**always, **tiny}
+    assert build(0.0) == always
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -589,10 +614,11 @@ _NAN, _INF = float("nan"), float("inf")
          "entry (0, 0) = nan is not finite"),
         (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): _NAN}), InvalidDensity,
          "entry (0, 1) = nan is not finite"),
-        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (1, 0): -_INF}), InvalidDensity,
-         "entry (1, 0) = -inf is not finite"),
-        (lambda: SparseDensity(_ONE_MODE, {(0, 1): 0.1, (1, 0): _NAN, (0, 0): 0.5, (1, 1): 0.5}),
-         InvalidDensity, "entry (1, 0) = nan is not finite"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): -_INF}), InvalidDensity,
+         "entry (0, 1) = -inf is not finite"),
+        # a NaN coherence on the anti-diagonal, after a finite one
+        (lambda: SparseDensity(_TWO_MODES, {(0, 3): 0.1, (1, 2): _NAN, (0, 0): 0.5, (3, 3): 0.5}),
+         InvalidDensity, "entry (1, 2) = nan is not finite"),
         (lambda: SparseDensity(_ONE_MODE, {(0, 0): _INF, (1, 1): -_INF}), InvalidDensity,
          "entry (0, 0) = inf is not finite"),
         (lambda: SparseState(_ONE_MODE, {0: 1.0, 1: _NAN}), InvalidParams, "amplitude at basis label 1 is nan"),
@@ -620,8 +646,8 @@ def test_a_nan_or_infinite_entry_is_refused(build, error, message):
          "entry (0, 0) must be a real number, got '1'"),
         (lambda: SparseDensity(_ONE_MODE, {(0, 0): 1.0, (1, 1): False}), InvalidDensity,
          "entry (1, 1) must be a real number, got False"),
-        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (1, 0): 0.1j}), InvalidDensity,
-         "entry (1, 0) must be a real number, got 0.1j"),
+        (lambda: SparseDensity(_ONE_MODE, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.1j}), InvalidDensity,
+         "entry (0, 1) must be a real number, got 0.1j"),
         (lambda: XState(1, {0: ("x", 0, 0)}), InvalidDensity,
          "a-entry of block 0 must be a real number, got 'x'"),
         (lambda: XState(1, {0: (None, 0, 0)}), InvalidDensity,

@@ -14,6 +14,7 @@ from dilaton_gme import (
     VerificationReport,
     bogoliubov,
     default_oracle_grid,
+    e_general,
     e_grid,
     monotonicity_scan,
     oracle_compare,
@@ -38,6 +39,26 @@ def test_default_grid_shape():
     for spec, params in grid:
         assert spec.n_horizon <= 4
         assert 0.0 <= params.dilaton <= params.mass
+
+
+def _oracle_e(spec, pair):
+    return verify.gme_xstate(verify.extract_xstate(verify.scenario_density(spec, pair)))
+
+
+def test_the_oracle_matches_the_closed_form_in_relative_error():
+    # No amplitude is rounded away, so a tiny E is simulated, not read as 0.
+    for spec, params in default_oracle_grid():
+        pair = bogoliubov(params)
+        closed = e_general(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
+        oracle = _oracle_e(spec, pair)
+        assert oracle != 0.0, (spec, params)
+        if abs(closed) >= sys.float_info.min:
+            assert abs(oracle - closed) <= 1e-14 * abs(closed), (spec, params, oracle, closed)
+    # (N, p, q) = (5, 0, 4) at D = 0.3, theta = pi/4: a grid point whose E is about 5e-16
+    pair = bogoliubov(BlackHoleParams(1.0, 0.3, 1.0))
+    closed = e_general(math.pi / 4, pair, 0, 4)
+    assert 0.0 < closed < 1e-15
+    assert _oracle_e(ScenarioSpec(5, 4, 0, 4, math.pi / 4), pair) == pytest.approx(closed, rel=1e-14)
 
 
 def _small_grid():
