@@ -30,16 +30,6 @@ from .hawking import (
     coeff_power,
 )
 
-__all__ = [
-    "e_general",
-    "e_grid",
-    "theta_derivative",
-    "peak_dilaton",
-    "sum_rule_quadratic",
-    "sum_rule_linear",
-    "monogamy_residual",
-]
-
 #: Largest ``m`` whose binomials ``C(m, k)`` all fit a float: ``C(1030, 515)``
 #: does not.  Past it the sum rules run in decimals, at a cost that grows as
 #: ``m**2``, and they drift off ``1e-12`` near ``n = 4000``.

@@ -3,17 +3,6 @@ a mapping and a sequence."""
 
 import numbers
 
-__all__ = [
-    "DilatonGmeError",
-    "InvalidParams",
-    "InvalidSpec",
-    "NotXState",
-    "InvalidDensity",
-    "InvalidPartition",
-    "ScaleCap",
-    "OddN",
-]
-
 
 def _count_text(value: object) -> str:
     """``str`` of an int, ``repr`` of anything else; once the digits pass Python's int-to-str

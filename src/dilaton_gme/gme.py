@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import InvalidPartition, ScaleCap, _sequence
-from .modes_state import SparseDensity, SparseState, partial_trace
+from .errors import InvalidPartition, InvalidSpec, ScaleCap, _sequence
+from .modes_state import ModeLayout, SparseDensity, SparseState, partial_trace
 from .xstate import XState, extract_xstate
-
-__all__ = ["gme_xstate", "gme_pure", "pair_entanglement"]
 
 #: ``gme_pure`` enumerates 2**(N-1) - 1 bipartitions; cap the party count.
 MAX_PURE_PARTIES = 16
@@ -58,11 +56,10 @@ def gme_pure(state: SparseState, parties: Sequence[Sequence[str]]) -> float:
     if any(not cell for cell in cells):
         raise InvalidPartition("every party needs at least one mode")
     flat = [mode for cell in cells for mode in cell]
-    for mode in flat:
-        if not isinstance(mode, str):
-            raise InvalidPartition(f"a mode is its label string, got {mode!r}")
-    if len(set(flat)) != len(flat):
-        raise InvalidPartition("a mode appears in more than one party")
+    try:
+        ModeLayout(flat)
+    except InvalidSpec as exc:  # a mode that is not a label string, or one in two parties
+        raise InvalidPartition(str(exc)) from None
     if set(flat) != set(state.layout.modes):
         raise InvalidPartition("parties must cover the state's layout exactly")
     n_parties = len(cells)

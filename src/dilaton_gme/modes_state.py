@@ -18,9 +18,10 @@ layout, the mask of the traced bits and the runs of consecutive kept bits.
 Each scenario point then costs O(2**n) operations on its labels, whatever
 the party count; see :data:`SCALE_BUDGET`.  Each container checks its
 input in one pass, under the count and real-number rules of
-:mod:`dilaton_gme.errors`.  The containers round nothing away: they keep
-every non-zero value they are given and drop exact zeros, and a
-:class:`SparseDensity` takes its upper triangle only.
+:mod:`dilaton_gme.errors`, and stores a layout given as a plain sequence
+of labels as a :class:`ModeLayout`.  The containers round nothing away:
+they keep every non-zero value they are given and drop exact zeros, and
+a :class:`SparseDensity` takes its upper triangle only.
 """
 
 from __future__ import annotations
@@ -40,17 +41,6 @@ from .errors import (
 )
 from .errors import _check_count, _is_index, _items, _real, _sequence
 from .hawking import BogoliubovPair, _check_theta
-
-__all__ = [
-    "flat_mode",
-    "ModeLayout",
-    "ScenarioSpec",
-    "SparseState",
-    "SparseDensity",
-    "expand_kruskal",
-    "partial_trace",
-    "scenario_density",
-]
 
 #: Allowed deviation of the state norm (and density trace) from one.
 NORM_TOL = 1e-12
@@ -190,6 +180,8 @@ class SparseState:
     amplitudes: Mapping[int, float]
 
     def __post_init__(self):
+        if type(self.layout) is not ModeLayout:
+            object.__setattr__(self, "layout", ModeLayout(self.layout))
         dim = 1 << len(self.layout)
         cleaned: dict[int, float] = {}
         squares: list[float] = []
@@ -231,6 +223,8 @@ class SparseDensity:
     entries: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
+        if type(self.layout) is not ModeLayout:
+            object.__setattr__(self, "layout", ModeLayout(self.layout))
         dim = 1 << len(self.layout)
         stored: dict[tuple[int, int], float] = {}
         diagonal: list[float] = []

@@ -34,15 +34,6 @@ from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov, dilaton_grid
 from .modes_state import ScenarioSpec, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 
-__all__ = [
-    "VerificationCheck",
-    "VerificationReport",
-    "default_oracle_grid",
-    "oracle_compare",
-    "relationship_suite",
-    "monotonicity_scan",
-]
-
 GridPoint = tuple[ScenarioSpec, BlackHoleParams]
 
 ORACLE_TOL = 1e-10

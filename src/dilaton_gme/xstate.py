@@ -30,8 +30,6 @@ from .errors import InvalidDensity, NotXState, _count_text, _is_index, _items, _
 from .hawking import BogoliubovPair, coeff_power
 from .modes_state import NORM_TOL, POPULATION_FLOOR, ScenarioSpec, SparseDensity
 
-__all__ = ["XState", "extract_xstate", "build_block_matrix"]
-
 Block = tuple[float, float, float]
 
 #: Largest magnitude an entry off the diagonal and the anti-diagonal may have

@@ -114,6 +114,8 @@ _POINTS = (
 # gme_pure sites read twice that.
 _SEQUENCE_SITES = {
     "layout-modes": lambda v: len(ModeLayout(v).modes),
+    "state-layout": lambda v: len(SparseState(v, {0: 1.0}).layout.modes),
+    "density-layout": lambda v: len(SparseDensity(v, {(0, 0): 1.0}).layout.modes),
     "grid-dilatons": lambda v: len(BogoliubovGrid(1.0, 1.0, v).dilatons),
     "e-grid-thetas": lambda v: len(e_grid(v, BogoliubovGrid(1.0, 1.0, [0.5]), 1, 0)),
     "trace-keep": lambda v: len(partial_trace(_GHZ3, v).layout),
@@ -125,6 +127,8 @@ _SEQUENCE_SITES = {
 }
 _SEQUENCE_ITEMS = {
     "layout-modes": ("F1", "F2"),
+    "state-layout": ("F1", "F2"),
+    "density-layout": ("F1", "F2"),
     "grid-dilatons": (0.5, 1.0),
     "e-grid-thetas": (0.0, 0.25),
     "trace-keep": ("F1", "F3"),
@@ -177,6 +181,7 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
     [
         (lambda: BogoliubovPair("1", 0.0), InvalidParams, "alpha must be a real number, got '1'"),
         (lambda: BogoliubovPair(1.0, None), InvalidParams, "beta must be a real number, got None"),
+        (lambda: BogoliubovPair(1.0, 1.0), InvalidParams, "beta must lie in [0, 1), got 1.0"),
         (lambda: BogoliubovGrid(1.0, 1.0, [0.0, Decimal("0.5"), 1.0]), InvalidParams,
          "every dilaton must be a real number, got Decimal, float"),
         (lambda: ScenarioSpec(3, 1, 1, 0, float("nan")), InvalidSpec, "theta must lie in [0, pi/2], got nan"),
@@ -193,6 +198,10 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
          "entry key (0, 0, 0) is not a (row, col) pair"),
         (lambda: SparseDensity(_ONE_MODE, [1.0]), InvalidDensity, "entries must be a mapping, got list"),
         (lambda: SparseState(_ONE_MODE, None), InvalidParams, "amplitudes must be a mapping, got NoneType"),
+        (lambda: SparseState(("F1", "F1"), {0: 1.0}), InvalidSpec, "layout contains a duplicate mode"),
+        (lambda: SparseState(("F1", "F1"), {7: 1.0}), InvalidSpec, "layout contains a duplicate mode"),
+        (lambda: SparseDensity("F1F2", {(0, 0): 1.0}), InvalidSpec, "modes must be a sequence, got str"),
+        (lambda: SparseDensity(None, {(0, 0): 1.0}), InvalidSpec, "modes must be a sequence, got NoneType"),
         (lambda: BlackHoleParams(10**400, 0.0, 1.0), InvalidParams,
          "mass must lie within the float range, got int beyond it"),
         (lambda: SparseState(_ONE_MODE, {0: 10**400}), InvalidParams,
@@ -220,14 +229,17 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
         (lambda: gme_pure(_GHZ3, [["F1"], [["F2"]], ["F3"]]), InvalidPartition,
          "a mode is its label string, got ['F2']"),
         (lambda: gme_pure(_GHZ3, [["F1"], [2], ["F3"]]), InvalidPartition, "a mode is its label string, got 2"),
+        (lambda: gme_pure(_GHZ3, [["F1"], ["F1", "F2"], ["F3"]]), InvalidPartition,
+         "layout contains a duplicate mode"),
     ],
-    ids=["pair-str", "pair-none", "grid-decimal", "theta-nan", "theta-inf", "exponent-float",
+    ids=["pair-str", "pair-none", "pair-beta-one", "grid-decimal", "theta-nan", "theta-inf", "exponent-float",
          "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
-         "density-int-key", "density-long-key", "density-list", "state-none", "mass-past-floats",
+         "density-int-key", "density-long-key", "density-list", "state-none", "state-duplicate-mode",
+         "state-label-past-duplicate-layout", "density-str-layout", "density-none-layout", "mass-past-floats",
          "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
          "grid-none", "grid-int", "e-grid-none", "steps-too-long", "n-parties-too-long",
          "exponent-too-long", "trace-unhashable-mode", "reduce-unhashable-mode",
-         "gme-unhashable-mode", "gme-int-mode"],
+         "gme-unhashable-mode", "gme-int-mode", "gme-duplicate-mode"],
 )
 def test_a_refused_input_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -77,26 +77,26 @@ def test_closed_form_commands_load_only_the_closed_form_layers(tmp_path):
     assert result.stdout.splitlines()[-1] == str(closed_form)
 
 
-def _is_bool(node):
-    return isinstance(node, ast.Name) and node.id == "bool"
+def _type_tests(tree, kind):
+    """Line numbers where ``tree`` tests a value or a type against the builtin ``kind``.
 
-
-def _bool_tests(tree):
-    """Line numbers where ``tree`` tests a value or a type against ``bool``.
-
-    That is ``isinstance``/``issubclass`` with ``bool`` among the types, and
-    any comparison with ``bool`` as an operand (``type(v) is bool``,
-    ``bool in kinds``).  ``type(v) is float`` is not one.
+    That is ``isinstance``/``issubclass`` with ``kind`` among the types, and
+    any comparison with ``kind`` as an operand (``type(v) is bool``,
+    ``bool in kinds``).  For ``bool``, ``type(v) is float`` is not one.
     """
+
+    def is_kind(node):
+        return isinstance(node, ast.Name) and node.id == kind
+
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
-            if any(map(_is_bool, [node.left, *node.comparators])):
+            if any(map(is_kind, [node.left, *node.comparators])):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
             kinds = node.args[1:]
             kinds = [*kinds, *(e for k in kinds if isinstance(k, ast.Tuple) for e in k.elts)]
-            if any(map(_is_bool, kinds)):
+            if any(map(is_kind, kinds)):
                 lines.append(node.lineno)
     return lines
 
@@ -113,8 +113,15 @@ def test_only_errors_imports_numbers():
 
 
 def test_only_errors_tests_for_bool():
-    tests_bool = {module: _bool_tests(_tree(module)) for module in _MODULES}
+    tests_bool = {module: _type_tests(_tree(module), "bool") for module in _MODULES}
     assert [module for module, lines in tests_bool.items() if lines] == ["errors"], tests_bool
+
+
+def test_only_the_layout_and_sequence_rules_test_for_str():
+    # ``ModeLayout`` holds the rule for a mode label and ``errors._sequence`` the one that
+    # refuses a bare ``str`` as a sequence; every other site goes through one of them.
+    tests_str = {module: _type_tests(_tree(module), "str") for module in _MODULES}
+    assert [module for module, lines in tests_str.items() if lines] == ["errors", "modes_state"], tests_str
 
 
 # Where each input-rule helper is defined; ``None`` marks a deleted spelling.
@@ -139,7 +146,7 @@ def test_each_rule_helper_is_defined_in_one_module():
     assert defined == {name: [home] for name, home in _RULE_HOMES.items() if home}
 
 
-# The package exports what the modules list in their ``__all__``; these are its 41 names.
+# The package exports what ``__init__`` lists under each library module; these are its 41 names.
 _EXPORTS = """
 BlackHoleParams BogoliubovGrid BogoliubovPair DilatonGmeError InvalidDensity InvalidParams
 InvalidPartition InvalidSpec ModeLayout NotXState OddN ScaleCap ScenarioSpec SparseDensity
@@ -151,12 +158,25 @@ relationship_suite scenario_density sum_rule_linear sum_rule_quadratic theta_der
 """.split()
 
 
-def test_the_export_list_is_every_library_modules_list():
-    library = [importlib.import_module(f"dilaton_gme.{m}") for m in _MODULES if m not in ("__init__", "cli")]
-    assert len(library) == 7
-    exports = ["__version__", *(name for module in library for name in module.__all__)]
-    assert sorted(dilaton_gme.__all__) == sorted(exports)
-    assert set(exports) <= set(dir(dilaton_gme))
+def _assigns_all(tree):
+    """Line numbers where ``tree`` assigns the name ``__all__``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+
+
+def test_the_exports_are_listed_once_each_under_its_home_module():
+    assigns = {module: _assigns_all(_tree(module)) for module in _MODULES}
+    assert [module for module, lines in assigns.items() if lines] == ["__init__"], assigns
+    assert sorted(dilaton_gme._EXPORTS) == [m for m in _MODULES if m not in ("__init__", "cli")]
+    for home, names in dilaton_gme._EXPORTS.items():
+        module = importlib.import_module(f"dilaton_gme.{home}")
+        for name in names:
+            assert getattr(dilaton_gme, name) is getattr(module, name)
+            assert getattr(module, name).__module__ == module.__name__, (home, name)
+    assert set(dilaton_gme.__all__) <= set(dir(dilaton_gme))
 
 
 def test_package_exports_are_pinned():
