@@ -16,10 +16,12 @@ deficit.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidSpec, OddN, _count_text, _is_index, _sequence
 from .hawking import (
+    _LOG_DIRECT_FLOOR,
     BogoliubovGrid,
     BogoliubovPair,
     _check_exponents,
@@ -67,49 +69,60 @@ def e_grid(
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
 
 
-def _power_row(pair: BogoliubovPair, n: int) -> list[float]:
-    """``alpha**(n - k) * beta**k`` for ``k = 0 .. n``, each as :func:`coeff_power` forms it.
+def _power_rows(pair: BogoliubovPair, horizons: Sequence[int]) -> list[list[float]]:
+    """Rows ``alpha**(n - k) * beta**k``, ``k = 0 .. n``, one per ``n``, as :func:`coeff_power` forms them.
 
-    Inputs are checked by the caller.  The quadratic sum rule at ``n`` reads
-    the whole row, the linear one its even entries ``row[::2]``.
+    As ``alpha >= beta``, no entry's log is below ``top * log(beta)``; while
+    one step past that (a margin for each entry's rounded log) is above the
+    floor, entry ``(n, k)`` is the direct ``alphas[n - k] * betas[k]`` off
+    one table of powers each.  Otherwise each goes through ``_power``.
     """
     alpha, beta = pair.alpha, pair.beta
-    log_alpha, log_beta = math.log(alpha), _log_beta(beta)
-    return [_power(alpha, beta, log_alpha, log_beta, n - k, k) for k in range(n + 1)]
+    log_alpha, log_beta, top = math.log(alpha), _log_beta(beta), max(horizons)
+    if (top + 1) * log_beta > _LOG_DIRECT_FLOOR:
+        alphas, betas = [alpha**j for j in range(top + 1)], [beta**j for j in range(top + 1)]
+        return [[alphas[n - k] * betas[k] for k in range(n + 1)] for n in horizons]
+    return [[_power(alpha, beta, log_alpha, log_beta, n - k, k) for k in range(n + 1)] for n in horizons]
 
 
-def _binomial_row(m: int) -> list[int]:
-    """``C(m, k)`` for ``k = 0 .. m``."""
-    return [math.comb(m, k) for k in range(m + 1)]
+def _binomial_weights(ms: Sequence[int]) -> list[float]:
+    """The rows ``C(m, k)``, ``k = 0 .. m``, of each ``m`` laid end to end, as floats."""
+    return [float(math.comb(m, k)) for m in ms for k in range(m + 1)]
 
 
 def _binomial_sums(
-    sines: Sequence[float], row: Sequence[float], combs: Sequence[int], power: int
-) -> list[float]:
-    """``sum_k C(m, k) * (s * row[k])**power``, ``m = len(row) - 1``, at each sine ``s``.
+    sines: Sequence[float], rows: Sequence[Sequence[float]], weights: Sequence[float], power: int
+) -> list[list[float]]:
+    """``sum_k C(m, k) * (s * row[k])**power``, ``m = len(row) - 1``, per row at each sine ``s``.
 
-    ``combs`` is :func:`_binomial_row` of ``m``, built once by a caller that
-    sums many rows of one length.  With ``s = sin(2 theta)`` and a row of
-    :func:`_power_row`, each term is ``C * E * E`` (or ``C * E``) from the
-    float E.  Every ``C`` must fit a float, which holds while
-    ``m <= MAX_FLOAT_BINOMIAL``.
+    The rows are laid end to end, as ``weights`` lays their ``C(m, k)``, so
+    one pass per sine forms every term and each row's sum is ``math.fsum``
+    of its slice; ``weights`` may run on past the last row.  Each term is
+    ``C * E * E`` (or ``C * E``) from the float E, and ``float(C) * E`` is
+    ``C * E`` while ``m <= MAX_FLOAT_BINOMIAL``.
     """
+    flat = [r for row in rows for r in row]
+    ends = list(accumulate(map(len, rows)))
     if power == 2:
-        return [math.fsum([c * e * e for c, e in zip(combs, map(s.__mul__, row))]) for s in sines]
-    return [math.fsum([c * e for c, e in zip(combs, map(s.__mul__, row))]) for s in sines]
+        terms = [[w * (e := s * r) * e for w, r in zip(weights, flat)] for s in sines]
+    else:
+        terms = [[w * (s * r) for w, r in zip(weights, flat)] for s in sines]
+    return [[math.fsum(t[a:b]) for a, b in zip([0, *ends], ends)] for t in terms]
 
 
 def _rule_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int) -> float:
     """``sum_k C(m, k) * E(n - step*k, step*k)**power``, ``m = n // step``.
 
     Inputs are checked by the caller.  While every ``C`` fits a float this
-    is :func:`_binomial_sums` on every ``step``-th entry of the power row.
+    is :func:`_binomial_sums` on every ``step``-th entry of the power row,
+    the kernel the verify suite runs on many rows at once.
     Past that (``m > MAX_FLOAT_BINOMIAL``) ``C`` and the deepest E leave the
     float range, so the sum runs in 40-digit decimals instead.
     """
     m, s = n // step, math.sin(2.0 * theta)
     if m <= MAX_FLOAT_BINOMIAL:
-        return _binomial_sums((s,), _power_row(pair, n)[::step], _binomial_row(m), power)[0]
+        (row,) = _power_rows(pair, (n,))
+        return _binomial_sums((s,), (row[::step],), _binomial_weights((m,)), power)[0][0]
     from decimal import Decimal, localcontext  # only these large sums need it
 
     with localcontext() as ctx:

@@ -31,7 +31,8 @@ MAX_PURE_PARTIES = 16
 def gme_xstate(x: XState) -> float:
     """Closed-form genuine multipartite entanglement of an X state."""
     blocks = x.blocks.values()
-    roots = [math.sqrt(max(a, 0.0) * max(b, 0.0)) for a, b, _ in blocks]
+    # A population may sit slightly below zero (or at -0.0); its root reads as 0.0.
+    roots = [math.sqrt(a * b) if a > 0.0 and b > 0.0 else 0.0 for a, b, _ in blocks]
     total = math.fsum(roots)
     best = 0.0
     for (_, _, c), root in zip(blocks, roots):

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 from .analytic import (
-    _binomial_row,
     _binomial_sums,
-    _power_row,
+    _binomial_weights,
+    _power_rows,
     e_general,
     e_grid,
     monogamy_residual,
@@ -107,6 +108,19 @@ class _Worst:
         if self.inputs is None or error > self.error or (error != error and self.error == self.error):
             self.error = error
             self.inputs = inputs
+
+    def extend(self, errors: Iterable[float], inputs_of: Callable[[int], dict]) -> None:
+        """:meth:`update` with each error in turn, the inputs built only for the one that can win.
+
+        Of the list, that is its first NaN, else its first largest ``|error|``;
+        ``update`` then weighs it against the error held so far.  So
+        ``inputs_of(index)`` runs once for a non-empty list, never for an empty one.
+        """
+        errors = list(map(abs, errors))
+        if errors:
+            nans = [error != error for error in errors]
+            index = nans.index(True) if True in nans else errors.index(max(errors))
+            self.update(errors[index], inputs_of(index))
 
 
 def _grid_points(grid: Iterable[GridPoint]) -> tuple[GridPoint, ...]:
@@ -199,11 +213,10 @@ def oracle_compare(grid: Iterable[GridPoint]) -> VerificationReport:
         inputs = _describe(spec, params)
         worst_e.update(e_oracle - e_closed, inputs)
         from_blocks = build_block_matrix(spec, pair)
-        entry_error = max(
-            abs(x - y)
-            for i in from_oracle.blocks.keys() | from_blocks.blocks.keys()
-            for x, y in zip(from_oracle.blocks.get(i, zero), from_blocks.blocks.get(i, zero))
-        )
+        keys = from_oracle.blocks.keys() | from_blocks.blocks.keys()
+        ours = chain.from_iterable(map(from_oracle.blocks.get, keys, repeat(zero)))
+        theirs = chain.from_iterable(map(from_blocks.blocks.get, keys, repeat(zero)))
+        entry_error = max(map(abs, map(float.__sub__, ours, theirs)))
         worst_dual.update(entry_error, inputs)
     return VerificationReport(
         (
@@ -213,17 +226,33 @@ def oracle_compare(grid: Iterable[GridPoint]) -> VerificationReport:
     )
 
 
+def _rule_inputs(horizons: Sequence[int], index: int) -> dict:
+    """The inputs of sum ``index`` of a rule checked at ``horizons``, in (dilaton, theta, n) order."""
+    point, at = divmod(index, len(horizons))
+    dilaton, theta = divmod(point, len(_RULE_THETAS))
+    return {
+        "n-horizon": horizons[at],
+        "theta": _RULE_THETAS[theta],
+        "mass": 1.0,
+        "dilaton": _RULE_DILATONS[dilaton],
+        "omega": 1.0,
+    }
+
+
 def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     """Distribution and monogamy identities.
 
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
       over mode splits, evaluated purely from the closed form, for
       ``n = 1 .. 16``, dilatons ``(0, 0.5, 0.9, 1)`` and theta ``pi/12``,
-      ``pi/6`` and ``pi/4`` at ``M = omega = 1``.  Per dilaton and n, one
-      row ``alpha**(n-k) * beta**k`` serves every theta: the quadratic
-      rule reads all of it, the linear rule its even entries.  Each
-      binomial row ``C(m, k)`` is built once, for every dilaton and both
-      rules.
+      ``pi/6`` and ``pi/4`` at ``M = omega = 1``.  Per dilaton, one table
+      of rows ``alpha**(n-k) * beta**k`` serves every theta and both rules,
+      the quadratic rule reading all of each row and the linear rule the
+      even entries of the even ``n``; each rule is one kernel call, every
+      row laid end to end.  The binomial weights ``C(n, k)`` are built once
+      per call: the linear rule's ``C(n/2, k)`` are their first eight rows.
+      The errors are kept in (dilaton, theta, n) order, and only the worst
+      one's inputs are built.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  The pair
       X-states come straight from the one pass over the state's entries,
@@ -236,42 +265,34 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     """
     # Every grid item is checked before the first sum.
     points = [(spec, params) for spec, params in _grid_points(grid) if spec.n_parties >= 3]
-    worst_quad = _Worst()
-    worst_lin = _Worst()
     sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
-    # C(m, k) rows for m = n (quadratic) and m = n / 2 (linear), shared by every dilaton.
-    combs = {m: _binomial_row(m) for m in _RULE_HORIZONS}
+    weights = _binomial_weights(_RULE_HORIZONS)
+    quad_errors: list[float] = []
+    lin_errors: list[float] = []
     for dilaton in _RULE_DILATONS:
-        pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
-        rows = {n: _power_row(pair, n) for n in _RULE_HORIZONS}
-        quadratic = {n: _binomial_sums(sines, rows[n], combs[n], 2) for n in _RULE_HORIZONS}
-        linear = {
-            n: _binomial_sums(sines, rows[n][::2], combs[n // 2], 1) for n in _RULE_HORIZONS[1::2]
-        }
-        for t, (theta, sine) in enumerate(zip(_RULE_THETAS, sines)):
-            for n_horizon in _RULE_HORIZONS:
-                inputs = {
-                    "n-horizon": n_horizon,
-                    "theta": theta,
-                    "mass": 1.0,
-                    "dilaton": dilaton,
-                    "omega": 1.0,
-                }
-                worst_quad.update(quadratic[n_horizon][t] - sine**2, inputs)
-                if n_horizon in linear:
-                    worst_lin.update(linear[n_horizon][t] - sine, inputs)
-    quad_size = len(_RULE_DILATONS) * len(_RULE_THETAS) * len(_RULE_HORIZONS)
-    lin_size = len(_RULE_DILATONS) * len(_RULE_THETAS) * len(_RULE_HORIZONS[1::2])
+        rows = _power_rows(bogoliubov(BlackHoleParams(1.0, dilaton, 1.0)), _RULE_HORIZONS)
+        quadratic = _binomial_sums(sines, rows, weights, 2)
+        linear = _binomial_sums(sines, [row[::2] for row in rows[1::2]], weights, 1)
+        for sine, quad_sums, lin_sums in zip(sines, quadratic, linear):
+            square = sine**2
+            quad_errors += [total - square for total in quad_sums]
+            lin_errors += [total - sine for total in lin_sums]
+    worst_quad = _Worst()
+    worst_quad.extend(quad_errors, lambda index: _rule_inputs(_RULE_HORIZONS, index))
+    worst_lin = _Worst()
+    worst_lin.extend(lin_errors, lambda index: _rule_inputs(_RULE_HORIZONS[1::2], index))
+    quad_size, lin_size = len(quad_errors), len(lin_errors)
 
     worst_pair = _Worst()
     worst_mono = _Worst()
     for spec, params in points:
         pair, rho, e_oracle, _ = _oracle_point(spec, params)
         inputs = _describe(spec, params)
+        classes = _pair_xstates(rho)
+        scores = [gme_xstate(x) for x, _ in classes]
+        worst_pair.extend(scores, lambda _: inputs)
         pair_sq = []
-        for x, n_on_first in _pair_xstates(rho):
-            e_pair = gme_xstate(x)
-            worst_pair.update(e_pair, inputs)
+        for e_pair, (_, n_on_first) in zip(scores, classes):
             pair_sq += [e_pair * e_pair] * n_on_first
         residual = monogamy_residual(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
         deficit = e_oracle * e_oracle - math.fsum(pair_sq)
@@ -288,18 +309,11 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
 
 
 def _classify(values: Sequence[float]) -> str:
-    signs = []
-    for prev, cur in zip(values, values[1:]):
-        if cur > prev:
-            signs.append(1)
-        elif cur < prev:
-            signs.append(-1)
-    collapsed = [signs[0]] if signs else []
-    for s in signs[1:]:
-        if s != collapsed[-1]:
-            collapsed.append(s)
+    pairs = zip(values, values[1:])
+    signs = [1 if cur > prev else -1 for prev, cur in pairs if cur > prev or cur < prev]
+    collapsed = tuple([s for s, before in zip(signs, [0, *signs]) if s != before])
     shapes = {(): "constant", (1,): "increasing", (-1,): "decreasing", (1, -1): "single-peaked"}
-    return shapes.get(tuple(collapsed), "irregular")
+    return shapes.get(collapsed, "irregular")
 
 
 def _expected_shape(n_out: int, n_in: int, d_star: Optional[float]) -> str:
@@ -372,7 +386,7 @@ def _shape_scans(splits: Iterable[tuple[int, int]], steps: int) -> VerificationR
             )
         )
         if expected == "single-peaked":
-            argmax = max(range(steps), key=es.__getitem__)
+            argmax = es.index(max(es))
             checks.append(
                 _check(
                     f"peak-location-p{n_out}-q{n_in}",

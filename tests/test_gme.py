@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dilaton_gme import (
@@ -22,6 +22,7 @@ from dilaton_gme import (
     partial_trace,
     scenario_density,
 )
+from dilaton_gme.xstate import XState
 from conftest import dense_xstate, xstate_from_triplets
 
 
@@ -47,6 +48,42 @@ def test_gme_xstate_uses_best_block():
     # both coherences fully covered by the opposite block -> zero
     y = xstate_from_triplets(a=(0.3, 0.2), b=(0.3, 0.2), c=(0.05, 0.19))
     assert gme_xstate(y) == 0.0
+
+
+def _clamped_root_gme(x):
+    """``gme_xstate`` written with each population clamped at zero by ``max``."""
+    blocks = x.blocks.values()
+    roots = [math.sqrt(max(a, 0.0) * max(b, 0.0)) for a, b, _ in blocks]
+    total = math.fsum(roots)
+    best = 0.0
+    for (_, _, c), root in zip(blocks, roots):
+        candidate = abs(c) - (total - root)
+        if candidate > best:
+            best = candidate
+    return 2.0 * best
+
+
+_POPULATIONS = st.one_of(st.sampled_from([0.0, -0.0, -1e-14, -5e-15, 5e-324]), st.floats(0.0, 1.0))
+
+
+@given(
+    blocks=st.lists(
+        st.tuples(_POPULATIONS, _POPULATIONS, st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.999, 1.0])),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_gme_xstate_is_the_clamped_root_formula_bit_for_bit(blocks):
+    # Roots of blocks with a population at or below zero (-0.0 and slightly
+    # negative ones included) read as 0.0, which changes no E.
+    total = math.fsum(v for a, b, _ in blocks for v in (a, b) if v > 0.0)
+    assume(total > 0.0)
+    triples = []
+    for a, b, f in blocks:
+        a, b = (v / total if v > 0.0 else v for v in (a, b))
+        triples.append((a, b, f * math.sqrt(max(a, 0.0) * max(b, 0.0))))
+    x = XState(len(triples), dict(enumerate(triples)))
+    assert float.hex(gme_xstate(x)) == float.hex(_clamped_root_gme(x))
 
 
 def _two_qubit_concurrence(matrix: np.ndarray) -> float:

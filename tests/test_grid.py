@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dilaton_gme import (
     BlackHoleParams,
     BogoliubovGrid,
+    BogoliubovPair,
     InvalidParams,
     InvalidSpec,
     analytic,
@@ -98,21 +99,24 @@ _RULE_THETAS = (0.0, math.pi / 12, math.pi / 4, 0.4 * math.pi)
 @pytest.mark.parametrize("n_horizon", [1, 2, 7, 16, 80, 1029, 1030, 2059, 2060])
 def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, omega))
-    # Batched over theta on one power row, each rule gives the floats of its
-    # scalar form while its binomials fit a float (the quadratic rule to
-    # n = 1029, the linear one to n = 2059); past that the scalar rules sum in
-    # decimals, which only they do.
+    # Batched over theta, with this power row laid after the row of n = 1,
+    # each rule gives the floats of its scalar form while its binomials fit a
+    # float (the quadratic rule to n = 1029, the linear one to n = 2059); past
+    # that the scalar rules sum in decimals, which only they do.
     sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
-    row = analytic._power_row(pair, n_horizon)
+    first, row = analytic._power_rows(pair, (1, n_horizon))
+    assert [first, row] == [analytic._power_rows(pair, (n,))[0] for n in (1, n_horizon)]
     quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
     if n_horizon <= MAX_FLOAT_BINOMIAL:
-        combs = analytic._binomial_row(n_horizon)
-        assert analytic._binomial_sums(sines, row, combs, 2) == quadratic
+        weights = analytic._binomial_weights((1, n_horizon))
+        sums = analytic._binomial_sums(sines, [first, row], weights, 2)
+        assert [row_sums[1] for row_sums in sums] == quadratic
     if n_horizon % 2 == 0:
         linear = [sum_rule_linear(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
         if n_horizon // 2 <= MAX_FLOAT_BINOMIAL:
-            combs = analytic._binomial_row(n_horizon // 2)
-            assert analytic._binomial_sums(sines, row[::2], combs, 1) == linear
+            weights = analytic._binomial_weights((1, n_horizon // 2))
+            sums = analytic._binomial_sums(sines, [first, row[::2]], weights, 1)
+            assert [row_sums[1] for row_sums in sums] == linear
     if n_horizon > 80:
         # This reference rounds C * E**2, the rule (C * E) * E, so past here
         # the last bits may part; the sums are held to RELATION_TOL instead by
@@ -131,6 +135,64 @@ def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
             for k in range(half + 1)
         )
         assert sum_rule_linear(theta, pair, n_horizon)[0] == linear
+
+
+def _assert_rows_are_coeff_powers(pair, horizons):
+    rows = analytic._power_rows(pair, horizons)
+    assert len(rows) == len(horizons)
+    for n, row in zip(horizons, rows):
+        assert _bits(row) == _bits(coeff_power(pair, n - k, k) for k in range(n + 1)), n
+
+
+@pytest.mark.parametrize(
+    "omega,dilaton",
+    [(80.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.05, 0.3)],
+)
+def test_power_rows_are_coeff_powers_on_both_sides_of_the_direct_floor(omega, dilaton):
+    # omega = 80 at D = 0 leaves beta = 0.0; at omega = 2 and 1 the rows up to
+    # n = 80 cross the floor exp(-700) near n = 28 and n = 56.
+    pair = bogoliubov(BlackHoleParams(1.0, dilaton, omega))
+    _assert_rows_are_coeff_powers(pair, range(1, 81))
+    _assert_rows_are_coeff_powers(pair, [80, 3, 17, 3])
+    if pair.beta == 0.0:
+        return
+    # The longest row that still reads the power tables, and one row more:
+    # the longest row of a call picks the way for all of them.
+    log_beta = math.log(pair.beta)
+    top = next(t for t in range(1, 10**6) if (t + 2) * log_beta <= -700.0)
+    assert (top + 1) * log_beta > -700.0
+    for last in (top, top + 1):
+        _assert_rows_are_coeff_powers(pair, [1, last // 2, last - 1, last])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        BogoliubovPair(1.0, 0.0),  # every positive power of beta is an exact 0.0
+        BogoliubovPair(math.sqrt(0.5), math.sqrt(0.5)),  # the extreme limit
+        bogoliubov(BlackHoleParams(1.0, 1.0, 1.0)),
+    ],
+    ids=["no-beta", "extreme", "extreme-from-params"],
+)
+def test_power_rows_are_coeff_powers_at_the_edge_pairs(pair):
+    _assert_rows_are_coeff_powers(pair, [1, 2, 700, 1029, 1030, 2059, 2060])
+    _assert_rows_are_coeff_powers(pair, range(1, 40))
+
+
+@pytest.mark.parametrize("n_horizon", [1029, 1030])
+def test_power_rows_feed_the_quadratic_rule_at_the_float_binomial_cap(n_horizon):
+    pair = bogoliubov(BlackHoleParams(1.0, 0.5, 1.0))
+    _assert_rows_are_coeff_powers(pair, [n_horizon])
+    theta = math.pi / 6
+    lhs, rhs = sum_rule_quadratic(theta, pair, n_horizon)
+    if n_horizon <= MAX_FLOAT_BINOMIAL:
+        s = math.sin(2.0 * theta)
+        terms = [
+            float(math.comb(n_horizon, k)) * (e := s * coeff_power(pair, n_horizon - k, k)) * e
+            for k in range(n_horizon + 1)
+        ]
+        assert lhs == math.fsum(terms)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 @pytest.mark.parametrize(

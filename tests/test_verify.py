@@ -2,8 +2,11 @@ import dataclasses
 import math
 import re
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dilaton_gme import (
     BlackHoleParams,
@@ -151,6 +154,118 @@ def test_a_nan_error_is_the_worst_and_stays_the_worst():
     first.update(math.nan, {"point": "a"})
     first.update(0.2, {"point": "b"})
     assert math.isnan(first.error) and first.inputs == {"point": "a"}
+
+
+_ERRORS = st.one_of(
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-13, -1e-13, 0.5, -0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    held=st.lists(_ERRORS, max_size=2),
+    errors=st.one_of(
+        st.lists(_ERRORS, max_size=8),
+        st.builds(lambda value, count: [value] * count, _ERRORS, st.integers(1, 5)),
+    ),
+)
+@example(held=[], errors=[0.5, -0.5, 0.5])
+@example(held=[], errors=[-0.0, 0.0, -0.0])
+@example(held=[], errors=[0.1, -math.nan, math.nan, math.inf])
+@example(held=[0.7], errors=[0.5, 0.7])
+@example(held=[math.nan], errors=[math.inf, -math.nan])
+@example(held=[0.0], errors=[])
+def test_the_list_form_of_the_worst_case_is_update_in_turn(held, errors):
+    # Both end on the same error and inputs; only the list form's winner has its inputs built.
+    in_turn, listed = verify._Worst(), verify._Worst()
+    for worst in (in_turn, listed):
+        for index, error in enumerate(held):
+            worst.update(error, {"held": index})
+    for index, error in enumerate(errors):
+        in_turn.update(error, {"index": index})
+    built = []
+    listed.extend(iter(errors), lambda index: built.append(index) or {"index": index})
+    assert len(built) == (1 if errors else 0)
+    assert listed.inputs == in_turn.inputs
+    assert float.hex(listed.error) == float.hex(in_turn.error)
+
+
+def test_pair_checks_without_a_point_of_three_parties():
+    two_parties = [(ScenarioSpec(2, 1, 1, 0, 0.5), BlackHoleParams(1.0, 0.3, 1.0))]
+    for grid in ([], two_parties):
+        checks = relationship_suite(grid=grid).checks[2:]
+        assert [(c.name, c.grid_size, c.max_abs_error, c.worst_case_inputs) for c in checks] == [
+            ("pairwise-zero", 0, 0.0, None),
+            ("monogamy", 0, 0.0, None),
+        ]
+
+
+_RULES = {
+    "sum-rule-quadratic": (2, tuple(range(1, 17))),
+    "sum-rule-linear": (1, tuple(range(2, 17, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RULES))
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_each_sum_rule_error_names_its_own_point(monkeypatch, name, where):
+    # One (dilaton, theta, n) sum is NaN, so it is the worst: the check must
+    # fail and name exactly that point, which pins the errors' flat order.
+    power, horizons = _RULES[name]
+    dilatons, thetas = (0.0, 0.5, 0.9, 1.0), (math.pi / 12, math.pi / 6, math.pi / 4)
+    d, t, at = {
+        "first": (0, 0, 0),
+        "middle": (1, 1, len(horizons) // 2),
+        "last": (len(dilatons) - 1, len(thetas) - 1, len(horizons) - 1),
+    }[where]
+    kernel, calls = verify._binomial_sums, []
+
+    def one_nan(sines, rows, weights, rule_power):
+        sums = kernel(sines, rows, weights, rule_power)
+        if rule_power == power:
+            if len(calls) == d:  # the rule's kernel runs once per dilaton, in order
+                sums[t][at] = math.nan
+            calls.append(rule_power)
+        return sums
+
+    monkeypatch.setattr(verify, "_binomial_sums", one_nan)
+    checks = {check.name: check for check in relationship_suite(grid=[]).checks}
+    check = checks[name]
+    assert check.status == "fail" and math.isnan(check.max_abs_error)
+    assert check.worst_case_inputs == {
+        "n-horizon": horizons[at],
+        "theta": thetas[t],
+        "mass": 1.0,
+        "dilaton": dilatons[d],
+        "omega": 1.0,
+    }
+    assert check.grid_size == len(dilatons) * len(thetas) * len(horizons)
+    (other,) = set(_RULES) - {name}
+    assert checks[other].status == "pass"
+
+
+def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls_per_dilaton(monkeypatch):
+    # Tooling guard: the sum rules' errors come from one flat pass per dilaton,
+    # and only each rule's worst sum has its inputs built.
+    counts = Counter()
+    kernel, rule_inputs, update = verify._binomial_sums, verify._rule_inputs, verify._Worst.update
+
+    def counted(key, call):
+        def wrapper(*args):
+            counts[key] += 1
+            return call(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "_binomial_sums", counted("kernel", kernel))
+    monkeypatch.setattr(verify, "_rule_inputs", counted("inputs", rule_inputs))
+    monkeypatch.setattr(verify._Worst, "update", counted("update", update))
+    report = relationship_suite(grid=[])
+    assert report.passed
+    assert counts["kernel"] <= 2 * len(verify._RULE_DILATONS)
+    assert counts["inputs"] <= 2
+    assert counts["update"] <= 2
 
 
 def test_oracle_compare_fails_on_a_nan_entanglement(monkeypatch):
@@ -422,6 +537,50 @@ def test_every_split_up_to_16_modes_has_the_predicted_shape():
     peaked = [split for split, shape in shapes.items() if shape == "single-peaked"]
     assert [split for split in peaked if sum(split) <= 2] == []
     assert [split for split in peaked if sum(split) == 3] == [(2, 1)]
+
+
+def _classify_in_turn(values):
+    """``_classify`` written as one step per neighbouring pair."""
+    signs = []
+    for prev, cur in zip(values, values[1:]):
+        if cur > prev:
+            signs.append(1)
+        elif cur < prev:
+            signs.append(-1)
+    collapsed = [signs[0]] if signs else []
+    for sign in signs[1:]:
+        if sign != collapsed[-1]:
+            collapsed.append(sign)
+    shapes = {(): "constant", (1,): "increasing", (-1,): "decreasing", (1, -1): "single-peaked"}
+    return shapes.get(tuple(collapsed), "irregular")
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf]), st.floats()), max_size=8))
+def test_classify_is_one_step_per_neighbouring_pair(values):
+    assert verify._classify(values) == _classify_in_turn(values)
+
+
+def test_dual_construction_error_is_the_first_largest_entry_difference(monkeypatch):
+    # Each block pair is read in the key order of the union, a missing block as
+    # zero, and a NaN difference counts only where ``max`` meets it first.
+    spec, params = ScenarioSpec(4, 2, 1, 1, 0.5), BlackHoleParams(1.0, 0.3, 1.0)
+    oracle = verify.extract_xstate(verify.scenario_density(spec, bogoliubov(params)))
+    keys = sorted(oracle.blocks)
+    shifted = {i: (a + 1e-9 * i, b, c) for i, (a, b, c) in oracle.blocks.items()}
+    nan_first = {**shifted, keys[0]: (math.nan, 0.0, 0.0)}
+    nan_later = {**shifted, keys[-1]: (math.nan, 0.0, 0.0)}
+    missing = {i: block for i, block in shifted.items() if i != keys[1]}
+    zero = (0.0, 0.0, 0.0)
+    for blocks in (shifted, nan_first, nan_later, missing):
+        built = type("Built", (), {"blocks": blocks})()
+        monkeypatch.setattr(verify, "build_block_matrix", lambda s, p, built=built: built)
+        expected = max(
+            abs(x - y)
+            for i in oracle.blocks.keys() | blocks.keys()
+            for x, y in zip(oracle.blocks.get(i, zero), blocks.get(i, zero))
+        )
+        dual = oracle_compare([(dataclasses.replace(spec), params)]).checks[1]
+        assert float.hex(dual.max_abs_error) == float.hex(expected)
 
 
 def test_monotonicity_scan_validation():
