@@ -1,7 +1,8 @@
 """Cross-checks between the oracle pipeline and the closed forms.
 
-Each check sweeps a parameter grid, records the worst absolute error and
-the inputs that produced it, and passes when the worst error stays within
+Each check sweeps a parameter grid and keeps its errors in one list.  Its
+worst error is the first NaN, else the first largest absolute error; only
+that error's inputs are built, and the check passes when it stays within
 its tolerance.  Reports serialise to the JSON shape used by the command
 line: one object per check with hyphenated field names.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -88,39 +90,23 @@ class VerificationReport:
 def _check(
     name: str,
     grid_size: int,
-    max_abs_error: float,
     tolerance: float,
-    worst_case_inputs: Optional[dict],
+    errors: Iterable[float],
+    inputs_of: Callable[[int], dict],
 ) -> VerificationCheck:
-    status = "pass" if max_abs_error <= tolerance else "fail"
-    return VerificationCheck(name, grid_size, max_abs_error, tolerance, status, worst_case_inputs)
+    """The check of ``errors`` at its worst: the first NaN, else the first largest ``|error|``.
 
-
-class _Worst:
-    """Track the largest absolute error and its inputs; the first NaN error is worse than any."""
-
-    def __init__(self) -> None:
-        self.error = 0.0
-        self.inputs: Optional[dict] = None
-
-    def update(self, error: float, inputs: dict) -> None:
-        error = abs(error)
-        if self.inputs is None or error > self.error or (error != error and self.error == self.error):
-            self.error = error
-            self.inputs = inputs
-
-    def extend(self, errors: Iterable[float], inputs_of: Callable[[int], dict]) -> None:
-        """:meth:`update` with each error in turn, the inputs built only for the one that can win.
-
-        Of the list, that is its first NaN, else its first largest ``|error|``;
-        ``update`` then weighs it against the error held so far.  So
-        ``inputs_of(index)`` runs once for a non-empty list, never for an empty one.
-        """
-        errors = list(map(abs, errors))
-        if errors:
-            nans = [error != error for error in errors]
-            index = nans.index(True) if True in nans else errors.index(max(errors))
-            self.update(errors[index], inputs_of(index))
+    ``inputs_of(index)`` builds the inputs of that one error only; an empty
+    list reads as ``0.0`` with no inputs and builds none.
+    """
+    errors = list(map(abs, errors))
+    error, inputs = 0.0, None
+    if errors:
+        nans = [value != value for value in errors]
+        index = nans.index(True) if True in nans else errors.index(max(errors))
+        error, inputs = errors[index], inputs_of(index)
+    status = "pass" if error <= tolerance else "fail"
+    return VerificationCheck(name, grid_size, error, tolerance, status, inputs)
 
 
 def _grid_points(grid: Iterable[GridPoint]) -> tuple[GridPoint, ...]:
@@ -137,7 +123,9 @@ def _grid_points(grid: Iterable[GridPoint]) -> tuple[GridPoint, ...]:
     return points
 
 
-def _describe(spec: ScenarioSpec, params: BlackHoleParams) -> dict:
+def _describe(points: Sequence[GridPoint], index: int) -> dict:
+    """The inputs of grid point ``index``."""
+    spec, params = points[index]
     return {
         "n-parties": spec.n_parties,
         "n-horizon": spec.n_horizon,
@@ -202,26 +190,24 @@ def oracle_compare(grid: Iterable[GridPoint]) -> VerificationReport:
     reading as zero.
     """
     points = _grid_points(grid)
-    worst_e = _Worst()
-    worst_dual = _Worst()
+    e_errors: list[float] = []
+    dual_errors: list[float] = []
     zero = (0.0, 0.0, 0.0)
     for spec, params in points:
         pair, rho, e_oracle, from_oracle = _oracle_point(spec, params)
         if from_oracle is None:  # the point came from the spec's memo
             from_oracle = extract_xstate(rho)
-        e_closed = e_general(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
-        inputs = _describe(spec, params)
-        worst_e.update(e_oracle - e_closed, inputs)
+        e_errors.append(e_oracle - e_general(spec.theta, pair, spec.n_out_kept, spec.n_in_kept))
         from_blocks = build_block_matrix(spec, pair)
         keys = from_oracle.blocks.keys() | from_blocks.blocks.keys()
         ours = chain.from_iterable(map(from_oracle.blocks.get, keys, repeat(zero)))
         theirs = chain.from_iterable(map(from_blocks.blocks.get, keys, repeat(zero)))
-        entry_error = max(map(abs, map(float.__sub__, ours, theirs)))
-        worst_dual.update(entry_error, inputs)
+        dual_errors.append(max(map(abs, map(float.__sub__, ours, theirs))))
+    point_inputs = partial(_describe, points)
     return VerificationReport(
         (
-            _check("oracle-vs-analytic", len(points), worst_e.error, ORACLE_TOL, worst_e.inputs),
-            _check("dual-construction", len(points), worst_dual.error, ENTRYWISE_TOL, worst_dual.inputs),
+            _check("oracle-vs-analytic", len(points), ORACLE_TOL, e_errors, point_inputs),
+            _check("dual-construction", len(points), ENTRYWISE_TOL, dual_errors, point_inputs),
         )
     )
 
@@ -242,6 +228,10 @@ def _rule_inputs(horizons: Sequence[int], index: int) -> dict:
 def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     """Distribution and monogamy identities.
 
+    Each check keeps its errors in one list and builds only its worst
+    point's inputs; each pair score keeps the index of the point it came
+    from, so ``pairwise-zero`` names that point.
+
     * ``sum-rule-quadratic`` / ``sum-rule-linear``: binomial identities
       over mode splits, evaluated purely from the closed form, for
       ``n = 1 .. 16``, dilatons ``(0, 0.5, 0.9, 1)`` and theta ``pi/12``,
@@ -251,8 +241,7 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
       even entries of the even ``n``; each rule is one kernel call, every
       row laid end to end.  The binomial weights ``C(n, k)`` are built once
       per call: the linear rule's ``C(n/2, k)`` are their first eight rows.
-      The errors are kept in (dilaton, theta, n) order, and only the worst
-      one's inputs are built.
+      The errors are kept in (dilaton, theta, n) order.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  The pair
       X-states come straight from the one pass over the state's entries,
@@ -277,33 +266,32 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
             square = sine**2
             quad_errors += [total - square for total in quad_sums]
             lin_errors += [total - sine for total in lin_sums]
-    worst_quad = _Worst()
-    worst_quad.extend(quad_errors, lambda index: _rule_inputs(_RULE_HORIZONS, index))
-    worst_lin = _Worst()
-    worst_lin.extend(lin_errors, lambda index: _rule_inputs(_RULE_HORIZONS[1::2], index))
-    quad_size, lin_size = len(quad_errors), len(lin_errors)
+    quad_inputs = partial(_rule_inputs, _RULE_HORIZONS)
+    lin_inputs = partial(_rule_inputs, _RULE_HORIZONS[1::2])
 
-    worst_pair = _Worst()
-    worst_mono = _Worst()
-    for spec, params in points:
+    pair_scores: list[float] = []
+    owner: list[int] = []  # the point of each pair score
+    mono_errors: list[float] = []
+    for index, (spec, params) in enumerate(points):
         pair, rho, e_oracle, _ = _oracle_point(spec, params)
-        inputs = _describe(spec, params)
         classes = _pair_xstates(rho)
         scores = [gme_xstate(x) for x, _ in classes]
-        worst_pair.extend(scores, lambda _: inputs)
+        pair_scores += scores
+        owner += [index] * len(scores)
         pair_sq = []
         for e_pair, (_, n_on_first) in zip(scores, classes):
             pair_sq += [e_pair * e_pair] * n_on_first
         residual = monogamy_residual(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
         deficit = e_oracle * e_oracle - math.fsum(pair_sq)
-        worst_mono.update(deficit - residual, inputs)
+        mono_errors.append(deficit - residual)
 
+    point_inputs = partial(_describe, points)
     return VerificationReport(
         (
-            _check("sum-rule-quadratic", quad_size, worst_quad.error, RELATION_TOL, worst_quad.inputs),
-            _check("sum-rule-linear", lin_size, worst_lin.error, RELATION_TOL, worst_lin.inputs),
-            _check("pairwise-zero", len(points), worst_pair.error, RELATION_TOL, worst_pair.inputs),
-            _check("monogamy", len(points), worst_mono.error, RELATION_TOL, worst_mono.inputs),
+            _check("sum-rule-quadratic", len(quad_errors), RELATION_TOL, quad_errors, quad_inputs),
+            _check("sum-rule-linear", len(lin_errors), RELATION_TOL, lin_errors, lin_inputs),
+            _check("pairwise-zero", len(points), RELATION_TOL, pair_scores, lambda i: point_inputs(owner[i])),
+            _check("monogamy", len(points), RELATION_TOL, mono_errors, point_inputs),
         )
     )
 
@@ -376,24 +364,11 @@ def _shape_scans(splits: Iterable[tuple[int, int]], steps: int) -> VerificationR
             "expected-shape": expected,
             "observed-shape": observed,
         }
-        checks.append(
-            _check(
-                f"monotonicity-p{n_out}-q{n_in}",
-                steps,
-                0.0 if observed in accepted else 1.0,
-                0.0,
-                scan_inputs,
-            )
-        )
+        split = f"p{n_out}-q{n_in}"
+        shape_error = 0.0 if observed in accepted else 1.0
+        checks.append(_check(f"monotonicity-{split}", steps, 0.0, [shape_error], lambda _: scan_inputs))
         if expected == "single-peaked":
-            argmax = es.index(max(es))
-            checks.append(
-                _check(
-                    f"peak-location-p{n_out}-q{n_in}",
-                    steps,
-                    abs(ds[argmax] - d_star),
-                    step,
-                    dict(scan_inputs, **{"d-argmax": ds[argmax], "d-star": d_star}),
-                )
-            )
+            d_argmax = ds[es.index(max(es))]
+            peak = dict(scan_inputs, **{"d-argmax": d_argmax, "d-star": d_star})
+            checks.append(_check(f"peak-location-{split}", steps, step, [d_argmax - d_star], lambda _: peak))
     return VerificationReport(tuple(checks))

@@ -1,5 +1,5 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither
-the oracle nor verify; only ``errors`` spells the input rules."""
+the oracle nor verify; only ``errors`` spells the input rules, and only ``verify._check`` builds a check."""
 
 import ast
 import importlib
@@ -244,3 +244,24 @@ def test_no_module_keeps_a_value_keyed_cache():
     assert _value_keyed_caches(ast.parse("import functools\n@functools.lru_cache\ndef f(): pass")) == [2]
     assert _value_keyed_caches(ast.parse("from functools import cache")) == [1]
     assert _value_keyed_caches(ast.parse("import functools\nx = functools.cached_property")) == []
+
+
+def _callers(tree, name):
+    """Top-level functions and classes of ``tree`` that call ``name``, ``None`` for module level."""
+    callers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                if name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.append(getattr(top, "name", None))
+    return callers
+
+
+def test_only_check_builds_a_verification_check():
+    # Every check's worst case goes through ``verify._check``, the one spelling of the
+    # first-NaN, else first-largest rule; no other site may build a check of its own.
+    callers = {module: _callers(_tree(module), "VerificationCheck") for module in _MODULES}
+    assert {module: names for module, names in callers.items() if names} == {"verify": ["_check"]}
+    source = "def f():\n    return v.VerificationCheck()\nclass C:\n    def g(self):\n        VerificationCheck()\n"
+    source += "VerificationCheck()\n"
+    assert _callers(ast.parse(source), "VerificationCheck") == ["f", "C", None]

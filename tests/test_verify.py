@@ -146,14 +146,24 @@ def test_relationship_checks_pass_at_the_largest_party_counts(n_parties, n_horiz
 
 
 def test_a_nan_error_is_the_worst_and_stays_the_worst():
-    worst = verify._Worst()
-    for error, point in [(0.1, "a"), (math.nan, "b"), (0.5, "c"), (-math.nan, "d"), (math.inf, "e")]:
-        worst.update(error, {"point": point})
-    assert math.isnan(worst.error) and worst.inputs == {"point": "b"}
-    first = verify._Worst()
-    first.update(math.nan, {"point": "a"})
-    first.update(0.2, {"point": "b"})
-    assert math.isnan(first.error) and first.inputs == {"point": "a"}
+    points = "abcde"
+    errors = [0.1, math.nan, 0.5, -math.nan, math.inf]
+    check = verify._check("c", 5, 1.0, errors, lambda i: {"point": points[i]})
+    assert math.isnan(check.max_abs_error) and check.worst_case_inputs == {"point": "b"}
+    assert check.status == "fail" and check.as_json_dict()["max-abs-error"] is None
+    first = verify._check("c", 2, 1.0, [math.nan, 0.2], lambda i: {"point": points[i]})
+    assert math.isnan(first.max_abs_error) and first.worst_case_inputs == {"point": "a"}
+
+
+def _worst_in_turn(errors):
+    """Reference fold: ``(|error|, index)`` kept item by item. The first error is taken,
+    then each strictly larger one, and the first NaN over any number."""
+    worst, at = 0.0, None
+    for index, error in enumerate(errors):
+        error = abs(error)
+        if at is None or error > worst or (error != error and worst == worst):
+            worst, at = error, index
+    return worst, at
 
 
 _ERRORS = st.one_of(
@@ -177,18 +187,17 @@ _ERRORS = st.one_of(
 @example(held=[math.nan], errors=[math.inf, -math.nan])
 @example(held=[0.0], errors=[])
 def test_the_list_form_of_the_worst_case_is_update_in_turn(held, errors):
-    # Both end on the same error and inputs; only the list form's winner has its inputs built.
-    in_turn, listed = verify._Worst(), verify._Worst()
-    for worst in (in_turn, listed):
-        for index, error in enumerate(held):
-            worst.update(error, {"held": index})
-    for index, error in enumerate(errors):
-        in_turn.update(error, {"index": index})
+    # ``_check`` over the held errors and then the new ones ends where the item-by-item
+    # fold does; only the winner has its inputs built.
+    errors = [*held, *errors]
+    worst, at = _worst_in_turn(errors)
     built = []
-    listed.extend(iter(errors), lambda index: built.append(index) or {"index": index})
-    assert len(built) == (1 if errors else 0)
-    assert listed.inputs == in_turn.inputs
-    assert float.hex(listed.error) == float.hex(in_turn.error)
+    check = verify._check("c", 7, 1e-12, iter(errors), lambda index: built.append(index) or {"index": index})
+    assert built == ([] if at is None else [at])
+    assert check.worst_case_inputs == (None if at is None else {"index": at})
+    assert float.hex(check.max_abs_error) == float.hex(worst)
+    assert check.status == ("pass" if worst <= 1e-12 else "fail")
+    assert (check.name, check.grid_size, check.tolerance) == ("c", 7, 1e-12)
 
 
 def test_pair_checks_without_a_point_of_three_parties():
@@ -249,7 +258,7 @@ def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls_per_dilaton(monkey
     # Tooling guard: the sum rules' errors come from one flat pass per dilaton,
     # and only each rule's worst sum has its inputs built.
     counts = Counter()
-    kernel, rule_inputs, update = verify._binomial_sums, verify._rule_inputs, verify._Worst.update
+    kernel, rule_inputs = verify._binomial_sums, verify._rule_inputs
 
     def counted(key, call):
         def wrapper(*args):
@@ -260,12 +269,10 @@ def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls_per_dilaton(monkey
 
     monkeypatch.setattr(verify, "_binomial_sums", counted("kernel", kernel))
     monkeypatch.setattr(verify, "_rule_inputs", counted("inputs", rule_inputs))
-    monkeypatch.setattr(verify._Worst, "update", counted("update", update))
     report = relationship_suite(grid=[])
     assert report.passed
     assert counts["kernel"] <= 2 * len(verify._RULE_DILATONS)
     assert counts["inputs"] <= 2
-    assert counts["update"] <= 2
 
 
 def test_oracle_compare_fails_on_a_nan_entanglement(monkeypatch):
@@ -281,7 +288,7 @@ def test_oracle_compare_fails_on_a_nan_entanglement(monkeypatch):
     check, dual = oracle_compare(grid).checks
     assert check.name == "oracle-vs-analytic" and check.status == "fail"
     assert math.isnan(check.max_abs_error)
-    assert check.worst_case_inputs == verify._describe(*grid[1])
+    assert check.worst_case_inputs == verify._describe(grid, 1)
     assert dual.status == "pass"
 
 
@@ -295,6 +302,51 @@ def test_monogamy_counts_every_pair_of_the_first_mode(monkeypatch):
     checks = {check.name: check for check in relationship_suite(grid=grid).checks}
     assert checks["pairwise-zero"].max_abs_error == 1.0
     assert checks["monogamy"].max_abs_error == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_pairwise_zero_names_the_point_its_worst_score_came_from(monkeypatch, where):
+    # The third point's first or last pair class scores NaN and a class of the first point
+    # scores 1.0: pairwise-zero must name the third point, wherever its NaN sits among the
+    # flat scores. The last class holds no pair on the first mode, so there monogamy's
+    # worst point is the first one, short of its residual by that class's pair count.
+    grid = [
+        (ScenarioSpec(4, 1, 0, 1, 0.7), BlackHoleParams(1.0, 0.3, 1.0)),
+        (ScenarioSpec(3, 1, 1, 0, 0.5), BlackHoleParams(1.0, 0.6, 1.0)),
+        (ScenarioSpec(4, 2, 1, 1, 0.5), BlackHoleParams(1.0, 0.9, 1.0)),
+        (ScenarioSpec(5, 2, 2, 0, 0.6), BlackHoleParams(1.0, 0.3, 1.0)),
+    ]
+    pair_xstates, score = verify._pair_xstates, verify.gme_xstate
+    scanned, patched = [], []
+
+    def tagged(rho):
+        classes = pair_xstates(rho)
+        if len(scanned) == 0:
+            patched.append((classes[0][0], 1.0))
+        elif len(scanned) == 2:
+            patched.append((classes[0 if where == "first" else -1][0], math.nan))
+        scanned.append(classes)
+        return classes
+
+    def patched_score(x):
+        for y, value in patched:
+            if y is x:
+                return value
+        return score(x)
+
+    monkeypatch.setattr(verify, "_pair_xstates", tagged)
+    monkeypatch.setattr(verify, "gme_xstate", patched_score)
+    checks = {check.name: check for check in relationship_suite(grid=grid).checks}
+    assert len(scanned) == 4 and scanned[2][-1][1] == 0
+    pairwise, monogamy = checks["pairwise-zero"], checks["monogamy"]
+    assert math.isnan(pairwise.max_abs_error)
+    assert pairwise.worst_case_inputs == verify._describe(grid, 2)
+    if where == "first":
+        assert math.isnan(monogamy.max_abs_error)
+        assert monogamy.worst_case_inputs == verify._describe(grid, 2)
+    else:
+        assert monogamy.max_abs_error == pytest.approx(scanned[0][0][1], abs=1e-12)
+        assert monogamy.worst_case_inputs == verify._describe(grid, 0)
 
 
 def test_sum_rule_horizon_cap_is_the_last_float_sum():
@@ -448,17 +500,25 @@ def test_a_point_whose_simulation_raises_leaves_no_memo(monkeypatch):
 
 
 def test_oracle_compare_describes_each_point_once(monkeypatch):
+    # Tooling guard: only a check's worst point has its inputs built, so a suite
+    # describes at most one point per check and none on an empty grid.
     described = []
     describe = verify._describe
 
-    def counted(spec, params):
-        described.append(spec)
-        return describe(spec, params)
+    def counted(points, index):
+        described.append(describe(points, index))
+        return described[-1]
 
     monkeypatch.setattr(verify, "_describe", counted)
-    spec = ScenarioSpec(4, 2, 1, 1, 0.5)
-    assert oracle_compare([(spec, BlackHoleParams(1.0, 0.3, 1.0))]).passed
-    assert described == [spec]
+    grid = _small_grid()
+    for suite in (oracle_compare, relationship_suite):
+        report = suite(grid)
+        assert report.passed and len(described) <= 2
+        named = [c.worst_case_inputs for c in report.checks if "n-parties" in (c.worst_case_inputs or {})]
+        assert sorted(map(repr, named)) == sorted(map(repr, described))
+        described.clear()
+        suite([])
+        assert described == []
 
 
 def test_monotonicity_scan_peaked():
