@@ -15,9 +15,11 @@ mixing exponentially weak (``beta ~ 3.5e-6``).
 High powers of ``beta`` underflow double precision very quickly, so
 :func:`coeff_power` evaluates a monomial ``alpha**p * beta**q`` through its
 log once the direct product would leave the normal range.
-:class:`BogoliubovGrid` holds the coefficients and their logs over a whole
-list of dilatons, checked once per list, and evaluates a monomial at every
-point with the same arithmetic as the scalar function.
+:class:`BogoliubovGrid` holds the coefficients over a whole list of
+dilatons, checked once per list, and evaluates a monomial at every point
+with the same arithmetic as the scalar function; it takes a log per point
+only when a bound from the grid's smallest coefficients cannot rule out
+that some point leaves the direct product.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .errors import _is_index, _is_real, _real, _sequence
 # log-domain value is above roughly log(DBL_MIN); past that we fall back to
 # exp() so the result degrades gracefully through the subnormals.
 _LOG_DIRECT_FLOOR = -700.0
+# A grid's lowest log-value must clear the floor by this much before every point
+# is taken as direct, so that a log rounded one ulp off never flips a point.
+_BOUND_MARGIN = 1.0
 # An exponent past the largest float cannot enter float arithmetic at all.
 _MAX_EXPONENT = sys.float_info.max
 
@@ -201,11 +206,11 @@ class BogoliubovGrid:
     ``[0, mass]``, all are kept as floats, and each point passes the
     checks of :class:`BogoliubovPair`.  Point ``i`` holds exactly the floats
     ``bogoliubov(BlackHoleParams(mass, dilatons[i], omega))`` would, kept as
-    parallel lists together with their logs.
+    two parallel lists.
     """
 
     # A plain class: defining a frozen dataclass this size adds about 1 ms to every import.
-    __slots__ = ("mass", "omega", "dilatons", "alphas", "betas", "log_alphas", "log_betas")
+    __slots__ = ("mass", "omega", "dilatons", "alphas", "betas")
 
     def __init__(self, mass: float, omega: float, dilatons: Iterable[float]):
         dilatons = _sequence(dilatons, InvalidParams, "dilatons")
@@ -231,30 +236,40 @@ class BogoliubovGrid:
         self.dilatons = dilatons
         self.alphas = alphas
         self.betas = betas
-        self.log_alphas = list(map(math.log, alphas))
-        self.log_betas = list(map(_log_beta, betas))
 
     def powers(self, alpha_exp: int, beta_exp: int) -> list[float]:
         """:func:`coeff_power` at every point, the exponents checked once.
 
-        This is the body of :func:`_power`, inlined into one pass per branch:
-        a call to it per point cost the closed-form sweeps 2.5-4.6 % of their
-        points per second (2-core VM).
+        No point's log-value ``p*log(alpha) + q*log(beta)`` is below the one
+        formed from the grid's smallest ``alpha`` and ``beta``, since ``log``,
+        ``*`` and ``+`` are monotone.  When that bound clears the floor by
+        ``_BOUND_MARGIN``, every point is the direct product and no per-point
+        log is taken.  Otherwise this is the body of :func:`_power`, inlined
+        into one pass per branch: a call to it per point cost the closed-form
+        sweeps 2.5-4.6 % of their points per second (2-core VM).
         """
         _check_exponents(alpha_exp, beta_exp)
-        exp, floor = math.exp, _LOG_DIRECT_FLOOR
+        alphas, betas = self.alphas, self.betas
+        log, exp, floor = math.log, math.exp, _LOG_DIRECT_FLOOR
         if beta_exp == 0:  # beta**0 is 1.0, and a float times 1.0 is itself
+            if alphas and alpha_exp * log(min(alphas)) > floor + _BOUND_MARGIN:
+                return [alpha**alpha_exp for alpha in alphas]
             return [
                 alpha**alpha_exp if (log_value := alpha_exp * log_alpha) > floor else exp(log_value)
-                for alpha, log_alpha in zip(self.alphas, self.log_alphas)
+                for alpha, log_alpha in zip(alphas, map(log, alphas))
             ]
+        positive = bool(betas) and min(betas) > 0.0
+        if positive and (
+            alpha_exp * log(min(alphas)) + beta_exp * log(min(betas)) > floor + _BOUND_MARGIN
+        ):
+            return [alpha**alpha_exp * beta**beta_exp for alpha, beta in zip(alphas, betas)]
         return [
             0.0 if beta == 0.0
             else alpha**alpha_exp * beta**beta_exp
             if (log_value := alpha_exp * log_alpha + beta_exp * log_beta) > floor
             else exp(log_value)
             for alpha, beta, log_alpha, log_beta in zip(
-                self.alphas, self.betas, self.log_alphas, self.log_betas
+                alphas, betas, map(log, alphas), map(log if positive else _log_beta, betas)
             )
         ]
 

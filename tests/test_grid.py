@@ -8,7 +8,7 @@ reject every bad input, checking each domain once per batch.
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dilaton_gme import (
@@ -22,10 +22,12 @@ from dilaton_gme import (
     coeff_power,
     e_general,
     e_grid,
+    hawking,
     sum_rule_linear,
     sum_rule_quadratic,
 )
 from dilaton_gme.analytic import MAX_FLOAT_BINOMIAL
+from dilaton_gme.hawking import dilaton_grid
 
 
 def _bits(values):
@@ -55,18 +57,66 @@ def _assert_grid_matches_scalar(mass, omega, dilatons, thetas, p, q):
     p=st.integers(0, 2000),
     q=st.integers(0, 2000),
 )
+# The grid's bound 56*log(min beta) lies inside the margin above the floor
+# (-699.49), just above it (-698.79), and inside it on a one-point grid (-699.32);
+# with q = 0, 2080*log(min alpha) is below the floor (-707.89), where alpha**2080
+# and the exp() that point takes part in their last bits.
+@example(mass=1.0, omega=0.994, fractions=[0.0, 0.5, 1.0], thetas=[math.pi / 4], p=0, q=56)
+@example(mass=1.0, omega=0.993, fractions=[0.0, 0.5, 1.0], thetas=[math.pi / 4], p=0, q=56)
+@example(mass=1.0, omega=1.325, fractions=[0.25], thetas=[math.pi / 4], p=0, q=56)
+@example(mass=1.0, omega=1.0, fractions=[0.0, 0.999], thetas=[math.pi / 4], p=2080, q=0)
 def test_grid_equals_scalar_bit_for_bit(mass, omega, fractions, thetas, p, q):
     assume(p + q >= 1)
     # f <= 1 keeps f * mass <= mass exactly.
     _assert_grid_matches_scalar(mass, omega, [f * mass for f in fractions], thetas, p, q)
 
 
-def test_grid_direct_branch():
+class _CountedMath:
+    """``math`` as ``hawking`` sees it, counting the logs taken through it."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def _count_logs(monkeypatch):
+    counted = _CountedMath()
+    monkeypatch.setattr(hawking, "math", counted)
+    return counted
+
+
+def test_grid_direct_branch(monkeypatch):
     dilatons = [0.0, 0.25, 0.5, 0.75, 1.0]
     grid = _assert_grid_matches_scalar(1.0, 1.0, dilatons, [math.pi / 6], 2, 3)
     assert all(b > 0.0 for b in grid.betas)
     # 2 log(alpha) + 3 log(beta) stays above the direct-product floor at every point.
     assert all(2 * math.log(a) + 3 * math.log(b) > -700.0 for a, b in zip(grid.alphas, grid.betas))
+    # The bound from the smallest alpha and beta clears it too: two logs, none per point.
+    counted = _count_logs(monkeypatch)
+    grid.powers(2, 3)
+    assert counted.logs == 2
+
+
+def test_powers_take_a_log_per_point_only_where_the_bound_cannot_clear_the_grid(monkeypatch):
+    steps = 2001
+    counted = _count_logs(monkeypatch)
+    grid = BogoliubovGrid(1.0, 1.0, dilaton_grid(0.0, 1.0, steps))
+    grid.powers(8, 4)
+    assert counted.logs <= 2
+    # At D = 0, 57 log(beta) is near -716 and, at D = 1, 2100 log(alpha) near -728:
+    # each grid then takes the bound's logs and one per point and coefficient.
+    counted.logs = 0
+    grid.powers(0, 57)
+    assert counted.logs == 2 + 2 * steps
+    counted.logs = 0
+    grid.powers(2100, 0)
+    assert counted.logs == 1 + steps
 
 
 def test_grid_exp_branch():
@@ -244,15 +294,15 @@ def test_empty_grid():
 )
 def test_bad_theta_or_split_is_rejected_before_any_point(thetas, n_out, n_in):
     grid = BogoliubovGrid(1.0, 1.0, [0.0, 0.5, 1.0])
-    # ``powers`` runs its per-point loop inline, over ``grid.alphas`` in either
-    # branch, so each point it computes is one alpha read from that list.
+    # ``powers`` reads ``grid.alphas`` once for its bound, ``min(alphas)``, and
+    # once more in its per-point loop, inlined in every branch.
     computed = []
     grid.alphas = _ReadCounted(grid.alphas, computed)
     with pytest.raises(InvalidSpec):
         e_grid(thetas, grid, n_out, n_in)
     assert computed == []
     e_grid((0.3,), grid, 1, 1)
-    assert len(computed) == 3
+    assert len(computed) == 6
 
 
 class _ReadCounted(list):
