@@ -21,14 +21,12 @@ from typing import Sequence
 
 from .errors import InvalidSpec, OddN, _count_text, _is_index, _sequence
 from .hawking import (
-    _LOG_DIRECT_FLOOR,
     BogoliubovGrid,
     BogoliubovPair,
     _check_exponents,
     _check_positive,
     _check_theta,
-    _log_beta,
-    _power,
+    _power_rows,
     coeff_power,
 )
 
@@ -67,22 +65,6 @@ def e_grid(
     _check_split(n_out, n_in)
     powers = grid.powers(n_out, n_in)
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
-
-
-def _power_rows(pair: BogoliubovPair, horizons: Sequence[int]) -> list[list[float]]:
-    """Rows ``alpha**(n - k) * beta**k``, ``k = 0 .. n``, one per ``n``, as :func:`coeff_power` forms them.
-
-    As ``alpha >= beta``, no entry's log is below ``top * log(beta)``; while
-    one step past that (a margin for each entry's rounded log) is above the
-    floor, entry ``(n, k)`` is the direct ``alphas[n - k] * betas[k]`` off
-    one table of powers each.  Otherwise each goes through ``_power``.
-    """
-    alpha, beta = pair.alpha, pair.beta
-    log_alpha, log_beta, top = math.log(alpha), _log_beta(beta), max(horizons)
-    if (top + 1) * log_beta > _LOG_DIRECT_FLOOR:
-        alphas, betas = [alpha**j for j in range(top + 1)], [beta**j for j in range(top + 1)]
-        return [[alphas[n - k] * betas[k] for k in range(n + 1)] for n in horizons]
-    return [[_power(alpha, beta, log_alpha, log_beta, n - k, k) for k in range(n + 1)] for n in horizons]
 
 
 def _binomial_weights(ms: Sequence[int]) -> list[float]:

@@ -12,14 +12,15 @@ combination ``(M - D) * omega`` matters; the extreme limit ``D -> M`` gives
 ``alpha = beta = 1/sqrt(2)``, while ``D -> 0`` at ``M = omega = 1`` leaves the
 mixing exponentially weak (``beta ~ 3.5e-6``).
 
-High powers of ``beta`` underflow double precision very quickly, so
-:func:`coeff_power` evaluates a monomial ``alpha**p * beta**q`` through its
-log once the direct product would leave the normal range.
-:class:`BogoliubovGrid` holds the coefficients over a whole list of
-dilatons, checked once per list, and evaluates a monomial at every point
-with the same arithmetic as the scalar function; it takes a log per point
-only when a bound from the grid's smallest coefficients cannot rule out
-that some point leaves the direct product.
+High powers of ``beta`` underflow double precision very quickly, so a
+monomial ``alpha**p * beta**q`` has one rule, kept here alone: the direct
+product while its log-value is above ``_LOG_DIRECT_FLOOR``, ``exp`` of the
+log-value below.  It comes in three shapes that give the same floats:
+:func:`coeff_power` for one pair; :meth:`BogoliubovGrid.powers` for one
+monomial at every dilaton of a list, checked once per list; and
+``_power_rows`` for the rows ``alpha**(n - k) * beta**k`` of one pair.  The
+last two take no log per value when a bound from their smallest factors
+clears the floor by ``_BOUND_MARGIN``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ _BOUND_MARGIN = 1.0
 # An exponent past the largest float cannot enter float arithmetic at all.
 _MAX_EXPONENT = sys.float_info.max
 
-#: Most points a dilaton grid may take; each is built and evaluated one by one.
+#: Most points a dilaton grid may take: this caps the length of the lists that a grid
+#: keeps and that each of its passes builds.
 MAX_GRID_STEPS = 10**6
 
 
@@ -154,22 +156,8 @@ def bogoliubov(params: BlackHoleParams) -> BogoliubovPair:
 
 
 def _log_beta(beta: float) -> float:
-    # Only ever read with beta > 0 (see _power).
+    # Only ever read with beta > 0 (see BogoliubovGrid.powers).
     return math.log(beta) if beta > 0.0 else -math.inf
-
-
-def _power(
-    alpha: float, beta: float, log_alpha: float, log_beta: float, alpha_exp: int, beta_exp: int
-) -> float:
-    """Unchecked body of :func:`coeff_power`, given the logs of the pair."""
-    if beta == 0.0 and beta_exp > 0:
-        return 0.0
-    log_value = alpha_exp * log_alpha
-    if beta_exp > 0:  # 0 * log(0) would be nan
-        log_value += beta_exp * log_beta
-    if log_value > _LOG_DIRECT_FLOOR:
-        return alpha**alpha_exp * beta**beta_exp
-    return math.exp(log_value)
 
 
 def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
@@ -196,7 +184,30 @@ def coeff_power(pair: BogoliubovPair, alpha_exp: int, beta_exp: int) -> float:
     """
     _check_exponents(alpha_exp, beta_exp)
     alpha, beta = pair.alpha, pair.beta
-    return _power(alpha, beta, math.log(alpha), _log_beta(beta), alpha_exp, beta_exp)
+    log_value = alpha_exp * math.log(alpha)
+    if beta_exp > 0:  # beta**0 is 1.0, even where log(beta) is not finite
+        if beta == 0.0:
+            return 0.0
+        log_value += beta_exp * math.log(beta)
+    if log_value > _LOG_DIRECT_FLOOR:
+        return alpha**alpha_exp * beta**beta_exp
+    return math.exp(log_value)
+
+
+def _power_rows(pair: BogoliubovPair, horizons: Sequence[int]) -> list[list[float]]:
+    """Rows ``alpha**(n - k) * beta**k``, ``k = 0 .. n``, one per ``n``, as :func:`coeff_power` forms them.
+
+    As ``alpha >= beta``, no entry's log-value is below ``top * log(beta)``,
+    ``top`` the longest ``n``.  When ``beta > 0`` and that bound clears the
+    floor by ``_BOUND_MARGIN``, entry ``(n, k)`` is the direct
+    ``alphas[n - k] * betas[k]`` off one table of powers each.  Otherwise
+    each entry is :func:`coeff_power`.
+    """
+    alpha, beta, top = pair.alpha, pair.beta, max(horizons)
+    if beta > 0.0 and top * math.log(beta) > _LOG_DIRECT_FLOOR + _BOUND_MARGIN:
+        alphas, betas = [alpha**j for j in range(top + 1)], [beta**j for j in range(top + 1)]
+        return [[alphas[n - k] * betas[k] for k in range(n + 1)] for n in horizons]
+    return [[coeff_power(pair, n - k, k) for k in range(n + 1)] for n in horizons]
 
 
 class BogoliubovGrid:
@@ -244,9 +255,9 @@ class BogoliubovGrid:
         formed from the grid's smallest ``alpha`` and ``beta``, since ``log``,
         ``*`` and ``+`` are monotone.  When that bound clears the floor by
         ``_BOUND_MARGIN``, every point is the direct product and no per-point
-        log is taken.  Otherwise this is the body of :func:`_power`, inlined
-        into one pass per branch: a call to it per point cost the closed-form
-        sweeps 2.5-4.6 % of their points per second (2-core VM).
+        log is taken.  Otherwise this is the body of :func:`coeff_power`,
+        inlined into one pass per branch: a Python call per point cost the
+        closed-form sweeps 2.5-4.6 % of their points per second (2-core VM).
         """
         _check_exponents(alpha_exp, beta_exp)
         alphas, betas = self.alphas, self.betas

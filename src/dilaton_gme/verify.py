@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .analytic import (
     _binomial_sums,
     _binomial_weights,
-    _power_rows,
     e_general,
     e_grid,
     monogamy_residual,
@@ -33,7 +32,7 @@ from .analytic import (
 )
 from .errors import InvalidParams, _check_count, _count_text, _sequence
 from .gme import gme_xstate
-from .hawking import BlackHoleParams, BogoliubovGrid, bogoliubov, dilaton_grid
+from .hawking import BlackHoleParams, BogoliubovGrid, _power_rows, bogoliubov, dilaton_grid
 from .modes_state import ScenarioSpec, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 

@@ -154,8 +154,8 @@ def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
     # float (the quadratic rule to n = 1029, the linear one to n = 2059); past
     # that the scalar rules sum in decimals, which only they do.
     sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
-    first, row = analytic._power_rows(pair, (1, n_horizon))
-    assert [first, row] == [analytic._power_rows(pair, (n,))[0] for n in (1, n_horizon)]
+    first, row = hawking._power_rows(pair, (1, n_horizon))
+    assert [first, row] == [hawking._power_rows(pair, (n,))[0] for n in (1, n_horizon)]
     quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
     if n_horizon <= MAX_FLOAT_BINOMIAL:
         weights = analytic._binomial_weights((1, n_horizon))
@@ -188,7 +188,7 @@ def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
 
 
 def _assert_rows_are_coeff_powers(pair, horizons):
-    rows = analytic._power_rows(pair, horizons)
+    rows = hawking._power_rows(pair, horizons)
     assert len(rows) == len(horizons)
     for n, row in zip(horizons, rows):
         assert _bits(row) == _bits(coeff_power(pair, n - k, k) for k in range(n + 1)), n
@@ -206,13 +206,41 @@ def test_power_rows_are_coeff_powers_on_both_sides_of_the_direct_floor(omega, di
     _assert_rows_are_coeff_powers(pair, [80, 3, 17, 3])
     if pair.beta == 0.0:
         return
-    # The longest row that still reads the power tables, and one row more:
-    # the longest row of a call picks the way for all of them.
+    # The longest row whose bound top * log(beta) still clears the floor -700
+    # by the margin 1, and one row more: the longest row of a call picks the
+    # way for all of them.
     log_beta = math.log(pair.beta)
-    top = next(t for t in range(1, 10**6) if (t + 2) * log_beta <= -700.0)
-    assert (top + 1) * log_beta > -700.0
+    top = next(t for t in range(1, 10**6) if (t + 1) * log_beta <= -699.0)
+    assert top * log_beta > -699.0
     for last in (top, top + 1):
         _assert_rows_are_coeff_powers(pair, [1, last // 2, last - 1, last])
+
+
+@pytest.mark.parametrize(
+    "log_beta,top,table",
+    [(-0.45, 1554, False), (-3.01, 232, True)],
+    ids=["bound-misses-the-margin", "bound-clears-the-margin"],
+)
+def test_power_rows_are_coeff_powers_next_to_the_bound(monkeypatch, log_beta, top, table):
+    # top * log(beta) is -699.3 for the first pair and -698.3 for the second,
+    # either side of the switch at -699.  A margin of one row's step,
+    # (top + 1) * log(beta) > -700, would pick the other way for both
+    # (-699.75 and -701.3): here the rows must be coeff_power either way.
+    beta = math.exp(log_beta)
+    pair = BogoliubovPair(math.sqrt(1.0 - beta * beta), beta)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coeff_power(*args)
+
+    monkeypatch.setattr(hawking, "coeff_power", counted)
+    _assert_rows_are_coeff_powers(pair, (1,))
+    assert calls == []
+    horizons = [1, top // 2, top - 1, top]
+    _assert_rows_are_coeff_powers(pair, horizons)
+    # Only rows whose bound misses the margin go entry by entry.
+    assert len(calls) == (0 if table else sum(n + 1 for n in horizons))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither
-the oracle nor verify; only ``errors`` spells the input rules, and only ``verify._check`` builds a check."""
+the oracle nor verify; only ``errors`` spells the input rules, only ``hawking`` the underflow rule of a
+monomial, and only ``verify._check`` builds a check."""
 
 import ast
 import importlib
@@ -133,7 +134,9 @@ _RULE_HOMES = {
     "_items": "errors",
     "_sequence": "errors",
     "_check_theta": "hawking",
+    "_power_rows": "hawking",
     "_check_real": None,
+    "_power": None,
 }
 
 
@@ -208,6 +211,14 @@ def _names_used(path):
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
     return names
+
+
+def test_only_hawking_names_the_underflow_rule():
+    # ``coeff_power``, ``BogoliubovGrid.powers`` and ``_power_rows`` are the rule's
+    # three shapes; every other module takes a monomial from one of them.
+    rule = {"_LOG_DIRECT_FLOOR", "_BOUND_MARGIN", "_log_beta"}
+    naming = {m: sorted(rule & _names_used(os.path.join(_PACKAGE_DIR, f"{m}.py"))) for m in _MODULES}
+    assert {module: names for module, names in naming.items() if names} == {"hawking": sorted(rule)}
 
 
 def test_every_export_has_a_caller_outside_the_unit_tests():
