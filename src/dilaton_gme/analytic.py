@@ -67,22 +67,19 @@ def e_grid(
     return [[s * m for m in powers] for s in [math.sin(2.0 * theta) for theta in thetas]]
 
 
-def _binomial_weights(ms: Sequence[int]) -> list[float]:
-    """The rows ``C(m, k)``, ``k = 0 .. m``, of each ``m`` laid end to end, as floats."""
-    return [float(math.comb(m, k)) for m in ms for k in range(m + 1)]
-
-
 def _binomial_sums(
-    sines: Sequence[float], rows: Sequence[Sequence[float]], weights: Sequence[float], power: int
+    sines: Sequence[float], rows: Sequence[Sequence[float]], power: int
 ) -> list[list[float]]:
     """``sum_k C(m, k) * (s * row[k])**power``, ``m = len(row) - 1``, per row at each sine ``s``.
 
-    The rows are laid end to end, as ``weights`` lays their ``C(m, k)``, so
-    one pass per sine forms every term and each row's sum is ``math.fsum``
-    of its slice; ``weights`` may run on past the last row.  Each term is
+    The rows are laid end to end, each weighted by its own ``C(m, k)``,
+    built once per distinct ``m``, so one pass per sine forms every term
+    and each row's sum is ``math.fsum`` of its slice.  Each term is
     ``C * E * E`` (or ``C * E``) from the float E, and ``float(C) * E`` is
     ``C * E`` while ``m <= MAX_FLOAT_BINOMIAL``.
     """
+    binomials = {m: [float(math.comb(m, k)) for k in range(m + 1)] for m in {len(row) - 1 for row in rows}}
+    weights = [w for row in rows for w in binomials[len(row) - 1]]
     flat = [r for row in rows for r in row]
     ends = list(accumulate(map(len, rows)))
     if power == 2:
@@ -104,7 +101,7 @@ def _rule_sum(theta: float, pair: BogoliubovPair, n: int, step: int, power: int)
     m, s = n // step, math.sin(2.0 * theta)
     if m <= MAX_FLOAT_BINOMIAL:
         (row,) = _power_rows(pair, (n,))
-        return _binomial_sums((s,), (row[::step],), _binomial_weights((m,)), power)[0][0]
+        return _binomial_sums((s,), (row[::step],), power)[0][0]
     from decimal import Decimal, localcontext  # only these large sums need it
 
     with localcontext() as ctx:

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .analytic import (
     _binomial_sums,
-    _binomial_weights,
     e_general,
     e_grid,
     monogamy_residual,
@@ -237,10 +236,10 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
       ``pi/6`` and ``pi/4`` at ``M = omega = 1``.  Per dilaton, one table
       of rows ``alpha**(n-k) * beta**k`` serves every theta and both rules,
       the quadratic rule reading all of each row and the linear rule the
-      even entries of the even ``n``; each rule is one kernel call, every
-      row laid end to end.  The binomial weights ``C(n, k)`` are built once
-      per call: the linear rule's ``C(n/2, k)`` are their first eight rows.
-      The errors are kept in (dilaton, theta, n) order.
+      even entries of the even ``n``; each rule is one kernel call on the
+      rows of all four dilatons laid end to end, and each dilaton's sums
+      are read back from its slice, so the errors are kept in
+      (dilaton, theta, n) order.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  The pair
       X-states come straight from the one pass over the state's entries,
@@ -254,17 +253,18 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     # Every grid item is checked before the first sum.
     points = [(spec, params) for spec, params in _grid_points(grid) if spec.n_parties >= 3]
     sines = [math.sin(2.0 * theta) for theta in _RULE_THETAS]
-    weights = _binomial_weights(_RULE_HORIZONS)
+    pairs = [bogoliubov(BlackHoleParams(1.0, dilaton, 1.0)) for dilaton in _RULE_DILATONS]
+    tables = [_power_rows(pair, _RULE_HORIZONS) for pair in pairs]
+    quadratic = _binomial_sums(sines, [row for rows in tables for row in rows], 2)
+    linear = _binomial_sums(sines, [row[::2] for rows in tables for row in rows[1::2]], 1)
+    n_quad, n_lin = len(_RULE_HORIZONS), len(_RULE_HORIZONS[1::2])  # sums per dilaton and sine
     quad_errors: list[float] = []
     lin_errors: list[float] = []
-    for dilaton in _RULE_DILATONS:
-        rows = _power_rows(bogoliubov(BlackHoleParams(1.0, dilaton, 1.0)), _RULE_HORIZONS)
-        quadratic = _binomial_sums(sines, rows, weights, 2)
-        linear = _binomial_sums(sines, [row[::2] for row in rows[1::2]], weights, 1)
+    for d in range(len(_RULE_DILATONS)):
         for sine, quad_sums, lin_sums in zip(sines, quadratic, linear):
             square = sine**2
-            quad_errors += [total - square for total in quad_sums]
-            lin_errors += [total - sine for total in lin_sums]
+            quad_errors += [total - square for total in quad_sums[d * n_quad : (d + 1) * n_quad]]
+            lin_errors += [total - sine for total in lin_sums[d * n_lin : (d + 1) * n_lin]]
     quad_inputs = partial(_rule_inputs, _RULE_HORIZONS)
     lin_inputs = partial(_rule_inputs, _RULE_HORIZONS[1::2])
 

@@ -144,6 +144,27 @@ def test_grid_without_inside_modes():
 _RULE_THETAS = (0.0, math.pi / 12, math.pi / 4, 0.4 * math.pi)
 
 
+def _assert_kernel_sums_each_row(sines, rows, power):
+    """The kernel's sums are, bit for bit, each row's ``math.fsum`` of its terms on its own.
+
+    A term is ``C(m, k) * E * E`` (or ``C(m, k) * E``), ``m = len(row) - 1``,
+    formed from ``E = s * row[k]`` as the kernel forms it, whatever the other
+    rows are: a repeated ``m`` and an empty row list included.
+    """
+
+    def term(c, e):
+        return c * e * e if power == 2 else c * e
+
+    def row_sum(s, row):
+        m = len(row) - 1
+        return math.fsum(term(float(math.comb(m, k)), s * r) for k, r in enumerate(row))
+
+    expected = [[row_sum(s, row) for row in rows] for s in sines]
+    sums = analytic._binomial_sums(sines, rows, power)
+    assert len(sums) == len(sines)
+    assert [_bits(row_sums) for row_sums in sums] == [_bits(row_sums) for row_sums in expected]
+
+
 @pytest.mark.parametrize("omega", [1.0, 80.0])
 @pytest.mark.parametrize("dilaton", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n_horizon", [1, 2, 7, 16, 80, 1029, 1030, 2059, 2060])
@@ -158,15 +179,17 @@ def test_sum_rules_equal_their_scalar_sums(omega, dilaton, n_horizon):
     assert [first, row] == [hawking._power_rows(pair, (n,))[0] for n in (1, n_horizon)]
     quadratic = [sum_rule_quadratic(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
     if n_horizon <= MAX_FLOAT_BINOMIAL:
-        weights = analytic._binomial_weights((1, n_horizon))
-        sums = analytic._binomial_sums(sines, [first, row], weights, 2)
+        sums = analytic._binomial_sums(sines, [first, row], 2)
         assert [row_sums[1] for row_sums in sums] == quadratic
+        _assert_kernel_sums_each_row(sines, [first, row, first], 2)
+        _assert_kernel_sums_each_row(sines, [], 2)
     if n_horizon % 2 == 0:
         linear = [sum_rule_linear(theta, pair, n_horizon)[0] for theta in _RULE_THETAS]
         if n_horizon // 2 <= MAX_FLOAT_BINOMIAL:
-            weights = analytic._binomial_weights((1, n_horizon // 2))
-            sums = analytic._binomial_sums(sines, [first, row[::2]], weights, 1)
+            sums = analytic._binomial_sums(sines, [first, row[::2]], 1)
             assert [row_sums[1] for row_sums in sums] == linear
+            _assert_kernel_sums_each_row(sines, [first, row[::2], first], 1)
+            _assert_kernel_sums_each_row(sines, [], 1)
     if n_horizon > 80:
         # This reference rounds C * E**2, the rule (C * E) * E, so past here
         # the last bits may part; the sums are held to RELATION_TOL instead by

@@ -1,6 +1,6 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither
 the oracle nor verify; only ``errors`` spells the input rules, only ``hawking`` the underflow rule of a
-monomial, and only ``verify._check`` builds a check."""
+monomial, only ``analytic._binomial_sums`` the binomials, and only ``verify._check`` builds a check."""
 
 import ast
 import importlib
@@ -137,6 +137,7 @@ _RULE_HOMES = {
     "_power_rows": "hawking",
     "_check_real": None,
     "_power": None,
+    "_binomial_weights": None,
 }
 
 
@@ -219,6 +220,14 @@ def test_only_hawking_names_the_underflow_rule():
     rule = {"_LOG_DIRECT_FLOOR", "_BOUND_MARGIN", "_log_beta"}
     naming = {m: sorted(rule & _names_used(os.path.join(_PACKAGE_DIR, f"{m}.py"))) for m in _MODULES}
     assert {module: names for module, names in naming.items() if names} == {"hawking": sorted(rule)}
+
+
+def test_only_the_binomial_sum_kernel_names_comb():
+    # ``analytic._binomial_sums`` builds each row's ``C(m, k)`` itself; the scalar rules and
+    # the verify suite hand it power rows only, so no other site keeps a weight table.
+    naming = [m for m in _MODULES if "comb" in _names_used(os.path.join(_PACKAGE_DIR, f"{m}.py"))]
+    assert naming == ["analytic"]
+    assert _callers(_tree("analytic"), "comb") == ["_binomial_sums"]
 
 
 def test_every_export_has_a_caller_outside_the_unit_tests():

@@ -230,11 +230,10 @@ def test_each_sum_rule_error_names_its_own_point(monkeypatch, name, where):
     }[where]
     kernel, calls = verify._binomial_sums, []
 
-    def one_nan(sines, rows, weights, rule_power):
-        sums = kernel(sines, rows, weights, rule_power)
-        if rule_power == power:
-            if len(calls) == d:  # the rule's kernel runs once per dilaton, in order
-                sums[t][at] = math.nan
+    def one_nan(sines, rows, rule_power):
+        sums = kernel(sines, rows, rule_power)
+        if rule_power == power:  # the rule's one kernel call lays the dilatons' rows in order
+            sums[t][d * len(horizons) + at] = math.nan
             calls.append(rule_power)
         return sums
 
@@ -250,13 +249,14 @@ def test_each_sum_rule_error_names_its_own_point(monkeypatch, name, where):
         "omega": 1.0,
     }
     assert check.grid_size == len(dilatons) * len(thetas) * len(horizons)
+    assert calls == [power]
     (other,) = set(_RULES) - {name}
     assert checks[other].status == "pass"
 
 
-def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls_per_dilaton(monkeypatch):
-    # Tooling guard: the sum rules' errors come from one flat pass per dilaton,
-    # and only each rule's worst sum has its inputs built.
+def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls(monkeypatch):
+    # Tooling guard: each sum rule's errors come from one kernel call over the
+    # rows of every dilaton, and only each rule's worst sum has its inputs built.
     counts = Counter()
     kernel, rule_inputs = verify._binomial_sums, verify._rule_inputs
 
@@ -271,7 +271,7 @@ def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls_per_dilaton(monkey
     monkeypatch.setattr(verify, "_rule_inputs", counted("inputs", rule_inputs))
     report = relationship_suite(grid=[])
     assert report.passed
-    assert counts["kernel"] <= 2 * len(verify._RULE_DILATONS)
+    assert counts["kernel"] == 2
     assert counts["inputs"] <= 2
 
 
