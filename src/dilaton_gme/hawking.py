@@ -43,8 +43,7 @@ _BOUND_MARGIN = 1.0
 # An exponent past the largest float cannot enter float arithmetic at all.
 _MAX_EXPONENT = sys.float_info.max
 
-#: Most points a dilaton grid may take: this caps the length of the lists that a grid
-#: keeps and that each of its passes builds.
+#: Most points :func:`dilaton_grid` may build; a :class:`BogoliubovGrid` takes a list of any length.
 MAX_GRID_STEPS = 10**6
 
 
@@ -65,22 +64,6 @@ def _check_theta(theta: float) -> float:
     if not 0.0 <= theta <= math.pi / 2:
         raise InvalidSpec(f"theta must lie in [0, pi/2], got {theta}")
     return theta
-
-
-def _check_pair(alphas: Sequence[float], betas: Sequence[float]) -> None:
-    """The checks of a :class:`BogoliubovPair` at each point; the first bad point raises."""
-    for alpha, beta in zip(alphas, betas):
-        if not (0.0 < alpha <= 1.0):
-            raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
-        if not (0.0 <= beta < 1.0):
-            raise InvalidParams(f"beta must lie in [0, 1), got {beta}")
-        if alpha < beta:
-            raise InvalidParams(
-                f"alpha must not be smaller than beta, got alpha={alpha}, beta={beta}"
-            )
-        norm = alpha * alpha + beta * beta
-        if abs(norm - 1.0) > 1e-14:
-            raise InvalidParams(f"alpha**2 + beta**2 must equal 1 within 1e-14, got {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +109,16 @@ class BogoliubovPair:
         if not type(self.alpha) is type(self.beta) is float:
             for name in ("alpha", "beta"):
                 object.__setattr__(self, name, _real(getattr(self, name), InvalidParams, name))
-        _check_pair((self.alpha,), (self.beta,))
+        alpha, beta = self.alpha, self.beta
+        if not (0.0 < alpha <= 1.0):
+            raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
+        if not (0.0 <= beta < 1.0):
+            raise InvalidParams(f"beta must lie in [0, 1), got {beta}")
+        if alpha < beta:
+            raise InvalidParams(f"alpha must not be smaller than beta, got alpha={alpha}, beta={beta}")
+        norm = alpha * alpha + beta * beta
+        if abs(norm - 1.0) > 1e-14:
+            raise InvalidParams(f"alpha**2 + beta**2 must equal 1 within 1e-14, got {norm!r}")
 
 
 def _mixing(mass: float, dilatons: Iterable[float], omega: float) -> tuple[list[float], list[float]]:
@@ -213,11 +205,12 @@ def _power_rows(pair: BogoliubovPair, horizons: Sequence[int]) -> list[list[floa
 class BogoliubovGrid:
     """Mixing coefficients at every dilaton of a list, for one mass and frequency.
 
-    ``mass`` and ``omega`` are checked once, every dilaton must lie in
-    ``[0, mass]``, all are kept as floats, and each point passes the
-    checks of :class:`BogoliubovPair`.  Point ``i`` holds exactly the floats
-    ``bogoliubov(BlackHoleParams(mass, dilatons[i], omega))`` would, kept as
-    two parallel lists.
+    The inputs are checked once: ``mass`` and ``omega``, and every dilaton
+    must lie in ``[0, mass]``; all are kept as floats.  Point ``i`` holds
+    exactly the floats ``bogoliubov(BlackHoleParams(mass, dilatons[i], omega))``
+    would, kept as two parallel lists, so each meets the conditions of
+    :class:`BogoliubovPair` by construction (``tests/test_grid.py`` checks
+    this out to the float range's edges) and is not checked again.
     """
 
     # A plain class: defining a frozen dataclass this size adds about 1 ms to every import.
@@ -241,7 +234,6 @@ class BogoliubovGrid:
             _check_dilaton(mass, max(dilatons))
         omega = _check_positive("omega", omega)
         alphas, betas = _mixing(mass, dilatons, omega)
-        _check_pair(alphas, betas)
         self.mass = mass
         self.omega = omega
         self.dilatons = dilatons

@@ -101,10 +101,11 @@ class ScenarioSpec:
     mode splits into an ``out`` and an ``in`` dilaton mode.  Of those
     horizon parties the first ``n_out_kept`` keep their outside mode and
     the remaining ``n_in_kept`` keep their inside mode, so every party
-    always contributes exactly one mode to the reduced state.  The spec builds one register, the expanded
-    ``[F..., O..., I...]``, and its trace plan onto the kept modes.  A
-    scenario whose ``n_parties * 2**n_horizon`` exceeds
-    :data:`SCALE_BUDGET` raises :class:`ScaleCap`.
+    always contributes exactly one mode to the reduced state.  The spec
+    builds one register, the expanded ``[F..., O..., I...]``, and its
+    trace plan onto the kept modes.  A scenario whose
+    ``n_parties * 2**n_horizon`` exceeds :data:`SCALE_BUDGET` raises
+    :class:`ScaleCap`.
     """
 
     n_parties: int

@@ -6,6 +6,7 @@ reject every bad input, checking each domain once per batch.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -139,6 +140,54 @@ def test_grid_vanishing_beta_branch():
 
 def test_grid_without_inside_modes():
     _assert_grid_matches_scalar(1.3, 0.7, [0.0, 0.65, 1.3], [0.1, math.pi / 4], 80, 0)
+
+
+def _assert_points_are_pairs(mass, omega, dilatons):
+    """Each grid point passes ``BogoliubovPair``'s checks and is the scalar pair, bit for bit.
+
+    ``BogoliubovGrid`` checks its inputs only: the coefficients it builds from them must
+    meet the pair conditions by construction, out to the edges of the float range.
+    """
+    grid = BogoliubovGrid(mass, omega, dilatons)
+    for dilaton, alpha, beta in zip(dilatons, grid.alphas, grid.betas):
+        pair = BogoliubovPair(alpha, beta)
+        scalar = bogoliubov(BlackHoleParams(mass, dilaton, omega))
+        assert _bits([pair.alpha, pair.beta]) == _bits([scalar.alpha, scalar.beta]), dilaton
+
+
+def _x(mass, dilaton, omega):
+    return 8.0 * math.pi * (mass - dilaton) * omega  # as ``hawking._mixing`` forms it
+
+
+_TINY, _HUGE = 5e-324, sys.float_info.max
+_EDGE_GRIDS = [
+    # (mass, omega, dilatons, the edge that some point reaches)
+    (1.0, 1.0, [0.0, 0.5, 1.0], lambda x: x == 0.0),  # D = M
+    (_TINY, 1.0, [0.0, _TINY], lambda x: 0.0 < x < sys.float_info.min),  # subnormal mass
+    (1.0, _TINY, [0.0, 0.5, 1.0], lambda x: 0.0 < x < sys.float_info.min),  # subnormal omega
+    (1.0, 28.5, dilaton_grid(0.0, 1.0, 11), lambda x: 0.0 < math.exp(-x) < sys.float_info.min),
+    (1.0, 29.6, dilaton_grid(0.0, 1.0, 11), lambda x: 0.0 < math.exp(-x) < sys.float_info.min),
+    # beta = exp(-x/2) * alpha is 0.0 at every D < 40.7
+    (100.0, 1.0, dilaton_grid(0.0, 100.0, 101), lambda x: math.exp(-0.5 * x) == 0.0),
+    (1e200, 1e200, [0.0, 5e199, 1e200], lambda x: x == math.inf),
+    (_HUGE, _HUGE, [0.0, _HUGE / 2, _HUGE], lambda x: x == math.inf),
+]
+
+
+@pytest.mark.parametrize("mass,omega,dilatons,edge", _EDGE_GRIDS)
+def test_grid_points_meet_the_pair_conditions_at_the_float_edges(mass, omega, dilatons, edge):
+    assert any(edge(_x(mass, dilaton, omega)) for dilaton in dilatons)
+    _assert_points_are_pairs(mass, omega, dilatons)
+
+
+_POSITIVE = st.floats(0.0, sys.float_info.max, exclude_min=True, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass=_POSITIVE, omega=_POSITIVE, fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_grid_points_meet_the_pair_conditions_over_the_whole_float_range(mass, omega, fractions):
+    # f <= 1 keeps f * mass <= mass exactly.
+    _assert_points_are_pairs(mass, omega, [f * mass for f in fractions])
 
 
 _RULE_THETAS = (0.0, math.pi / 12, math.pi / 4, 0.4 * math.pi)

@@ -1,12 +1,15 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither
 the oracle nor verify; only ``errors`` spells the input rules, only ``hawking`` the underflow rule of a
-monomial, only ``analytic._binomial_sums`` the binomials, and only ``verify._check`` builds a check."""
+monomial, only ``analytic._binomial_sums`` the binomials, and only ``verify._check`` builds a check;
+a private name crosses a module boundary only where pinned, and every module parses as Python 3.10."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import dilaton_gme
 
@@ -138,6 +141,7 @@ _RULE_HOMES = {
     "_check_real": None,
     "_power": None,
     "_binomial_weights": None,
+    "_check_pair": None,
 }
 
 
@@ -285,3 +289,52 @@ def test_only_check_builds_a_verification_check():
     source = "def f():\n    return v.VerificationCheck()\nclass C:\n    def g(self):\n        VerificationCheck()\n"
     source += "VerificationCheck()\n"
     assert _callers(ast.parse(source), "VerificationCheck") == ["f", "C", None]
+
+
+def _private_names_taken(tree):
+    """``{module: [name, ...]}``: the private names that ``tree`` takes from other package modules.
+
+    That is ``from .module import _name``, and ``module._name`` after ``from . import module``.
+    The input-rule helpers of ``errors`` are every module's to use and are left out.
+    """
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    homes, taken = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if not node.module:
+                    homes[alias.asname or alias.name] = alias.name
+                elif private(alias.name) and node.module != "errors":
+                    taken.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in homes:
+            if private(node.attr) and homes[node.value.id] != "errors":
+                taken.add((homes[node.value.id], node.attr))
+    return {home: sorted(name for h, name in taken if h == home) for home, _ in sorted(taken)}
+
+
+def test_private_names_cross_module_boundaries_only_as_pinned():
+    # A private name that one library module takes from another is shared surface; a new one
+    # has to be added here, in the same change.
+    crossings = {module: _private_names_taken(_tree(module)) for module in _MODULES}
+    assert {module: taken for module, taken in crossings.items() if taken} == {
+        "analytic": {"hawking": ["_check_exponents", "_check_positive", "_check_theta", "_power_rows"]},
+        "modes_state": {"hawking": ["_check_theta"]},
+        "verify": {"analytic": ["_binomial_sums"], "hawking": ["_power_rows"], "xstate": ["_pair_xstates"]},
+        "cli": {"verify": ["_shape_scans"]},
+    }
+    source = "from . import verify as v, gme\nfrom .hawking import _a, b\nfrom .errors import _real\n"
+    source += "v._c(gme._d, gme.e, v.__doc__)\n"
+    assert _private_names_taken(ast.parse(source)) == {"gme": ["_d"], "hawking": ["_a"], "verify": ["_c"]}
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10, and the tests run on a newer one.
+    for module in _MODULES:
+        with open(os.path.join(_PACKAGE_DIR, f"{module}.py")) as handle:
+            ast.parse(handle.read(), f"{module}.py", feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
