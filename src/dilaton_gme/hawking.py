@@ -12,15 +12,13 @@ combination ``(M - D) * omega`` matters; the extreme limit ``D -> M`` gives
 ``alpha = beta = 1/sqrt(2)``, while ``D -> 0`` at ``M = omega = 1`` leaves the
 mixing exponentially weak (``beta ~ 3.5e-6``).
 
-High powers of ``beta`` underflow double precision very quickly, so a
-monomial ``alpha**p * beta**q`` has one rule, kept here alone: the direct
-product while its log-value is above ``_LOG_DIRECT_FLOOR``, ``exp`` of the
-log-value below.  It comes in three shapes that give the same floats:
-:func:`coeff_power` for one pair; :meth:`BogoliubovGrid.powers` for one
-monomial at every dilaton of a list, checked once per list; and
-``_power_rows`` for the rows ``alpha**(n - k) * beta**k`` of one pair.  The
-last two take no log per value when a bound from their smallest factors
-clears the floor by ``_BOUND_MARGIN``.
+A monomial ``alpha**p * beta**q`` is the plain product of two float powers,
+in three shapes that give the same floats: :func:`coeff_power` for one pair;
+:meth:`BogoliubovGrid.powers` for one monomial at every dilaton of a list,
+checked once per list; and ``_power_rows`` for the rows
+``alpha**(n - k) * beta**k`` of one pair.  Both factors lie in ``[0, 1]``,
+so neither overflows and the product underflows only where the exact one
+does: high powers of ``beta`` fall through the subnormals to ``0.0``.
 """
 
 from __future__ import annotations
@@ -33,13 +31,6 @@ from typing import Iterable, Sequence
 from .errors import InvalidParams, InvalidSpec, _check_count, _count_text
 from .errors import _is_index, _is_real, _real, _sequence
 
-# Direct products alpha**p * beta**q stay exactly representable while the
-# log-domain value is above roughly log(DBL_MIN); past that we fall back to
-# exp() so the result degrades gracefully through the subnormals.
-_LOG_DIRECT_FLOOR = -700.0
-# A grid's lowest log-value must clear the floor by this much before every point
-# is taken as direct, so that a log rounded one ulp off never flips a point.
-_BOUND_MARGIN = 1.0
 # An exponent past the largest float cannot enter float arithmetic at all.
 _MAX_EXPONENT = sys.float_info.max
 
@@ -147,11 +138,6 @@ def bogoliubov(params: BlackHoleParams) -> BogoliubovPair:
     return BogoliubovPair(alpha, beta)
 
 
-def _log_beta(beta: float) -> float:
-    # Only ever read with beta > 0 (see BogoliubovGrid.powers).
-    return math.log(beta) if beta > 0.0 else -math.inf
-
-
 def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
     counts = type(alpha_exp) is type(beta_exp) is int or (_is_index(alpha_exp) and _is_index(beta_exp))
     if not counts or alpha_exp < 0 or beta_exp < 0:
@@ -167,39 +153,25 @@ def _check_exponents(alpha_exp: int, beta_exp: int) -> None:
 
 
 def coeff_power(pair: BogoliubovPair, alpha_exp: int, beta_exp: int) -> float:
-    """Underflow-safe value of ``alpha**alpha_exp * beta**beta_exp``.
+    """``alpha**alpha_exp * beta**beta_exp``, the plain product of two float powers.
 
-    A vanishing ``beta`` raised to a positive power gives an exact ``0.0``.
-    Otherwise the product is formed directly while it stays comfortably
-    inside the normal double range and through ``exp`` of the log-domain
-    value once it would underflow.
+    Neither factor exceeds 1, so the product underflows only where the exact
+    value does, through the subnormals to ``0.0``; a vanishing ``beta`` raised
+    to a positive power gives an exact ``0.0``.
     """
     _check_exponents(alpha_exp, beta_exp)
-    alpha, beta = pair.alpha, pair.beta
-    log_value = alpha_exp * math.log(alpha)
-    if beta_exp > 0:  # beta**0 is 1.0, even where log(beta) is not finite
-        if beta == 0.0:
-            return 0.0
-        log_value += beta_exp * math.log(beta)
-    if log_value > _LOG_DIRECT_FLOOR:
-        return alpha**alpha_exp * beta**beta_exp
-    return math.exp(log_value)
+    return pair.alpha**alpha_exp * pair.beta**beta_exp
 
 
 def _power_rows(pair: BogoliubovPair, horizons: Sequence[int]) -> list[list[float]]:
     """Rows ``alpha**(n - k) * beta**k``, ``k = 0 .. n``, one per ``n``, as :func:`coeff_power` forms them.
 
-    As ``alpha >= beta``, no entry's log-value is below ``top * log(beta)``,
-    ``top`` the longest ``n``.  When ``beta > 0`` and that bound clears the
-    floor by ``_BOUND_MARGIN``, entry ``(n, k)`` is the direct
-    ``alphas[n - k] * betas[k]`` off one table of powers each.  Otherwise
-    each entry is :func:`coeff_power`.
+    Entry ``(n, k)`` is ``alphas[n - k] * betas[k]`` off one table of powers
+    each, up to the longest ``n``.
     """
     alpha, beta, top = pair.alpha, pair.beta, max(horizons)
-    if beta > 0.0 and top * math.log(beta) > _LOG_DIRECT_FLOOR + _BOUND_MARGIN:
-        alphas, betas = [alpha**j for j in range(top + 1)], [beta**j for j in range(top + 1)]
-        return [[alphas[n - k] * betas[k] for k in range(n + 1)] for n in horizons]
-    return [[coeff_power(pair, n - k, k) for k in range(n + 1)] for n in horizons]
+    alphas, betas = [alpha**j for j in range(top + 1)], [beta**j for j in range(top + 1)]
+    return [[alphas[n - k] * betas[k] for k in range(n + 1)] for n in horizons]
 
 
 class BogoliubovGrid:
@@ -241,40 +213,9 @@ class BogoliubovGrid:
         self.betas = betas
 
     def powers(self, alpha_exp: int, beta_exp: int) -> list[float]:
-        """:func:`coeff_power` at every point, the exponents checked once.
-
-        No point's log-value ``p*log(alpha) + q*log(beta)`` is below the one
-        formed from the grid's smallest ``alpha`` and ``beta``, since ``log``,
-        ``*`` and ``+`` are monotone.  When that bound clears the floor by
-        ``_BOUND_MARGIN``, every point is the direct product and no per-point
-        log is taken.  Otherwise this is the body of :func:`coeff_power`,
-        inlined into one pass per branch: a Python call per point cost the
-        closed-form sweeps 2.5-4.6 % of their points per second (2-core VM).
-        """
+        """:func:`coeff_power` at every point, the exponents checked once."""
         _check_exponents(alpha_exp, beta_exp)
-        alphas, betas = self.alphas, self.betas
-        log, exp, floor = math.log, math.exp, _LOG_DIRECT_FLOOR
-        if beta_exp == 0:  # beta**0 is 1.0, and a float times 1.0 is itself
-            if alphas and alpha_exp * log(min(alphas)) > floor + _BOUND_MARGIN:
-                return [alpha**alpha_exp for alpha in alphas]
-            return [
-                alpha**alpha_exp if (log_value := alpha_exp * log_alpha) > floor else exp(log_value)
-                for alpha, log_alpha in zip(alphas, map(log, alphas))
-            ]
-        positive = bool(betas) and min(betas) > 0.0
-        if positive and (
-            alpha_exp * log(min(alphas)) + beta_exp * log(min(betas)) > floor + _BOUND_MARGIN
-        ):
-            return [alpha**alpha_exp * beta**beta_exp for alpha, beta in zip(alphas, betas)]
-        return [
-            0.0 if beta == 0.0
-            else alpha**alpha_exp * beta**beta_exp
-            if (log_value := alpha_exp * log_alpha + beta_exp * log_beta) > floor
-            else exp(log_value)
-            for alpha, beta, log_alpha, log_beta in zip(
-                alphas, betas, map(log, alphas), map(log if positive else _log_beta, betas)
-            )
-        ]
+        return [alpha**alpha_exp * beta**beta_exp for alpha, beta in zip(self.alphas, self.betas)]
 
 
 def dilaton_grid(d_min: float, d_max: float, steps: int) -> list[float]:

@@ -411,11 +411,11 @@ _PINNED_STDOUT = {
          "--steps", "1001"],
         "3af543114fabd85f53ea8519d81c9b040bf471ba2d9569829360417ede8e1498",
     ),
-    # A grid on both sides of the direct-product floor: 53 points direct, 1,948 through exp.
+    # A grid whose E crosses exp(-700): 53 points above it, 1,948 below, 1,944 of them 0.0.
     "sweep-1200-700-mixed": (
         ["sweep", "--n-horizon", "1200", "--p", "700", "--mass", "2", "--omega", "2",
          "--steps", "2001"],
-        "0938a708e7e9aef73287e83019b547fc9f2a68269fefbd4a7f833671d62a7b49",
+        "6d6247cefbaad943c8061d0d7d2f0ce39362e1078d0c85a8a7c290d4462cc4ec",
     ),
 }
 

@@ -58,10 +58,9 @@ def _assert_grid_matches_scalar(mass, omega, dilatons, thetas, p, q):
     p=st.integers(0, 2000),
     q=st.integers(0, 2000),
 )
-# The grid's bound 56*log(min beta) lies inside the margin above the floor
-# (-699.49), just above it (-698.79), and inside it on a one-point grid (-699.32);
-# with q = 0, 2080*log(min alpha) is below the floor (-707.89), where alpha**2080
-# and the exp() that point takes part in their last bits.
+# Grids whose smallest beta**56 sits just below exp(-699) (-699.49), just above it
+# (-698.79), and just below it on a one-point grid (-699.32); with q = 0, a grid
+# whose alpha**2080 reaches exp(-707.89), next to the smallest normal float.
 @example(mass=1.0, omega=0.994, fractions=[0.0, 0.5, 1.0], thetas=[math.pi / 4], p=0, q=56)
 @example(mass=1.0, omega=0.993, fractions=[0.0, 0.5, 1.0], thetas=[math.pi / 4], p=0, q=56)
 @example(mass=1.0, omega=1.325, fractions=[0.25], thetas=[math.pi / 4], p=0, q=56)
@@ -96,38 +95,28 @@ def test_grid_direct_branch(monkeypatch):
     dilatons = [0.0, 0.25, 0.5, 0.75, 1.0]
     grid = _assert_grid_matches_scalar(1.0, 1.0, dilatons, [math.pi / 6], 2, 3)
     assert all(b > 0.0 for b in grid.betas)
-    # 2 log(alpha) + 3 log(beta) stays above the direct-product floor at every point.
-    assert all(2 * math.log(a) + 3 * math.log(b) > -700.0 for a, b in zip(grid.alphas, grid.betas))
-    # The bound from the smallest alpha and beta clears it too: two logs, none per point.
     counted = _count_logs(monkeypatch)
     grid.powers(2, 3)
-    assert counted.logs == 2
+    assert counted.logs == 0
 
 
-def test_powers_take_a_log_per_point_only_where_the_bound_cannot_clear_the_grid(monkeypatch):
-    steps = 2001
+def test_powers_take_no_log_in_or_below_the_normal_range(monkeypatch):
     counted = _count_logs(monkeypatch)
-    grid = BogoliubovGrid(1.0, 1.0, dilaton_grid(0.0, 1.0, steps))
-    grid.powers(8, 4)
-    assert counted.logs <= 2
-    # At D = 0, 57 log(beta) is near -716 and, at D = 1, 2100 log(alpha) near -728:
-    # each grid then takes the bound's logs and one per point and coefficient.
-    counted.logs = 0
-    grid.powers(0, 57)
-    assert counted.logs == 2 + 2 * steps
-    counted.logs = 0
-    grid.powers(2100, 0)
-    assert counted.logs == 1 + steps
+    grid = BogoliubovGrid(1.0, 1.0, dilaton_grid(0.0, 1.0, 2001))
+    # At D = 0, beta**57 is near exp(-716) and, at D = 1, alpha**2100 near exp(-728):
+    # below the normal range too, each point is the plain product.
+    for p, q in ((8, 4), (0, 57), (2100, 0)):
+        grid.powers(p, q)
+    assert counted.logs == 0
 
 
-def test_grid_exp_branch():
+def test_grid_powers_reach_the_subnormals_and_zero():
     # At D = 0, beta**57 sits near exp(-716), a subnormal, and beta**64 near
-    # exp(-804), which underflows: both are below the direct-product floor.
-    pair = bogoliubov(BlackHoleParams(1.0, 0.0, 1.0))
+    # exp(-804), which underflows to 0.0.
     for q in (57, 64):
-        assert q * math.log(pair.beta) < -700.0
         _assert_grid_matches_scalar(1.0, 1.0, [0.0, 0.3], [math.pi / 4], 0, q)
     assert 0.0 < BogoliubovGrid(1.0, 1.0, [0.0]).powers(0, 57)[0] < 1e-300
+    assert BogoliubovGrid(1.0, 1.0, [0.0]).powers(0, 64) == [0.0]
 
 
 def test_grid_vanishing_beta_branch():
@@ -272,15 +261,14 @@ def _assert_rows_are_coeff_powers(pair, horizons):
 )
 def test_power_rows_are_coeff_powers_on_both_sides_of_the_direct_floor(omega, dilaton):
     # omega = 80 at D = 0 leaves beta = 0.0; at omega = 2 and 1 the rows up to
-    # n = 80 cross the floor exp(-700) near n = 28 and n = 56.
+    # n = 80 cross exp(-700) near n = 28 and n = 56.
     pair = bogoliubov(BlackHoleParams(1.0, dilaton, omega))
     _assert_rows_are_coeff_powers(pair, range(1, 81))
     _assert_rows_are_coeff_powers(pair, [80, 3, 17, 3])
     if pair.beta == 0.0:
         return
-    # The longest row whose bound top * log(beta) still clears the floor -700
-    # by the margin 1, and one row more: the longest row of a call picks the
-    # way for all of them.
+    # The longest row whose beta**top stays above exp(-699), and one row more,
+    # each the longest row of its call.
     log_beta = math.log(pair.beta)
     top = next(t for t in range(1, 10**6) if (t + 1) * log_beta <= -699.0)
     assert top * log_beta > -699.0
@@ -289,15 +277,14 @@ def test_power_rows_are_coeff_powers_on_both_sides_of_the_direct_floor(omega, di
 
 
 @pytest.mark.parametrize(
-    "log_beta,top,table",
-    [(-0.45, 1554, False), (-3.01, 232, True)],
+    "log_beta,top",
+    [(-0.45, 1554), (-3.01, 232)],
     ids=["bound-misses-the-margin", "bound-clears-the-margin"],
 )
-def test_power_rows_are_coeff_powers_next_to_the_bound(monkeypatch, log_beta, top, table):
+def test_power_rows_are_coeff_powers_next_to_the_bound(monkeypatch, log_beta, top):
     # top * log(beta) is -699.3 for the first pair and -698.3 for the second,
-    # either side of the switch at -699.  A margin of one row's step,
-    # (top + 1) * log(beta) > -700, would pick the other way for both
-    # (-699.75 and -701.3): here the rows must be coeff_power either way.
+    # either side of exp(-699): each way the rows are one table of powers,
+    # never coeff_power per entry.
     beta = math.exp(log_beta)
     pair = BogoliubovPair(math.sqrt(1.0 - beta * beta), beta)
     calls = []
@@ -308,11 +295,8 @@ def test_power_rows_are_coeff_powers_next_to_the_bound(monkeypatch, log_beta, to
 
     monkeypatch.setattr(hawking, "coeff_power", counted)
     _assert_rows_are_coeff_powers(pair, (1,))
+    _assert_rows_are_coeff_powers(pair, [1, top // 2, top - 1, top])
     assert calls == []
-    horizons = [1, top // 2, top - 1, top]
-    _assert_rows_are_coeff_powers(pair, horizons)
-    # Only rows whose bound misses the margin go entry by entry.
-    assert len(calls) == (0 if table else sum(n + 1 for n in horizons))
 
 
 @pytest.mark.parametrize(
@@ -394,15 +378,14 @@ def test_empty_grid():
 )
 def test_bad_theta_or_split_is_rejected_before_any_point(thetas, n_out, n_in):
     grid = BogoliubovGrid(1.0, 1.0, [0.0, 0.5, 1.0])
-    # ``powers`` reads ``grid.alphas`` once for its bound, ``min(alphas)``, and
-    # once more in its per-point loop, inlined in every branch.
+    # ``powers`` reads ``grid.alphas`` once per point, in its one pass.
     computed = []
     grid.alphas = _ReadCounted(grid.alphas, computed)
     with pytest.raises(InvalidSpec):
         e_grid(thetas, grid, n_out, n_in)
     assert computed == []
     e_grid((0.3,), grid, 1, 1)
-    assert len(computed) == 6
+    assert len(computed) == 3
 
 
 class _ReadCounted(list):

@@ -5,8 +5,11 @@ the defining expressions, independent of the implementation.
 """
 
 import math
+import random
 import re
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +23,9 @@ from dilaton_gme import (
     ScenarioSpec,
     bogoliubov,
     coeff_power,
+    hawking,
 )
+from dilaton_gme.hawking import dilaton_grid
 
 # (dilaton, alpha, beta) at mass = omega = 1
 FROZEN_COEFFS = [
@@ -142,13 +147,36 @@ def test_coeff_power_boundary_and_validation():
         coeff_power(boundary, -1, 0)
 
 
-@given(
-    fraction=st.floats(0.0, 1.0),
-    alpha_exp=st.integers(0, 40),
-    beta_exp=st.integers(0, 40),
-)
-def test_coeff_power_matches_log_domain(fraction, alpha_exp, beta_exp):
-    pair = bogoliubov(BlackHoleParams(1.0, fraction, 1.0))
-    direct = coeff_power(pair, alpha_exp, beta_exp)
-    via_log = math.exp(alpha_exp * math.log(pair.alpha) + beta_exp * math.log(pair.beta))
-    assert direct == pytest.approx(via_log, rel=1e-12, abs=1e-300)
+def _assert_within_rounding(value, alpha, beta, alpha_exp, beta_exp):
+    """``value`` is ``alpha**alpha_exp * beta**beta_exp`` of the two floats, to rounding.
+
+    Against a 60-digit product: within a relative 1e-15 where that is a
+    normal float, and within the smallest subnormal below.
+    """
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(alpha) ** alpha_exp * mpmath.mpf(beta) ** beta_exp
+        error = abs(value - exact)
+        if exact >= sys.float_info.min:
+            assert error <= 1e-15 * exact, (alpha_exp, beta_exp, value, exact)
+        else:
+            assert error <= math.ulp(0.0), (alpha_exp, beta_exp, value, exact)
+
+
+def test_monomials_match_mpmath_in_and_below_the_normal_range():
+    # log(alpha) runs from -0.039 to -0.35 over these dilatons, so every
+    # monomial whose log-value spans [-745, -600] needs exponents below 20,000.
+    grid = BogoliubovGrid(1.0, 1.0, dilaton_grid(0.9, 1.0, 11))
+    pairs = [BogoliubovPair(alpha, beta) for alpha, beta in zip(grid.alphas, grid.betas)]
+    rng = random.Random(30)
+    for _ in range(200):
+        point = rng.randrange(len(pairs))
+        pair = pairs[point]
+        log_alpha, log_beta = math.log(pair.alpha), math.log(pair.beta)
+        log_value = rng.uniform(-745.0, -600.0)
+        beta_exp = int(rng.random() * log_value / log_beta)
+        alpha_exp = round((log_value - beta_exp * log_beta) / log_alpha)
+        (row,) = hawking._power_rows(pair, (alpha_exp + beta_exp,))
+        for value in (
+            coeff_power(pair, alpha_exp, beta_exp), grid.powers(alpha_exp, beta_exp)[point], row[beta_exp]
+        ):
+            _assert_within_rounding(value, pair.alpha, pair.beta, alpha_exp, beta_exp)

@@ -1,7 +1,7 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither
-the oracle nor verify; only ``errors`` spells the input rules, only ``hawking`` the underflow rule of a
-monomial, only ``analytic._binomial_sums`` the binomials, and only ``verify._check`` builds a check;
-a private name crosses a module boundary only where pinned, and every module parses as Python 3.10."""
+the oracle nor verify; only ``errors`` spells the input rules, ``hawking`` takes no log for a monomial,
+only ``analytic._binomial_sums`` names the binomials, and only ``verify._check`` builds a check; a
+private name crosses a module boundary only where pinned, and every module parses as Python 3.10."""
 
 import ast
 import importlib
@@ -142,6 +142,7 @@ _RULE_HOMES = {
     "_power": None,
     "_binomial_weights": None,
     "_check_pair": None,
+    "_log_beta": None,
 }
 
 
@@ -218,12 +219,15 @@ def _names_used(path):
     return names
 
 
-def test_only_hawking_names_the_underflow_rule():
-    # ``coeff_power``, ``BogoliubovGrid.powers`` and ``_power_rows`` are the rule's
-    # three shapes; every other module takes a monomial from one of them.
+def test_no_module_keeps_an_underflow_rule():
+    # ``coeff_power``, ``BogoliubovGrid.powers`` and ``_power_rows`` form ``alpha**p * beta**q``
+    # as the plain product, which underflows only where the exact one does: no floor, no
+    # margin and no log-domain route, and in ``hawking`` only the coefficients take an exp.
     rule = {"_LOG_DIRECT_FLOOR", "_BOUND_MARGIN", "_log_beta"}
     naming = {m: sorted(rule & _names_used(os.path.join(_PACKAGE_DIR, f"{m}.py"))) for m in _MODULES}
-    assert {module: names for module, names in naming.items() if names} == {"hawking": sorted(rule)}
+    assert {module: names for module, names in naming.items() if names} == {}
+    assert _callers(_tree("hawking"), "log") == []
+    assert set(_callers(_tree("hawking"), "exp")) == {"_mixing"}
 
 
 def test_only_the_binomial_sum_kernel_names_comb():
