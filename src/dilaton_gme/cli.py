@@ -15,7 +15,6 @@ fails, 2 on usage, parameter and I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 # Only the closed-form layers load with this module: ``sweep`` and ``figures`` need no
-# other, and the commands that use the oracle or ``verify`` import them where they do.
+# other, and the commands that use the oracle, ``verify`` or ``json`` import them where they do.
 from .analytic import e_grid
 from .errors import DilatonGmeError
 from .hawking import BlackHoleParams, BogoliubovGrid, BogoliubovPair, bogoliubov, dilaton_grid
@@ -217,6 +216,8 @@ def cmd_figures(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    import json
+
     from . import verify
 
     # The scans check --steps, so they run before the grid and merge after it.

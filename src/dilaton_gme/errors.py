@@ -1,8 +1,6 @@
 """Exception types raised across the package, and its one rule each for a count, a real number,
 a mapping and a sequence."""
 
-import numbers
-
 
 def _count_text(value: object) -> str:
     """``str`` of an int, ``repr`` of anything else; once the digits pass Python's int-to-str
@@ -27,7 +25,13 @@ def _check_count(name: str, value: object, error: type) -> None:
 
 
 def _is_real(kind: type) -> bool:
-    """The rule for a real number's type: ``numbers.Real``, not ``bool`` (which compares as 0 or 1)."""
+    """The rule for a real number's type: ``numbers.Real``, not ``bool`` (which compares as 0 or 1).
+
+    A ``float`` is answered at once, so a closed-form start never imports ``numbers``."""
+    if kind is float:
+        return True
+    import numbers
+
     return issubclass(kind, numbers.Real) and kind is not bool
 
 

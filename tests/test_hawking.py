@@ -4,7 +4,9 @@ Reference numbers below were frozen from a 60-digit mpmath evaluation of
 the defining expressions, independent of the implementation.
 """
 
+import copy
 import math
+import pickle
 import random
 import re
 import sys
@@ -108,6 +110,50 @@ def test_pair_validation():
         BogoliubovPair(0.6, 0.8)  # normalised but alpha < beta
     with pytest.raises(InvalidParams):
         BogoliubovPair(0.0, 1.0)
+
+
+# Each value type: built by keyword, its fields, an unequal value, and the ``repr`` the frozen
+# dataclass it replaced printed.
+_VALUES = [
+    (lambda: BlackHoleParams(mass=2, dilaton=1, omega=0.5), (2.0, 1.0, 0.5), BlackHoleParams(2.0, 1.5, 0.5),
+     "BlackHoleParams(mass=2.0, dilaton=1.0, omega=0.5)"),
+    (lambda: BogoliubovPair(alpha=0.9618041182907098, beta=0.27373863088543127),
+     (0.9618041182907098, 0.27373863088543127), BogoliubovPair(1.0, 0.0),
+     "BogoliubovPair(alpha=0.9618041182907098, beta=0.27373863088543127)"),
+]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["params", "pair"])
+def test_value_types_keep_the_frozen_dataclass_contract(index):
+    build, fields, unequal, text = _VALUES[index]
+    value, same, other = build(), build(), _VALUES[1 - index][0]()
+    assert value is not same and value == same and not value != same and hash(value) == hash(same)
+    assert value != unequal and not value == unequal
+    for foreign in (other, fields):  # the other class, and a plain tuple of the same fields
+        assert value != foreign and value.__eq__(foreign) is NotImplemented
+    assert hash(value) == hash(fields)
+    assert repr(value) == text
+    name = text.partition("(")[2].partition("=")[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(value, name, 0.5)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(value, name)
+    assert repr(value) == text
+    for restored in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(restored) is type(value) and restored == value and repr(restored) == text
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["params", "pair"])
+def test_a_value_is_checked_once_per_build_copy_and_pickle(index, monkeypatch):
+    # A copy or a pickle holds the fields only and goes back through the constructor.
+    build = _VALUES[index][0]
+    kind, checks = type(build()), []
+    check = kind.__post_init__
+    monkeypatch.setattr(kind, "__post_init__", lambda self: checks.append(check(self)))
+    value = build()
+    for rebuild in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        rebuild(value)
+    assert len(checks) == 4
 
 
 @given(
