@@ -213,7 +213,10 @@ class SparseDensity:
 
     Entries are ``{(row, col): value}`` with ``row <= col``; the mirrored
     element is implied, and a key below the diagonal is refused.
-    Construction checks unit trace and non-negative diagonal.  Exact zeros
+    Construction checks unit trace and non-negative diagonal, and refuses
+    an entry off the diagonal above 1 in magnitude, which no trace-one
+    positive matrix has (``|rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2``); so
+    every sum of its entries stays finite.  Exact zeros
     are not stored, but every other value is kept, however small:
     amplitudes of order ``sqrt(eps)`` produce populations of order ``eps``,
     and dropping a population while its coherence survives would wreck
@@ -257,6 +260,11 @@ class SparseDensity:
                 if value < POPULATION_FLOOR and negative is None:
                     at = _count_text(row)
                     negative = f"negative diagonal entry {value!r} at ({at}, {at})"
+            elif not -1.0 <= value <= 1.0:
+                raise InvalidDensity(
+                    f"off-diagonal entry ({_count_text(row)}, {_count_text(col)}) = {value!r} "
+                    "exceeds 1 in magnitude"
+                )
             if value:
                 stored[key] = value
         object.__setattr__(self, "entries", stored)

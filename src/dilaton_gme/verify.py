@@ -243,9 +243,11 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  The pair
       X-states come straight from the one pass over the state's entries,
-      one per class of pairs whose modes have the same bit columns, each
-      validated as :func:`extract_xstate` would validate it and scored
-      once for its whole class.
+      one per class of pairs whose modes have the same bit columns, and
+      each is scored once for its whole class.  Each X-state is tested
+      for what its sums leave open (populations, coherence bounds, trace),
+      and one that fails a test goes to the public :class:`XState`
+      check, which raises its own message.
     * ``monogamy``: the full E**2 minus the squared pair terms of the
       first mode matches the closed-form residual.  Each class adds its
       E**2 once per pair it holds on that mode, a count the pair scan gives.

@@ -18,6 +18,19 @@ Positivity of each block requires ``|c| <= sqrt(a * b)``.
 :func:`build_block_matrix` writes them directly from the closed-form block
 structure of the scenario, without ever building a state.  The two paths
 must agree entry by entry; the verification suite checks that they do.
+
+A public ``XState(half_dimension, blocks)`` runs the generic check of
+every field: types, block indices, populations, coherence bounds and
+trace.  Two producers store their blocks through ``XState._unchecked``
+instead, which only drops the all-zero blocks.  ``build_block_matrix``
+writes closed-form products of a checked spec and pair, so every field
+holds by construction.  The pair scan's sums are floats at valid indices
+by construction, but their populations, coherences and trace are only as
+good as the density they came from: it tests those three and hands any
+pair that fails one to the public constructor, which raises its own
+message.  :func:`extract_xstate` reads any density, and a
+:class:`SparseDensity` never checks positivity, so it keeps the public
+check.
 """
 
 from __future__ import annotations
@@ -35,6 +48,8 @@ Block = tuple[float, float, float]
 #: Largest magnitude an entry off the diagonal and the anti-diagonal may have
 #: and still be read as an X state's zero.
 OFF_X_TOL = 1e-12
+# How far a coherence may pass sqrt(a * b) before it breaks positivity.
+_COHERENCE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,7 @@ class XState:
                 raise InvalidDensity(f"b-entry {b!r} is not a valid population")
             if c:  # a zero coherence is within any bound
                 bound = math.sqrt(max(a, 0.0) * max(b, 0.0))
-                if not abs(c) <= bound + 1e-12:  # a NaN fails it too
+                if not abs(c) <= bound + _COHERENCE_SLACK:  # a NaN fails it too
                     if c != c:
                         raise InvalidDensity(f"coherence c[{_count_text(i)}] is nan")
                     raise InvalidDensity(
@@ -81,6 +96,16 @@ class XState:
         trace = math.fsum(populations)
         if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
+
+    @classmethod
+    def _unchecked(cls, half_dimension: int, blocks: Mapping[int, Block]) -> "XState":
+        """The X-state of ``blocks``, stored without the checks; an all-zero block is dropped."""
+        x = object.__new__(cls)
+        x.__dict__.update(
+            half_dimension=half_dimension,
+            blocks={i: block for i, block in blocks.items() if block[0] or block[1] or block[2]},
+        )
+        return x
 
 
 def extract_xstate(rho: SparseDensity) -> XState:
@@ -120,10 +145,16 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
     same column, which leaves ``C(n + 1, 2)`` classes plus one of flat
     pairs, however many parties there are.
 
-    One sweep over the modes gives each class its first pair in
-    ``combinations`` order, and a class whose first column is mode 0's
-    holds one pair ``(0, j)`` per later mode ``j`` with its second column.
-    No pair is listed.
+    The modes with one column are found as bit masks over the register:
+    starting from one mask of every mode, each distinct kept label splits
+    a mask into the modes it sets and those it clears, and a mask of one
+    mode splits no further.  A mask's first mode is its highest bit, so
+    ``bit_length`` orders the masks by first mode.  The class of masks
+    ``(A, B)`` has its first pair in ``combinations`` order at ``i``, the
+    first mode of ``A``, and ``j``, the first mode of ``B`` after ``i``, if
+    there is one; when ``A`` holds mode 0, ``bit_count`` of ``B``'s modes
+    after it counts the class's pairs ``(0, j)``.  No label is formatted,
+    no column is built, and no pair is listed.
 
     Each class is read at its first pair: it adds each diagonal value to
     one of four int-keyed slots, found with two shifts, the sums of its
@@ -149,25 +180,30 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
             rest = diff & (diff - 1)  # the difference without its lowest mode
             if not rest & (rest - 1):
                 near.append((row, col, value))
-    labels = [row for row, _ in diagonal] + [label for row, col, _ in near for label in (row, col)]
-    columns: dict[tuple[str, ...], int] = {}
-    kind = [
-        columns.setdefault(column, len(columns))
-        for column in zip(*[format(label, f"0{n}b") for label in labels])
-    ]
-    seen: dict[int, int] = {}  # column -> the first mode that has it
-    firsts: dict[tuple[int, int], tuple[int, int]] = {}  # class -> its first pair
-    for j, column in enumerate(kind):
-        for first, i in seen.items():
-            firsts.setdefault((first, column), (i, j))
-        seen.setdefault(column, j)
-    return [
-        (
-            _pair_xstate(diagonal, near, n - 2 - i, n - 1 - j),
-            kind[1:].count(second) if first == kind[0] else 0,
-        )
-        for (i, j), (first, second) in sorted(zip(firsts.values(), firsts))
-    ]
+    labels = {row for row, _ in diagonal}
+    labels.update(label for row, col, _ in near for label in (row, col))
+    # Masks of one mode, and of two modes or more.
+    single, groups = ([], [(1 << n) - 1]) if n > 1 else ([1], [])
+    for label in labels:
+        if not groups:
+            break
+        refined = []
+        for group in groups:
+            ones = group & label
+            for part in (ones, group ^ ones) if ones and ones != group else (group,):
+                (refined if part & (part - 1) else single).append(part)
+        groups = refined
+    masks = single + groups
+    classes = []
+    for a in masks:
+        i = n - a.bit_length()
+        after = (1 << (n - 1 - i)) - 1  # the modes after i
+        for b in masks:
+            later = b & after
+            if later:
+                classes.append((i, n - later.bit_length(), later.bit_count() if i == 0 else 0))
+    classes.sort()
+    return [(_pair_xstate(diagonal, near, n - 2 - i, n - 1 - j), on_first) for i, j, on_first in classes]
 
 
 def _pair_xstate(
@@ -176,7 +212,13 @@ def _pair_xstate(
     hi: int,
     lo: int,
 ) -> XState:
-    """The X-state of the pair whose bits the shifts ``hi, lo`` bring to 2 and 1."""
+    """The X-state of the pair whose bits the shifts ``hi, lo`` bring to 2 and 1.
+
+    Its indices and float types hold by construction, and a checked
+    density keeps every sum finite.  Its populations, coherences and trace
+    are tested here; a pair that fails one goes to the public constructor,
+    which raises its own message.
+    """
     slots: tuple[list[float], ...] = ([], [], [], [], [], [])
     for row, value in diagonal:
         slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
@@ -195,9 +237,17 @@ def _pair_xstate(
         for key, values in off_x.items():
             if abs(math.fsum(values)) > OFF_X_TOL:
                 raise NotXState(*key)
-    sums = [math.fsum(values) if values else 0.0 for values in slots]
-    rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = sums
-    return XState(2, {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)})
+    rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = map(math.fsum, slots)  # an empty slot sums to 0.0
+    blocks = {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)}
+    floor = POPULATION_FLOOR
+    if (
+        rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
+        and (not rho_03 or abs(rho_03) <= math.sqrt(max(rho_00, 0.0) * max(rho_33, 0.0)) + _COHERENCE_SLACK)
+        and (not rho_12 or abs(rho_12) <= math.sqrt(max(rho_11, 0.0) * max(rho_22, 0.0)) + _COHERENCE_SLACK)
+        and abs(math.fsum((rho_00, rho_11, rho_22, rho_33)) - 1.0) <= NORM_TOL
+    ):
+        return XState._unchecked(2, blocks)
+    return XState(2, blocks)
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
@@ -208,7 +258,8 @@ def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
     beta**(2w)``.  The upper half holds a single population
     ``sin(theta)**2`` whose mirror index is ``2**n_in_kept - 1``, and the
     one coherence ``alpha**p * beta**q * cos(theta) * sin(theta)`` sits at
-    that same index.
+    that same index.  The spec and the pair are checked, so the blocks are
+    valid by construction and skip the public check.
     """
     n = spec.n_horizon
     cos_t, sin_t = math.cos(spec.theta), math.sin(spec.theta)
@@ -218,4 +269,4 @@ def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:
     mirror = (1 << spec.n_in_kept) - 1
     coherence = coeff_power(pair, spec.n_out_kept, spec.n_in_kept) * cos_t * sin_t
     blocks[mirror] = (blocks[mirror][0], sin_t * sin_t, coherence)
-    return XState(1 << (spec.n_parties - 1), blocks)
+    return XState._unchecked(1 << (spec.n_parties - 1), blocks)

@@ -197,6 +197,11 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
         (lambda: SparseDensity(_ONE_MODE, {(0, 0, 0): 1.0}), InvalidDensity,
          "entry key (0, 0, 0) is not a (row, col) pair"),
         (lambda: SparseDensity(_ONE_MODE, [1.0]), InvalidDensity, "entries must be a mapping, got list"),
+        # No trace-one positive matrix has an entry above 1/2 off its diagonal; past 1, sums overflow.
+        (lambda: SparseDensity(_TWO_MODES, {(0, 0): 0.5, (3, 3): 0.5, (0, 3): 1e308}), InvalidDensity,
+         "off-diagonal entry (0, 3) = 1e+308 exceeds 1 in magnitude"),
+        (lambda: SparseDensity(_TWO_MODES, {(0, 0): 0.5, (3, 3): 0.5, (1, 2): -1.5}), InvalidDensity,
+         "off-diagonal entry (1, 2) = -1.5 exceeds 1 in magnitude"),
         (lambda: SparseState(_ONE_MODE, None), InvalidParams, "amplitudes must be a mapping, got NoneType"),
         (lambda: SparseState(("F1", "F1"), {0: 1.0}), InvalidSpec, "layout contains a duplicate mode"),
         (lambda: SparseState(("F1", "F1"), {7: 1.0}), InvalidSpec, "layout contains a duplicate mode"),
@@ -234,7 +239,8 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
     ],
     ids=["pair-str", "pair-none", "pair-beta-one", "grid-decimal", "theta-nan", "theta-inf", "exponent-float",
          "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
-         "density-int-key", "density-long-key", "density-list", "state-none", "state-duplicate-mode",
+         "density-int-key", "density-long-key", "density-list", "density-entry-past-one",
+         "density-entry-below-minus-one", "state-none", "state-duplicate-mode",
          "state-label-past-duplicate-layout", "density-str-layout", "density-none-layout", "mass-past-floats",
          "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
          "grid-none", "grid-int", "e-grid-none", "steps-too-long", "n-parties-too-long",

@@ -1,7 +1,8 @@
-"""The oracle and the closed forms never reach each other, and a closed-form command loads neither
-the oracle nor verify; only ``errors`` spells the input rules, ``hawking`` takes no log for a monomial,
-only ``analytic._binomial_sums`` names the binomials, and only ``verify._check`` builds a check; a
-private name crosses a module boundary only where pinned, and every module parses as Python 3.10."""
+"""The oracle and the closed forms never reach each other, and a closed-form command loads neither the
+oracle nor verify; only ``errors`` spells the input rules, ``hawking`` takes no log for a monomial, only
+``analytic._binomial_sums`` names the binomials, only ``verify._check`` builds a check, and only two
+producers skip the ``XState`` check; a private name crosses a module boundary only where pinned, and
+every module parses as Python 3.10."""
 
 import ast
 import importlib
@@ -296,6 +297,17 @@ def test_only_check_builds_a_verification_check():
     source = "def f():\n    return v.VerificationCheck()\nclass C:\n    def g(self):\n        VerificationCheck()\n"
     source += "VerificationCheck()\n"
     assert _callers(ast.parse(source), "VerificationCheck") == ["f", "C", None]
+
+
+def test_only_the_lean_producers_skip_the_xstate_check():
+    # ``XState._unchecked`` stores blocks without the public check.  ``build_block_matrix``
+    # writes closed-form blocks that are valid by construction, and ``_pair_xstate`` tests
+    # what its sums leave open; every other producer, ``extract_xstate`` first, reads data
+    # that nothing has checked as an X-state and goes through the public constructor.
+    callers = {module: _callers(_tree(module), "_unchecked") for module in _MODULES}
+    assert {module: names for module, names in callers.items() if names} == {
+        "xstate": ["_pair_xstate", "build_block_matrix"]
+    }
 
 
 def _private_names_taken(tree):

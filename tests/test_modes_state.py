@@ -34,7 +34,7 @@ from dilaton_gme import (
 from dilaton_gme import modes_state
 from dilaton_gme.modes_state import SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid, oracle_compare
-from dilaton_gme.xstate import OFF_X_TOL
+from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
 from conftest import (
     dense_density,
     dense_state,
@@ -500,6 +500,31 @@ def _mixed_densities(draw):
 @given(rho=_mixed_densities())
 def test_pair_reductions_match_reduce_on_mixed_densities(rho):
     _assert_pairs_match_reduce(rho)
+
+
+@settings(deadline=None)
+@given(rho=_mixed_densities())
+def test_pair_xstates_pass_the_public_check_on_mixed_densities(rho):
+    # The pair scan stores the X-states it has tested without the public check.
+    try:
+        classes = _pair_xstates(rho)
+    except DilatonGmeError:
+        return  # the error is held to the reduction's by the test above
+    for x, _ in classes:
+        assert XState(x.half_dimension, x.blocks) == x
+
+
+def test_sparse_density_refuses_an_off_diagonal_entry_past_one():
+    # Such entries used to pass, and their sums overflowed in reduce and the pair scan.
+    layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
+    huge = {(0, 0): 0.5, (7, 7): 0.5, (0, 3): 1e308, (4, 7): 1e308}
+    with pytest.raises(InvalidDensity, match=r"^off-diagonal entry \(0, 3\) = 1e\+308 exceeds 1 in magnitude$"):
+        SparseDensity(layout, huge)
+    with pytest.raises(InvalidDensity, match=r"^off-diagonal entry \(0, 7\) = 1e\+200 exceeds 1"):
+        SparseDensity(layout, {(0, 0): 0.5, (7, 7): 0.5, (0, 7): 1e200})
+    # A magnitude of 1 is not refused, whatever the diagonal.
+    for value in (1.0, -1.0):
+        assert SparseDensity(layout, {(0, 0): 0.5, (7, 7): 0.5, (0, 7): value}).entries[0, 7] == value
 
 
 def test_sparse_density_validation():

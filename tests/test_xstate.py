@@ -1,15 +1,18 @@
+import bisect
 import collections
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dilaton_gme import (
     BlackHoleParams,
+    BogoliubovPair,
     InvalidDensity,
+    InvalidParams,
     ModeLayout,
     NotXState,
     ScaleCap,
@@ -23,6 +26,8 @@ from dilaton_gme import (
     scenario_density,
 )
 from dilaton_gme import hawking, xstate
+from dilaton_gme.modes_state import SCALE_BUDGET
+from dilaton_gme.verify import default_oracle_grid
 from dilaton_gme.xstate import _pair_xstates
 from conftest import dense_xstate, triplets, xstate_from_triplets
 
@@ -206,10 +211,105 @@ def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_part
     n_classes = math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
     assert len(classes) == n_classes
     assert sum(n_on_first for _, n_on_first in classes) == n_parties - 1
-    assert built == {"XState": n_classes}
+    # The pair X-states are valid by construction: no public check runs during the scan.
+    assert built == {}
     # The counters do count: one reduction builds a layout, a density and an X-state.
     extract_xstate(rho.reduce(spec.kept_modes()[:2]))
-    assert built == {"XState": n_classes + 1, "SparseDensity": 1, "ModeLayout": 1}
+    assert built == {"XState": 1, "SparseDensity": 1, "ModeLayout": 1}
+
+
+def _classes_from_columns(rho):
+    """``[(first pair, last pair, pairs on mode 0)]`` per class of alike pairs, from the mode columns.
+
+    A mode's column is its bits over the rows and columns of the diagonal
+    entries and of the entries that differ on one or two modes; the pairs
+    ``(i, j)``, ``i < j``, whose modes have one ordered pair of columns form
+    a class.  The classes come in the order of their first pairs.
+    """
+    n = len(rho.layout)
+    labels = sorted({label for row, col in rho.entries if (row ^ col).bit_count() <= 2 for label in (row, col)})
+    modes_of: dict[tuple, list[int]] = {}
+    for k in range(n):
+        modes_of.setdefault(tuple((label >> (n - 1 - k)) & 1 for label in labels), []).append(k)
+    classes = []
+    for first in modes_of.values():
+        for second in modes_of.values():
+            i = first[0]
+            later = bisect.bisect_right(second, i)
+            if later == len(second):
+                continue  # no mode of the second column comes after the first column's first mode
+            j_last = second[-1]
+            i_last = first[bisect.bisect_left(first, j_last) - 1]
+            on_first = len(second) - later if i == 0 else 0
+            classes.append(((i, second[later]), (i_last, j_last), on_first))
+    return sorted(classes)
+
+
+@pytest.mark.parametrize("n_parties,n_horizon", [(1000, 4), (13312, 1), (64, 8), (13, 11)])
+def test_pair_scan_classes_match_reduce_at_the_large_scales(n_parties, n_horizon):
+    # Each class's X-state is the reduction's at its first pair and at its last, and its
+    # count of pairs on mode 0 is the one the mode columns give.
+    p = (n_horizon + 1) // 2
+    spec = ScenarioSpec(n_parties, n_horizon, p, n_horizon - p, 0.7)
+    rho = scenario_density(spec, bogoliubov(BlackHoleParams(1.0, 0.9, 1.0)))
+    modes = rho.layout.modes
+    expected = _classes_from_columns(rho)
+    classes = _pair_xstates(rho)
+    assert len(classes) == len(expected) == math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
+    for (x, n_on_first), (first, last, on_first) in zip(classes, expected):
+        assert n_on_first == on_first
+        for i, j in {first, last}:
+            assert x == extract_xstate(rho.reduce((modes[i], modes[j])))
+
+
+def test_pair_scan_hands_a_failing_pair_to_the_public_check():
+    # Each diagonal entry passes the floor, but two of them land in one slot of (F1, F2)
+    # and sum below it: the pair scan raises the public constructor's own message.
+    layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
+    rho = SparseDensity(layout, {(0, 0): 0.5, (7, 7): 0.5 + 1.8e-14, (4, 4): -0.9e-14, (5, 5): -0.9e-14})
+    message = f"b-entry {-1.8e-14!r} is not a valid population"
+    with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
+        XState(2, {0: (0.5, 0.5 + 1.8e-14, 0.0), 1: (0.0, -1.8e-14, 0.0)})
+    with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
+        _pair_xstates(rho)
+
+
+@st.composite
+def _pairs(draw):
+    """Bogoliubov pairs over the admitted range: from black holes up to ``D = M``, with a
+    zero or subnormal ``beta``, or hand-built with ``alpha**2 + beta**2`` off 1 by up to 1e-14."""
+    kind = draw(st.sampled_from(("black-hole", "extreme", "small-beta", "off-norm")))
+    if kind == "black-hole":
+        mass = draw(st.floats(1e-3, 1e3))
+        dilaton = draw(st.floats(0.0, mass))
+        return bogoliubov(BlackHoleParams(mass, dilaton, draw(st.floats(1e-3, 1e3))))
+    if kind == "extreme":
+        mass = draw(st.floats(1e-3, 1e3))
+        return bogoliubov(BlackHoleParams(mass, mass, 1.0))
+    if kind == "small-beta":
+        return BogoliubovPair(1.0, draw(st.sampled_from((0.0, 5e-324, 2.2e-308, 1e-200))))
+    beta = draw(st.floats(0.0, math.sqrt(0.5)))
+    offset = draw(st.floats(-1e-14, 1e-14))
+    try:
+        return BogoliubovPair(min(1.0, math.sqrt(1.0 - beta * beta + offset)), beta)
+    except InvalidParams:
+        assume(False)
+
+
+@settings(deadline=None)
+@given(data=st.data(), n_horizon=st.integers(1, 11), pair=_pairs(), theta=st.floats(0.0, math.pi / 2))
+def test_block_matrix_passes_the_public_check(data, n_horizon, pair, theta):
+    # build_block_matrix skips the public check: its blocks are valid by construction.
+    n_parties = data.draw(st.integers(n_horizon + 1, SCALE_BUDGET >> n_horizon))
+    p = data.draw(st.integers(0, n_horizon))
+    x = build_block_matrix(ScenarioSpec(n_parties, n_horizon, p, n_horizon - p, theta), pair)
+    assert XState(x.half_dimension, x.blocks) == x
+
+
+def test_pair_scan_passes_the_public_check_on_the_oracle_grid():
+    for spec, params in default_oracle_grid():
+        for x, _ in _pair_xstates(scenario_density(spec, bogoliubov(params))):
+            assert XState(x.half_dimension, x.blocks) == x
 
 
 # Frozen from a 60-digit evaluation of the block structure at
