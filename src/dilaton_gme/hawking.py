@@ -21,8 +21,9 @@ so neither overflows and the product underflows only where the exact one
 does: high powers of ``beta`` fall through the subnormals to ``0.0``.
 
 :class:`BlackHoleParams` and :class:`BogoliubovPair` are frozen values on plain
-``__slots__`` classes, not dataclasses, so a closed-form start loads neither
-``dataclasses`` nor the ``inspect`` it imports.
+``__slots__`` classes on ``_Value``, as are the oracle's containers and the
+verify reports, so the package never loads ``dataclasses`` or the
+``inspect`` it imports.
 """
 
 from __future__ import annotations
@@ -61,11 +62,15 @@ def _check_theta(theta: float) -> float:
 
 
 class _Value:
-    """A frozen value: compared (within its own class), hashed, printed, pickled and copied
-    as its ``_fields()``, in ``__slots__`` order, and never rebound or deleted.  A subclass's
-    ``__init__`` calls ``__post_init__`` last; a copy or a pickle goes back through it."""
+    """A frozen value: compared (within its own class), hashed, printed, pickled and copied as
+    its ``_fields()``, its ``__slots__`` in order but a last ``"__dict__"`` of caches, and never
+    rebound or deleted.  A subclass's ``__init__`` ends with its check, ``__post_init__``, if
+    it has one; a copy or a pickle goes back through it."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__ if name != "__dict__"])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -110,9 +115,6 @@ class BlackHoleParams(_Value):
         object.__setattr__(self, "omega", omega)
         self.__post_init__()
 
-    def _fields(self) -> tuple:
-        return self.mass, self.dilaton, self.omega
-
     def __post_init__(self):
         if not type(self.mass) is type(self.dilaton) is type(self.omega) is float:
             for name in ("mass", "dilaton", "omega"):
@@ -136,9 +138,6 @@ class BogoliubovPair(_Value):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         self.__post_init__()
-
-    def _fields(self) -> tuple:
-        return self.alpha, self.beta
 
     def __post_init__(self):
         if not type(self.alpha) is type(self.beta) is float:
@@ -229,7 +228,7 @@ class BogoliubovGrid:
     this out to the float range's edges) and is not checked again.
     """
 
-    # A plain class, as the two value types are: no ``dataclasses`` import for a closed-form start.
+    # Slots, as every value type here has, but not a ``_Value``: a grid compares and hashes by identity.
     __slots__ = ("mass", "omega", "dilatons", "alphas", "betas")
 
     def __init__(self, mass: float, omega: float, dilatons: Iterable[float]):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     _count_text,
 )
 from .errors import _check_count, _is_index, _items, _real, _sequence
-from .hawking import BogoliubovPair, _check_theta
+from .hawking import BogoliubovPair, _check_theta, _Value
 
 #: Allowed deviation of the state norm (and density trace) from one.
 NORM_TOL = 1e-12
@@ -58,11 +57,14 @@ def flat_mode(index: int) -> str:
     return f"F{index}"
 
 
-@dataclass(frozen=True)
-class ModeLayout:
+class ModeLayout(_Value):
     """Ordered register of distinct modes; the first mode is the MSB."""
 
-    modes: tuple[str, ...]
+    __slots__ = ("modes",)
+
+    def __init__(self, modes: Sequence[str]):
+        object.__setattr__(self, "modes", modes)
+        self.__post_init__()
 
     def __post_init__(self):
         modes = _sequence(self.modes, InvalidSpec, "modes")
@@ -92,8 +94,7 @@ class ModeLayout:
 TracePlan = tuple[ModeLayout, int, tuple[tuple[int, int, int], ...]]
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Value):
     """How an N-party GHZ state is split across the horizon.
 
     ``n_parties`` observers share ``cos(theta)|0...0> + sin(theta)|1...1>``;
@@ -108,11 +109,16 @@ class ScenarioSpec:
     :class:`ScaleCap`.
     """
 
-    n_parties: int
-    n_horizon: int
-    n_out_kept: int
-    n_in_kept: int
-    theta: float
+    # The ``__dict__`` holds the cached registers and the verify suites' memo.
+    __slots__ = ("n_parties", "n_horizon", "n_out_kept", "n_in_kept", "theta", "__dict__")
+
+    def __init__(self, n_parties: int, n_horizon: int, n_out_kept: int, n_in_kept: int, theta: float):
+        object.__setattr__(self, "n_parties", n_parties)
+        object.__setattr__(self, "n_horizon", n_horizon)
+        object.__setattr__(self, "n_out_kept", n_out_kept)
+        object.__setattr__(self, "n_in_kept", n_in_kept)
+        object.__setattr__(self, "theta", theta)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in ("n_parties", "n_horizon", "n_out_kept", "n_in_kept"):
@@ -140,10 +146,6 @@ class ScenarioSpec:
         if type(self.theta) is not float:
             object.__setattr__(self, "theta", _real(self.theta, InvalidSpec, "theta"))
         _check_theta(self.theta)
-
-    def __getstate__(self) -> dict:
-        # A pickle holds the fields only: whatever the spec caches is rebuilt on demand.
-        return {field.name: self.__dict__[field.name] for field in fields(self)}
 
     @property
     def n_flat(self) -> int:
@@ -173,12 +175,15 @@ class ScenarioSpec:
         return self._registers[1][0].modes
 
 
-@dataclass(frozen=True)
-class SparseState:
+class SparseState(_Value):
     """Normalised pure state as ``{basis label: real amplitude}``."""
 
-    layout: ModeLayout
-    amplitudes: Mapping[int, float]
+    __slots__ = ("layout", "amplitudes")
+
+    def __init__(self, layout: ModeLayout, amplitudes: Mapping[int, float]):
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.layout) is not ModeLayout:
@@ -207,8 +212,7 @@ class SparseState:
             raise InvalidParams(f"state norm**2 deviates from 1 by {norm_sq - 1.0:.3e}")
 
 
-@dataclass(frozen=True)
-class SparseDensity:
+class SparseDensity(_Value):
     """Real symmetric density matrix stored as its upper triangle.
 
     Entries are ``{(row, col): value}`` with ``row <= col``; the mirrored
@@ -223,8 +227,12 @@ class SparseDensity:
     positivity.
     """
 
-    layout: ModeLayout
-    entries: Mapping[tuple[int, int], float]
+    __slots__ = ("layout", "entries")
+
+    def __init__(self, layout: ModeLayout, entries: Mapping[tuple[int, int], float]):
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.layout) is not ModeLayout:

@@ -17,7 +17,6 @@ the same spec at other parameters, simulates afresh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Optional, Sequence
@@ -31,7 +30,7 @@ from .analytic import (
 )
 from .errors import InvalidParams, _check_count, _count_text, _sequence
 from .gme import gme_xstate
-from .hawking import BlackHoleParams, BogoliubovGrid, _power_rows, bogoliubov, dilaton_grid
+from .hawking import BlackHoleParams, BogoliubovGrid, _power_rows, _Value, bogoliubov, dilaton_grid
 from .modes_state import ScenarioSpec, scenario_density
 from .xstate import _pair_xstates, build_block_matrix, extract_xstate
 
@@ -49,14 +48,17 @@ _RULE_DILATONS = (0.0, 0.5, 0.9, 1.0)
 _RULE_HORIZONS = range(1, 17)
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
-    name: str
-    grid_size: int
-    max_abs_error: float
-    tolerance: float
-    status: str
-    worst_case_inputs: Optional[dict]
+class VerificationCheck(_Value):
+    __slots__ = ("name", "grid_size", "max_abs_error", "tolerance", "status", "worst_case_inputs")
+
+    def __init__(self, name: str, grid_size: int, max_abs_error: float, tolerance: float, status: str,
+                 worst_case_inputs: Optional[dict]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "grid_size", grid_size)
+        object.__setattr__(self, "max_abs_error", max_abs_error)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "worst_case_inputs", worst_case_inputs)
 
     def as_json_dict(self) -> dict:
         return {
@@ -70,9 +72,11 @@ class VerificationCheck:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[VerificationCheck, ...]
+class VerificationReport(_Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[VerificationCheck, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -245,9 +249,9 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
       X-states come straight from the one pass over the state's entries,
       one per class of pairs whose modes have the same bit columns, and
       each is scored once for its whole class.  Each X-state is tested
-      for what its sums leave open (populations, coherence bounds, trace),
-      and one that fails a test goes to the public :class:`XState`
-      check, which raises its own message.
+      for what its sums leave open (off-X entries, populations, coherence
+      bounds, trace), and one that fails a test is reduced and extracted,
+      so it raises what the two-mode reduction raises.
     * ``monogamy``: the full E**2 minus the squared pair terms of the
       first mode matches the closed-form residual.  Each class adds its
       E**2 once per pair it holds on that mode, a count the pair scan gives.

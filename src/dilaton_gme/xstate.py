@@ -25,10 +25,10 @@ trace.  Two producers store their blocks through ``XState._unchecked``
 instead, which only drops the all-zero blocks.  ``build_block_matrix``
 writes closed-form products of a checked spec and pair, so every field
 holds by construction.  The pair scan's sums are floats at valid indices
-by construction, but their populations, coherences and trace are only as
-good as the density they came from: it tests those three and hands any
-pair that fails one to the public constructor, which raises its own
-message.  :func:`extract_xstate` reads any density, and a
+by construction, but their off-X entries, populations, coherences and
+trace are only as good as the density they came from: it tests those and
+reduces and extracts any pair that fails one, which raises the
+reduction's own message.  :func:`extract_xstate` reads any density, and a
 :class:`SparseDensity` never checks positivity, so it keeps the public
 check.
 """
@@ -36,11 +36,10 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidDensity, NotXState, _count_text, _is_index, _items, _real
-from .hawking import BogoliubovPair, coeff_power
+from .hawking import BogoliubovPair, _Value, coeff_power
 from .modes_state import NORM_TOL, POPULATION_FLOOR, ScenarioSpec, SparseDensity
 
 Block = tuple[float, float, float]
@@ -52,12 +51,15 @@ OFF_X_TOL = 1e-12
 _COHERENCE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class XState:
+class XState(_Value):
     """X-shaped density matrix as ``{block index: (a, b, c)}``."""
 
-    half_dimension: int
-    blocks: Mapping[int, Block]
+    __slots__ = ("half_dimension", "blocks")
+
+    def __init__(self, half_dimension: int, blocks: Mapping[int, Block]):
+        object.__setattr__(self, "half_dimension", half_dimension)
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         m = self.half_dimension
@@ -100,11 +102,10 @@ class XState:
     @classmethod
     def _unchecked(cls, half_dimension: int, blocks: Mapping[int, Block]) -> "XState":
         """The X-state of ``blocks``, stored without the checks; an all-zero block is dropped."""
+        kept = {i: block for i, block in blocks.items() if block[0] or block[1] or block[2]}
         x = object.__new__(cls)
-        x.__dict__.update(
-            half_dimension=half_dimension,
-            blocks={i: block for i, block in blocks.items() if block[0] or block[1] or block[2]},
-        )
+        object.__setattr__(x, "half_dimension", half_dimension)
+        object.__setattr__(x, "blocks", kept)
         return x
 
 
@@ -163,10 +164,11 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
     ``rho_03`` or ``rho_12``, and one that differs on a single mode of the
     pair lies off its X.  Each slot sums with ``math.fsum``, as
     :meth:`SparseDensity.reduce` sums its entries.  So each X-state's
-    blocks, and each :class:`NotXState` position, are the ones
-    :func:`extract_xstate` reads off the reduction onto any pair of the
-    class, and no two-mode :class:`SparseDensity` or :class:`ModeLayout` is
-    built.  The classes come in the order of their first pairs, so the
+    blocks are the ones :func:`extract_xstate` reads off the reduction onto
+    any pair of the class, and no two-mode :class:`SparseDensity` or
+    :class:`ModeLayout` is built.  A pair whose sums fail a test is reduced
+    and extracted after all, so it raises exactly what the reduction
+    raises.  The classes come in the order of their first pairs, so the
     first pair whose reduction fails is the one that raises.
     """
     n = len(rho.layout)
@@ -203,51 +205,45 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
             if later:
                 classes.append((i, n - later.bit_length(), later.bit_count() if i == 0 else 0))
     classes.sort()
-    return [(_pair_xstate(diagonal, near, n - 2 - i, n - 1 - j), on_first) for i, j, on_first in classes]
+    return [(_pair_xstate(rho, diagonal, near, i, j), on_first) for i, j, on_first in classes]
 
 
-def _pair_xstate(
-    diagonal: list[tuple[int, float]],
-    near: list[tuple[int, int, float]],
-    hi: int,
-    lo: int,
-) -> XState:
-    """The X-state of the pair whose bits the shifts ``hi, lo`` bring to 2 and 1.
+def _pair_xstate(rho: SparseDensity, diagonal: list[tuple[int, float]], near: list[tuple[int, int, float]],
+                 i: int, j: int) -> XState:
+    """The X-state of ``rho``'s modes ``i < j``, from the scan's ``diagonal`` and ``near`` entries.
 
     Its indices and float types hold by construction, and a checked
-    density keeps every sum finite.  Its populations, coherences and trace
-    are tested here; a pair that fails one goes to the public constructor,
-    which raises its own message.
+    density keeps every sum finite.  Its off-X sums, populations,
+    coherences and trace are tested here; a pair that fails one is
+    reduced and extracted, which raises the reduction's own message.
     """
+    hi, lo = len(rho.layout) - 2 - i, len(rho.layout) - 1 - j  # the shifts that bring i to 2 and j to 1
     slots: tuple[list[float], ...] = ([], [], [], [], [], [])
     for row, value in diagonal:
         slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
-    if near:
-        off_x: dict[tuple[int, int], list[float]] = {}
-        outside = ~((2 << hi) | (1 << lo))
-        for row, col, value in near:
-            if (row ^ col) & outside:
-                continue
-            rk = (row >> hi) & 2 | (row >> lo) & 1
-            ck = (col >> hi) & 2 | (col >> lo) & 1
-            if rk ^ ck == 3:
-                slots[4 + (rk in (1, 2))].append(value)
-            else:
-                off_x.setdefault((rk, ck) if rk < ck else (ck, rk), []).append(value)
-        for key, values in off_x.items():
-            if abs(math.fsum(values)) > OFF_X_TOL:
-                raise NotXState(*key)
+    off_x: dict[tuple[int, int], list[float]] = {}
+    outside = ~((2 << hi) | (1 << lo))
+    for row, col, value in near:
+        if (row ^ col) & outside:
+            continue
+        rk = (row >> hi) & 2 | (row >> lo) & 1
+        ck = (col >> hi) & 2 | (col >> lo) & 1
+        if rk ^ ck == 3:
+            slots[4 + (rk in (1, 2))].append(value)
+        else:
+            off_x.setdefault((rk, ck) if rk < ck else (ck, rk), []).append(value)
     rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = map(math.fsum, slots)  # an empty slot sums to 0.0
     blocks = {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)}
     floor = POPULATION_FLOOR
     if (
-        rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
+        all(abs(math.fsum(values)) <= OFF_X_TOL for values in off_x.values())
+        and rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
         and (not rho_03 or abs(rho_03) <= math.sqrt(max(rho_00, 0.0) * max(rho_33, 0.0)) + _COHERENCE_SLACK)
         and (not rho_12 or abs(rho_12) <= math.sqrt(max(rho_11, 0.0) * max(rho_22, 0.0)) + _COHERENCE_SLACK)
         and abs(math.fsum((rho_00, rho_11, rho_22, rho_33)) - 1.0) <= NORM_TOL
     ):
         return XState._unchecked(2, blocks)
-    return XState(2, blocks)
+    return extract_xstate(rho.reduce((rho.layout.modes[i], rho.layout.modes[j])))
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

@@ -22,7 +22,13 @@ from dilaton_gme import (
     BogoliubovPair,
     InvalidParams,
     InvalidSpec,
+    ModeLayout,
     ScenarioSpec,
+    SparseDensity,
+    SparseState,
+    VerificationCheck,
+    VerificationReport,
+    XState,
     bogoliubov,
     coeff_power,
     hawking,
@@ -113,25 +119,56 @@ def test_pair_validation():
 
 
 # Each value type: built by keyword, its fields, an unequal value, and the ``repr`` the frozen
-# dataclass it replaced printed.
+# dataclass it replaced printed.  A field given in another form is stored as the check makes it.
+_CHECK = dict(name="monogamy", grid_size=3, max_abs_error=0.0, tolerance=1e-12, status="pass", worst_case_inputs=None)
 _VALUES = [
     (lambda: BlackHoleParams(mass=2, dilaton=1, omega=0.5), (2.0, 1.0, 0.5), BlackHoleParams(2.0, 1.5, 0.5),
      "BlackHoleParams(mass=2.0, dilaton=1.0, omega=0.5)"),
     (lambda: BogoliubovPair(alpha=0.9618041182907098, beta=0.27373863088543127),
      (0.9618041182907098, 0.27373863088543127), BogoliubovPair(1.0, 0.0),
      "BogoliubovPair(alpha=0.9618041182907098, beta=0.27373863088543127)"),
+    (lambda: ModeLayout(modes=["F1", "O1"]), (("F1", "O1"),), ModeLayout(("F1", "I1")),
+     "ModeLayout(modes=('F1', 'O1'))"),
+    (lambda: ScenarioSpec(n_parties=3, n_horizon=1, n_out_kept=1, n_in_kept=0, theta=0.5),
+     (3, 1, 1, 0, 0.5), ScenarioSpec(3, 1, 0, 1, 0.5),
+     "ScenarioSpec(n_parties=3, n_horizon=1, n_out_kept=1, n_in_kept=0, theta=0.5)"),
+    (lambda: SparseState(layout=("F1", "F2"), amplitudes={0: 0.6, 1: 0.0, 3: 0.8}),
+     (ModeLayout(("F1", "F2")), {0: 0.6, 3: 0.8}), SparseState(ModeLayout(("F1", "F2")), {0: 0.8, 3: 0.6}),
+     "SparseState(layout=ModeLayout(modes=('F1', 'F2')), amplitudes={0: 0.6, 3: 0.8})"),
+    (lambda: SparseDensity(layout=("F1", "F2"), entries={(0, 0): 0.5, (0, 3): 0.5, (3, 3): 0.5}),
+     (ModeLayout(("F1", "F2")), {(0, 0): 0.5, (0, 3): 0.5, (3, 3): 0.5}),
+     SparseDensity(ModeLayout(("F1", "F2")), {(0, 0): 0.5, (3, 3): 0.5}),
+     "SparseDensity(layout=ModeLayout(modes=('F1', 'F2')), entries={(0, 0): 0.5, (0, 3): 0.5, (3, 3): 0.5})"),
+    (lambda: XState(half_dimension=2, blocks={0: (0.5, 0.5, 0.5), 1: (0.0, 0.0, 0.0)}),
+     (2, {0: (0.5, 0.5, 0.5)}), XState(2, {0: (0.5, 0.5, 0.0)}),
+     "XState(half_dimension=2, blocks={0: (0.5, 0.5, 0.5)})"),
+    (lambda: VerificationCheck(**_CHECK), tuple(_CHECK.values()), VerificationCheck(**dict(_CHECK, status="fail")),
+     "VerificationCheck(name='monogamy', grid_size=3, max_abs_error=0.0, tolerance=1e-12, status='pass', "
+     "worst_case_inputs=None)"),
+    (lambda: VerificationReport(checks=(VerificationCheck(**_CHECK),)), ((VerificationCheck(**_CHECK),),),
+     VerificationReport(()),
+     "VerificationReport(checks=(VerificationCheck(name='monogamy', grid_size=3, max_abs_error=0.0, "
+     "tolerance=1e-12, status='pass', worst_case_inputs=None),))"),
 ]
+_VALUE_IDS = ["params", "pair", "layout", "spec", "state", "density", "xstate", "check", "report"]
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["params", "pair"])
+@pytest.mark.parametrize("index", range(len(_VALUES)), ids=_VALUE_IDS)
 def test_value_types_keep_the_frozen_dataclass_contract(index):
     build, fields, unequal, text = _VALUES[index]
-    value, same, other = build(), build(), _VALUES[1 - index][0]()
-    assert value is not same and value == same and not value != same and hash(value) == hash(same)
+    value, same, other = build(), build(), _VALUES[(index + 1) % len(_VALUES)][0]()
+    assert value is not same and value == same and not value != same
     assert value != unequal and not value == unequal
-    for foreign in (other, fields):  # the other class, and a plain tuple of the same fields
+    for foreign in (other, fields):  # another class, and a plain tuple of the same fields
         assert value != foreign and value.__eq__(foreign) is NotImplemented
-    assert hash(value) == hash(fields)
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict among the fields: unhashable, as the dataclass was
+        for unhashable in (value, same):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(unhashable)
+    else:
+        assert hash(value) == hash(same) == expected
     assert repr(value) == text
     name = text.partition("(")[2].partition("=")[0]
     with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
@@ -143,16 +180,18 @@ def test_value_types_keep_the_frozen_dataclass_contract(index):
         assert type(restored) is type(value) and restored == value and repr(restored) == text
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["params", "pair"])
+@pytest.mark.parametrize("index", range(len(_VALUES)), ids=_VALUE_IDS)
 def test_a_value_is_checked_once_per_build_copy_and_pickle(index, monkeypatch):
-    # A copy or a pickle holds the fields only and goes back through the constructor.
+    # A copy or a pickle holds the fields only and goes back through the constructor, which
+    # runs the check hook; a verify report has no check, so its constructor is counted.
     build = _VALUES[index][0]
     kind, checks = type(build()), []
-    check = kind.__post_init__
-    monkeypatch.setattr(kind, "__post_init__", lambda self: checks.append(check(self)))
+    hook = "__post_init__" if hasattr(kind, "__post_init__") else "__init__"
+    check = getattr(kind, hook)
+    monkeypatch.setattr(kind, hook, lambda self, *args, **kwargs: checks.append(check(self, *args, **kwargs)))
     value = build()
     for rebuild in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
-        rebuild(value)
+        assert rebuild(value) == value
     assert len(checks) == 4
 
 

@@ -1,5 +1,5 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither the
-oracle nor verify; only ``errors`` spells the input rules, ``hawking`` takes no log for a monomial, only
+oracle nor verify; no module imports ``dataclasses``, and no command loads it; only ``errors`` spells the input rules, ``hawking`` takes no log for a monomial, only
 ``analytic._binomial_sums`` names the binomials, only ``verify._check`` builds a check, and only two
 producers skip the ``XState`` check; a private name crosses a module boundary only where pinned, and
 every module parses as Python 3.10."""
@@ -83,6 +83,46 @@ def test_closed_form_commands_load_only_the_closed_form_layers(tmp_path):
     closed_form = ["dilaton_gme", "dilaton_gme.analytic", "dilaton_gme.cli", "dilaton_gme.errors",
                    "dilaton_gme.hawking"]
     assert result.stdout.splitlines()[-2:] == [str(closed_form), "[]"]
+
+
+def test_no_module_imports_dataclasses():
+    # Every value type is a ``hawking._Value``: one frozen-value mechanism for the package.
+    imports = [
+        module
+        for module in _MODULES
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses")
+    ]
+    assert imports == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--n-parties", "18", "--n-horizon", "4", "--p", "2"],
+        ["verify", "--grid", "small"],
+        ["sweep", "--n-horizon", "3", "--p", "2", "--n-parties", "5", "--oracle", "--steps", "7"],
+    ],
+    ids=["state", "verify", "sweep-oracle"],
+)
+def test_oracle_commands_leave_dataclasses_and_inspect_unloaded(argv, tmp_path):
+    # In a fresh interpreter, a command that builds the oracle's containers or the verify
+    # reports loads neither ``dataclasses`` nor what it imports: ``inspect`` and, through it,
+    # ``ast``, ``dis`` and ``tokenize``.
+    if argv[0] == "sweep":
+        argv = [*argv, "--output", str(tmp_path / "e.csv")]
+    code = (
+        "import sys\n"
+        "from dilaton_gme import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(_PACKAGE_DIR))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def _type_tests(tree, kind):
@@ -341,8 +381,13 @@ def test_private_names_cross_module_boundaries_only_as_pinned():
     crossings = {module: _private_names_taken(_tree(module)) for module in _MODULES}
     assert {module: taken for module, taken in crossings.items() if taken} == {
         "analytic": {"hawking": ["_check_exponents", "_check_positive", "_check_theta", "_power_rows"]},
-        "modes_state": {"hawking": ["_check_theta"]},
-        "verify": {"analytic": ["_binomial_sums"], "hawking": ["_power_rows"], "xstate": ["_pair_xstates"]},
+        "modes_state": {"hawking": ["_Value", "_check_theta"]},
+        "xstate": {"hawking": ["_Value"]},
+        "verify": {
+            "analytic": ["_binomial_sums"],
+            "hawking": ["_Value", "_power_rows"],
+            "xstate": ["_pair_xstates"],
+        },
         "cli": {"verify": ["_shape_scans"]},
     }
     source = "from . import verify as v, gme\nfrom .hawking import _a, b\nfrom .errors import _real\n"

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import itertools
 from fractions import Fraction
 import math
@@ -152,10 +152,10 @@ def test_scenario_spec_builds_its_registers_once():
     assert "_oracle_memo" in vars(spec)
     assert (pickle.dumps(spec), hash(spec), repr(spec)) == before
     assert spec == twin and twin == spec and hash(twin) == hash(spec)
-    restored = pickle.loads(pickle.dumps(spec))
-    assert restored == spec and restored.expanded_layout() == spec.expanded_layout()
-    assert "_oracle_memo" not in vars(restored)
-    moved = dataclasses.replace(spec, n_out_kept=1, n_in_kept=2)
+    for restored in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert vars(restored) == {}  # rebuilt from the fields: no registers, no memo
+        assert restored == spec and restored.expanded_layout() == spec.expanded_layout()
+    moved = ScenarioSpec(5, 3, n_out_kept=1, n_in_kept=2, theta=0.3)
     assert moved.expanded_layout() == spec.expanded_layout()
     assert moved.kept_modes() == ("F1", "F2", "O1", "I2", "I3")
     assert spec.kept_modes() == ("F1", "F2", "O1", "O2", "I3")
@@ -281,9 +281,9 @@ def test_expanded_state_keeps_one_ghz_branch_at_either_end():
         assert list(state.amplitudes.items()) == list(expected.items())
         # theta = 0 leaves only the empty branch (sin 0 is an exact zero); at theta = pi/2
         # the empty branch survives at cos(pi/2) ~ 6e-17 times its weights
-        at_zero = expand_kruskal(dataclasses.replace(spec, theta=0.0), pair)
+        at_zero = expand_kruskal(ScenarioSpec(n_parties, n, n, 0, 0.0), pair)
         assert at_zero.amplitudes == _empty_branch(1.0, pair, n)
-        at_right_angle = expand_kruskal(dataclasses.replace(spec, theta=math.pi / 2), pair)
+        at_right_angle = expand_kruskal(ScenarioSpec(n_parties, n, n, 0, math.pi / 2), pair)
         empty = _empty_branch(math.cos(math.pi / 2), pair, n)
         assert at_right_angle.amplitudes == {**empty, occupied: 1.0}
         assert all(0.0 < amp < 1e-16 for amp in empty.values())

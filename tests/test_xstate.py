@@ -264,14 +264,18 @@ def test_pair_scan_classes_match_reduce_at_the_large_scales(n_parties, n_horizon
 
 def test_pair_scan_hands_a_failing_pair_to_the_public_check():
     # Each diagonal entry passes the floor, but two of them land in one slot of (F1, F2)
-    # and sum below it: the pair scan raises the public constructor's own message.
+    # and sum below it: the pair scan raises what the reduction onto (F1, F2) raises, the
+    # reduced density's own check, and not the X-state check the sums would fail next.
+    # With an entry off the pair's X as well, the density's check still comes first.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
-    rho = SparseDensity(layout, {(0, 0): 0.5, (7, 7): 0.5 + 1.8e-14, (4, 4): -0.9e-14, (5, 5): -0.9e-14})
-    message = f"b-entry {-1.8e-14!r} is not a valid population"
-    with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
-        XState(2, {0: (0.5, 0.5 + 1.8e-14, 0.0), 1: (0.0, -1.8e-14, 0.0)})
-    with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
-        _pair_xstates(rho)
+    entries = {(0, 0): 0.5, (7, 7): 0.5 + 1.8e-14, (4, 4): -0.9e-14, (5, 5): -0.9e-14}
+    message = f"negative diagonal entry {-1.8e-14!r} at (2, 2)"
+    for extra in ({}, {(0, 4): 1e-9}):
+        rho = SparseDensity(layout, {**entries, **extra})
+        with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
+            extract_xstate(rho.reduce(("F1", "F2")))
+        with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
+            _pair_xstates(rho)
 
 
 @st.composite
