@@ -248,10 +248,12 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
       state (three or more parties) carries no entanglement.  The pair
       X-states come straight from the one pass over the state's entries,
       one per class of pairs whose modes have the same bit columns, and
-      each is scored once for its whole class.  Each X-state is tested
-      for what its sums leave open (off-X entries, populations, coherence
-      bounds, trace), and one that fails a test is reduced and extracted,
-      so it raises what the two-mode reduction raises.
+      each is scored once for its whole class.  A scenario state holds no
+      entry that differs on one or two modes, so each X-state sums the
+      diagonal alone and is tested for its populations and trace; one
+      that fails, or any class of a density with such an entry, is
+      reduced and extracted, so it raises what the two-mode reduction
+      raises.
     * ``monogamy``: the full E**2 minus the squared pair terms of the
       first mode matches the closed-form residual.  Each class adds its
       E**2 once per pair it holds on that mode, a count the pair scan gives.

@@ -24,13 +24,15 @@ every field: types, block indices, populations, coherence bounds and
 trace.  Two producers store their blocks through ``XState._unchecked``
 instead, which only drops the all-zero blocks.  ``build_block_matrix``
 writes closed-form products of a checked spec and pair, so every field
-holds by construction.  The pair scan's sums are floats at valid indices
-by construction, but their off-X entries, populations, coherences and
-trace are only as good as the density they came from: it tests those and
-reduces and extracts any pair that fails one, which raises the
-reduction's own message.  :func:`extract_xstate` reads any density, and a
-:class:`SparseDensity` never checks positivity, so it keeps the public
-check.
+holds by construction.  The pair scan sums only the diagonal, and only
+for a density with no entry that differs on one or two modes, so its
+sums are floats at valid indices and its coherences are zero; their
+populations and trace are only as good as the density they came from,
+so it tests those and reduces and extracts any pair that fails one,
+which raises the reduction's own message.  A density with such an entry
+is reduced and extracted once per class.  :func:`extract_xstate` reads
+any density, and a :class:`SparseDensity` never checks positivity, so it
+keeps the public check.
 """
 
 from __future__ import annotations
@@ -137,14 +139,15 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
 
     An entry survives the trace onto a pair only when its row and column
     differ on no other mode.  So one scan of ``rho.entries`` keeps the
-    diagonal entries, which feed every pair, and the entries that differ on
-    one or two modes; any other entry feeds no pair.  A mode's column is its
-    bits over the rows and columns the scan keeps.  Which kept entries the
-    pair ``(i, j)`` keeps, and where each lands, depends only on
-    ``(column_i, column_j)``, so the pairs fall into one class per distinct
-    ordered pair of columns.  In a scenario state every flat mode has the
-    same column, which leaves ``C(n + 1, 2)`` classes plus one of flat
-    pairs, however many parties there are.
+    diagonal entries, which feed every pair, and the row and column labels
+    of the entries that differ on one or two modes; any other entry feeds
+    no pair.  A mode's column is its bits over the labels the scan keeps.
+    Which of those entries the pair ``(i, j)`` keeps, and where each
+    lands, depends only on ``(column_i, column_j)``, so the pairs fall
+    into one class per distinct ordered pair of columns.  In a scenario
+    state every flat mode has the same column, which leaves
+    ``C(n + 1, 2)`` classes plus one of flat pairs, however many parties
+    there are.
 
     The modes with one column are found as bit masks over the register:
     starting from one mask of every mode, each distinct kept label splits
@@ -157,23 +160,24 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
     after it counts the class's pairs ``(0, j)``.  No label is formatted,
     no column is built, and no pair is listed.
 
-    Each class is read at its first pair: it adds each diagonal value to
-    one of four int-keyed slots, found with two shifts, the sums of its
-    reduction's ``rho_00``, ``rho_11``, ``rho_22`` and ``rho_33``.  An entry
-    that differs on both of the pair's modes adds to its coherence
-    ``rho_03`` or ``rho_12``, and one that differs on a single mode of the
-    pair lies off its X.  Each slot sums with ``math.fsum``, as
+    Each class is read at its first pair.  In a scenario state no entry
+    differs on one or two modes: for ``N >= 3`` its one coherence differs
+    on all ``N``.  Then the pair's coherences are zero, and the class adds
+    each diagonal value to one of four int-keyed slots, found with two
+    shifts, the sums of its reduction's ``rho_00``, ``rho_11``, ``rho_22``
+    and ``rho_33``.  Each slot sums with ``math.fsum``, as
     :meth:`SparseDensity.reduce` sums its entries.  So each X-state's
     blocks are the ones :func:`extract_xstate` reads off the reduction onto
     any pair of the class, and no two-mode :class:`SparseDensity` or
-    :class:`ModeLayout` is built.  A pair whose sums fail a test is reduced
-    and extracted after all, so it raises exactly what the reduction
-    raises.  The classes come in the order of their first pairs, so the
-    first pair whose reduction fails is the one that raises.
+    :class:`ModeLayout` is built.  A pair whose sums fail a test, and every
+    class of a density that holds an entry on one or two modes, is reduced
+    and extracted instead, so it raises exactly what the reduction raises.
+    The classes come in the order of their first pairs, so the first pair
+    whose reduction fails is the one that raises.
     """
     n = len(rho.layout)
     diagonal: list[tuple[int, float]] = []
-    near: list[tuple[int, int, float]] = []  # entries that differ on one or two modes
+    near: set[int] = set()  # the labels of the entries that differ on one or two modes
     for (row, col), value in rho.entries.items():
         if row == col:
             diagonal.append((row, value))
@@ -181,9 +185,8 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
             diff = row ^ col
             rest = diff & (diff - 1)  # the difference without its lowest mode
             if not rest & (rest - 1):
-                near.append((row, col, value))
-    labels = {row for row, _ in diagonal}
-    labels.update(label for row, col, _ in near for label in (row, col))
+                near.update((row, col))
+    labels = near.union(row for row, _ in diagonal)
     # Masks of one mode, and of two modes or more.
     single, groups = ([], [(1 << n) - 1]) if n > 1 else ([1], [])
     for label in labels:
@@ -205,44 +208,32 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
             if later:
                 classes.append((i, n - later.bit_length(), later.bit_count() if i == 0 else 0))
     classes.sort()
-    return [(_pair_xstate(rho, diagonal, near, i, j), on_first) for i, j, on_first in classes]
+    if near:
+        modes = rho.layout.modes
+        return [(extract_xstate(rho.reduce((modes[i], modes[j]))), on_first) for i, j, on_first in classes]
+    return [(_pair_xstate(rho, diagonal, i, j), on_first) for i, j, on_first in classes]
 
 
-def _pair_xstate(rho: SparseDensity, diagonal: list[tuple[int, float]], near: list[tuple[int, int, float]],
-                 i: int, j: int) -> XState:
-    """The X-state of ``rho``'s modes ``i < j``, from the scan's ``diagonal`` and ``near`` entries.
+def _pair_xstate(rho: SparseDensity, diagonal: list[tuple[int, float]], i: int, j: int) -> XState:
+    """The X-state of ``rho``'s modes ``i < j``, from the scan's ``diagonal`` entries alone.
 
-    Its indices and float types hold by construction, and a checked
-    density keeps every sum finite.  Its off-X sums, populations,
-    coherences and trace are tested here; a pair that fails one is
-    reduced and extracted, which raises the reduction's own message.
+    Its indices and float types hold by construction, a checked density
+    keeps every sum finite, and with no entry that differs on one or two
+    modes its coherences are zero.  Its populations and trace are tested
+    here; a pair that fails one is reduced and extracted, which raises the
+    reduction's own message.
     """
     hi, lo = len(rho.layout) - 2 - i, len(rho.layout) - 1 - j  # the shifts that bring i to 2 and j to 1
-    slots: tuple[list[float], ...] = ([], [], [], [], [], [])
+    slots: tuple[list[float], ...] = ([], [], [], [])
     for row, value in diagonal:
         slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
-    off_x: dict[tuple[int, int], list[float]] = {}
-    outside = ~((2 << hi) | (1 << lo))
-    for row, col, value in near:
-        if (row ^ col) & outside:
-            continue
-        rk = (row >> hi) & 2 | (row >> lo) & 1
-        ck = (col >> hi) & 2 | (col >> lo) & 1
-        if rk ^ ck == 3:
-            slots[4 + (rk in (1, 2))].append(value)
-        else:
-            off_x.setdefault((rk, ck) if rk < ck else (ck, rk), []).append(value)
-    rho_00, rho_11, rho_22, rho_33, rho_03, rho_12 = map(math.fsum, slots)  # an empty slot sums to 0.0
-    blocks = {0: (rho_00, rho_33, rho_03), 1: (rho_11, rho_22, rho_12)}
+    rho_00, rho_11, rho_22, rho_33 = map(math.fsum, slots)  # an empty slot sums to 0.0
     floor = POPULATION_FLOOR
     if (
-        all(abs(math.fsum(values)) <= OFF_X_TOL for values in off_x.values())
-        and rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
-        and (not rho_03 or abs(rho_03) <= math.sqrt(max(rho_00, 0.0) * max(rho_33, 0.0)) + _COHERENCE_SLACK)
-        and (not rho_12 or abs(rho_12) <= math.sqrt(max(rho_11, 0.0) * max(rho_22, 0.0)) + _COHERENCE_SLACK)
+        rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
         and abs(math.fsum((rho_00, rho_11, rho_22, rho_33)) - 1.0) <= NORM_TOL
     ):
-        return XState._unchecked(2, blocks)
+        return XState._unchecked(2, {0: (rho_00, rho_33, 0.0), 1: (rho_11, rho_22, 0.0)})
     return extract_xstate(rho.reduce((rho.layout.modes[i], rho.layout.modes[j])))
 
 

@@ -341,9 +341,10 @@ def test_only_check_builds_a_verification_check():
 
 def test_only_the_lean_producers_skip_the_xstate_check():
     # ``XState._unchecked`` stores blocks without the public check.  ``build_block_matrix``
-    # writes closed-form blocks that are valid by construction, and ``_pair_xstate`` tests
-    # what its sums leave open; every other producer, ``extract_xstate`` first, reads data
-    # that nothing has checked as an X-state and goes through the public constructor.
+    # writes closed-form blocks that are valid by construction, and ``_pair_xstate`` sums
+    # the diagonal of a density with no entry on one or two modes and tests its populations
+    # and trace; every other producer, ``extract_xstate`` first, reads data that nothing has
+    # checked as an X-state and goes through the public constructor.
     callers = {module: _callers(_tree(module), "_unchecked") for module in _MODULES}
     assert {module: names for module, names in callers.items() if names} == {
         "xstate": ["_pair_xstate", "build_block_matrix"]

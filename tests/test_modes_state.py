@@ -32,7 +32,7 @@ from dilaton_gme import (
     scenario_density,
 )
 from dilaton_gme import modes_state
-from dilaton_gme.modes_state import SCALE_BUDGET, _plan
+from dilaton_gme.modes_state import POPULATION_FLOOR, SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid, oracle_compare
 from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
 from conftest import (
@@ -464,19 +464,15 @@ def test_pair_classes_split_on_the_column_of_a_near_entry(entries):
     _assert_pairs_match_reduce(SparseDensity(layout, entries))
 
 
-@st.composite
-def _mixed_densities(draw):
-    """Mixtures of two-label pure states on 3 to 5 modes, with entries at +-OFF_X_TOL.
+def _mixture(draw, n_modes, flips):
+    """The entries of a drawn mixture of two-label pure states on ``n_modes`` modes.
 
-    Each component ``cos(phi)|row> + sin(phi)|row ^ flip>`` adds two
-    populations and one coherence that differs on the modes of ``flip``:
-    one, two, or three and more.  Entries of magnitude exactly
-    ``OFF_X_TOL`` sit at further such positions, and the entries come in
-    any order, so a coherence may precede every population.
+    Each component ``cos(phi)|row> + sin(phi)|row ^ flip>``, ``flip`` drawn
+    from ``flips``, adds two populations and one coherence that differs on
+    the modes of ``flip``.  Entries of magnitude exactly ``OFF_X_TOL`` sit
+    at further such positions.
     """
-    n_modes = draw(st.integers(3, 5))
     labels = st.integers(0, (1 << n_modes) - 1)
-    flips = st.integers(1, (1 << n_modes) - 1)
     components = draw(
         st.lists(st.tuples(labels, flips, st.floats(0.1, 1.0), st.floats(-1.6, 1.6)), min_size=1, max_size=6)
     )
@@ -491,14 +487,55 @@ def _mixed_densities(draw):
     for row, flip, sign in draw(st.lists(st.tuples(labels, flips, st.sampled_from((1, -1))), max_size=3)):
         col = row ^ flip
         entries.setdefault((min(row, col), max(row, col)), sign * OFF_X_TOL)
+    return entries
+
+
+def _shuffled_density(draw, n_modes, entries):
+    """``entries`` on the flat modes 1 to ``n_modes``, in a drawn order."""
     order = draw(st.permutations(list(entries)))
     layout = ModeLayout(tuple(flat_mode(i) for i in range(1, n_modes + 1)))
     return SparseDensity(layout, {key: entries[key] for key in order})
 
 
+@st.composite
+def _mixed_densities(draw):
+    """Mixtures of two-label pure states on 3 to 5 modes, with entries at +-OFF_X_TOL.
+
+    A coherence differs on one, two, or three and more modes, and the
+    entries come in any order, so a coherence may precede every population.
+    """
+    n_modes = draw(st.integers(3, 5))
+    entries = _mixture(draw, n_modes, st.integers(1, (1 << n_modes) - 1))
+    return _shuffled_density(draw, n_modes, entries)
+
+
+@st.composite
+def _far_densities(draw):
+    """Mixtures as ``_mixed_densities`` draws, with no entry that differs on one or two modes.
+
+    Each coherence flips three modes or more, so the pair scan sums the
+    diagonal alone.  Up to four populations just above
+    ``POPULATION_FLOOR`` sit at further labels, so two of them may land in
+    one slot of a pair and sum below it, which the reduction refuses.
+    """
+    n_modes = draw(st.integers(3, 5))
+    entries = _mixture(draw, n_modes, st.sampled_from([f for f in range(1 << n_modes) if f.bit_count() >= 3]))
+    tiny = st.floats(POPULATION_FLOOR, 0.0, exclude_max=True)
+    for label, value in draw(st.lists(st.tuples(st.integers(0, (1 << n_modes) - 1), tiny), max_size=4)):
+        entries.setdefault((label, label), value)
+    return _shuffled_density(draw, n_modes, entries)
+
+
 @settings(deadline=None)
 @given(rho=_mixed_densities())
 def test_pair_reductions_match_reduce_on_mixed_densities(rho):
+    _assert_pairs_match_reduce(rho)
+
+
+@settings(deadline=None)
+@given(rho=_far_densities())
+def test_pair_reductions_match_reduce_on_far_densities(rho):
+    assert not any(0 < (row ^ col).bit_count() <= 2 for row, col in rho.entries)
     _assert_pairs_match_reduce(rho)
 
 
@@ -510,6 +547,18 @@ def test_pair_xstates_pass_the_public_check_on_mixed_densities(rho):
         classes = _pair_xstates(rho)
     except DilatonGmeError:
         return  # the error is held to the reduction's by the test above
+    for x, _ in classes:
+        assert XState(x.half_dimension, x.blocks) == x
+
+
+@settings(deadline=None)
+@given(rho=_far_densities())
+def test_pair_xstates_pass_the_public_check_on_far_densities(rho):
+    # The X-states the scan sums from the diagonal alone skip the public check too.
+    try:
+        classes = _pair_xstates(rho)
+    except DilatonGmeError:
+        return  # the error is held to the reduction's by the far-density test above
     for x, _ in classes:
         assert XState(x.half_dimension, x.blocks) == x
 

@@ -1,5 +1,6 @@
 import bisect
 import collections
+import contextlib
 import math
 import re
 
@@ -192,7 +193,7 @@ def test_extract_tolerates_junk_below_tol():
         _pair_xstates(above)
 
 
-@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4), (13312, 1)])
+@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4), (13312, 1), (64, 8), (13, 11)])
 def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_parties, n_horizon):
     # One X-state per class of alike pairs: every flat mode has the same bit
     # column, so the classes are the C(n + 1, 2) pairs of distinct columns plus,
@@ -216,6 +217,66 @@ def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_part
     # The counters do count: one reduction builds a layout, a density and an X-state.
     extract_xstate(rho.reduce(spec.kept_modes()[:2]))
     assert built == {"XState": 1, "SparseDensity": 1, "ModeLayout": 1}
+
+
+def _counted_checks(monkeypatch):
+    """A counter of the public checks that ``XState``, ``SparseDensity`` and ``ModeLayout`` run from now on."""
+    built = collections.Counter()
+    for cls in (XState, SparseDensity, ModeLayout):
+
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def _scenario_densities():
+    """The oracle grid's points with three parties or more, and three splits and dilatons at six scales."""
+    for spec, params in default_oracle_grid():
+        if spec.n_parties >= 3:
+            yield scenario_density(spec, bogoliubov(params))
+    for n_parties, n_horizon in [(1000, 4), (13312, 1), (64, 8), (13, 11), (3, 2), (3, 1)]:
+        for p in sorted({0, (n_horizon + 1) // 2, n_horizon}):
+            spec = ScenarioSpec(n_parties, n_horizon, p, n_horizon - p, 0.7)
+            for dilaton in (0.0, 0.6, 1.0):
+                yield scenario_density(spec, bogoliubov(BlackHoleParams(1.0, dilaton, 1.0)))
+
+
+def test_pair_scan_reads_the_diagonal_alone_on_scenario_densities(monkeypatch):
+    # The pair scan sums the diagonal alone when no entry differs on one or two modes,
+    # and no scenario state holds such an entry: for N >= 3 its one coherence differs on
+    # all N modes.  So the scan builds no density, layout or X-state through a check.
+    densities = list(_scenario_densities())
+    assert len(densities) == 840 + 48
+    for rho in densities:
+        assert [key for key in rho.entries if 0 < (key[0] ^ key[1]).bit_count() <= 2] == []
+    built = _counted_checks(monkeypatch)
+    for rho in densities:
+        _pair_xstates(rho)
+    assert built == {}
+
+
+@pytest.mark.parametrize(
+    "entries,fails",
+    [
+        # Differs on F3 alone: the classes (F1, F2), and (F1, F3) with (F2, F3), whose
+        # reduction holds the entry off its X.
+        ({(0, 0): 0.5, (7, 7): 0.5, (0, 1): 2e-12}, True),
+        # Differs on F2 and F3: the classes (F1, F2) with (F1, F3), and (F2, F3).
+        ({(0, 0): 0.5, (7, 7): 0.5, (0, 3): 0.1}, False),
+    ],
+    ids=["off-x", "coherence"],
+)
+def test_pair_scan_reduces_each_class_of_a_density_with_a_near_entry(monkeypatch, entries, fails):
+    # An entry that differs on one or two modes sends every class to the reduction, up to
+    # the first one that fails: one reduced density for each of the two classes.
+    rho = SparseDensity(ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3))), entries)
+    built = _counted_checks(monkeypatch)
+    with pytest.raises(NotXState) if fails else contextlib.nullcontext():
+        assert len(_pair_xstates(rho)) == 2
+    assert built["SparseDensity"] == 2
 
 
 def _classes_from_columns(rho):
