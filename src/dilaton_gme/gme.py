@@ -8,7 +8,9 @@ Two evaluation paths:
 * :func:`gme_xstate` is the closed form for X-shaped mixed states:
   ``2 * max(0, max_i(|c_i| - nu_i))`` where ``nu_i`` sums ``sqrt(a_j b_j)``
   over the other blocks.  Only the stored blocks enter, so the cost grows
-  with their count, not with the dimension.
+  with their count, not with the dimension.  An X state with no non-zero
+  coherence, such as every pair reduction of a scenario state, returns
+  ``0.0`` before any root is taken: the full formula gives the same.
 
 :func:`pair_entanglement` applies the X-state formula to a two-mode
 reduction; for the scenario states those reductions are diagonal, so it
@@ -31,6 +33,14 @@ MAX_PURE_PARTIES = 16
 def gme_xstate(x: XState) -> float:
     """Closed-form genuine multipartite entanglement of an X state."""
     blocks = x.blocks.values()
+    # With every coherence zero (or -0.0) no candidate is above 0: each is
+    # 0.0 - (total - root), and the correctly rounded fsum of non-negative
+    # roots is at least each root.  A NaN coherence takes the full formula.
+    for _, _, c in blocks:
+        if c:
+            break
+    else:
+        return 0.0
     # A population may sit slightly below zero (or at -0.0); its root reads as 0.0.
     roots = [math.sqrt(a * b) if a > 0.0 and b > 0.0 else 0.0 for a, b, _ in blocks]
     total = math.fsum(roots)

@@ -13,8 +13,9 @@ trace out whichever dilaton modes are not kept.  States stay as
 dictionaries keyed by basis labels — a GHZ input only ever populates
 ``2**n_horizon + 1`` amplitudes, so nothing here needs dense arrays.
 A :class:`ScenarioSpec` builds its register once, in O(N), together with
-a trace plan from the same builder :func:`partial_trace` uses: the kept
-layout, the mask of the traced bits and the runs of consecutive kept bits.
+its trace plan, worked out in O(1) from its counts: the kept layout, the
+mask of the traced bits and the runs of consecutive kept bits, the same
+plan that :func:`partial_trace` builds by looking each kept mode up.
 Each scenario point then costs O(2**n) operations on its labels, whatever
 the party count; see :data:`SCALE_BUDGET`.  Each container checks its
 input in one pass, under the count and real-number rules of
@@ -155,16 +156,24 @@ class ScenarioSpec(_Value):
     def _registers(self) -> tuple[ModeLayout, TracePlan]:
         """``(expanded layout, trace plan)``, built once per spec.
 
-        The plan traces the expanded register onto :meth:`kept_modes`.
+        The plan traces the expanded register onto :meth:`kept_modes`.  It
+        is the one :func:`_plan` builds, worked out from ``(n_flat, n, p)``
+        alone: the flats and the kept outs are the top ``n_flat + p`` bits,
+        from shift ``2n - p`` up, and the kept ins the lowest ``n - p``;
+        the traced outs and ins between them are the ``n`` bits from shift
+        ``n - p`` up.
         """
-        n, p = self.n_horizon, self.n_out_kept
+        n_flat, n, p = self.n_flat, self.n_horizon, self.n_out_kept
         # The fields are checked integers, so the labels need no mode factory.
-        flats = tuple([f"F{i}" for i in range(1, self.n_flat + 1)])
+        flats = tuple([f"F{i}" for i in range(1, n_flat + 1)])
         indices = range(1, n + 1)
         outs = tuple([f"O{i}" for i in indices])
         ins = tuple([f"I{i}" for i in indices])
         expanded = ModeLayout(flats + outs + ins)
-        return expanded, _plan(expanded, flats + outs[:p] + ins[p:])
+        runs = ((2 * n - p, n_flat + p, (1 << (n_flat + p)) - 1),)
+        if p < n:
+            runs += ((0, n - p, (1 << (n - p)) - 1),)
+        return expanded, (ModeLayout(flats + outs[:p] + ins[p:]), ((1 << n) - 1) << (n - p), runs)
 
     def expanded_layout(self) -> ModeLayout:
         """Register after the expansion: ``[F..., O..., I...]``."""
@@ -349,19 +358,35 @@ def partial_trace(state: SparseState, keep: Sequence[str]) -> SparseDensity:
 
 
 def _trace(state: SparseState, plan: TracePlan) -> SparseDensity:
-    """:func:`partial_trace` along a plan built for ``state.layout``."""
+    """:func:`partial_trace` along a plan built for ``state.layout``.
+
+    One pass lists every ``(key, product)``.  A key met once keeps its
+    product, and a repeated key sums its products with ``math.fsum``; no
+    key repeats in a scenario state, whose one coherent group holds two
+    labels that differ on their flat bits.
+    """
     layout, traced_mask, runs = plan
     groups: dict[int, list[tuple[int, float]]] = {}
     for label, amp in state.amplitudes.items():
-        groups.setdefault(label & traced_mask, []).append((_gather(label, runs), amp))
-    acc: dict[tuple[int, int], list[float]] = {}
+        kept = 0
+        for shift, width, mask in runs:
+            kept = (kept << width) | ((label >> shift) & mask)
+        groups.setdefault(label & traced_mask, []).append((kept, amp))
+    keys: list[tuple[int, int]] = []
+    terms: list[float] = []
     for members in groups.values():
         for i, (k1, a1) in enumerate(members):
-            acc.setdefault((k1, k1), []).append(a1 * a1)
+            keys.append((k1, k1))
+            terms.append(a1 * a1)
             for k2, a2 in members[i + 1 :]:
-                key = (k1, k2) if k1 <= k2 else (k2, k1)
-                acc.setdefault(key, []).append(a1 * a2)
-    entries = {key: math.fsum(values) for key, values in acc.items()}
+                keys.append((k1, k2) if k1 <= k2 else (k2, k1))
+                terms.append(a1 * a2)
+    entries = dict(zip(keys, terms))
+    if len(entries) < len(keys):
+        acc: dict[tuple[int, int], list[float]] = {}
+        for key, term in zip(keys, terms):
+            acc.setdefault(key, []).append(term)
+        entries = {key: math.fsum(values) for key, values in acc.items()}
     return SparseDensity(layout, entries)
 
 

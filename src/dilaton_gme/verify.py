@@ -144,6 +144,11 @@ def default_oracle_grid(max_parties: int = 6, max_horizon: int = 4) -> list[Grid
     """Every scenario with N <= max_parties, n <= max_horizon, all splits, at M = omega = 1."""
     _check_count("max_parties", max_parties, InvalidParams)
     _check_count("max_horizon", max_horizon, InvalidParams)
+    # Either bound below its least scenario would leave an empty grid, which every check passes.
+    if max_parties < 2:
+        raise InvalidParams(f"max_parties must be at least 2, got {_count_text(max_parties)}")
+    if max_horizon < 1:
+        raise InvalidParams(f"max_horizon must be at least 1, got {_count_text(max_horizon)}")
     grid: list[GridPoint] = []
     for n_parties in range(2, max_parties + 1):
         for n_horizon in range(1, min(max_horizon, n_parties - 1) + 1):
@@ -172,7 +177,7 @@ def _oracle_point(spec: ScenarioSpec, params: BlackHoleParams) -> tuple:
     only :func:`oracle_compare` reads it.
     """
     memo = spec.__dict__.get("_oracle_memo")
-    if memo is not None and memo[0] == params:
+    if memo is not None and (memo[0] is params or memo[0] == params):
         return (*memo[1:], None)
     pair = bogoliubov(params)
     rho = scenario_density(spec, pair)

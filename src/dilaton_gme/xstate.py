@@ -162,7 +162,8 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
 
     Each class is read at its first pair.  In a scenario state no entry
     differs on one or two modes: for ``N >= 3`` its one coherence differs
-    on all ``N``.  Then the pair's coherences are zero, and the class adds
+    on all ``N``.  Then the pair's coherences are zero, and one call of
+    :func:`_pair_xstate` builds every class in one loop: each class adds
     each diagonal value to one of four int-keyed slots, found with two
     shifts, the sums of its reduction's ``rho_00``, ``rho_11``, ``rho_22``
     and ``rho_33``.  Each slot sums with ``math.fsum``, as
@@ -211,30 +212,38 @@ def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
     if near:
         modes = rho.layout.modes
         return [(extract_xstate(rho.reduce((modes[i], modes[j]))), on_first) for i, j, on_first in classes]
-    return [(_pair_xstate(rho, diagonal, i, j), on_first) for i, j, on_first in classes]
+    return _pair_xstate(rho, diagonal, classes)
 
 
-def _pair_xstate(rho: SparseDensity, diagonal: list[tuple[int, float]], i: int, j: int) -> XState:
-    """The X-state of ``rho``'s modes ``i < j``, from the scan's ``diagonal`` entries alone.
+def _pair_xstate(
+    rho: SparseDensity, diagonal: list[tuple[int, float]], classes: list[tuple[int, int, int]]
+) -> list[tuple[XState, int]]:
+    """``(X-state, on_first)`` per class ``(i, j, on_first)``, from the scan's ``diagonal`` alone.
 
-    Its indices and float types hold by construction, a checked density
-    keeps every sum finite, and with no entry that differs on one or two
-    modes its coherences are zero.  Its populations and trace are tested
-    here; a pair that fails one is reduced and extracted, which raises the
-    reduction's own message.
+    One loop over the classes sums the diagonal into each class's four
+    slots.  Their indices and float types hold by construction, a checked
+    density keeps every sum finite, and with no entry that differs on one
+    or two modes the coherences are zero.  The populations and trace are
+    tested here; a class that fails one is reduced and extracted at its
+    first pair, which raises the reduction's own message.
     """
-    hi, lo = len(rho.layout) - 2 - i, len(rho.layout) - 1 - j  # the shifts that bring i to 2 and j to 1
-    slots: tuple[list[float], ...] = ([], [], [], [])
-    for row, value in diagonal:
-        slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
-    rho_00, rho_11, rho_22, rho_33 = map(math.fsum, slots)  # an empty slot sums to 0.0
-    floor = POPULATION_FLOOR
-    if (
-        rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
-        and abs(math.fsum((rho_00, rho_11, rho_22, rho_33)) - 1.0) <= NORM_TOL
-    ):
-        return XState._unchecked(2, {0: (rho_00, rho_33, 0.0), 1: (rho_11, rho_22, 0.0)})
-    return extract_xstate(rho.reduce((rho.layout.modes[i], rho.layout.modes[j])))
+    top, modes, floor = len(rho.layout) - 1, rho.layout.modes, POPULATION_FLOOR
+    xstates = []
+    for i, j, on_first in classes:
+        hi, lo = top - 1 - i, top - j  # the shifts that bring i to 2 and j to 1
+        slots: tuple[list[float], ...] = ([], [], [], [])
+        for row, value in diagonal:
+            slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
+        rho_00, rho_11, rho_22, rho_33 = map(math.fsum, slots)  # an empty slot sums to 0.0
+        if (
+            rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
+            and abs(math.fsum((rho_00, rho_11, rho_22, rho_33)) - 1.0) <= NORM_TOL
+        ):
+            x = XState._unchecked(2, {0: (rho_00, rho_33, 0.0), 1: (rho_11, rho_22, 0.0)})
+        else:
+            x = extract_xstate(rho.reduce((modes[i], modes[j])))
+        xstates.append((x, on_first))
+    return xstates
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

@@ -1,8 +1,9 @@
 import math
+import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dilaton_gme import (
@@ -84,6 +85,42 @@ def test_gme_xstate_is_the_clamped_root_formula_bit_for_bit(blocks):
         triples.append((a, b, f * math.sqrt(max(a, 0.0) * max(b, 0.0))))
     x = XState(len(triples), dict(enumerate(triples)))
     assert float.hex(gme_xstate(x)) == float.hex(_clamped_root_gme(x))
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    populations=st.lists(st.tuples(_POPULATIONS, _POPULATIONS), min_size=1, max_size=6),
+    zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=6, max_size=6),
+    coherent=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0))),
+)
+def test_gme_xstate_without_a_coherence_is_zero_and_the_full_formula(populations, zeros, coherent):
+    # Every coherence 0.0 or -0.0 returns exactly 0.0 before any root; with one
+    # coherence that is not zero the formula runs.  Both equal the reference.
+    total = math.fsum(v for pair in populations for v in pair if v > 0.0)
+    assume(total > 0.0)
+    blocks = [
+        (*(v / total if v > 0.0 else v for v in pair), c) for pair, c in zip(populations, zeros)
+    ]
+    if coherent is not None:
+        index, fraction = coherent
+        a, b, _ = blocks[index % len(blocks)]
+        c = fraction * math.sqrt(max(a, 0.0) * max(b, 0.0))
+        assume(c)
+        blocks[index % len(blocks)] = (a, b, c)
+    x = XState(len(blocks), dict(enumerate(blocks)))
+    e = gme_xstate(x)
+    assert float.hex(e) == float.hex(_clamped_root_gme(x))
+    if coherent is None:
+        assert float.hex(e) == float.hex(0.0)
+
+
+def test_gme_xstate_takes_no_root_without_a_coherence(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a root or a sum was taken")
+
+    x = xstate_from_triplets(a=(0.25, 0.25), b=(0.25, 0.25), c=(0.0, -0.0))
+    monkeypatch.setattr(gme, "math", types.SimpleNamespace(sqrt=unreachable, fsum=unreachable))
+    assert float.hex(gme_xstate(x)) == float.hex(0.0)
 
 
 def _two_qubit_concurrence(matrix: np.ndarray) -> float:

@@ -169,8 +169,12 @@ def _every_shape(max_parties):
 
 
 def test_spec_plan_equals_the_plan_from_positions():
-    large = [(1000, 4, 0), (1000, 4, 2), (1000, 4, 4), (13312, 1, 0), (13312, 1, 1)]
-    for n_parties, n_horizon, n_out in [*_every_shape(8), *large]:
+    # The spec works its plan out from its counts; ``_plan`` looks each kept mode up.
+    admitted = [shape for shape in _every_shape(20) if shape[0] <= SCALE_BUDGET >> shape[1]]
+    large = [(n_parties, n_horizon, n_out)
+             for n_parties, n_horizon in [(64, 8), (1000, 4), (13312, 1), (13, 11)]
+             for n_out in sorted({0, n_horizon // 2, n_horizon})]
+    for n_parties, n_horizon, n_out in [*admitted, *large]:
         spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, 0.3)
         layout, traced_mask, runs = spec._registers[1]
         assert (layout, traced_mask, runs) == _plan(spec.expanded_layout(), spec.kept_modes())
@@ -216,14 +220,15 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_a_fresh_scenario_point_builds_two_layouts_and_one_state(monkeypatch):
-    # The expanded register and the kept one; the GHZ state is expanded from the spec.
+    # The expanded register and the kept one; the GHZ state is expanded from the spec,
+    # and the spec works its trace plan out from its counts, without ``_plan``.
     spec = ScenarioSpec(40, 3, 1, 2, 0.5)
     pair = bogoliubov(BlackHoleParams(1.0, 0.4, 1.0))
     layouts = _count_calls(monkeypatch, ModeLayout, "__post_init__")
     states = _count_calls(monkeypatch, SparseState, "__post_init__")
     plans = _count_calls(monkeypatch, modes_state, "_plan")
     rho = scenario_density(spec, pair)
-    assert (layouts["n"], states["n"], plans["n"]) == (2, 1, 1)
+    assert (layouts["n"], states["n"], plans["n"]) == (2, 1, 0)
     assert len(rho.layout) == 40
 
 
@@ -360,6 +365,57 @@ def test_partial_trace_partition_errors():
     # A kept mode that is not a label is not in the layout, not a duplicate.
     with pytest.raises(InvalidPartition, match=r"^mode 1 is not part of layout F1,F2,F3$"):
         partial_trace(state, [1])
+
+
+def _products_by_key(state, keep):
+    """``{(row, col): [product, ...]}`` of the trace onto ``keep``, from ordered label pairs.
+
+    Two labels meet when they agree on every traced mode; the pair lands
+    at their kept bits, upper triangle only, so each product is listed once.
+    """
+    layout = state.layout
+
+    def kept(label):
+        return sum(mode_bit(layout, label, mode) << (len(keep) - 1 - k) for k, mode in enumerate(keep))
+
+    def traced(label):
+        return [mode_bit(layout, label, mode) for mode in layout if mode not in keep]
+
+    products: dict[tuple[int, int], list[float]] = {}
+    for l1, a1 in state.amplitudes.items():
+        for l2, a2 in state.amplitudes.items():
+            if traced(l1) == traced(l2) and kept(l1) <= kept(l2) and (kept(l1) < kept(l2) or l1 == l2):
+                products.setdefault((kept(l1), kept(l2)), []).append(a1 * a2)
+    return products
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n_modes", [2, 3, 4])
+def test_a_repeated_trace_key_is_the_fsum_of_its_products(seed, n_modes):
+    # Every label carries an amplitude, so each kept key is met once per traced group.
+    state, _ = _random_state(np.random.default_rng(seed), n_modes)
+    modes = state.layout.modes
+    for keep in [*itertools.permutations(modes, 1), *itertools.permutations(modes, 2)]:
+        products = _products_by_key(state, keep)
+        assert max(map(len, products.values())) == 1 << (n_modes - len(keep))
+        expected = {key: math.fsum(values) for key, values in products.items()}
+        got = partial_trace(state, keep).entries
+        assert got.keys() == {key for key, value in expected.items() if value}
+        assert all(float.hex(value) == float.hex(expected[key]) for key, value in got.items())
+
+
+def test_no_trace_key_repeats_in_a_scenario_state():
+    # 2**n - 1 amplitudes trace alone and two share their traced bits: 2**n + 2
+    # products, all kept, so every key is met once and no entry takes an fsum.
+    points = default_oracle_grid()
+    for n_parties, n_horizon in [(64, 8), (1000, 4), (13312, 1), (13, 11)]:
+        for n_out in sorted({0, n_horizon // 2, n_horizon}):
+            spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, 0.7)
+            points += [(spec, BlackHoleParams(1.0, dilaton, 1.0)) for dilaton in (0.0, 0.6, 1.0)]
+    assert len(points) == 880 + 33
+    for spec, params in points:
+        rho = scenario_density(spec, bogoliubov(params))
+        assert len(rho.entries) == 2**spec.n_horizon + 2
 
 
 def test_density_reduce_composes_with_partial_trace():

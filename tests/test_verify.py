@@ -387,9 +387,14 @@ def test_grid_items_are_checked_before_the_first_point(monkeypatch, suite, item,
         (lambda: default_oracle_grid(max_parties=4.0), "max_parties must be an integer, got 4.0"),
         (lambda: default_oracle_grid(max_horizon=None), "max_horizon must be an integer, got None"),
         (lambda: default_oracle_grid(max_horizon=False), "max_horizon must be an integer, got False"),
+        # A bound below the least scenario (N = 2, n = 1) used to give an empty grid that passed.
+        (lambda: default_oracle_grid(max_parties=1), "max_parties must be at least 2, got 1"),
+        (lambda: default_oracle_grid(max_parties=-3), "max_parties must be at least 2, got -3"),
+        (lambda: default_oracle_grid(max_horizon=0), "max_horizon must be at least 1, got 0"),
+        (lambda: default_oracle_grid(2, -1), "max_horizon must be at least 1, got -1"),
     ],
     ids=["grid-float", "grid-bool", "scan-float", "scan-str", "parties-str", "parties-float",
-         "horizon-none", "horizon-bool"],
+         "horizon-none", "horizon-bool", "parties-1", "parties-negative", "horizon-0", "horizon-negative"],
 )
 def test_counts_are_ints_that_are_not_bools(call, message):
     with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
