@@ -14,7 +14,9 @@ Two evaluation paths:
 
 :func:`pair_entanglement` applies the X-state formula to a two-mode
 reduction; for the scenario states those reductions are diagonal, so it
-quantifies how little entanglement survives in any single pair.
+quantifies how little entanglement survives in any single pair.  The
+verification suite's ``pairwise-zero`` check scores each pair through it
+whenever a density's support does not already prove every pair diagonal.
 """
 
 from __future__ import annotations

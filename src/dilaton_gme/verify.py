@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analytic import (
@@ -29,10 +29,10 @@ from .analytic import (
     peak_dilaton,
 )
 from .errors import InvalidParams, _check_count, _count_text, _sequence
-from .gme import gme_xstate
+from .gme import gme_xstate, pair_entanglement
 from .hawking import BlackHoleParams, BogoliubovGrid, _power_rows, _Value, bogoliubov, dilaton_grid
-from .modes_state import ScenarioSpec, scenario_density
-from .xstate import _pair_xstates, build_block_matrix, extract_xstate
+from .modes_state import ScenarioSpec, SparseDensity, scenario_density
+from .xstate import build_block_matrix, extract_xstate
 
 GridPoint = tuple[ScenarioSpec, BlackHoleParams]
 
@@ -250,18 +250,24 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
       are read back from its slice, so the errors are kept in
       (dilaton, theta, n) order.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
-      state (three or more parties) carries no entanglement.  The pair
-      X-states come straight from the one pass over the state's entries,
-      one per class of pairs whose modes have the same bit columns, and
-      each is scored once for its whole class.  A scenario state holds no
-      entry that differs on one or two modes, so each X-state sums the
-      diagonal alone and is tested for its populations and trace; one
-      that fails, or any class of a density with such an entry, is
-      reduced and extracted, so it raises what the two-mode reduction
-      raises.
+      state (three or more parties) carries no entanglement.  An entry
+      survives the trace onto a pair only when its row and column differ
+      on no other mode, so a density with no off-diagonal entry on one or
+      two modes has only diagonal pair reductions.  A diagonal two-qubit
+      state is a mixture of product states, hence separable (Werner, PRA
+      40, 4277 (1989)), and the X-state formula gives exactly ``0`` on it
+      (Hashemi Rafsanjani et al., PRA 86, 062303 (2012)).  So one scan of
+      the entries certifies the point, which scores one ``0.0``; for
+      ``N >= 3`` a scenario state's one coherence differs on all ``N``
+      modes, so every grid point is certified.  A point that is not scores
+      each pair ``i < j`` in ``combinations`` order as
+      ``pair_entanglement(rho.reduce(pair))``, and the first pair that
+      fails raises.
     * ``monogamy``: the full E**2 minus the squared pair terms of the
-      first mode matches the closed-form residual.  Each class adds its
-      E**2 once per pair it holds on that mode, a count the pair scan gives.
+      first mode, the first ``N - 1`` pair scores, matches the closed-form
+      residual.  On a certified point the pair sum is ``0.0``, so the
+      check reads ``E_oracle**2 - residual``: it overlaps
+      ``oracle-vs-analytic`` there, and stays for the points that are not.
     """
     # Every grid item is checked before the first sum.
     points = [(spec, params) for spec, params in _grid_points(grid) if spec.n_parties >= 3]
@@ -286,15 +292,11 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     mono_errors: list[float] = []
     for index, (spec, params) in enumerate(points):
         pair, rho, e_oracle, _ = _oracle_point(spec, params)
-        classes = _pair_xstates(rho)
-        scores = [gme_xstate(x) for x, _ in classes]
+        scores = _pair_scores(rho)
         pair_scores += scores
         owner += [index] * len(scores)
-        pair_sq = []
-        for e_pair, (_, n_on_first) in zip(scores, classes):
-            pair_sq += [e_pair * e_pair] * n_on_first
         residual = monogamy_residual(spec.theta, pair, spec.n_out_kept, spec.n_in_kept)
-        deficit = e_oracle * e_oracle - math.fsum(pair_sq)
+        deficit = e_oracle * e_oracle - math.fsum([e * e for e in scores[: len(rho.layout) - 1]])
         mono_errors.append(deficit - residual)
 
     point_inputs = partial(_describe, points)
@@ -306,6 +308,20 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
             _check("monogamy", len(points), RELATION_TOL, mono_errors, point_inputs),
         )
     )
+
+
+def _pair_scores(rho: SparseDensity) -> list[float]:
+    """``[0.0]`` when no off-diagonal entry differs on one or two modes, else each pair's score.
+
+    The scores of the second case are ``pair_entanglement`` of every
+    two-mode reduction, in ``combinations`` order of the layout's modes.
+    """
+    for row, col in rho.entries:
+        diff = row ^ col
+        rest = diff & (diff - 1)  # the difference without its lowest mode
+        if diff and not rest & (rest - 1):
+            return [pair_entanglement(rho.reduce(keep)) for keep in combinations(rho.layout.modes, 2)]
+    return [0.0]
 
 
 def _classify(values: Sequence[float]) -> str:

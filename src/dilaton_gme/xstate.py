@@ -21,18 +21,12 @@ must agree entry by entry; the verification suite checks that they do.
 
 A public ``XState(half_dimension, blocks)`` runs the generic check of
 every field: types, block indices, populations, coherence bounds and
-trace.  Two producers store their blocks through ``XState._unchecked``
-instead, which only drops the all-zero blocks.  ``build_block_matrix``
+trace.  One producer, ``build_block_matrix``, stores its blocks through
+``XState._unchecked`` instead, which only drops the all-zero blocks: it
 writes closed-form products of a checked spec and pair, so every field
-holds by construction.  The pair scan sums only the diagonal, and only
-for a density with no entry that differs on one or two modes, so its
-sums are floats at valid indices and its coherences are zero; their
-populations and trace are only as good as the density they came from,
-so it tests those and reduces and extracts any pair that fails one,
-which raises the reduction's own message.  A density with such an entry
-is reduced and extracted once per class.  :func:`extract_xstate` reads
-any density, and a :class:`SparseDensity` never checks positivity, so it
-keeps the public check.
+holds by construction.  :func:`extract_xstate` reads any density, and a
+:class:`SparseDensity` never checks positivity, so it keeps the public
+check.
 """
 
 from __future__ import annotations
@@ -132,118 +126,6 @@ def extract_xstate(rho: SparseDensity) -> XState:
             continue
         blocks.setdefault(index, [0.0, 0.0, 0.0])[slot] = value
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
-
-
-def _pair_xstates(rho: SparseDensity) -> list[tuple[XState, int]]:
-    """``extract_xstate(rho.reduce(pair))`` once per class of alike pairs, with its pairs on mode 0.
-
-    An entry survives the trace onto a pair only when its row and column
-    differ on no other mode.  So one scan of ``rho.entries`` keeps the
-    diagonal entries, which feed every pair, and the row and column labels
-    of the entries that differ on one or two modes; any other entry feeds
-    no pair.  A mode's column is its bits over the labels the scan keeps.
-    Which of those entries the pair ``(i, j)`` keeps, and where each
-    lands, depends only on ``(column_i, column_j)``, so the pairs fall
-    into one class per distinct ordered pair of columns.  In a scenario
-    state every flat mode has the same column, which leaves
-    ``C(n + 1, 2)`` classes plus one of flat pairs, however many parties
-    there are.
-
-    The modes with one column are found as bit masks over the register:
-    starting from one mask of every mode, each distinct kept label splits
-    a mask into the modes it sets and those it clears, and a mask of one
-    mode splits no further.  A mask's first mode is its highest bit, so
-    ``bit_length`` orders the masks by first mode.  The class of masks
-    ``(A, B)`` has its first pair in ``combinations`` order at ``i``, the
-    first mode of ``A``, and ``j``, the first mode of ``B`` after ``i``, if
-    there is one; when ``A`` holds mode 0, ``bit_count`` of ``B``'s modes
-    after it counts the class's pairs ``(0, j)``.  No label is formatted,
-    no column is built, and no pair is listed.
-
-    Each class is read at its first pair.  In a scenario state no entry
-    differs on one or two modes: for ``N >= 3`` its one coherence differs
-    on all ``N``.  Then the pair's coherences are zero, and one call of
-    :func:`_pair_xstate` builds every class in one loop: each class adds
-    each diagonal value to one of four int-keyed slots, found with two
-    shifts, the sums of its reduction's ``rho_00``, ``rho_11``, ``rho_22``
-    and ``rho_33``.  Each slot sums with ``math.fsum``, as
-    :meth:`SparseDensity.reduce` sums its entries.  So each X-state's
-    blocks are the ones :func:`extract_xstate` reads off the reduction onto
-    any pair of the class, and no two-mode :class:`SparseDensity` or
-    :class:`ModeLayout` is built.  A pair whose sums fail a test, and every
-    class of a density that holds an entry on one or two modes, is reduced
-    and extracted instead, so it raises exactly what the reduction raises.
-    The classes come in the order of their first pairs, so the first pair
-    whose reduction fails is the one that raises.
-    """
-    n = len(rho.layout)
-    diagonal: list[tuple[int, float]] = []
-    near: set[int] = set()  # the labels of the entries that differ on one or two modes
-    for (row, col), value in rho.entries.items():
-        if row == col:
-            diagonal.append((row, value))
-        else:
-            diff = row ^ col
-            rest = diff & (diff - 1)  # the difference without its lowest mode
-            if not rest & (rest - 1):
-                near.update((row, col))
-    labels = near.union(row for row, _ in diagonal)
-    # Masks of one mode, and of two modes or more.
-    single, groups = ([], [(1 << n) - 1]) if n > 1 else ([1], [])
-    for label in labels:
-        if not groups:
-            break
-        refined = []
-        for group in groups:
-            ones = group & label
-            for part in (ones, group ^ ones) if ones and ones != group else (group,):
-                (refined if part & (part - 1) else single).append(part)
-        groups = refined
-    masks = single + groups
-    classes = []
-    for a in masks:
-        i = n - a.bit_length()
-        after = (1 << (n - 1 - i)) - 1  # the modes after i
-        for b in masks:
-            later = b & after
-            if later:
-                classes.append((i, n - later.bit_length(), later.bit_count() if i == 0 else 0))
-    classes.sort()
-    if near:
-        modes = rho.layout.modes
-        return [(extract_xstate(rho.reduce((modes[i], modes[j]))), on_first) for i, j, on_first in classes]
-    return _pair_xstate(rho, diagonal, classes)
-
-
-def _pair_xstate(
-    rho: SparseDensity, diagonal: list[tuple[int, float]], classes: list[tuple[int, int, int]]
-) -> list[tuple[XState, int]]:
-    """``(X-state, on_first)`` per class ``(i, j, on_first)``, from the scan's ``diagonal`` alone.
-
-    One loop over the classes sums the diagonal into each class's four
-    slots.  Their indices and float types hold by construction, a checked
-    density keeps every sum finite, and with no entry that differs on one
-    or two modes the coherences are zero.  The populations and trace are
-    tested here; a class that fails one is reduced and extracted at its
-    first pair, which raises the reduction's own message.
-    """
-    top, modes, floor = len(rho.layout) - 1, rho.layout.modes, POPULATION_FLOOR
-    xstates = []
-    for i, j, on_first in classes:
-        hi, lo = top - 1 - i, top - j  # the shifts that bring i to 2 and j to 1
-        slots: tuple[list[float], ...] = ([], [], [], [])
-        for row, value in diagonal:
-            slots[(row >> hi) & 2 | (row >> lo) & 1].append(value)
-        rho_00, rho_11, rho_22, rho_33 = map(math.fsum, slots)  # an empty slot sums to 0.0
-        if (
-            rho_00 >= floor and rho_11 >= floor and rho_22 >= floor and rho_33 >= floor
-            and abs(math.fsum((rho_00, rho_11, rho_22, rho_33)) - 1.0) <= NORM_TOL
-        ):
-            x = XState._unchecked(2, {0: (rho_00, rho_33, 0.0), 1: (rho_11, rho_22, 0.0)})
-        else:
-            x = extract_xstate(rho.reduce((modes[i], modes[j])))
-        xstates.append((x, on_first))
-    return xstates
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

@@ -9,9 +9,9 @@ builders below give tests full numpy arrays to check them against, plus
 the ``(a, b, c)`` triplet view of an X-state and a scenario's traced modes.
 The lookups only tests need (a state's norm and amplitudes, a density's
 values and trace, a mode's bit in a label) live here too, as do the
-per-pair view of ``xstate._pair_xstates``, which reads one X-state per
-class of alike pairs, and the earlier two-pass reading of the pair
-reductions, kept as a reference for it.
+public per-pair scores that the pair step of ``verify`` is held to, and
+the earlier two-pass reading of the pair reductions, kept as a reference
+for ``SparseDensity.reduce``.
 """
 
 import itertools
@@ -20,14 +20,16 @@ import math
 import numpy as np
 
 from dilaton_gme import (
+    DilatonGmeError,
     ModeLayout,
     NotXState,
     ScenarioSpec,
     SparseDensity,
     SparseState,
     XState,
+    pair_entanglement,
 )
-from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
+from dilaton_gme.xstate import OFF_X_TOL
 
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
@@ -121,7 +123,7 @@ def mode_bit(layout: ModeLayout, label: int, mode: str) -> int:
 def pair_sums(rho: SparseDensity) -> dict[tuple[str, str], dict[tuple[int, int], float]]:
     """Upper-triangle entries of every two-mode reduction, unvalidated, from one scan.
 
-    The reading of the pairs before the flat pair scan.  An entry survives
+    An earlier reading of the pairs, kept as a reference.  An entry survives
     the trace onto a pair only when its row and column differ on no other
     mode.  Each key's values are summed with ``math.fsum`` in entry order,
     as ``reduce`` sums them; a zero sum stays, where ``reduce`` drops it.
@@ -174,33 +176,21 @@ def read_blocks(entries: dict[tuple[int, int], float], n_modes: int) -> XState:
     return XState(half, {i: tuple(block) for i, block in blocks.items()})
 
 
-def pair_xstates_by_pair(rho: SparseDensity) -> dict[tuple[str, str], XState]:
-    """``_pair_xstates(rho)`` expanded to ``{pair: X-state}`` in ``combinations`` order.
+def near_entries(rho: SparseDensity) -> list[tuple[int, int]]:
+    """The keys of the off-diagonal entries whose row and column differ on one or two modes."""
+    return [key for key in rho.entries if 0 < (key[0] ^ key[1]).bit_count() <= 2]
 
-    On the way it checks the class layout against the mode columns, worked
-    out here from the entries: a mode's column is its bits over the rows
-    and columns of the diagonal entries and of the entries that differ on
-    one or two modes, and the pairs with the same ordered pair of columns
-    form one class.  The classes must come in the order of their first
-    pairs, and each must count its pairs on the first mode.
+
+def public_pair_scores(rho: SparseDensity) -> tuple[list[float], DilatonGmeError | None]:
+    """``pair_entanglement(rho.reduce(pair))`` per pair in ``combinations`` order, up to the first error.
+
+    Returns the scores of the pairs before the first one that raises, and
+    that error, or ``None`` when every pair scores.
     """
-    modes = rho.layout.modes
-    top = len(modes) - 1
-    labels = [
-        label
-        for (row, col), _ in rho.entries.items()
-        if (row ^ col).bit_count() <= 2
-        for label in ((row,) if row == col else (row, col))
-    ]
-    column = [tuple((label >> (top - k)) & 1 for label in labels) for k in range(top + 1)]
-    pairs = list(itertools.combinations(range(top + 1), 2))
-    members: dict[tuple, list[tuple[int, int]]] = {}
-    for i, j in pairs:
-        members.setdefault((column[i], column[j]), []).append((i, j))
-    classes = _pair_xstates(rho)
-    assert len(classes) == len(members)
-    by_pair: dict[tuple[int, int], XState] = {}
-    for (x, n_on_first), held in zip(classes, members.values()):
-        assert n_on_first == sum(1 for i, _ in held if i == 0)
-        by_pair.update(dict.fromkeys(held, x))
-    return {(modes[i], modes[j]): by_pair[i, j] for i, j in pairs}
+    scores = []
+    for keep in itertools.combinations(rho.layout.modes, 2):
+        try:
+            scores.append(pair_entanglement(rho.reduce(keep)))
+        except DilatonGmeError as exc:
+            return scores, exc
+    return scores, None

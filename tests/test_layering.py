@@ -340,15 +340,12 @@ def test_only_check_builds_a_verification_check():
 
 
 def test_only_the_lean_producers_skip_the_xstate_check():
-    # ``XState._unchecked`` stores blocks without the public check.  ``build_block_matrix``
-    # writes closed-form blocks that are valid by construction, and ``_pair_xstate`` sums
-    # the diagonal of a density with no entry on one or two modes and tests its populations
-    # and trace; every other producer, ``extract_xstate`` first, reads data that nothing has
-    # checked as an X-state and goes through the public constructor.
+    # ``XState._unchecked`` stores blocks without the public check.  Only ``build_block_matrix``
+    # may call it: it writes closed-form blocks that are valid by construction.  Every other
+    # producer, ``extract_xstate`` first, reads data that nothing has checked as an X-state
+    # and goes through the public constructor.
     callers = {module: _callers(_tree(module), "_unchecked") for module in _MODULES}
-    assert {module: names for module, names in callers.items() if names} == {
-        "xstate": ["_pair_xstate", "build_block_matrix"]
-    }
+    assert {module: names for module, names in callers.items() if names} == {"xstate": ["build_block_matrix"]}
 
 
 def _private_names_taken(tree):
@@ -387,7 +384,6 @@ def test_private_names_cross_module_boundaries_only_as_pinned():
         "verify": {
             "analytic": ["_binomial_sums"],
             "hawking": ["_Value", "_power_rows"],
-            "xstate": ["_pair_xstates"],
         },
         "cli": {"verify": ["_shape_scans"]},
     }

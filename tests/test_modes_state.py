@@ -28,21 +28,24 @@ from dilaton_gme import (
     expand_kruskal,
     extract_xstate,
     flat_mode,
+    gme_xstate,
+    pair_entanglement,
     partial_trace,
     scenario_density,
 )
-from dilaton_gme import modes_state
+from dilaton_gme import modes_state, verify
 from dilaton_gme.modes_state import POPULATION_FLOOR, SCALE_BUDGET, _plan
 from dilaton_gme.verify import default_oracle_grid, oracle_compare
-from dilaton_gme.xstate import OFF_X_TOL, _pair_xstates
+from dilaton_gme.xstate import OFF_X_TOL
 from conftest import (
     dense_density,
     dense_state,
     density_trace,
     density_value,
     mode_bit,
+    near_entries,
     pair_sums,
-    pair_xstates_by_pair,
+    public_pair_scores,
     read_blocks,
     state_amplitude,
     state_norm,
@@ -429,49 +432,70 @@ def test_density_reduce_composes_with_partial_trace():
         np.testing.assert_allclose(reduced, _dense_reduction(vec, 4, list(order)), atol=1e-13)
 
 
-def _assert_pairs_match_reduce(rho):
-    """Hold ``_pair_xstates``, pair by pair, against ``extract_xstate(rho.reduce(pair))``.
+def _assert_raises_as(failure, call):
+    """``call()`` raises ``failure``'s type and message, and a ``NotXState`` its position."""
+    with pytest.raises(type(failure)) as excinfo:
+        call()
+    assert str(excinfo.value) == str(failure)
+    if isinstance(failure, NotXState):
+        assert (excinfo.value.row, excinfo.value.col) == (failure.row, failure.col)
 
-    The same pairs and the same blocks, floats equal to the last bit; or,
-    where a reduction fails the X-state reading, the same error at the
-    first such pair, with the same ``NotXState`` position.
+
+def _assert_pairs_match_reduce(rho):
+    """Hold verify's pair step against ``pair_entanglement(rho.reduce(pair))``, pair by pair.
+
+    A density with no entry on one or two modes is certified: the step
+    scores it one ``0.0`` and reduces nothing.  Any other density gets the
+    public score of every pair in ``combinations`` order, floats equal to
+    the last bit; or, where a reduction fails, the same error at the first
+    such pair, with the same ``NotXState`` position.
     """
-    expected, failure = {}, None
+    if not near_entries(rho):
+        assert verify._pair_scores(rho) == [0.0]
+        return
+    expected, failure = public_pair_scores(rho)
+    if failure is None:
+        got = verify._pair_scores(rho)
+        assert len(got) == math.comb(len(rho.layout), 2)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+    else:
+        _assert_raises_as(failure, lambda: verify._pair_scores(rho))
+
+
+def _assert_certificate_holds(rho):
+    """Where the step certifies ``rho``, every pair's public score is exactly ``0.0``.
+
+    A reduction may instead raise ``InvalidDensity``: two diagonal entries
+    just above ``POPULATION_FLOOR`` that land in one slot of a pair can sum
+    below it, which the reduced density refuses and the certificate never
+    reads.  Every pair is tried, past any such failure.
+    """
+    if near_entries(rho):
+        return
+    assert verify._pair_scores(rho) == [0.0]
     for keep in itertools.combinations(rho.layout.modes, 2):
         try:
-            expected[keep] = extract_xstate(rho.reduce(keep))
-        except DilatonGmeError as exc:
-            failure = exc
-            break
-    if failure is None:
-        got = pair_xstates_by_pair(rho)
-        assert list(got) == list(expected)
-        for keep, x in got.items():
-            assert x.half_dimension == 2
-            assert x.blocks == expected[keep].blocks
-    else:
-        with pytest.raises(type(failure)) as excinfo:
-            pair_xstates_by_pair(rho)
-        assert str(excinfo.value) == str(failure)
-        if isinstance(failure, NotXState):
-            assert (excinfo.value.row, excinfo.value.col) == (failure.row, failure.col)
+            reduced = rho.reduce(keep)
+        except InvalidDensity:
+            continue
+        assert pair_entanglement(reduced) == 0.0
 
 
 def _assert_old_pair_path_matches(rho):
-    """The earlier two-pass pair reading: ``reduce``'s entries, and the production X-states."""
+    """The earlier two-pass pair reading: ``reduce``'s entries, and the pair step's scores."""
     sums = pair_sums(rho)
     assert list(sums) == list(itertools.combinations(rho.layout.modes, 2))
     for keep, pair in sums.items():
         assert list(pair.items()) == list(rho.reduce(keep).entries.items())
     try:
-        old = {keep: read_blocks(pair, 2) for keep, pair in sums.items()}
+        old = [gme_xstate(read_blocks(pair, 2)) for pair in sums.values()]
     except NotXState as exc:
         with pytest.raises(NotXState) as excinfo:
-            pair_xstates_by_pair(rho)
+            verify._pair_scores(rho)
         assert (excinfo.value.row, excinfo.value.col) == (exc.row, exc.col)
     else:
-        got = pair_xstates_by_pair(rho)
-        assert [x.blocks for x in got.values()] == [x.blocks for x in old.values()]
+        assert verify._pair_scores(rho) == (old if near_entries(rho) else [0.0])
+        assert near_entries(rho) or set(old) <= {0.0}
 
 
 def test_pair_reductions_match_reduce_on_the_oracle_grid():
@@ -497,10 +521,12 @@ def test_pair_reductions_match_reduce_on_dense_states(seed, n_modes):
 
 def test_pair_blocks_match_reduce_when_entries_cancel():
     # On F1, F2 the first two entries add to rho_11 and cancel, so reduce drops
-    # that entry; on F2, F3 they land apart, on rho_22 and rho_33.
+    # that entry; on F2, F3 they land apart, on rho_22 and rho_33.  Either way
+    # the reduction is diagonal and the certified zero is its score.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     rho = SparseDensity(layout, {(2, 2): 1e-14, (3, 3): -1e-14, (0, 0): 0.5, (4, 4): 0.5})
     _assert_pairs_match_reduce(rho)
+    _assert_certificate_holds(rho)
 
 
 @pytest.mark.parametrize(
@@ -514,8 +540,9 @@ def test_pair_blocks_match_reduce_when_entries_cancel():
     ids=["off-x", "coherence"],
 )
 def test_pair_classes_split_on_the_column_of_a_near_entry(entries):
-    # Over the diagonal rows 000 and 111 the three modes have one column; only
-    # the near entry's column label tells F3 (and, for the coherence, F2) apart.
+    # Over the diagonal rows 000 and 111 the three pairs are alike; only the near
+    # entry tells F3 (and, for the coherence, F2) apart, and it alone sends the
+    # pair step to the public score of each pair.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     _assert_pairs_match_reduce(SparseDensity(layout, entries))
 
@@ -569,8 +596,8 @@ def _mixed_densities(draw):
 def _far_densities(draw):
     """Mixtures as ``_mixed_densities`` draws, with no entry that differs on one or two modes.
 
-    Each coherence flips three modes or more, so the pair scan sums the
-    diagonal alone.  Up to four populations just above
+    Each coherence flips three modes or more, so the pair step certifies
+    the density.  Up to four populations just above
     ``POPULATION_FLOOR`` sit at further labels, so two of them may land in
     one slot of a pair and sum below it, which the reduction refuses.
     """
@@ -591,36 +618,27 @@ def test_pair_reductions_match_reduce_on_mixed_densities(rho):
 @settings(deadline=None)
 @given(rho=_far_densities())
 def test_pair_reductions_match_reduce_on_far_densities(rho):
-    assert not any(0 < (row ^ col).bit_count() <= 2 for row, col in rho.entries)
+    assert not near_entries(rho)
     _assert_pairs_match_reduce(rho)
 
 
 @settings(deadline=None)
 @given(rho=_mixed_densities())
-def test_pair_xstates_pass_the_public_check_on_mixed_densities(rho):
-    # The pair scan stores the X-states it has tested without the public check.
-    try:
-        classes = _pair_xstates(rho)
-    except DilatonGmeError:
-        return  # the error is held to the reduction's by the test above
-    for x, _ in classes:
-        assert XState(x.half_dimension, x.blocks) == x
+def test_certified_pairs_pass_the_public_check_on_mixed_densities(rho):
+    # The pair step's certified zero is the public score of every pair.
+    _assert_certificate_holds(rho)
 
 
 @settings(deadline=None)
 @given(rho=_far_densities())
-def test_pair_xstates_pass_the_public_check_on_far_densities(rho):
-    # The X-states the scan sums from the diagonal alone skip the public check too.
-    try:
-        classes = _pair_xstates(rho)
-    except DilatonGmeError:
-        return  # the error is held to the reduction's by the far-density test above
-    for x, _ in classes:
-        assert XState(x.half_dimension, x.blocks) == x
+def test_certified_pairs_pass_the_public_check_on_far_densities(rho):
+    # Every far density is certified, populations near the floor included.
+    assert not near_entries(rho)
+    _assert_certificate_holds(rho)
 
 
 def test_sparse_density_refuses_an_off_diagonal_entry_past_one():
-    # Such entries used to pass, and their sums overflowed in reduce and the pair scan.
+    # Such entries used to pass, and their sums overflowed in reduce.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     huge = {(0, 0): 0.5, (7, 7): 0.5, (0, 3): 1e308, (4, 7): 1e308}
     with pytest.raises(InvalidDensity, match=r"^off-diagonal entry \(0, 3\) = 1e\+308 exceeds 1 in magnitude$"):

@@ -12,6 +12,7 @@ from dilaton_gme import (
     BogoliubovGrid,
     InvalidParams,
     ScenarioSpec,
+    SparseDensity,
     VerificationCheck,
     VerificationReport,
     bogoliubov,
@@ -291,52 +292,71 @@ def test_oracle_compare_fails_on_a_nan_entanglement(monkeypatch):
     assert dual.status == "pass"
 
 
+def _plant_a_near_entry(monkeypatch):
+    """Make ``verify.scenario_density`` add an entry of 1e-13 on the last mode of each density.
+
+    The entry joins the first diagonal label to its neighbour on the last
+    mode.  It lies below ``OFF_X_TOL``, so every X-state reads it as zero
+    and each E stays as it was; but it differs on one mode, so the pair
+    step cannot certify the point and scores every pair in public.
+    """
+    simulate = verify.scenario_density
+
+    def planted(spec, pair):
+        rho = simulate(spec, pair)
+        row = next(row for row, col in rho.entries if row == col)
+        key = (min(row, row ^ 1), max(row, row ^ 1))
+        return SparseDensity(rho.layout, {**rho.entries, key: 1e-13})
+
+    monkeypatch.setattr(verify, "scenario_density", planted)
+
+
 def test_monogamy_counts_every_pair_of_the_first_mode(monkeypatch):
-    # Each pair of a scenario state scores zero, so score every pair X-state 1
-    # instead: the deficit then falls short of the residual by the number of
-    # pairs that hold the first mode, N - 1, and not by the number of classes.
-    score = verify.gme_xstate
-    monkeypatch.setattr(verify, "gme_xstate", lambda x: 1.0 if x.half_dimension == 2 else score(x))
+    # Each pair of a scenario state scores zero, so score every pair 1 instead, on a
+    # density the step has to score pair by pair: the deficit then falls short of the
+    # residual by the number of pairs that hold the first mode, N - 1 = 4, and not by
+    # the number of pairs, 10.
     grid = [(ScenarioSpec(5, 1, 1, 0, 0.6), BlackHoleParams(1.0, 0.4, 1.0))]
+    _plant_a_near_entry(monkeypatch)
+    score, scored = verify.pair_entanglement, []
+
+    def scored_one(rho):
+        scored.append(score(rho))
+        return 1.0
+
+    monkeypatch.setattr(verify, "pair_entanglement", scored_one)
     checks = {check.name: check for check in relationship_suite(grid=grid).checks}
+    assert scored == [0.0] * 10
     assert checks["pairwise-zero"].max_abs_error == 1.0
     assert checks["monogamy"].max_abs_error == pytest.approx(4.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("where", ["first", "last"])
 def test_pairwise_zero_names_the_point_its_worst_score_came_from(monkeypatch, where):
-    # The third point's first or last pair class scores NaN and a class of the first point
+    # The third point's first or last pair scores NaN and the first point's first pair
     # scores 1.0: pairwise-zero must name the third point, wherever its NaN sits among the
-    # flat scores. The last class holds no pair on the first mode, so there monogamy's
-    # worst point is the first one, short of its residual by that class's pair count.
+    # flat scores. The last pair does not hold the first mode, so there monogamy's worst
+    # point is the first one, short of its residual by its one pair's 1.0.
     grid = [
         (ScenarioSpec(4, 1, 0, 1, 0.7), BlackHoleParams(1.0, 0.3, 1.0)),
         (ScenarioSpec(3, 1, 1, 0, 0.5), BlackHoleParams(1.0, 0.6, 1.0)),
         (ScenarioSpec(4, 2, 1, 1, 0.5), BlackHoleParams(1.0, 0.9, 1.0)),
         (ScenarioSpec(5, 2, 2, 0, 0.6), BlackHoleParams(1.0, 0.3, 1.0)),
     ]
-    pair_xstates, score = verify._pair_xstates, verify.gme_xstate
-    scanned, patched = [], []
+    _plant_a_near_entry(monkeypatch)
+    third = math.comb(4, 2) + math.comb(3, 2)  # the third point's first pair score
+    patched = {0: 1.0, (third if where == "first" else third + math.comb(4, 2) - 1): math.nan}
+    score, scored = verify.pair_entanglement, []
 
-    def tagged(rho):
-        classes = pair_xstates(rho)
-        if len(scanned) == 0:
-            patched.append((classes[0][0], 1.0))
-        elif len(scanned) == 2:
-            patched.append((classes[0 if where == "first" else -1][0], math.nan))
-        scanned.append(classes)
-        return classes
+    def patched_score(rho):
+        scored.append(rho.layout.modes)
+        return patched.get(len(scored) - 1, score(rho))
 
-    def patched_score(x):
-        for y, value in patched:
-            if y is x:
-                return value
-        return score(x)
-
-    monkeypatch.setattr(verify, "_pair_xstates", tagged)
-    monkeypatch.setattr(verify, "gme_xstate", patched_score)
+    monkeypatch.setattr(verify, "pair_entanglement", patched_score)
     checks = {check.name: check for check in relationship_suite(grid=grid).checks}
-    assert len(scanned) == 4 and scanned[2][-1][1] == 0
+    assert len(scored) == 6 + 3 + 6 + 10
+    modes = grid[2][0].kept_modes()
+    assert scored[third] == modes[:2] and scored[third + 5] == modes[2:]
     pairwise, monogamy = checks["pairwise-zero"], checks["monogamy"]
     assert math.isnan(pairwise.max_abs_error)
     assert pairwise.worst_case_inputs == verify._describe(grid, 2)
@@ -344,7 +364,7 @@ def test_pairwise_zero_names_the_point_its_worst_score_came_from(monkeypatch, wh
         assert math.isnan(monogamy.max_abs_error)
         assert monogamy.worst_case_inputs == verify._describe(grid, 2)
     else:
-        assert monogamy.max_abs_error == pytest.approx(scanned[0][0][1], abs=1e-12)
+        assert monogamy.max_abs_error == pytest.approx(1.0, abs=1e-12)
         assert monogamy.worst_case_inputs == verify._describe(grid, 0)
 
 

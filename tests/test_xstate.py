@@ -24,13 +24,13 @@ from dilaton_gme import (
     build_block_matrix,
     extract_xstate,
     flat_mode,
+    pair_entanglement,
     scenario_density,
 )
-from dilaton_gme import hawking, xstate
+from dilaton_gme import hawking, verify, xstate
 from dilaton_gme.modes_state import SCALE_BUDGET
 from dilaton_gme.verify import default_oracle_grid
-from dilaton_gme.xstate import _pair_xstates
-from conftest import dense_xstate, triplets, xstate_from_triplets
+from conftest import dense_xstate, near_entries, public_pair_scores, triplets, xstate_from_triplets
 
 
 def test_xstate_to_array_layout():
@@ -62,11 +62,11 @@ def test_xstate_validation():
     with pytest.raises(InvalidDensity):
         xstate_from_triplets(a=(), b=(), c=())
     # A density that passes its own checks but not the X-state's: the pair
-    # scan validates each pair as extract_xstate does.
+    # step of verify scores each pair through extract_xstate's check.
     rho = SparseDensity(
         ModeLayout((flat_mode(1), flat_mode(2))), {(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.6}
     )
-    for read in (extract_xstate, _pair_xstates):
+    for read in (extract_xstate, verify._pair_scores):
         with pytest.raises(InvalidDensity, match=r"^coherence \|c\[0\]\| = 0.6 exceeds"):
             read(rho)
 
@@ -162,7 +162,7 @@ def test_extract_rejects_entries_off_the_x():
     with pytest.raises(NotXState) as excinfo:
         extract_xstate(rho)
     assert (excinfo.value.row, excinfo.value.col) == (0, 1)
-    # The pair scan raises where extract_xstate does: on the pair itself, and
+    # The pair step raises where extract_xstate does: on the pair itself, and
     # on a pair of three modes whose reduction picks up a coherence off the X.
     three = SparseDensity(
         ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3))),
@@ -173,7 +173,7 @@ def test_extract_rejects_entries_off_the_x():
     assert (excinfo.value.row, excinfo.value.col) == (0, 1)
     for dense in (rho, three):
         with pytest.raises(NotXState) as excinfo:
-            _pair_xstates(dense)
+            verify._pair_scores(dense)
         assert (excinfo.value.row, excinfo.value.col) == (0, 1)
 
 
@@ -185,38 +185,13 @@ def test_extract_tolerates_junk_below_tol():
     )
     a, _, _ = triplets(extract_xstate(rho))
     assert a == (0.5, 0.0)
-    assert _pair_xstates(rho) == [(extract_xstate(rho), 1)]
+    # The junk differs on one mode, so the pair step scores the pair itself.
+    assert verify._pair_scores(rho) == [pair_entanglement(rho)] == [0.0]
     above = SparseDensity(layout, {(0, 0): 0.5, (3, 3): 0.5, (0, 1): 2e-12})
     with pytest.raises(NotXState):
         extract_xstate(above)
     with pytest.raises(NotXState):
-        _pair_xstates(above)
-
-
-@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4), (13312, 1), (64, 8), (13, 11)])
-def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_parties, n_horizon):
-    # One X-state per class of alike pairs: every flat mode has the same bit
-    # column, so the classes are the C(n + 1, 2) pairs of distinct columns plus,
-    # with two flat modes or more, the flat pairs.
-    spec = ScenarioSpec(n_parties, n_horizon, 1, n_horizon - 1, 0.7)
-    rho = scenario_density(spec, bogoliubov(BlackHoleParams(1.0, 0.4, 1.0)))
-    built = collections.Counter()
-    for cls in (XState, SparseDensity, ModeLayout):
-
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
-            built[name] += 1
-            check(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    classes = _pair_xstates(rho)
-    n_classes = math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
-    assert len(classes) == n_classes
-    assert sum(n_on_first for _, n_on_first in classes) == n_parties - 1
-    # The pair X-states are valid by construction: no public check runs during the scan.
-    assert built == {}
-    # The counters do count: one reduction builds a layout, a density and an X-state.
-    extract_xstate(rho.reduce(spec.kept_modes()[:2]))
-    assert built == {"XState": 1, "SparseDensity": 1, "ModeLayout": 1}
+        verify._pair_scores(above)
 
 
 def _counted_checks(monkeypatch):
@@ -232,6 +207,39 @@ def _counted_checks(monkeypatch):
     return built
 
 
+def _counted_pair_step(monkeypatch):
+    """``_counted_checks``, plus a count of ``SparseDensity.reduce`` and of verify's ``pair_entanglement``."""
+    built = _counted_checks(monkeypatch)
+    reduce, score = SparseDensity.reduce, verify.pair_entanglement
+
+    def counted_reduce(self, keep):
+        built["reduce"] += 1
+        return reduce(self, keep)
+
+    def counted_score(rho):
+        built["pair_entanglement"] += 1
+        return score(rho)
+
+    monkeypatch.setattr(SparseDensity, "reduce", counted_reduce)
+    monkeypatch.setattr(verify, "pair_entanglement", counted_score)
+    return built
+
+
+@pytest.mark.parametrize("n_parties,n_horizon", [(3, 1), (4, 2), (6, 4), (1000, 4), (13312, 1), (64, 8), (13, 11)])
+def test_pair_scan_builds_one_xstate_per_pair_and_no_density(monkeypatch, n_parties, n_horizon):
+    # The pair step certifies a scenario state from its support: one score for the
+    # point, and no X-state, density or layout for any of its C(N, 2) pairs.
+    spec = ScenarioSpec(n_parties, n_horizon, 1, n_horizon - 1, 0.7)
+    rho = scenario_density(spec, bogoliubov(BlackHoleParams(1.0, 0.4, 1.0)))
+    built = _counted_pair_step(monkeypatch)
+    assert verify._pair_scores(rho) == [0.0]
+    assert built == {}
+    # The counters do count: one pair scored in public reduces, builds a layout, a
+    # density and an X-state, and scores the pair zero.
+    assert verify.pair_entanglement(rho.reduce(spec.kept_modes()[:2])) == 0.0
+    assert built == {"reduce": 1, "pair_entanglement": 1, "XState": 1, "SparseDensity": 1, "ModeLayout": 1}
+
+
 def _scenario_densities():
     """The oracle grid's points with three parties or more, and three splits and dilatons at six scales."""
     for spec, params in default_oracle_grid():
@@ -245,38 +253,39 @@ def _scenario_densities():
 
 
 def test_pair_scan_reads_the_diagonal_alone_on_scenario_densities(monkeypatch):
-    # The pair scan sums the diagonal alone when no entry differs on one or two modes,
-    # and no scenario state holds such an entry: for N >= 3 its one coherence differs on
-    # all N modes.  So the scan builds no density, layout or X-state through a check.
+    # No scenario state holds an entry that differs on one or two modes: for N >= 3 its
+    # one coherence differs on all N modes.  So the pair step certifies every one of them
+    # and reduces nothing, scores no pair and builds no density, layout or X-state.
     densities = list(_scenario_densities())
     assert len(densities) == 840 + 48
     for rho in densities:
-        assert [key for key in rho.entries if 0 < (key[0] ^ key[1]).bit_count() <= 2] == []
-    built = _counted_checks(monkeypatch)
+        assert near_entries(rho) == []
+    built = _counted_pair_step(monkeypatch)
     for rho in densities:
-        _pair_xstates(rho)
+        assert verify._pair_scores(rho) == [0.0]
     assert built == {}
 
 
 @pytest.mark.parametrize(
     "entries,fails",
     [
-        # Differs on F3 alone: the classes (F1, F2), and (F1, F3) with (F2, F3), whose
-        # reduction holds the entry off its X.
+        # Differs on F3 alone: (F1, F2) scores, and (F1, F3) holds the entry off its X.
         ({(0, 0): 0.5, (7, 7): 0.5, (0, 1): 2e-12}, True),
-        # Differs on F2 and F3: the classes (F1, F2) with (F1, F3), and (F2, F3).
+        # Differs on F2 and F3: all three pairs score, (F2, F3) on the coherence.
         ({(0, 0): 0.5, (7, 7): 0.5, (0, 3): 0.1}, False),
     ],
     ids=["off-x", "coherence"],
 )
 def test_pair_scan_reduces_each_class_of_a_density_with_a_near_entry(monkeypatch, entries, fails):
-    # An entry that differs on one or two modes sends every class to the reduction, up to
-    # the first one that fails: one reduced density for each of the two classes.
+    # An entry that differs on one or two modes sends every pair to the public score, up to
+    # the first one that fails: one reduced density per pair scored or failed.
     rho = SparseDensity(ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3))), entries)
-    built = _counted_checks(monkeypatch)
+    expected, failure = public_pair_scores(rho)
+    assert (failure is not None) == fails
+    built = _counted_pair_step(monkeypatch)
     with pytest.raises(NotXState) if fails else contextlib.nullcontext():
-        assert len(_pair_xstates(rho)) == 2
-    assert built["SparseDensity"] == 2
+        assert verify._pair_scores(rho) == expected
+    assert built["reduce"] == built["SparseDensity"] == built["pair_entanglement"] == (2 if fails else 3)
 
 
 def _classes_from_columns(rho):
@@ -285,7 +294,8 @@ def _classes_from_columns(rho):
     A mode's column is its bits over the rows and columns of the diagonal
     entries and of the entries that differ on one or two modes; the pairs
     ``(i, j)``, ``i < j``, whose modes have one ordered pair of columns form
-    a class.  The classes come in the order of their first pairs.
+    a class, and every pair of a class has the same reduction.  The classes
+    come in the order of their first pairs.
     """
     n = len(rho.layout)
     labels = sorted({label for row, col in rho.entries if (row ^ col).bit_count() <= 2 for label in (row, col)})
@@ -308,26 +318,27 @@ def _classes_from_columns(rho):
 
 @pytest.mark.parametrize("n_parties,n_horizon", [(1000, 4), (13312, 1), (64, 8), (13, 11)])
 def test_pair_scan_classes_match_reduce_at_the_large_scales(n_parties, n_horizon):
-    # Each class's X-state is the reduction's at its first pair and at its last, and its
-    # count of pairs on mode 0 is the one the mode columns give.
+    # Too many pairs to reduce them all, but alike pairs share one reduction: the first
+    # and the last pair of each class score exactly the certified zero in public, and
+    # the classes hold N - 1 pairs on mode 0, the pairs monogamy reads.
     p = (n_horizon + 1) // 2
     spec = ScenarioSpec(n_parties, n_horizon, p, n_horizon - p, 0.7)
     rho = scenario_density(spec, bogoliubov(BlackHoleParams(1.0, 0.9, 1.0)))
     modes = rho.layout.modes
-    expected = _classes_from_columns(rho)
-    classes = _pair_xstates(rho)
-    assert len(classes) == len(expected) == math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
-    for (x, n_on_first), (first, last, on_first) in zip(classes, expected):
-        assert n_on_first == on_first
+    classes = _classes_from_columns(rho)
+    assert len(classes) == math.comb(n_horizon + 1, 2) + (n_parties - n_horizon >= 2)
+    assert sum(on_first for _, _, on_first in classes) == n_parties - 1
+    assert verify._pair_scores(rho) == [0.0]
+    for first, last, _ in classes:
         for i, j in {first, last}:
-            assert x == extract_xstate(rho.reduce((modes[i], modes[j])))
+            assert pair_entanglement(rho.reduce((modes[i], modes[j]))) == 0.0
 
 
 def test_pair_scan_hands_a_failing_pair_to_the_public_check():
     # Each diagonal entry passes the floor, but two of them land in one slot of (F1, F2)
-    # and sum below it: the pair scan raises what the reduction onto (F1, F2) raises, the
-    # reduced density's own check, and not the X-state check the sums would fail next.
-    # With an entry off the pair's X as well, the density's check still comes first.
+    # and sum below it, which the reduced density refuses.  With no entry on one or two
+    # modes the pair step certifies the density and never reduces it; with one, it
+    # scores each pair in public and raises what the reduction onto (F1, F2) raises.
     layout = ModeLayout((flat_mode(1), flat_mode(2), flat_mode(3)))
     entries = {(0, 0): 0.5, (7, 7): 0.5 + 1.8e-14, (4, 4): -0.9e-14, (5, 5): -0.9e-14}
     message = f"negative diagonal entry {-1.8e-14!r} at (2, 2)"
@@ -335,8 +346,11 @@ def test_pair_scan_hands_a_failing_pair_to_the_public_check():
         rho = SparseDensity(layout, {**entries, **extra})
         with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
             extract_xstate(rho.reduce(("F1", "F2")))
+        if not extra:
+            assert verify._pair_scores(rho) == [0.0]
+            continue
         with pytest.raises(InvalidDensity, match=f"^{re.escape(message)}$"):
-            _pair_xstates(rho)
+            verify._pair_scores(rho)
 
 
 @st.composite
@@ -372,9 +386,16 @@ def test_block_matrix_passes_the_public_check(data, n_horizon, pair, theta):
 
 
 def test_pair_scan_passes_the_public_check_on_the_oracle_grid():
+    # Every pair of every oracle-grid state scores in public what the pair step gives:
+    # the certified zero from three parties on, and at N = 2 the one pair's own score.
     for spec, params in default_oracle_grid():
-        for x, _ in _pair_xstates(scenario_density(spec, bogoliubov(params))):
-            assert XState(x.half_dimension, x.blocks) == x
+        rho = scenario_density(spec, bogoliubov(params))
+        expected, failure = public_pair_scores(rho)
+        assert failure is None and len(expected) == math.comb(spec.n_parties, 2)
+        if spec.n_parties >= 3:
+            assert verify._pair_scores(rho) == [0.0] and set(expected) == {0.0}
+        else:
+            assert verify._pair_scores(rho) == expected
 
 
 # Frozen from a 60-digit evaluation of the block structure at
