@@ -31,8 +31,9 @@ from .hawking import (
 )
 
 #: Largest ``m`` whose binomials ``C(m, k)`` all fit a float: ``C(1030, 515)``
-#: does not.  Past it the sum rules run in decimals, at a cost that grows as
-#: ``m**2``, and they drift off ``1e-12`` near ``n = 4000``.
+#: does not.  Past it the sum rules run in decimals, at 1-2 us per term.
+#: The pair's own rounding, ``sin(2 theta)**2 * ((alpha**2 + beta**2)**n - 1)``,
+#: passes ``1e-12`` near n = 5700 (M = omega = 1, D = 0 or 1) and 38000 (D = 0.9).
 MAX_FLOAT_BINOMIAL = 1029
 
 

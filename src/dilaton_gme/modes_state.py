@@ -144,9 +144,7 @@ class ScenarioSpec(_Value):
                 f"kept out + in modes must equal n_horizon: {_count_text(self.n_out_kept)} "
                 f"+ {_count_text(self.n_in_kept)} != {_count_text(self.n_horizon)}"
             )
-        if type(self.theta) is not float:
-            object.__setattr__(self, "theta", _real(self.theta, InvalidSpec, "theta"))
-        _check_theta(self.theta)
+        object.__setattr__(self, "theta", _check_theta(self.theta))
 
     @property
     def n_flat(self) -> int:

@@ -10,8 +10,9 @@ half the dimension).  Block ``i`` is the triplet ``(a, b, c)``:
 * ``c`` — coherence between row ``i`` and its mirror.
 
 An :class:`XState` stores only the blocks that are not all zero, keyed by
-``i``; a missing block reads as zero.  A scenario state has ``2**n + 1``
-of them however many parties share it, so nothing here costs ``2**N``.
+``i``; a missing block reads as zero.  A scenario state has ``2**n`` of
+them (from ``2**n + 2`` density entries) however many parties share it,
+so nothing here costs ``2**N``.
 Positivity of each block requires ``|c| <= sqrt(a * b)``.
 
 :func:`extract_xstate` reads the blocks off a sparse density matrix and

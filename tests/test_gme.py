@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -94,8 +93,8 @@ def test_gme_xstate_is_the_clamped_root_formula_bit_for_bit(blocks):
     coherent=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0))),
 )
 def test_gme_xstate_without_a_coherence_is_zero_and_the_full_formula(populations, zeros, coherent):
-    # Every coherence 0.0 or -0.0 returns exactly 0.0 before any root; with one
-    # coherence that is not zero the formula runs.  Both equal the reference.
+    # With every coherence 0.0 or -0.0 the formula gives exactly +0.0; with one
+    # coherence that is not zero it may give more.  Both equal the reference.
     total = math.fsum(v for pair in populations for v in pair if v > 0.0)
     assume(total > 0.0)
     blocks = [
@@ -112,15 +111,6 @@ def test_gme_xstate_without_a_coherence_is_zero_and_the_full_formula(populations
     assert float.hex(e) == float.hex(_clamped_root_gme(x))
     if coherent is None:
         assert float.hex(e) == float.hex(0.0)
-
-
-def test_gme_xstate_takes_no_root_without_a_coherence(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("a root or a sum was taken")
-
-    x = xstate_from_triplets(a=(0.25, 0.25), b=(0.25, 0.25), c=(0.0, -0.0))
-    monkeypatch.setattr(gme, "math", types.SimpleNamespace(sqrt=unreachable, fsum=unreachable))
-    assert float.hex(gme_xstate(x)) == float.hex(0.0)
 
 
 def _two_qubit_concurrence(matrix: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from dilaton_gme import (
     SparseState,
     XState,
     bogoliubov,
+    build_block_matrix,
     expand_kruskal,
     extract_xstate,
     flat_mode,
@@ -410,6 +411,8 @@ def test_a_repeated_trace_key_is_the_fsum_of_its_products(seed, n_modes):
 def test_no_trace_key_repeats_in_a_scenario_state():
     # 2**n - 1 amplitudes trace alone and two share their traced bits: 2**n + 2
     # products, all kept, so every key is met once and no entry takes an fsum.
+    # Those entries fill 2**n X-state blocks, and only the block of the two GHZ
+    # branches holds a coherence.
     points = default_oracle_grid()
     for n_parties, n_horizon in [(64, 8), (1000, 4), (13312, 1), (13, 11)]:
         for n_out in sorted({0, n_horizon // 2, n_horizon}):
@@ -417,8 +420,13 @@ def test_no_trace_key_repeats_in_a_scenario_state():
             points += [(spec, BlackHoleParams(1.0, dilaton, 1.0)) for dilaton in (0.0, 0.6, 1.0)]
     assert len(points) == 880 + 33
     for spec, params in points:
-        rho = scenario_density(spec, bogoliubov(params))
+        pair = bogoliubov(params)
+        rho = scenario_density(spec, pair)
+        assert len(expand_kruskal(spec, pair).amplitudes) == 2**spec.n_horizon + 1
         assert len(rho.entries) == 2**spec.n_horizon + 2
+        for x in (extract_xstate(rho), build_block_matrix(spec, pair)):
+            assert len(x.blocks) == 2**spec.n_horizon
+            assert sum(1 for _, _, c in x.blocks.values() if c) == 1
 
 
 def test_density_reduce_composes_with_partial_trace():
