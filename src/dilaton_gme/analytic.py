@@ -148,7 +148,11 @@ def sum_rule_quadratic(
 
     Returns ``(lhs, rhs)`` with ``lhs = sum_p C(n, p) E(p, n-p)**2`` and
     ``rhs = sin(2 theta)**2``; the two agree because
-    ``(alpha**2 + beta**2)**n = 1``.
+    ``(alpha**2 + beta**2)**n = 1`` for the exact pair.  The float pair
+    misses 1 by about ``1e-16``, so they differ by
+    ``sin(2 theta)**2 * ((alpha**2 + beta**2)**n - 1)`` of its floats,
+    which passes ``1e-12`` near ``n = 5700`` at ``M = omega = 1``,
+    ``D = 0`` or ``D = 1``.
     """
     theta = _check_theta(theta)
     _check_split(n_horizon, 0)
@@ -163,7 +167,9 @@ def sum_rule_linear(
     For even ``n``, ``sum_k C(n/2, k) E(n - 2k, 2k) = sin(2 theta)``;
     each term trades two outside modes for two inside ones, so the sum
     telescopes through ``(alpha**2 + beta**2)**(n/2)``.  Returns
-    ``(lhs, rhs)``; odd ``n`` raises :class:`OddN`.
+    ``(lhs, rhs)``; odd ``n`` raises :class:`OddN`.  For the float pair
+    the two differ by ``sin(2 theta) * ((alpha**2 + beta**2)**(n/2) - 1)``
+    of its floats, half the quadratic rule's drift at ``theta = pi/4``.
     """
     theta = _check_theta(theta)
     _check_split(n_horizon, 0)

@@ -27,7 +27,6 @@ a :class:`SparseDensity` takes its upper triangle only.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator, Mapping, Sequence
 
@@ -150,9 +149,9 @@ class ScenarioSpec(_Value):
     def n_flat(self) -> int:
         return self.n_parties - self.n_horizon
 
-    @functools.cached_property
+    @property
     def _registers(self) -> tuple[ModeLayout, TracePlan]:
-        """``(expanded layout, trace plan)``, built once per spec.
+        """``(expanded layout, trace plan)``, built once per spec and kept in its ``__dict__``.
 
         The plan traces the expanded register onto :meth:`kept_modes`.  It
         is the one :func:`_plan` builds, worked out from ``(n_flat, n, p)``
@@ -161,6 +160,9 @@ class ScenarioSpec(_Value):
         the traced outs and ins between them are the ``n`` bits from shift
         ``n - p`` up.
         """
+        registers = self.__dict__.get("_registers")
+        if registers is not None:
+            return registers
         n_flat, n, p = self.n_flat, self.n_horizon, self.n_out_kept
         # The fields are checked integers, so the labels need no mode factory.
         flats = tuple([f"F{i}" for i in range(1, n_flat + 1)])
@@ -171,7 +173,9 @@ class ScenarioSpec(_Value):
         runs = ((2 * n - p, n_flat + p, (1 << (n_flat + p)) - 1),)
         if p < n:
             runs += ((0, n - p, (1 << (n - p)) - 1),)
-        return expanded, (ModeLayout(flats + outs[:p] + ins[p:]), ((1 << n) - 1) << (n - p), runs)
+        plan = (ModeLayout(flats + outs[:p] + ins[p:]), ((1 << n) - 1) << (n - p), runs)
+        registers = self.__dict__["_registers"] = (expanded, plan)
+        return registers
 
     def expanded_layout(self) -> ModeLayout:
         """Register after the expansion: ``[F..., O..., I...]``."""
@@ -373,6 +377,11 @@ def _trace(state: SparseState, plan: TracePlan) -> SparseDensity:
     keys: list[tuple[int, int]] = []
     terms: list[float] = []
     for members in groups.values():
+        if len(members) == 1:  # every group of a scenario state but one
+            ((k1, a1),) = members
+            keys.append((k1, k1))
+            terms.append(a1 * a1)
+            continue
         for i, (k1, a1) in enumerate(members):
             keys.append((k1, k1))
             terms.append(a1 * a1)

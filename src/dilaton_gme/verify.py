@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .analytic import (
@@ -205,11 +205,12 @@ def oracle_compare(grid: Iterable[GridPoint]) -> VerificationReport:
         if from_oracle is None:  # the point came from the spec's memo
             from_oracle = extract_xstate(rho)
         e_errors.append(e_oracle - e_general(spec.theta, pair, spec.n_out_kept, spec.n_in_kept))
-        from_blocks = build_block_matrix(spec, pair)
-        keys = from_oracle.blocks.keys() | from_blocks.blocks.keys()
-        ours = chain.from_iterable(map(from_oracle.blocks.get, keys, repeat(zero)))
-        theirs = chain.from_iterable(map(from_blocks.blocks.get, keys, repeat(zero)))
-        dual_errors.append(max(map(abs, map(float.__sub__, ours, theirs))))
+        ours, theirs = from_oracle.blocks, build_block_matrix(spec, pair).blocks
+        dual_errors.append(max([
+            abs(x - y)
+            for i in ours.keys() | theirs.keys()
+            for x, y in zip(ours.get(i, zero), theirs.get(i, zero))
+        ]))
     point_inputs = partial(_describe, points)
     return VerificationReport(
         (

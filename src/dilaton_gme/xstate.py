@@ -115,9 +115,12 @@ def extract_xstate(rho: SparseDensity) -> XState:
     """
     dim = 1 << len(rho.layout)
     half = dim >> 1
-    blocks: dict[int, list[float]] = {}
+    blocks: dict[int, Block] = {}
     for (row, col), value in rho.entries.items():
         if row == col:
+            if row < half and row not in blocks:  # a block's usual first entry
+                blocks[row] = (value, 0.0, 0.0)
+                continue
             index, slot = (row, 0) if row < half else (dim - 1 - row, 1)
         elif row + col == dim - 1:
             index, slot = row, 2
@@ -125,8 +128,10 @@ def extract_xstate(rho: SparseDensity) -> XState:
             raise NotXState(row, col)
         else:
             continue
-        blocks.setdefault(index, [0.0, 0.0, 0.0])[slot] = value
-    return XState(half, {i: tuple(block) for i, block in blocks.items()})
+        block = list(blocks.get(index, (0.0, 0.0, 0.0)))
+        block[slot] = value
+        blocks[index] = tuple(block)
+    return XState(half, blocks)
 
 
 def build_block_matrix(spec: ScenarioSpec, pair: BogoliubovPair) -> XState:

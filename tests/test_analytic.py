@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -110,6 +111,23 @@ def test_sum_rules_hold_past_the_float_range_of_the_binomials(n_horizon):
                 lhs, rhs = sum_rule_linear(theta, pair, n_horizon)
                 assert abs(lhs - rhs) <= RELATION_TOL
     assert sum_rule_quadratic(0.0, pair, 4000) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("dilaton", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("n_horizon", [4000, 6000])
+def test_sum_rule_gap_is_the_pair_rounding(dilaton, n_horizon):
+    # The float pair has alpha**2 + beta**2 = 1 + s, |s| ~ 1e-16, and the rules'
+    # right sides assume s = 0: lhs - rhs is sin(2 theta)**2 ((1 + s)**n - 1)
+    # (quadratic) and sin(2 theta) ((1 + s)**(n/2) - 1) (linear), taken exactly
+    # from the pair's floats.  Near n = 5700 at D = 0 and D = 1 it passes 1e-12.
+    theta = math.pi / 4
+    pair = bogoliubov(BlackHoleParams(1.0, dilaton, 1.0))
+    norm = Fraction(pair.alpha) ** 2 + Fraction(pair.beta) ** 2
+    sine = Fraction(math.sin(2.0 * theta))
+    lhs, rhs = sum_rule_quadratic(theta, pair, n_horizon)
+    assert abs(lhs - rhs - float(sine**2 * (norm**n_horizon - 1))) <= 1e-15
+    lhs, rhs = sum_rule_linear(theta, pair, n_horizon)
+    assert abs(lhs - rhs - float(sine * (norm ** (n_horizon // 2) - 1))) <= 1e-15
 
 
 def test_huge_mode_counts_are_parameter_errors():

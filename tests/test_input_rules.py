@@ -79,6 +79,7 @@ _COUNT_SITES = {
     "basis-label": lambda v: SparseState(_TWO_MODES, {v: 1.0}),
     "entry-index": lambda v: SparseDensity(_TWO_MODES, {(v, v): 1.0}),
     "block-index": lambda v: XState(4, {v: (1.0, 0.0, 0.0)}),
+    "half-dimension": lambda v: XState(v, {0: (1.0, 0.0, 0.0)}),
 }
 
 
@@ -154,9 +155,14 @@ def test_every_sequence_site_refuses_what_cannot_be_iterated(site, value):
         _SEQUENCE_SITES[site](value)
 
 
+class _Count(int):
+    """An ``int`` subclass that is not a ``bool``: a count, though ``type(v) is int`` is false."""
+
+
 @pytest.mark.parametrize("site", _COUNT_SITES)
 def test_every_count_site_takes_an_int(site):
     _COUNT_SITES[site](3)
+    _COUNT_SITES[site](_Count(3))
 
 
 @pytest.mark.parametrize("site", _COUNT_SITES)

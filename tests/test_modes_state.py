@@ -210,6 +210,27 @@ def test_scenario_density_equals_the_public_partial_trace():
         assert list(rho.entries.items()) == list(reference.entries.items())
 
 
+# A pair whose beta underflows to 0.0: every horizon branch but the first drops out.
+_UNDERFLOW_PAIR = bogoliubov(BlackHoleParams(1.0, 0.0, 100.0))
+
+
+def test_scenario_density_equals_an_independent_trace_bit_for_bit():
+    # The reference pairs every two labels bit by bit, with no trace plan, and
+    # sums each key's products with fsum; an exact zero is not stored.
+    assert (_UNDERFLOW_PAIR.alpha, _UNDERFLOW_PAIR.beta) == (1.0, 0.0)
+    shapes = sorted({(spec.n_parties, spec.n_horizon, spec.n_out_kept) for spec, _ in default_oracle_grid()})
+    shapes += [(1000, 4, p) for p in range(5)] + [(13312, 1, p) for p in range(2)]
+    pairs = [bogoliubov(BlackHoleParams(1.0, dilaton, 1.0)) for dilaton in (0.0, 1.0)] + [_UNDERFLOW_PAIR]
+    for n_parties, n_horizon, n_out in shapes:
+        spec = ScenarioSpec(n_parties, n_horizon, n_out, n_horizon - n_out, math.pi / 6)
+        for pair in pairs:
+            products = _products_by_key(expand_kruskal(spec, pair), spec.kept_modes())
+            sums = {key: math.fsum(values) for key, values in products.items()}
+            expected = {key: value.hex() for key, value in sums.items() if value}
+            got = {key: value.hex() for key, value in scenario_density(spec, pair).entries.items()}
+            assert got == expected, (n_parties, n_horizon, n_out, pair)
+
+
 def _count_calls(monkeypatch, owner, name):
     """Count the calls of ``owner.name`` from here on; returns the running count."""
     calls = {"n": 0}
@@ -377,19 +398,27 @@ def _products_by_key(state, keep):
     Two labels meet when they agree on every traced mode; the pair lands
     at their kept bits, upper triangle only, so each product is listed once.
     """
-    layout = state.layout
+    top = len(state.layout) - 1
+    position = {mode: i for i, mode in enumerate(state.layout)}  # mode_bit's index, looked up once
+    keep_set = set(keep)
+
+    def bit(label, mode):
+        return (label >> (top - position[mode])) & 1
 
     def kept(label):
-        return sum(mode_bit(layout, label, mode) << (len(keep) - 1 - k) for k, mode in enumerate(keep))
+        return sum(bit(label, mode) << (len(keep) - 1 - k) for k, mode in enumerate(keep))
 
     def traced(label):
-        return [mode_bit(layout, label, mode) for mode in layout if mode not in keep]
+        return [bit(label, mode) for mode in state.layout if mode not in keep_set]
 
+    split = {label: (kept(label), traced(label)) for label in state.amplitudes}
     products: dict[tuple[int, int], list[float]] = {}
     for l1, a1 in state.amplitudes.items():
+        (k1, t1) = split[l1]
         for l2, a2 in state.amplitudes.items():
-            if traced(l1) == traced(l2) and kept(l1) <= kept(l2) and (kept(l1) < kept(l2) or l1 == l2):
-                products.setdefault((kept(l1), kept(l2)), []).append(a1 * a2)
+            (k2, t2) = split[l2]
+            if t1 == t2 and k1 <= k2 and (k1 < k2 or l1 == l2):
+                products.setdefault((k1, k2), []).append(a1 * a2)
     return products
 
 
@@ -730,10 +759,15 @@ _TWO_MODES = ModeLayout((flat_mode(1), flat_mode(2)))
             InvalidDensity,
             "half dimension must be a positive integer, got <negative 16610-bit integer>",
         ),
+        (
+            lambda: XState(True, {0: (1.0, 0.0, 0.0)}),
+            InvalidDensity,
+            "half dimension must be a positive integer, got True",
+        ),
     ],
     ids=["density-float", "density-bool", "density-float-col", "state-bool", "state-float",
          "xstate-bool", "xstate-float", "density-huge", "state-huge", "xstate-huge",
-         "xstate-huge-half-dimension"],
+         "xstate-huge-half-dimension", "xstate-bool-half-dimension"],
 )
 def test_an_index_is_an_int_but_not_a_bool(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
