@@ -221,9 +221,9 @@ def oracle_compare(grid: Iterable[GridPoint]) -> VerificationReport:
 
 
 def _rule_inputs(horizons: Sequence[int], index: int) -> dict:
-    """The inputs of sum ``index`` of a rule checked at ``horizons``, in (dilaton, theta, n) order."""
+    """The inputs of sum ``index`` of a rule at ``horizons``, in the kernel's (theta, dilaton, n) order."""
     point, at = divmod(index, len(horizons))
-    dilaton, theta = divmod(point, len(_RULE_THETAS))
+    theta, dilaton = divmod(point, len(_RULE_DILATONS))
     return {
         "n-horizon": horizons[at],
         "theta": _RULE_THETAS[theta],
@@ -247,9 +247,8 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
       of rows ``alpha**(n-k) * beta**k`` serves every theta and both rules,
       the quadratic rule reading all of each row and the linear rule the
       even entries of the even ``n``; each rule is one kernel call on the
-      rows of all four dilatons laid end to end, and each dilaton's sums
-      are read back from its slice, so the errors are kept in
-      (dilaton, theta, n) order.
+      rows of all four dilatons laid end to end, and its errors are read
+      straight off the kernel's sums, in (theta, dilaton, n) order.
     * ``pairwise-zero``: every two-party reduction of every oracle-grid
       state (three or more parties) carries no entanglement.  An entry
       survives the trace onto a pair only when its row and column differ
@@ -277,14 +276,9 @@ def relationship_suite(grid: Iterable[GridPoint]) -> VerificationReport:
     tables = [_power_rows(pair, _RULE_HORIZONS) for pair in pairs]
     quadratic = _binomial_sums(sines, [row for rows in tables for row in rows], 2)
     linear = _binomial_sums(sines, [row[::2] for rows in tables for row in rows[1::2]], 1)
-    n_quad, n_lin = len(_RULE_HORIZONS), len(_RULE_HORIZONS[1::2])  # sums per dilaton and sine
-    quad_errors: list[float] = []
-    lin_errors: list[float] = []
-    for d in range(len(_RULE_DILATONS)):
-        for sine, quad_sums, lin_sums in zip(sines, quadratic, linear):
-            square = sine**2
-            quad_errors += [total - square for total in quad_sums[d * n_quad : (d + 1) * n_quad]]
-            lin_errors += [total - sine for total in lin_sums[d * n_lin : (d + 1) * n_lin]]
+    squares = [sine**2 for sine in sines]
+    quad_errors = [total - square for square, sums in zip(squares, quadratic) for total in sums]
+    lin_errors = [total - sine for sine, sums in zip(sines, linear) for total in sums]
     quad_inputs = partial(_rule_inputs, _RULE_HORIZONS)
     lin_inputs = partial(_rule_inputs, _RULE_HORIZONS[1::2])
 

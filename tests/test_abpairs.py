@@ -98,10 +98,33 @@ def test_runs_alternate_and_a_failed_run_stops_the_tool(monkeypatch, capsys):
         return abpairs.parse_result(_output(100.0 + seed, 4.0))
 
     monkeypatch.setattr(abpairs, "export", fake_export)
-    monkeypatch.setattr(abpairs, "declared_directions", lambda: {"points_per_s": "higher"})
+    monkeypatch.setattr(abpairs, "declared_metrics", lambda: {"points_per_s": ("higher", 0.2)})
     monkeypatch.setattr(abpairs, "run_bench", fake_run)
     assert abpairs.main(["HEAD", "--pairs", "3", "--seed", "7"]) == 2
     assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8), ("parent", 9)]
     out, err = capsys.readouterr()
     assert "pair 1 change" in out and "pair 2" not in out
     assert err.endswith("Traceback: boom\n")
+
+
+_GAIN = [(100.0 + k % 3, 110.0 + k % 3) for k in range(10)]
+
+
+# (parent, change) pairs of points_per_s, where higher is better, and their verdict at a bound of 0.2.
+@pytest.mark.parametrize("expected, values", [
+    ("gain", _GAIN),
+    ("same", _GAIN[:9]),  # fewer than ten pairs claim no gain
+    ("worse", [(100.0 + k % 3, 70.0 + k % 3) for k in range(10)]),
+    ("unresolved", [(60.0 + 10 * k, 150.0 - 10 * k) for k in range(10)]),
+    ("same", [(100.0 + k % 3, 101.0 - k % 3) for k in range(10)]),
+], ids=["gain", "nine-pairs", "worse", "unresolved", "same"])
+def test_each_metric_ends_with_a_verdict(monkeypatch, capsys, expected, values):
+    def fake_run(tree, workload, seed):
+        side = 1 if tree == abpairs.ROOT else 0
+        return {"points_per_s": values[seed][side], "failed": 0.0}
+
+    monkeypatch.setattr(abpairs, "export", lambda rev, target: os.makedirs(os.path.join(target, "bench")))
+    monkeypatch.setattr(abpairs, "declared_metrics", lambda: {"points_per_s": ("higher", 0.2)})
+    monkeypatch.setattr(abpairs, "run_bench", fake_run)
+    assert abpairs.main(["HEAD", "--pairs", str(len(values))]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"verdict points_per_s {expected}"

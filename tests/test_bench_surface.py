@@ -7,13 +7,16 @@ patches ``cli._figure_table`` and ``verify.gme_xstate``, and the tracer
 counts the results of a few named functions.  A change that removes or
 renames one of these breaks the benchmark, or silently zeroes one of its
 metrics, so each is pinned here.  (``cli.e_general`` and ``XState.a/.b/.c``,
-which ``bench/`` also reads, were gone before this guard was added.)
+which ``bench/`` also reads, were gone before this guard was added.)  The
+bench's own self-tests run here too, all but four known failures.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import dilaton_gme
@@ -98,3 +101,29 @@ def test_traced_layers_and_counted_functions_exist():
     assert len(dilaton_gme.expand_kruskal(spec, pair).amplitudes) == 2**2 + 1
     assert len(rho.entries) > 0
     assert dilaton_gme.extract_xstate(rho).half_dimension == 2**3
+
+
+def test_the_bench_self_tests_pass_but_four_known_failures():
+    """``python -m pytest bench``, run from the repository root, passes once four tests are deselected.
+
+    Deselected: ``test_wrong_closed_form_value_is_a_failed_request``,
+    ``test_false_monotonicity_fail_is_named_as_the_known_defect`` and
+    ``test_traced_and_untraced_outputs_are_identical[closed-form]``, which
+    fail on stale assertions, and the timing-flaky
+    ``test_self_time_excludes_children``.  What is left includes the
+    oracle-wide span bound, so a change that removes public calls from an
+    oracle point fails here.
+    """
+    known = (
+        "test_wrong_closed_form_value_is_a_failed_request",
+        "test_false_monotonicity_fail_is_named_as_the_known_defect",
+        "test_traced_and_untraced_outputs_are_identical[closed-form]",
+        "test_self_time_excludes_children",
+    )
+    deselect = [arg for name in known for arg in ("--deselect", f"bench/test_bench.py::{name}")]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "-q", "-p", "no:cacheprovider", *deselect],
+        cwd=BENCH.parent, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-2000:]
+    assert "11 passed, 4 deselected" in result.stdout

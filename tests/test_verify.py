@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -219,39 +220,38 @@ _RULES = {
 @pytest.mark.parametrize("name", sorted(_RULES))
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_each_sum_rule_error_names_its_own_point(monkeypatch, name, where):
-    # One (dilaton, theta, n) sum is NaN, so it is the worst: the check must
-    # fail and name exactly that point, which pins the errors' flat order.
+    # At the ``where`` theta, each (dilaton, n) sum in turn is NaN, so it is the
+    # worst: the check must fail and name exactly that point, which pins the
+    # kernel's flat (theta, dilaton, n) order at every boundary.
     power, horizons = _RULES[name]
     dilatons, thetas = (0.0, 0.5, 0.9, 1.0), (math.pi / 12, math.pi / 6, math.pi / 4)
-    d, t, at = {
-        "first": (0, 0, 0),
-        "middle": (1, 1, len(horizons) // 2),
-        "last": (len(dilatons) - 1, len(thetas) - 1, len(horizons) - 1),
-    }[where]
-    kernel, calls = verify._binomial_sums, []
+    t = {"first": 0, "middle": 1, "last": len(thetas) - 1}[where]
+    kernel = verify._binomial_sums
+    for d, at in itertools.product(range(len(dilatons)), range(len(horizons))):
+        calls = []
 
-    def one_nan(sines, rows, rule_power):
-        sums = kernel(sines, rows, rule_power)
-        if rule_power == power:  # the rule's one kernel call lays the dilatons' rows in order
-            sums[t][d * len(horizons) + at] = math.nan
-            calls.append(rule_power)
-        return sums
+        def one_nan(sines, rows, rule_power):
+            sums = kernel(sines, rows, rule_power)
+            if rule_power == power:  # the rule's one kernel call lays the dilatons' rows in order
+                sums[t][d * len(horizons) + at] = math.nan
+                calls.append(rule_power)
+            return sums
 
-    monkeypatch.setattr(verify, "_binomial_sums", one_nan)
-    checks = {check.name: check for check in relationship_suite(grid=[]).checks}
-    check = checks[name]
-    assert check.status == "fail" and math.isnan(check.max_abs_error)
-    assert check.worst_case_inputs == {
-        "n-horizon": horizons[at],
-        "theta": thetas[t],
-        "mass": 1.0,
-        "dilaton": dilatons[d],
-        "omega": 1.0,
-    }
-    assert check.grid_size == len(dilatons) * len(thetas) * len(horizons)
-    assert calls == [power]
-    (other,) = set(_RULES) - {name}
-    assert checks[other].status == "pass"
+        monkeypatch.setattr(verify, "_binomial_sums", one_nan)
+        checks = {check.name: check for check in relationship_suite(grid=[]).checks}
+        check = checks[name]
+        assert check.status == "fail" and math.isnan(check.max_abs_error)
+        assert check.worst_case_inputs == {
+            "n-horizon": horizons[at],
+            "theta": thetas[t],
+            "mass": 1.0,
+            "dilaton": dilatons[d],
+            "omega": 1.0,
+        }
+        assert check.grid_size == len(dilatons) * len(thetas) * len(horizons)
+        assert calls == [power]
+        (other,) = set(_RULES) - {name}
+        assert checks[other].status == "pass"
 
 
 def test_sum_rules_build_one_inputs_dict_and_two_kernel_calls(monkeypatch):

@@ -15,8 +15,9 @@ so a second series can run on fresh ones.  The tool prints every pair's end-to-e
 side's median and quartiles, the median paired ratio (working tree over
 revision), the wins and ties of the working tree (a win is a value better
 in the direction ``BENCHMARK.json`` declares) and the median gain over the
-revision's interquartile range.  A run that exits non-zero stops the tool
-with exit 2 and the tail of its standard error.
+revision's interquartile range, and last one verdict per metric: ``gain``,
+``worse``, ``unresolved`` or ``same`` (see :func:`verdict`).  A run that
+exits non-zero stops the tool with exit 2 and the tail of its standard error.
 
 This is an interim home: a change to the benchmark is to fold it into
 ``bench/run.py --ab``.  It uses the standard library only.
@@ -77,9 +78,10 @@ def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) 
 
     Each pair is ``{"parent": values, "change": values}``.  A row holds the
     metric, each side's quartiles, the median paired ratio, the number of
-    pairs the change wins and ties, and the median gain (change's median
-    less the parent's, signed so that a gain is positive) over the parent's
-    interquartile range, ``inf`` for a gain over a zero range.
+    pairs the change wins and ties, the median gain (change's median less
+    the parent's, signed so that a gain is positive), that gain over the
+    parent's interquartile range, ``inf`` for a gain over a zero range, and
+    whether every change run beats every parent run.
     """
     rows = []
     for name, direction in better.items():
@@ -97,9 +99,31 @@ def summarize(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) 
             "ratio": statistics.median([ratio(b, a) for a, b in zip(parent, change)]),
             "wins": wins,
             "ties": ties,
+            "gain": gain,
             "gain_over_iqr": gain / spread if spread else (0.0 if gain == 0 else math.copysign(math.inf, gain)),
+            "apart": min(sign * b for b in change) > max(sign * a for a in parent),
         })
     return rows
+
+
+def verdict(row: dict, pairs: int, bound: float) -> str:
+    """One word for a :func:`summarize` row over ``pairs`` pairs, ``bound`` a fraction of the parent's median.
+
+    ``gain`` when at least ten pairs ran, the change wins at least nine
+    tenths of them and its median gain exceeds the parent's interquartile
+    range; ``worse`` when its median is worse than the parent's by more
+    than ``bound``; ``unresolved`` when the parent's interquartile range is
+    wider than ``bound`` and not every change run beats every parent run;
+    ``same`` otherwise.
+    """
+    q1, median, q3 = row["parent"]
+    if pairs >= 10 and 10 * row["wins"] >= 9 * pairs and row["gain_over_iqr"] > 1:
+        return "gain"
+    if -row["gain"] > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not row["apart"]:
+        return "unresolved"
+    return "same"
 
 
 def format_summary(rows: list[dict], pairs: int) -> list[str]:
@@ -122,9 +146,10 @@ def run_bench(tree: str, workload: str, seed: int) -> dict[str, float]:
     return parse_result(proc.stdout)
 
 
-def declared_directions() -> dict[str, str]:
+def declared_metrics() -> dict[str, tuple[str, float]]:
+    """``{metric: (better, bound)}`` of the end-to-end metrics ``BENCHMARK.json`` declares."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        return {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(handle)["end_to_end"]}
 
 
 def main(argv: list[str]) -> int:
@@ -136,7 +161,8 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    better = declared_directions()
+    declared = declared_metrics()
+    better = {name: direction for name, (direction, _) in declared.items()}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="abpairs-") as scratch:
         trees = {"parent": os.path.join(scratch, "parent"), "change": ROOT}
@@ -160,7 +186,10 @@ def main(argv: list[str]) -> int:
             for side in SIDES:
                 shown = " ".join(f"{name}={pair[side][name]:.6g}" for name in [*better, "failed"])
                 print(f"pair {k} {side:6s} {shown}", flush=True)
-    print("\n".join(format_summary(summarize(pairs, better), len(pairs))))
+    rows = summarize(pairs, better)
+    print("\n".join(format_summary(rows, len(pairs))))
+    for row in rows:
+        print(f"verdict {row['metric']} {verdict(row, len(pairs), declared[row['metric']][1])}")
     return 0
 
 
