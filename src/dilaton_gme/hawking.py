@@ -64,8 +64,8 @@ def _check_theta(theta: float) -> float:
 class _Value:
     """A frozen value: compared (within its own class), hashed, printed, pickled and copied as
     its ``_fields()``, its ``__slots__`` in order but a last ``"__dict__"`` of caches, and never
-    rebound or deleted.  A subclass's ``__init__`` ends with its check, ``__post_init__``, if
-    it has one; a copy or a pickle goes back through it."""
+    rebound or deleted.  A subclass with a check has its ``__init__`` pass its arguments to
+    ``__post_init__``, which checks them, then writes each slot once; a copy or a pickle does too."""
 
     __slots__ = ()
 
@@ -110,18 +110,19 @@ class BlackHoleParams(_Value):
     __slots__ = ("mass", "dilaton", "omega")
 
     def __init__(self, mass: float, dilaton: float, omega: float):
+        self.__post_init__(mass, dilaton, omega)
+
+    def __post_init__(self, mass, dilaton, omega):
+        if not type(mass) is type(dilaton) is type(omega) is float:
+            mass = _real(mass, InvalidParams, "mass")
+            dilaton = _real(dilaton, InvalidParams, "dilaton")
+            omega = _real(omega, InvalidParams, "omega")
+        _check_positive("mass", mass)
+        _check_dilaton(mass, dilaton)
+        _check_positive("omega", omega)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "dilaton", dilaton)
         object.__setattr__(self, "omega", omega)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not type(self.mass) is type(self.dilaton) is type(self.omega) is float:
-            for name in ("mass", "dilaton", "omega"):
-                object.__setattr__(self, name, _real(getattr(self, name), InvalidParams, name))
-        _check_positive("mass", self.mass)
-        _check_dilaton(self.mass, self.dilaton)
-        _check_positive("omega", self.omega)
 
 
 class BogoliubovPair(_Value):
@@ -135,15 +136,11 @@ class BogoliubovPair(_Value):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        self.__post_init__()
+        self.__post_init__(alpha, beta)
 
-    def __post_init__(self):
-        if not type(self.alpha) is type(self.beta) is float:
-            for name in ("alpha", "beta"):
-                object.__setattr__(self, name, _real(getattr(self, name), InvalidParams, name))
-        alpha, beta = self.alpha, self.beta
+    def __post_init__(self, alpha, beta):
+        if not type(alpha) is type(beta) is float:
+            alpha, beta = _real(alpha, InvalidParams, "alpha"), _real(beta, InvalidParams, "beta")
         if not (0.0 < alpha <= 1.0):
             raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
         if not (0.0 <= beta < 1.0):
@@ -153,6 +150,8 @@ class BogoliubovPair(_Value):
         norm = alpha * alpha + beta * beta
         if abs(norm - 1.0) > 1e-14:
             raise InvalidParams(f"alpha**2 + beta**2 must equal 1 within 1e-14, got {norm!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 def _mixing(mass: float, dilatons: Iterable[float], omega: float) -> tuple[list[float], list[float]]:

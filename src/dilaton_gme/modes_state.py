@@ -17,12 +17,12 @@ its trace plan, worked out in O(1) from its counts: the kept layout, the
 mask of the traced bits and the runs of consecutive kept bits, the same
 plan that :func:`partial_trace` builds by looking each kept mode up.
 Each scenario point then costs O(2**n) operations on its labels, whatever
-the party count; see :data:`SCALE_BUDGET`.  Each container checks its
-input in one pass, under the count and real-number rules of
-:mod:`dilaton_gme.errors`, and stores a layout given as a plain sequence
-of labels as a :class:`ModeLayout`.  The containers round nothing away:
-they keep every non-zero value they are given and drop exact zeros, and
-a :class:`SparseDensity` takes its upper triangle only.
+the party count; see :data:`SCALE_BUDGET`.  Each constructor passes its
+arguments to one check, which tests them in one pass under the rules of
+:mod:`dilaton_gme.errors` (an overflowing norm or trace is ``inf``), makes a
+plain label sequence a :class:`ModeLayout`, then writes each field once.
+The containers round nothing away: they keep every non-zero value and drop
+exact zeros, and a :class:`SparseDensity` takes its upper triangle only.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ POPULATION_FLOOR = -1e-14
 SCALE_BUDGET = 13 * 2**11
 
 
+def _total(values: list[float]) -> float:
+    """``math.fsum(values)``, or ``inf`` where a partial sum overflows, for a norm or trace check to refuse."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # "intermediate overflow in fsum"
+        return math.inf
+
+
 def flat_mode(index: int) -> str:
     """The label of flat mode ``index`` (1-based): ``"F1"``, ``"F2"``, ..."""
     if not _is_index(index) or index < 1:
@@ -63,12 +71,10 @@ class ModeLayout(_Value):
     __slots__ = ("modes",)
 
     def __init__(self, modes: Sequence[str]):
-        object.__setattr__(self, "modes", modes)
-        self.__post_init__()
+        self.__post_init__(modes)
 
-    def __post_init__(self):
-        modes = _sequence(self.modes, InvalidSpec, "modes")
-        object.__setattr__(self, "modes", modes)
+    def __post_init__(self, modes):
+        modes = _sequence(modes, InvalidSpec, "modes")
         if not modes:
             raise InvalidSpec("a layout needs at least one mode")
         for mode in modes:
@@ -76,6 +82,7 @@ class ModeLayout(_Value):
                 raise InvalidSpec(f"a mode is its label string, got {mode!r}")
         if len(set(modes)) != len(modes):
             raise InvalidSpec("layout contains a duplicate mode")
+        object.__setattr__(self, "modes", modes)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -113,37 +120,36 @@ class ScenarioSpec(_Value):
     __slots__ = ("n_parties", "n_horizon", "n_out_kept", "n_in_kept", "theta", "__dict__")
 
     def __init__(self, n_parties: int, n_horizon: int, n_out_kept: int, n_in_kept: int, theta: float):
+        self.__post_init__(n_parties, n_horizon, n_out_kept, n_in_kept, theta)
+
+    def __post_init__(self, n_parties, n_horizon, n_out_kept, n_in_kept, theta):
+        for name, count in zip(self.__slots__, (n_parties, n_horizon, n_out_kept, n_in_kept)):
+            _check_count(name, count, InvalidSpec)
+        if n_parties < 2:
+            raise InvalidSpec(f"need at least two parties, got {_count_text(n_parties)}")
+        if not 1 <= n_horizon < n_parties:
+            raise InvalidSpec(
+                f"n_horizon must lie in [1, n_parties), got {_count_text(n_horizon)} "
+                f"for {_count_text(n_parties)} parties"
+            )
+        if n_parties > SCALE_BUDGET >> n_horizon:  # never builds 2**n_horizon
+            raise ScaleCap(
+                f"n_parties * 2**n_horizon = {_count_text(n_parties)} * "
+                f"2**{_count_text(n_horizon)} exceeds the exact pipeline's budget of {SCALE_BUDGET}"
+            )
+        if n_out_kept < 0 or n_in_kept < 0:
+            raise InvalidSpec("kept mode counts must be non-negative")
+        if n_out_kept + n_in_kept != n_horizon:
+            raise InvalidSpec(
+                f"kept out + in modes must equal n_horizon: {_count_text(n_out_kept)} "
+                f"+ {_count_text(n_in_kept)} != {_count_text(n_horizon)}"
+            )
+        theta = _check_theta(theta)
         object.__setattr__(self, "n_parties", n_parties)
         object.__setattr__(self, "n_horizon", n_horizon)
         object.__setattr__(self, "n_out_kept", n_out_kept)
         object.__setattr__(self, "n_in_kept", n_in_kept)
         object.__setattr__(self, "theta", theta)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for name in ("n_parties", "n_horizon", "n_out_kept", "n_in_kept"):
-            _check_count(name, getattr(self, name), InvalidSpec)
-        if self.n_parties < 2:
-            raise InvalidSpec(f"need at least two parties, got {_count_text(self.n_parties)}")
-        if not 1 <= self.n_horizon < self.n_parties:
-            raise InvalidSpec(
-                f"n_horizon must lie in [1, n_parties), got {_count_text(self.n_horizon)} "
-                f"for {_count_text(self.n_parties)} parties"
-            )
-        if self.n_parties > SCALE_BUDGET >> self.n_horizon:  # never builds 2**n_horizon
-            raise ScaleCap(
-                f"n_parties * 2**n_horizon = {_count_text(self.n_parties)} * "
-                f"2**{_count_text(self.n_horizon)} exceeds the exact pipeline's budget of "
-                f"{SCALE_BUDGET}"
-            )
-        if self.n_out_kept < 0 or self.n_in_kept < 0:
-            raise InvalidSpec("kept mode counts must be non-negative")
-        if self.n_out_kept + self.n_in_kept != self.n_horizon:
-            raise InvalidSpec(
-                f"kept out + in modes must equal n_horizon: {_count_text(self.n_out_kept)} "
-                f"+ {_count_text(self.n_in_kept)} != {_count_text(self.n_horizon)}"
-            )
-        object.__setattr__(self, "theta", _check_theta(self.theta))
 
     @property
     def n_flat(self) -> int:
@@ -192,35 +198,33 @@ class SparseState(_Value):
     __slots__ = ("layout", "amplitudes")
 
     def __init__(self, layout: ModeLayout, amplitudes: Mapping[int, float]):
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        self.__post_init__()
+        self.__post_init__(layout, amplitudes)
 
-    def __post_init__(self):
-        if type(self.layout) is not ModeLayout:
-            object.__setattr__(self, "layout", ModeLayout(self.layout))
-        dim = 1 << len(self.layout)
+    def __post_init__(self, layout, amplitudes):
+        if type(layout) is not ModeLayout:
+            layout = ModeLayout(layout)
+        dim = 1 << len(layout)
         cleaned: dict[int, float] = {}
         squares: list[float] = []
-        for label, amp in _items(self.amplitudes, InvalidParams, "amplitudes"):
+        for label, value in _items(amplitudes, InvalidParams, "amplitudes"):
             if not (_is_index(label) and 0 <= label < dim):
                 raise InvalidParams(
                     f"basis label {_count_text(label)} outside [0, {_count_text(dim)}) for layout "
-                    f"{self.layout.labels()}"
+                    f"{layout.labels()}"
                 )
-            value = amp if type(amp) is float else _real(
-                amp, InvalidParams, f"amplitude at basis label {_count_text(label)}"
-            )
+            if type(value) is not float:
+                value = _real(value, InvalidParams, f"amplitude at basis label {_count_text(label)}")
             if value:  # a NaN is kept, for the norm check to name
                 cleaned[label] = value
                 squares.append(value * value)
-        object.__setattr__(self, "amplitudes", cleaned)
-        norm_sq = math.fsum(squares)
+        norm_sq = _total(squares)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             for label, value in cleaned.items():
                 if value != value:
                     raise InvalidParams(f"amplitude at basis label {_count_text(label)} is nan")
             raise InvalidParams(f"state norm**2 deviates from 1 by {norm_sq - 1.0:.3e}")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "amplitudes", cleaned)
 
 
 class SparseDensity(_Value):
@@ -228,31 +232,28 @@ class SparseDensity(_Value):
 
     Entries are ``{(row, col): value}`` with ``row <= col``; the mirrored
     element is implied, and a key below the diagonal is refused.
-    Construction checks unit trace and non-negative diagonal, and refuses
-    an entry off the diagonal above 1 in magnitude, which no trace-one
-    positive matrix has (``|rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2``); so
-    every sum of its entries stays finite.  Exact zeros
-    are not stored, but every other value is kept, however small:
-    amplitudes of order ``sqrt(eps)`` produce populations of order ``eps``,
-    and dropping a population while its coherence survives would wreck
-    positivity.
+    Construction checks unit trace and non-negative diagonal, and refuses an
+    entry off the diagonal above 1 in magnitude, which no trace-one positive
+    matrix has (``|rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2``); so every sum of
+    its entries stays finite.  Exact zeros are not stored, but every other
+    value is kept, however small: amplitudes of order ``sqrt(eps)`` produce
+    populations of order ``eps``, and dropping a population while its
+    coherence survives would wreck positivity.
     """
 
     __slots__ = ("layout", "entries")
 
     def __init__(self, layout: ModeLayout, entries: Mapping[tuple[int, int], float]):
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
+        self.__post_init__(layout, entries)
 
-    def __post_init__(self):
-        if type(self.layout) is not ModeLayout:
-            object.__setattr__(self, "layout", ModeLayout(self.layout))
-        dim = 1 << len(self.layout)
+    def __post_init__(self, layout, entries):
+        if type(layout) is not ModeLayout:
+            layout = ModeLayout(layout)
+        dim = 1 << len(layout)
         stored: dict[tuple[int, int], float] = {}
         diagonal: list[float] = []
         negative = None  # the first diagonal entry below POPULATION_FLOOR, reported after the trace
-        for key, value in _items(self.entries, InvalidDensity, "entries"):
+        for key, value in _items(entries, InvalidDensity, "entries"):
             try:
                 row, col = key
             except (TypeError, ValueError):
@@ -260,16 +261,15 @@ class SparseDensity(_Value):
             if not (_is_index(row) and _is_index(col) and 0 <= row < dim and 0 <= col < dim):
                 raise InvalidDensity(
                     f"entry ({_count_text(row)}, {_count_text(col)}) outside "
-                    f"[0, {_count_text(dim)})**2 for layout {self.layout.labels()}"
+                    f"[0, {_count_text(dim)})**2 for layout {layout.labels()}"
                 )
             if row > col:
                 raise InvalidDensity(
                     f"entry ({_count_text(row)}, {_count_text(col)}) lies below the diagonal; "
                     "give the upper triangle (row <= col)"
                 )
-            value = value if type(value) is float else _real(
-                value, InvalidDensity, f"entry ({_count_text(row)}, {_count_text(col)})"
-            )
+            if type(value) is not float:
+                value = _real(value, InvalidDensity, f"entry ({_count_text(row)}, {_count_text(col)})")
             if value - value:  # NaN for a NaN or an infinity, else 0.0
                 raise InvalidDensity(
                     f"entry ({_count_text(row)}, {_count_text(col)}) = {value!r} is not finite"
@@ -286,12 +286,13 @@ class SparseDensity(_Value):
                 )
             if value:
                 stored[key] = value
-        object.__setattr__(self, "entries", stored)
-        trace = math.fsum(diagonal)
+        trace = _total(diagonal)
         if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
         if negative is not None:
             raise InvalidDensity(negative)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "entries", stored)
 
     def purity(self) -> float:
         """``Tr rho**2``; off-diagonal entries count twice."""

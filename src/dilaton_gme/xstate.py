@@ -20,14 +20,14 @@ Positivity of each block requires ``|c| <= sqrt(a * b)``.
 structure of the scenario, without ever building a state.  The two paths
 must agree entry by entry; the verification suite checks that they do.
 
-A public ``XState(half_dimension, blocks)`` runs the generic check of
-every field: types, block indices, populations, coherence bounds and
-trace.  One producer, ``build_block_matrix``, stores its blocks through
+A public ``XState(half_dimension, blocks)`` passes both to the check of
+every field (types, block indices, populations, coherence bounds, and a
+trace that is ``inf`` if its sum overflows), which then writes each field
+once.  One producer, ``build_block_matrix``, stores its blocks through
 ``XState._unchecked`` instead, which only drops the all-zero blocks: it
-writes closed-form products of a checked spec and pair, so every field
-holds by construction.  :func:`extract_xstate` reads any density, and a
-:class:`SparseDensity` never checks positivity, so it keeps the public
-check.
+writes closed-form products of a checked spec and pair, so every field holds
+by construction.  :func:`extract_xstate` reads any density, and a
+:class:`SparseDensity` never checks positivity, so it keeps the check.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Mapping
 
 from .errors import InvalidDensity, NotXState, _count_text, _is_index, _items, _real
 from .hawking import BogoliubovPair, _Value, coeff_power
-from .modes_state import NORM_TOL, POPULATION_FLOOR, ScenarioSpec, SparseDensity
+from .modes_state import NORM_TOL, POPULATION_FLOOR, ScenarioSpec, SparseDensity, _total
 
 Block = tuple[float, float, float]
 
@@ -54,17 +54,15 @@ class XState(_Value):
     __slots__ = ("half_dimension", "blocks")
 
     def __init__(self, half_dimension: int, blocks: Mapping[int, Block]):
-        object.__setattr__(self, "half_dimension", half_dimension)
-        object.__setattr__(self, "blocks", blocks)
-        self.__post_init__()
+        self.__post_init__(half_dimension, blocks)
 
-    def __post_init__(self):
-        m = self.half_dimension
+    def __post_init__(self, half_dimension, blocks):
+        m = half_dimension
         if not _is_index(m) or m < 1:
             raise InvalidDensity(f"half dimension must be a positive integer, got {_count_text(m)}")
-        blocks: dict[int, Block] = {}
+        stored: dict[int, Block] = {}
         populations: list[float] = []
-        for i, block in _items(self.blocks, InvalidDensity, "blocks"):
+        for i, block in _items(blocks, InvalidDensity, "blocks"):
             try:
                 a, b, c = block
             except (TypeError, ValueError):
@@ -89,12 +87,13 @@ class XState(_Value):
                         f"sqrt(a*b) = {bound!r}"
                     )
             if a or b or c:
-                blocks[i] = (a, b, c)
+                stored[i] = (a, b, c)
                 populations += (a, b)
-        object.__setattr__(self, "blocks", blocks)
-        trace = math.fsum(populations)
+        trace = _total(populations)
         if abs(trace - 1.0) > NORM_TOL:
             raise InvalidDensity(f"trace deviates from 1 by {trace - 1.0:.3e}")
+        object.__setattr__(self, "half_dimension", m)
+        object.__setattr__(self, "blocks", stored)
 
     @classmethod
     def _unchecked(cls, half_dimension: int, blocks: Mapping[int, Block]) -> "XState":

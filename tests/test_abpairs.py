@@ -121,10 +121,32 @@ _GAIN = [(100.0 + k % 3, 110.0 + k % 3) for k in range(10)]
 def test_each_metric_ends_with_a_verdict(monkeypatch, capsys, expected, values):
     def fake_run(tree, workload, seed):
         side = 1 if tree == abpairs.ROOT else 0
-        return {"points_per_s": values[seed][side], "failed": 0.0}
+        return {"points_per_s": values[seed][side], "attempted": 100.0, "failed": 0.0}
 
     monkeypatch.setattr(abpairs, "export", lambda rev, target: os.makedirs(os.path.join(target, "bench")))
     monkeypatch.setattr(abpairs, "declared_metrics", lambda: {"points_per_s": ("higher", 0.2)})
     monkeypatch.setattr(abpairs, "run_bench", fake_run)
     assert abpairs.main(["HEAD", "--pairs", str(len(values))]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"verdict points_per_s {expected}"
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"verdict points_per_s {expected}", "verdict failed-share same"]
+
+
+# Per pair, (parent, change) runs as (attempted, failed) request counts.
+@pytest.mark.parametrize("expected, runs", [
+    ("same", [((100, 0), (100, 0)), ((100, 0), (100, 0))]),
+    ("same", [((100, 3), (100, 3)), ((100, 1), (100, 1))]),
+    ("worse", [((100, 0), (100, 1)), ((100, 0), (100, 0))]),
+    ("same", [((100, 2), (100, 1)), ((100, 0), (100, 0))]),
+    ("same", [((100, 1), (200, 2)), ((100, 1), (200, 2))]),  # more failures, the same share
+    # Summed, 1/100 against 2/100; a mean of per-pair shares would read 5 % against 2 %.
+    ("worse", [((10, 1), (50, 1)), ((90, 0), (50, 1))]),
+], ids=["none-failed", "equal", "one-more", "fewer", "same-share", "summed-not-averaged"])
+def test_the_output_ends_with_the_failed_share_verdict(monkeypatch, capsys, expected, runs):
+    def fake_run(tree, workload, seed):
+        attempted, failed = runs[seed][1 if tree == abpairs.ROOT else 0]
+        return {"points_per_s": 100.0, "attempted": float(attempted), "failed": float(failed)}
+
+    monkeypatch.setattr(abpairs, "export", lambda rev, target: os.makedirs(os.path.join(target, "bench")))
+    monkeypatch.setattr(abpairs, "declared_metrics", lambda: {"points_per_s": ("higher", 0.2)})
+    monkeypatch.setattr(abpairs, "run_bench", fake_run)
+    assert abpairs.main(["HEAD", "--pairs", str(len(runs))]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"verdict failed-share {expected}"

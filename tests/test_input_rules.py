@@ -242,6 +242,10 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
         (lambda: gme_pure(_GHZ3, [["F1"], [2], ["F3"]]), InvalidPartition, "a mode is its label string, got 2"),
         (lambda: gme_pure(_GHZ3, [["F1"], ["F1", "F2"], ["F3"]]), InvalidPartition,
          "layout contains a duplicate mode"),
+        # Finite values whose sum overflows in math.fsum: the norm or trace reads as infinite.
+        (lambda: SparseDensity(["F1"], {(0, 0): 1e308, (1, 1): 1e308}), InvalidDensity, "trace deviates from 1 by inf"),
+        (lambda: SparseState(["F1"], {0: 1e154, 1: 1e154}), InvalidParams, "state norm**2 deviates from 1 by inf"),
+        (lambda: XState(1, {0: (1e308, 1e308, 0.0)}), InvalidDensity, "trace deviates from 1 by inf"),
     ],
     ids=["pair-str", "pair-none", "pair-beta-one", "grid-decimal", "theta-nan", "theta-inf", "exponent-float",
          "grid-exponent-str", "exponent-bool", "xstate-short-block", "xstate-scalar-block", "xstate-none",
@@ -251,7 +255,8 @@ def test_every_count_site_refuses_a_value_too_long_to_print(site):
          "amplitude-past-floats", "grid-past-floats", "theta-past-floats", "e-grid-past-floats", "layout-none",
          "grid-none", "grid-int", "e-grid-none", "steps-too-long", "n-parties-too-long",
          "exponent-too-long", "trace-unhashable-mode", "reduce-unhashable-mode",
-         "gme-unhashable-mode", "gme-int-mode", "gme-duplicate-mode"],
+         "gme-unhashable-mode", "gme-int-mode", "gme-duplicate-mode", "density-trace-overflow",
+         "state-norm-overflow", "xstate-trace-overflow"],
 )
 def test_a_refused_input_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

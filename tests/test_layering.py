@@ -1,8 +1,8 @@
 """The oracle and the closed forms never reach each other, and a closed-form command loads neither the
 oracle nor verify; no module imports ``dataclasses``, and no command loads it; only ``errors`` spells the input rules, ``hawking`` takes no log for a monomial, only
 ``analytic._binomial_sums`` names the binomials, only ``verify._check`` builds a check, and only two
-producers skip the ``XState`` check; a private name crosses a module boundary only where pinned, and
-every module parses as Python 3.10."""
+producers skip the ``XState`` check; a checked value builds in one step; a private name crosses a module
+boundary only where pinned, and every module parses as Python 3.10."""
 
 import ast
 import importlib
@@ -348,6 +348,111 @@ def test_only_the_lean_producers_skip_the_xstate_check():
     assert {module: names for module, names in callers.items() if names} == {"xstate": ["build_block_matrix"]}
 
 
+def _slot_writes(node):
+    """The ``object.__setattr__`` calls under ``node``."""
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__setattr__"
+        and getattr(call.func.value, "id", None) == "object"
+    ]
+
+
+def _field_names(cls):
+    """The names in the ``__slots__`` of class node ``cls``, but ``__dict__``."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__slots__":
+            return [slot for slot in ast.literal_eval(node.value) if slot != "__dict__"]
+    return []
+
+
+def _written(statement):
+    """The slot that ``statement`` writes if it is ``object.__setattr__(self, "<slot>", ...)``, else ``None``."""
+    calls = _slot_writes(statement)
+    if isinstance(statement, ast.Expr) and calls == [statement.value] and ast.unparse(calls[0].args[0]) == "self":
+        return getattr(calls[0].args[1], "value", None)
+    return None
+
+
+def _one_step_faults(tree):
+    """``[(class, fault), ...]``: where ``tree`` builds a value in more than one step.
+
+    A class with a check, ``__post_init__``, builds in one step: its ``__init__`` is the one
+    statement ``self.__post_init__(...)`` on its own parameters in order, which are its fields (a
+    copy or a pickle rebuilds from them), and ``__post_init__`` takes the same parameters and ends
+    by writing each field once, in order, with ``object.__setattr__``; it writes nothing else.
+    No other function writes a slot that way, but ``XState._unchecked`` and the ``__init__`` of a
+    class without a check.
+    """
+    faults = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and _slot_writes(top):
+            faults.append((None, f"{top.name} writes a slot"))
+        if not isinstance(top, ast.ClassDef):
+            continue
+        methods = {node.name: node for node in top.body if isinstance(node, ast.FunctionDef)}
+        check = methods.get("__post_init__")
+        writers = {"__post_init__"} if check else {"__init__"}
+        if top.name == "XState":
+            writers.add("_unchecked")
+        for name, method in methods.items():
+            if name not in writers and _slot_writes(method):
+                faults.append((top.name, f"{name} writes a slot"))
+        if check is None:
+            continue
+        fields, init = _field_names(top), methods["__init__"]
+        params = [arg.arg for arg in init.args.args[1:]]
+        if [ast.unparse(statement) for statement in init.body] != [f"self.__post_init__({', '.join(params)})"]:
+            faults.append((top.name, "__init__ is not the one call self.__post_init__(<its parameters>)"))
+        if not [arg.arg for arg in check.args.args[1:]] == params == fields:
+            faults.append((top.name, "__post_init__, __init__ and __slots__ name different fields"))
+        ending = check.body[len(check.body) - len(fields) :]
+        if len(_slot_writes(check)) != len(fields) or [_written(statement) for statement in ending] != fields:
+            faults.append((top.name, "__post_init__ does not end by writing each field once"))
+    return faults
+
+
+def test_each_checked_value_builds_in_one_step():
+    # The benchmark's tracer records one span per ``__post_init__`` call: one per build, as long
+    # as ``__init__`` only calls it, and no slot is written twice.
+    faults = {module: _one_step_faults(_tree(module)) for module in _MODULES}
+    assert {module: found for module, found in faults.items() if found} == {}
+    source = (
+        "class A:\n"
+        "    __slots__ = ('x', 'y')\n"
+        "    def __init__(self, x, y):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "        self.__post_init__()\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'y', self.y)\n"
+        "        object.__setattr__(self, 'y', self.y)\n"
+        "class B:\n"
+        "    __slots__ = ('x', '__dict__')\n"
+        "    def __init__(self, x):\n"
+        "        self.__post_init__(x)\n"
+        "    def __post_init__(self, x):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "    def move(self):\n"
+        "        object.__setattr__(self, 'x', 0)\n"
+        "class C:\n"
+        "    __slots__ = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "def f(value):\n"
+        "    object.__setattr__(value, 'x', 1)\n"
+    )
+    assert _one_step_faults(ast.parse(source)) == [
+        ("A", "__init__ writes a slot"),
+        ("A", "__init__ is not the one call self.__post_init__(<its parameters>)"),
+        ("A", "__post_init__, __init__ and __slots__ name different fields"),
+        ("A", "__post_init__ does not end by writing each field once"),
+        ("B", "move writes a slot"),
+        (None, "f writes a slot"),
+    ]
+
+
 def _private_names_taken(tree):
     """``{module: [name, ...]}``: the private names that ``tree`` takes from other package modules.
 
@@ -380,7 +485,7 @@ def test_private_names_cross_module_boundaries_only_as_pinned():
     assert {module: taken for module, taken in crossings.items() if taken} == {
         "analytic": {"hawking": ["_check_exponents", "_check_positive", "_check_theta", "_power_rows"]},
         "modes_state": {"hawking": ["_Value", "_check_theta"]},
-        "xstate": {"hawking": ["_Value"]},
+        "xstate": {"hawking": ["_Value"], "modes_state": ["_total"]},
         "verify": {
             "analytic": ["_binomial_sums"],
             "hawking": ["_Value", "_power_rows"],

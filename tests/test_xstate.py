@@ -199,9 +199,9 @@ def _counted_checks(monkeypatch):
     built = collections.Counter()
     for cls in (XState, SparseDensity, ModeLayout):
 
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
+        def counted(self, *args, check=cls.__post_init__, name=cls.__name__):
             built[name] += 1
-            check(self)
+            check(self, *args)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     return built

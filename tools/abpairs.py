@@ -16,8 +16,12 @@ side's median and quartiles, the median paired ratio (working tree over
 revision), the wins and ties of the working tree (a win is a value better
 in the direction ``BENCHMARK.json`` declares) and the median gain over the
 revision's interquartile range, and last one verdict per metric: ``gain``,
-``worse``, ``unresolved`` or ``same`` (see :func:`verdict`).  A run that
-exits non-zero stops the tool with exit 2 and the tail of its standard error.
+``worse``, ``unresolved`` or ``same`` (see :func:`verdict`).  The output
+ends with ``verdict failed-share worse`` when the working tree's failed
+requests, summed over the pairs, make a larger share of its summed
+attempted ones than the revision's do, and ``verdict failed-share same``
+otherwise.  A run that exits non-zero stops the tool with exit 2 and the
+tail of its standard error.
 
 This is an interim home: a change to the benchmark is to fold it into
 ``bench/run.py --ab``.  It uses the standard library only.
@@ -126,6 +130,12 @@ def verdict(row: dict, pairs: int, bound: float) -> str:
     return "same"
 
 
+def failed_share(pairs: list[dict[str, dict[str, float]]], side: str) -> float:
+    """``side``'s failed requests over its attempted ones, each summed over the pairs; 0 for none attempted."""
+    attempted = sum(pair[side]["attempted"] for pair in pairs)
+    return sum(pair[side]["failed"] for pair in pairs) / attempted if attempted else 0.0
+
+
 def format_summary(rows: list[dict], pairs: int) -> list[str]:
     lines = [f"{'metric':18s} {'parent q1/median/q3':>32s} {'change q1/median/q3':>32s} "
              f"{'ratio':>7s} {'wins':>5s} {'ties':>5s} {'gain/IQR':>9s}"]
@@ -190,6 +200,8 @@ def main(argv: list[str]) -> int:
     print("\n".join(format_summary(rows, len(pairs))))
     for row in rows:
         print(f"verdict {row['metric']} {verdict(row, len(pairs), declared[row['metric']][1])}")
+    worse = failed_share(pairs, "change") > failed_share(pairs, "parent")
+    print(f"verdict failed-share {'worse' if worse else 'same'}")
     return 0
 
 
